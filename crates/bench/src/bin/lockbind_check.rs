@@ -10,8 +10,8 @@
 //!   certify matching optimality (Thm. 2). Output is fully deterministic
 //!   (no wall times); `results/CHECK_baseline.txt` is the committed golden.
 //! * `checkpoint PATH` — validates a sweep checkpoint written by the
-//!   engine: header sanity, then every payload must decode under one of
-//!   the bench codecs.
+//!   engine: header sanity, then every payload must decode as one of
+//!   the bench record encodings.
 //!
 //! Exits 1 when any error-severity diagnostic (or malformed checkpoint
 //! record) is found, 2 on usage errors.
@@ -34,6 +34,7 @@ use lockbind_locking::{
 use lockbind_mediabench::Kernel;
 use lockbind_netlist::builders::{adder_fu, multiplier_fu};
 use lockbind_netlist::Netlist;
+use lockbind_obs::Json;
 
 fn usage() -> &'static str {
     "lockbind-check — offline linter for HLS/locking artifacts\n\
@@ -360,15 +361,16 @@ fn lint_checkpoint(path: &Path) -> ExitCode {
         eprintln!("lockbind-check: {} is empty", path.display());
         return ExitCode::FAILURE;
     };
-    let Some(fingerprint) = header_u64(header, "fingerprint") else {
+    let header = lockbind_obs::json::parse(header.as_bytes()).unwrap_or(Json::Null);
+    let Some(fingerprint) = header["fingerprint"].as_u64() else {
         eprintln!(
             "lockbind-check: {} has no fingerprint header",
             path.display()
         );
         return ExitCode::FAILURE;
     };
-    let cells = header_u64(header, "cells").unwrap_or(0);
-    let root_seed = header_u64(header, "root_seed").unwrap_or(0);
+    let cells = header["cells"].as_u64().unwrap_or(0);
+    let root_seed = header["root_seed"].as_u64().unwrap_or(0);
     println!(
         "checkpoint {}: fingerprint {fingerprint:#018x}, root seed {root_seed}, {cells} cell(s) in grid",
         path.display()
@@ -384,11 +386,12 @@ fn lint_checkpoint(path: &Path) -> ExitCode {
     let mut decoded = [0usize; 3]; // headline, error-record, overhead payloads
     let mut malformed = Vec::new();
     for entry in &entries {
-        if codec::decode_headline_output(&entry.payload).is_some() {
+        let payload = &entry.payload;
+        if codec::headline_output_from_json(payload).is_some() {
             decoded[0] += 1;
-        } else if codec::decode_error_records(&entry.payload).is_some() {
+        } else if codec::records_from_json(payload, codec::error_record_from_json).is_some() {
             decoded[1] += 1;
-        } else if codec::decode_overhead_records(&entry.payload).is_some() {
+        } else if codec::records_from_json(payload, codec::overhead_record_from_json).is_some() {
             decoded[2] += 1;
         } else {
             malformed.push(entry.cell);
@@ -409,15 +412,4 @@ fn lint_checkpoint(path: &Path) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// Extracts `"key":<u64>` from the single-line JSON checkpoint header.
-fn header_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }

@@ -26,6 +26,7 @@ use lockbind_engine::{ArtifactCache, CacheKey, CellResult, Job, JobCtx};
 use lockbind_hls::{FuClass, FuId};
 use lockbind_mediabench::Kernel;
 use lockbind_obs as obs;
+use lockbind_obs::Json;
 
 use crate::codec;
 use crate::errors_experiment::{run_error_cell_cancellable, ClassContext};
@@ -179,12 +180,12 @@ impl Job for ErrorCell {
         }
     }
 
-    fn encode_output(&self, output: &Self::Output) -> Option<String> {
-        Some(codec::encode_error_records(output))
+    fn encode_output(&self, output: &Self::Output) -> Option<Json> {
+        Some(codec::records_json(output, codec::error_record_json))
     }
 
-    fn decode_output(&self, payload: &str) -> Option<Self::Output> {
-        codec::decode_error_records(payload)
+    fn decode_output(&self, payload: &Json) -> Option<Self::Output> {
+        codec::records_from_json(payload, codec::error_record_from_json)
     }
 }
 
@@ -269,12 +270,12 @@ impl Job for OverheadCell {
         measure_overhead(&prepared, self.num_candidates).map_err(|e| e.to_string())
     }
 
-    fn encode_output(&self, output: &Self::Output) -> Option<String> {
-        Some(codec::encode_overhead_records(output))
+    fn encode_output(&self, output: &Self::Output) -> Option<Json> {
+        Some(codec::records_json(output, codec::overhead_record_json))
     }
 
-    fn decode_output(&self, payload: &str) -> Option<Self::Output> {
-        codec::decode_overhead_records(payload)
+    fn decode_output(&self, payload: &Json) -> Option<Self::Output> {
+        codec::records_from_json(payload, codec::overhead_record_from_json)
     }
 }
 

@@ -20,6 +20,7 @@ use lockbind_locking::{
 };
 use lockbind_mediabench::Kernel;
 use lockbind_netlist::builders::adder_fu;
+use lockbind_obs::Json;
 
 use crate::grid::{cached_prepared, ErrorCell};
 use crate::{error_grid, ErrorRecord, ExperimentParams};
@@ -284,12 +285,12 @@ impl Job for HeadlineCell {
         }
     }
 
-    fn encode_output(&self, output: &Self::Output) -> Option<String> {
-        Some(crate::codec::encode_headline_output(output))
+    fn encode_output(&self, output: &Self::Output) -> Option<Json> {
+        Some(crate::codec::headline_output_json(output))
     }
 
-    fn decode_output(&self, payload: &str) -> Option<Self::Output> {
-        crate::codec::decode_headline_output(payload)
+    fn decode_output(&self, payload: &Json) -> Option<Self::Output> {
+        crate::codec::headline_output_from_json(payload)
     }
 }
 

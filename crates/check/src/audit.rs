@@ -34,6 +34,7 @@ use lockbind_netlist::analysis::{
 use lockbind_netlist::dot::{to_dot_annotated, NodeAnnotation};
 use lockbind_netlist::{Gate, Netlist, Signal};
 use lockbind_obs as obs;
+use lockbind_obs::Json;
 
 use crate::artifact::Artifact;
 use crate::diag::{Code, Diagnostic, Report, Severity, Span};
@@ -615,33 +616,28 @@ impl AuditSummary {
 
     /// Machine-readable JSON rendering.
     pub fn render_json(&self) -> String {
-        let hist: Vec<String> = self.skew_histogram.iter().map(|c| c.to_string()).collect();
-        let codes: Vec<String> = self
-            .counts
-            .iter()
-            .map(|(c, n)| format!("\"{c}\":{n}"))
-            .collect();
-        format!(
-            "{{\"name\":\"{}\",\"nets\":{},\"inputs\":{},\"keys\":{},\"outputs\":{},\
-             \"inert_keys\":{},\"unprotected_outputs\":{},\"single_key_outputs\":{},\
-             \"removable_gates\":{},\"skew_histogram\":[{}],\"max_skew\":{:.6},\
-             \"cone_isolation\":{:.6},\"codes\":{{{}}},\"errors\":{},\"warnings\":{}}}",
-            self.name,
-            self.nets,
-            self.inputs,
-            self.keys,
-            self.outputs,
-            self.inert_keys,
-            self.unprotected_outputs,
-            self.single_key_outputs,
-            self.removable_gates,
-            hist.join(","),
-            self.max_skew,
-            self.cone_isolation,
-            codes.join(","),
-            self.errors,
-            self.warnings
-        )
+        let counts = self.counts.iter().map(|(c, n)| (*c, Json::from(*n)));
+        Json::obj([
+            ("name", Json::from(self.name.as_str())),
+            ("nets", Json::from(self.nets)),
+            ("inputs", Json::from(self.inputs)),
+            ("keys", Json::from(self.keys)),
+            ("outputs", Json::from(self.outputs)),
+            ("inert_keys", Json::from(self.inert_keys)),
+            ("unprotected_outputs", Json::from(self.unprotected_outputs)),
+            ("single_key_outputs", Json::from(self.single_key_outputs)),
+            ("removable_gates", Json::from(self.removable_gates)),
+            (
+                "skew_histogram",
+                Json::arr(self.skew_histogram.iter().map(|&c| Json::from(c))),
+            ),
+            ("max_skew", Json::from(self.max_skew)),
+            ("cone_isolation", Json::from(self.cone_isolation)),
+            ("codes", Json::obj(counts)),
+            ("errors", Json::from(self.errors)),
+            ("warnings", Json::from(self.warnings)),
+        ])
+        .render()
     }
 }
 
@@ -751,5 +747,17 @@ mod tests {
         assert!(json.contains("\"inert_keys\":1"), "{json}");
         assert!(json.contains("\"LB0704\""), "{json}");
         assert!(json.contains("\"errors\":1"), "{json}");
+    }
+
+    #[test]
+    fn summary_json_escapes_awkward_names() {
+        let nl = weak_lock();
+        let mut summary = AuditSummary::compute(&nl, &audit_netlist(&nl));
+        let name = "fu \"q\" \\ \r\u{1}";
+        summary.name = name.to_string();
+        let doc = lockbind_obs::json::parse(summary.render_json().as_bytes()).expect("strict JSON");
+        assert_eq!(doc["name"].as_str(), Some(name));
+        assert_eq!(doc["codes"]["LB0701"].as_u64(), Some(1));
+        assert_eq!(doc["max_skew"].as_f64(), Some(summary.max_skew));
     }
 }

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use lockbind_hls::{FuId, Minterm};
+use lockbind_obs::Json;
 
 /// Stable diagnostic codes. The numeric ranges group by pass:
 ///
@@ -445,25 +446,20 @@ impl Report {
     /// Machine-readable JSON rendering (an object with a `diagnostics`
     /// array plus error/warning totals).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"span\":\"{}\",\"message\":\"{}\"}}",
-                d.code,
-                d.severity,
-                escape_json(&d.span.to_string()),
-                escape_json(&d.message)
-            ));
-        }
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{}}}",
-            self.error_count(),
-            self.warning_count()
-        ));
-        out
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::obj([
+                ("code", Json::from(d.code.as_str())),
+                ("severity", Json::from(d.severity.as_str())),
+                ("span", Json::from(d.span.to_string())),
+                ("message", Json::from(d.message.as_str())),
+            ])
+        });
+        Json::obj([
+            ("diagnostics", Json::arr(diagnostics)),
+            ("errors", Json::from(self.error_count())),
+            ("warnings", Json::from(self.warning_count())),
+        ])
+        .render()
     }
 
     /// The engine-facing failure string, or `None` if the run is clean.
@@ -494,21 +490,6 @@ impl Report {
             parts.join("; ")
         ))
     }
-}
-
-fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -574,6 +555,20 @@ mod tests {
         let json = r.render_json();
         assert!(json.contains("\\\"quote\\\""));
         assert!(json.contains("\"errors\":1"));
+    }
+
+    #[test]
+    fn json_rendering_round_trips_awkward_messages() {
+        let message = "quote \" slash \\ cr \r bell \u{7} tab \t";
+        let mut r = Report::new();
+        r.push(Diagnostic::new(Code::WidthMismatch, Span::Op(0), message));
+        let doc = lockbind_obs::json::parse(r.render_json().as_bytes()).expect("strict JSON");
+        let Json::Array(diagnostics) = &doc["diagnostics"] else {
+            panic!("diagnostics array in {doc:?}");
+        };
+        assert_eq!(diagnostics[0]["message"].as_str(), Some(message));
+        assert_eq!(diagnostics[0]["code"].as_str(), Some("LB0103"));
+        assert_eq!(doc["errors"].as_u64(), Some(1));
     }
 
     #[test]

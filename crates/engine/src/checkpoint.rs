@@ -3,10 +3,10 @@
 //! The file starts with a header line binding the checkpoint to a specific
 //! grid — a [`fingerprint`] over the root seed, the cell count, and every
 //! cell label — followed by one line per completed cell carrying the
-//! job-encoded output payload. Appends are flushed per cell, so a run
-//! killed mid-sweep leaves a loadable prefix; resuming with a file whose
-//! fingerprint does not match the submitted grid is rejected (the caller
-//! falls back to a full run).
+//! job-encoded output as an embedded JSON value. Appends are flushed per
+//! cell, so a run killed mid-sweep leaves a loadable prefix; resuming with
+//! a file whose schema or fingerprint does not match the submitted grid is
+//! rejected (the caller falls back to a full run).
 //!
 //! Only cells whose job implements [`crate::Job::encode_output`] are
 //! written; everything else simply re-runs on resume — correct (the engine
@@ -18,10 +18,11 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use lockbind_obs as obs;
-use lockbind_obs::json::Json;
+use lockbind_obs::json::{self, Json};
 
-/// Checkpoint file schema version (the `"schema"` header field).
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+/// Checkpoint file schema version (the `"schema"` header field). Schema 1
+/// stored payloads as delimited strings; schema 2 embeds JSON records.
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// Content fingerprint of a grid: FNV-1a over the root seed, the cell
 /// count, and every length-prefixed cell label. Two grids resume-compatible
@@ -46,12 +47,34 @@ pub fn fingerprint(root_seed: u64, labels: &[String]) -> u64 {
 }
 
 /// One completed-cell record loaded from a checkpoint file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointEntry {
     /// Cell index in the submitted job slice.
     pub cell: usize,
     /// Job-encoded output payload.
-    pub payload: String,
+    pub payload: Json,
+}
+
+/// Parses a checkpoint header line and returns its fingerprint.
+///
+/// # Errors
+/// A message when the line is not JSON, carries another
+/// [`CHECKPOINT_SCHEMA`], or has no fingerprint.
+fn header_fingerprint(line: &str) -> Result<u64, String> {
+    let header =
+        json::parse(line.as_bytes()).map_err(|e| format!("checkpoint header is not JSON: {e}"))?;
+    match header["schema"].as_u64() {
+        Some(CHECKPOINT_SCHEMA) => {}
+        found => {
+            return Err(format!(
+                "checkpoint schema {found:?} is not {CHECKPOINT_SCHEMA}; \
+                 was it written by an older build?"
+            ))
+        }
+    }
+    header["fingerprint"]
+        .as_u64()
+        .ok_or_else(|| "checkpoint header has no fingerprint".to_string())
 }
 
 /// Loads the completed-cell records of a checkpoint file.
@@ -80,8 +103,7 @@ pub fn load(path: &Path, expected: u64) -> Result<Vec<CheckpointEntry>, String> 
     let header = lines
         .next()
         .ok_or_else(|| "checkpoint file is empty".to_string())?;
-    let found = field_u64(&header, "fingerprint")
-        .ok_or_else(|| "checkpoint header has no fingerprint".to_string())?;
+    let found = header_fingerprint(&header)?;
     if found != expected {
         return Err(format!(
             "checkpoint fingerprint {found:#018x} does not match this grid ({expected:#018x}); \
@@ -90,17 +112,16 @@ pub fn load(path: &Path, expected: u64) -> Result<Vec<CheckpointEntry>, String> 
     }
     let mut entries = Vec::new();
     for line in lines {
-        if line.trim().is_empty() {
-            continue; // torn final line from a killed writer
-        }
-        let (Some(cell), Some(payload)) = (field_u64(&line, "cell"), field_str(&line, "payload"))
-        else {
-            continue; // torn/partial line: ignore, the cell just re-runs
+        // A torn or partial line is ignored: its cell just re-runs.
+        let Ok(doc) = json::parse(line.as_bytes()) else {
+            continue;
         };
-        entries.push(CheckpointEntry {
-            cell: cell as usize,
-            payload,
-        });
+        if let (Some(cell), Some(payload)) = (doc["cell"].as_u64(), doc.get("payload")) {
+            entries.push(CheckpointEntry {
+                cell: cell as usize,
+                payload: payload.clone(),
+            });
+        }
     }
     Ok(entries)
 }
@@ -116,9 +137,9 @@ pub(crate) struct CheckpointWriter {
 
 impl CheckpointWriter {
     /// Opens `path` for checkpointing a grid with the given identity.
-    /// When `resuming` and the file already holds a matching header, new
-    /// cells are appended after the existing ones; otherwise the file is
-    /// recreated with a fresh header.
+    /// When `resuming` and the file already holds a header of this schema
+    /// and fingerprint, new cells are appended after the existing ones;
+    /// otherwise the file is recreated with a fresh header.
     pub(crate) fn open(
         path: &Path,
         fingerprint: u64,
@@ -134,7 +155,7 @@ impl CheckpointWriter {
         let append = resuming
             && lockbind_durable::tail::read_jsonl(path)
                 .ok()
-                .and_then(|tail| field_u64(tail.lines.first().map(String::as_str)?, "fingerprint"))
+                .and_then(|tail| header_fingerprint(tail.lines.first()?).ok())
                 .is_some_and(|found| found == fingerprint);
         if append {
             // Continuing after a kill: drop any torn trailing fragment so
@@ -197,56 +218,16 @@ impl CheckpointWriter {
     }
 
     /// Appends one completed cell and flushes.
-    pub(crate) fn append(&self, cell: usize, label: &str, payload: &str) -> std::io::Result<()> {
+    pub(crate) fn append(&self, cell: usize, label: &str, payload: Json) -> std::io::Result<()> {
         let line = Json::obj([
             ("cell", Json::from(cell)),
             ("label", Json::from(label)),
-            ("payload", Json::from(payload)),
+            ("payload", payload),
         ])
         .render();
         let mut out = self.out.lock().expect("checkpoint writer poisoned");
         writeln!(out, "{line}")?;
         out.flush()
-    }
-}
-
-/// Extracts `"key":<u64>` from a single-line JSON object written by this
-/// module (numbers are never quoted in our writer).
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts and unescapes `"key":"..."` from a single-line JSON object
-/// written by this module.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
     }
 }
 
@@ -285,11 +266,19 @@ mod tests {
     fn round_trips_entries_with_awkward_payloads() {
         let path = temp_path("roundtrip");
         let fp = fingerprint(7, &labels(4));
+        let awkward = Json::obj([
+            (
+                "name",
+                Json::from("a\x1fb\x1ec \"quoted\" \\slash\nnewline\tté"),
+            ),
+            ("ratio", Json::from(-0.1f64)),
+            ("list", Json::arr([Json::UInt(u64::MAX), Json::Null])),
+        ]);
         let writer = CheckpointWriter::open(&path, fp, 7, 4, false).expect("open");
-        writer.append(0, "cell/0", "plain").expect("append");
         writer
-            .append(2, "cell/2", "a\x1fb\x1ec \"quoted\" \\slash\nnewline\tté")
+            .append(0, "cell/0", Json::from("plain"))
             .expect("append");
+        writer.append(2, "cell/2", awkward.clone()).expect("append");
         drop(writer);
         let entries = load(&path, fp).expect("load");
         assert_eq!(entries.len(), 2);
@@ -297,14 +286,11 @@ mod tests {
             entries[0],
             CheckpointEntry {
                 cell: 0,
-                payload: "plain".to_string()
+                payload: Json::from("plain")
             }
         );
         assert_eq!(entries[1].cell, 2);
-        assert_eq!(
-            entries[1].payload,
-            "a\x1fb\x1ec \"quoted\" \\slash\nnewline\tté"
-        );
+        assert_eq!(entries[1].payload, awkward);
     }
 
     #[test]
@@ -312,7 +298,7 @@ mod tests {
         let path = temp_path("mismatch");
         let fp = fingerprint(7, &labels(4));
         let writer = CheckpointWriter::open(&path, fp, 7, 4, false).expect("open");
-        writer.append(0, "cell/0", "x").expect("append");
+        writer.append(0, "cell/0", Json::from("x")).expect("append");
         drop(writer);
         let err = load(&path, fp ^ 1).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
@@ -323,7 +309,9 @@ mod tests {
         let path = temp_path("torn");
         let fp = fingerprint(1, &labels(3));
         let writer = CheckpointWriter::open(&path, fp, 1, 3, false).expect("open");
-        writer.append(0, "cell/0", "ok").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("ok"))
+            .expect("append");
         drop(writer);
         // Simulate a kill mid-write: truncated trailing record.
         let mut text = std::fs::read_to_string(&path).expect("read");
@@ -342,7 +330,9 @@ mod tests {
         let path = temp_path("torn-utf8");
         let fp = fingerprint(1, &labels(3));
         let writer = CheckpointWriter::open(&path, fp, 1, 3, false).expect("open");
-        writer.append(0, "cell/0", "ok").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("ok"))
+            .expect("append");
         drop(writer);
         let mut bytes = std::fs::read(&path).expect("read");
         let torn = "{\"cell\":1,\"label\":\"cell/1\",\"payload\":\"té";
@@ -360,19 +350,23 @@ mod tests {
         let path = temp_path("append-repair");
         let fp = fingerprint(2, &labels(4));
         let writer = CheckpointWriter::open(&path, fp, 2, 4, false).expect("open");
-        writer.append(0, "cell/0", "first").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("first"))
+            .expect("append");
         drop(writer);
         let mut bytes = std::fs::read(&path).expect("read");
         bytes.extend_from_slice(b"{\"cell\":1,\"label\":\"cell/1\",\"payl");
         std::fs::write(&path, &bytes).expect("write");
         let writer = CheckpointWriter::open(&path, fp, 2, 4, true).expect("reopen");
         assert!(writer.appended(), "matching header despite the torn tail");
-        writer.append(2, "cell/2", "second").expect("append");
+        writer
+            .append(2, "cell/2", Json::from("second"))
+            .expect("append");
         drop(writer);
         let entries = load(&path, fp).expect("load");
         assert_eq!(entries.len(), 2, "{entries:?}");
         assert_eq!((entries[0].cell, entries[1].cell), (0, 2));
-        assert_eq!(entries[1].payload, "second");
+        assert_eq!(entries[1].payload, Json::from("second"));
     }
 
     #[test]
@@ -383,7 +377,9 @@ mod tests {
         let path = temp_path("append-utf8");
         let fp = fingerprint(5, &labels(3));
         let writer = CheckpointWriter::open(&path, fp, 5, 3, false).expect("open");
-        writer.append(0, "cell/0", "kept").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("kept"))
+            .expect("append");
         drop(writer);
         let mut bytes = std::fs::read(&path).expect("read");
         let torn = "{\"payload\":\"é";
@@ -394,7 +390,7 @@ mod tests {
         drop(writer);
         let entries = load(&path, fp).expect("load");
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].payload, "kept");
+        assert_eq!(entries[0].payload, Json::from("kept"));
     }
 
     #[test]
@@ -402,10 +398,14 @@ mod tests {
         let path = temp_path("resume-append");
         let fp = fingerprint(3, &labels(5));
         let writer = CheckpointWriter::open(&path, fp, 3, 5, false).expect("open");
-        writer.append(0, "cell/0", "first").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("first"))
+            .expect("append");
         drop(writer);
         let writer = CheckpointWriter::open(&path, fp, 3, 5, true).expect("reopen");
-        writer.append(1, "cell/1", "second").expect("append");
+        writer
+            .append(1, "cell/1", Json::from("second"))
+            .expect("append");
         drop(writer);
         let entries = load(&path, fp).expect("load");
         assert_eq!(entries.len(), 2);
@@ -413,5 +413,36 @@ mod tests {
         let writer = CheckpointWriter::open(&path, fp, 3, 5, false).expect("truncate");
         drop(writer);
         assert!(load(&path, fp).expect("load").is_empty());
+    }
+
+    #[test]
+    fn schema_one_checkpoint_is_ignored_and_rewritten() {
+        // A file from the delimited-payload era: right fingerprint, old
+        // schema. Loading must reject it, and a resuming writer must start
+        // the file over rather than append JSON records after it.
+        let path = temp_path("schema-1");
+        let fp = fingerprint(7, &labels(4));
+        let old = format!(
+            "{{\"schema\":1,\"fingerprint\":{fp},\"root_seed\":7,\"cells\":4}}\n\
+             {{\"cell\":0,\"label\":\"cell/0\",\"payload\":\"impact\x1efir\x1f0.5\x1f1\x1f2\"}}\n"
+        );
+        std::fs::write(&path, old).expect("write");
+        let err = load(&path, fp).unwrap_err();
+        assert!(err.contains("schema"), "{err}");
+        let writer = CheckpointWriter::open(&path, fp, 7, 4, true).expect("reopen");
+        assert!(!writer.appended(), "a schema-1 file must be rewritten");
+        writer
+            .append(1, "cell/1", Json::from("new"))
+            .expect("append");
+        drop(writer);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(text.starts_with("{\"schema\":2,"), "{text}");
+        assert!(!text.contains('\x1e'), "old records survived: {text}");
+        let entries = load(&path, fp).expect("load");
+        assert_eq!(entries.len(), 1);
+        assert_eq!(
+            (entries[0].cell, &entries[0].payload),
+            (1, &Json::from("new"))
+        );
     }
 }

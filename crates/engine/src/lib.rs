@@ -43,14 +43,12 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod cli;
-pub mod json;
 pub mod metrics;
 pub mod pool;
 
 pub use cache::{ArtifactCache, CacheKey, CacheStats};
 pub use checkpoint::{CheckpointEntry, CHECKPOINT_SCHEMA};
 pub use cli::{EngineArgs, ObsSession};
-pub use json::Json;
 pub use metrics::{
     AuditAggregates, CellTiming, RunMetrics, ServeAggregates, StageMetrics, METRICS_SCHEMA_VERSION,
 };

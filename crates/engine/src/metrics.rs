@@ -30,7 +30,7 @@ use std::time::Duration;
 use lockbind_obs::MetricsSnapshot;
 
 use crate::cache::CacheStats;
-use crate::json::Json;
+use lockbind_obs::Json;
 
 /// JSON schema version written by [`RunMetrics::to_json`].
 pub const METRICS_SCHEMA_VERSION: u64 = 6;

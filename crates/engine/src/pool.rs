@@ -58,6 +58,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use lockbind_obs as obs;
+use lockbind_obs::Json;
 use lockbind_resil::{CancelToken, FaultKind, FaultPlan, RetryPolicy};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -98,17 +99,17 @@ pub trait Job: Send + Sync {
     /// deadlines terminate them cooperatively.
     fn run(&self, ctx: &mut JobCtx<'_>) -> Result<Self::Output, String>;
 
-    /// Serializes a completed output for the sweep checkpoint. `None`
-    /// (the default) opts this job out of checkpointing — it simply
-    /// re-runs on resume.
-    fn encode_output(&self, _output: &Self::Output) -> Option<String> {
+    /// Serializes a completed output as a JSON record for the sweep
+    /// checkpoint. `None` (the default) opts this job out of
+    /// checkpointing — it simply re-runs on resume.
+    fn encode_output(&self, _output: &Self::Output) -> Option<Json> {
         None
     }
 
-    /// Parses a payload previously written by
+    /// Reads a record previously written by
     /// [`encode_output`](Self::encode_output). `None` discards the
     /// checkpoint entry and re-runs the cell.
-    fn decode_output(&self, _payload: &str) -> Option<Self::Output> {
+    fn decode_output(&self, _payload: &Json) -> Option<Self::Output> {
         None
     }
 }
@@ -468,7 +469,7 @@ impl Engine {
                 for (index, output) in resumed.iter().enumerate() {
                     if let Some(output) = output {
                         if let Some(payload) = jobs[index].encode_output(output) {
-                            let _ = writer.append(index, &labels[index], &payload);
+                            let _ = writer.append(index, &labels[index], payload);
                         }
                     }
                 }
@@ -513,7 +514,7 @@ impl Engine {
                             if let (Some(writer), Some(payload)) =
                                 (writer, job.encode_output(output))
                             {
-                                if let Err(e) = writer.append(index, cell, &payload) {
+                                if let Err(e) = writer.append(index, cell, payload) {
                                     eprintln!("[engine] checkpoint append failed: {e}");
                                 }
                             }
@@ -817,13 +818,18 @@ mod tests {
             Ok((ctx.seed, ctx.rng.next_u64()))
         }
 
-        fn encode_output(&self, output: &Self::Output) -> Option<String> {
-            Some(format!("{} {}", output.0, output.1))
+        fn encode_output(&self, output: &Self::Output) -> Option<Json> {
+            Some(Json::arr([Json::UInt(output.0), Json::UInt(output.1)]))
         }
 
-        fn decode_output(&self, payload: &str) -> Option<Self::Output> {
-            let (a, b) = payload.split_once(' ')?;
-            Some((a.parse().ok()?, b.parse().ok()?))
+        fn decode_output(&self, payload: &Json) -> Option<Self::Output> {
+            let Json::Array(items) = payload else {
+                return None;
+            };
+            let [a, b] = items.as_slice() else {
+                return None;
+            };
+            Some((a.as_u64()?, b.as_u64()?))
         }
     }
 

@@ -38,84 +38,56 @@ fn parse_u64(flag: &str, value: &str, min: u64, max: u64) -> u64 {
     parsed
 }
 
-fn field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Object(pairs) => pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn uint(doc: &Json, name: &str) -> u64 {
-    match field(doc, name) {
-        Some(Json::UInt(v)) => *v,
-        Some(Json::Float(v)) if *v >= 0.0 => *v as u64,
-        _ => 0,
-    }
-}
-
-fn float(doc: &Json, name: &str) -> f64 {
-    match field(doc, name) {
-        Some(Json::Float(v)) => *v,
-        Some(Json::UInt(v)) => *v as f64,
-        _ => 0.0,
-    }
-}
-
 fn render_frame(snapshot: &Json) -> String {
+    let uint = |doc: &Json| doc.as_u64().unwrap_or(0);
+    let float = |doc: &Json| doc.as_f64().unwrap_or(0.0);
     let mut out = String::new();
-    let window_ms = uint(snapshot, "window_ms").max(1);
-    let uptime_s = uint(snapshot, "uptime_us") as f64 / 1e6;
-    let latency = field(snapshot, "latency_us");
-    let flight = field(snapshot, "flight");
+    let window_ms = uint(&snapshot["window_ms"]).max(1);
+    let uptime_s = uint(&snapshot["uptime_us"]) as f64 / 1e6;
+    let flight = &snapshot["flight"];
     out.push_str(&format!(
         "lockbind-serve | up {uptime_s:.1}s | window {:.1}s | flight events {} dumps {}\n",
         window_ms as f64 / 1e3,
-        flight.map_or(0, |f| uint(f, "recorded")),
-        flight.map_or(0, |f| uint(f, "dumps")),
+        uint(&flight["recorded"]),
+        uint(&flight["dumps"]),
     ));
-    if let Some(l) = latency {
+    if let Some(l) = snapshot.get("latency_us") {
         out.push_str(&format!(
             "global (window): {} obs | p50 {} us | p90 {} us | p99 {} us | p999 {} us | max {} us\n",
-            uint(l, "count"),
-            uint(l, "p50"),
-            uint(l, "p90"),
-            uint(l, "p99"),
-            uint(l, "p999"),
-            uint(l, "max"),
+            uint(&l["count"]),
+            uint(&l["p50"]),
+            uint(&l["p90"]),
+            uint(&l["p99"]),
+            uint(&l["p999"]),
+            uint(&l["max"]),
         ));
     }
     out.push_str(&format!(
         "{:<16} {:>8} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}\n",
         "TENANT", "RPS", "INFLIGHT", "P50US", "P99US", "SHED%", "BURN-S", "BURN-L"
     ));
-    let tenants = match field(snapshot, "tenants") {
-        Some(Json::Array(items)) => items.as_slice(),
+    let tenants = match &snapshot["tenants"] {
+        Json::Array(items) => items.as_slice(),
         _ => &[],
     };
     for t in tenants {
-        let name = match field(t, "tenant") {
-            Some(Json::Str(s)) => s.as_str(),
-            _ => "?",
-        };
-        let window_requests = uint(t, "window_requests");
+        let window_requests = uint(&t["window_requests"]);
         let rps = window_requests as f64 * 1000.0 / window_ms as f64;
         let shed_pct = if window_requests > 0 {
-            uint(t, "window_shed") as f64 * 100.0 / window_requests as f64
+            uint(&t["window_shed"]) as f64 * 100.0 / window_requests as f64
         } else {
             0.0
         };
-        let lat = field(t, "latency_us");
-        let slo = field(t, "slo");
         out.push_str(&format!(
             "{:<16} {:>8.1} {:>9} {:>9} {:>9} {:>6.1}% {:>7.2} {:>7.2}\n",
-            name,
+            t["tenant"].as_str().unwrap_or("?"),
             rps,
-            uint(t, "inflight"),
-            lat.map_or(0, |l| uint(l, "p50")),
-            lat.map_or(0, |l| uint(l, "p99")),
+            uint(&t["inflight"]),
+            uint(&t["latency_us"]["p50"]),
+            uint(&t["latency_us"]["p99"]),
             shed_pct,
-            slo.map_or(0.0, |s| float(s, "burn_short")),
-            slo.map_or(0.0, |s| float(s, "burn_long")),
+            float(&t["slo"]["burn_short"]),
+            float(&t["slo"]["burn_long"]),
         ));
     }
     if tenants.is_empty() {
@@ -171,13 +143,11 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let snapshot = field(&outcome.response, "result")
-            .cloned()
-            .unwrap_or(Json::Null);
+        let snapshot = &outcome.response["result"];
         if clear {
             print!("\x1b[2J\x1b[H");
         }
-        print!("{}", render_frame(&snapshot));
+        print!("{}", render_frame(snapshot));
         if iterations > 0 && frame >= iterations {
             return;
         }

@@ -12,7 +12,6 @@ use std::time::Duration;
 
 use lockbind_obs::Json;
 
-use crate::jsonin;
 use crate::wire::{read_frame, write_frame, FrameRead, DEFAULT_MAX_FRAME};
 
 /// A response plus the progress frames that preceded it.
@@ -29,13 +28,6 @@ pub struct CallOutcome {
 /// One blocking connection to a `lockbind-serve` daemon.
 pub struct ServeClient {
     stream: TcpStream,
-}
-
-fn field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Object(pairs) => pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
 }
 
 impl ServeClient {
@@ -72,7 +64,7 @@ impl ServeClient {
     pub fn read_event(&mut self) -> io::Result<(Json, Vec<u8>)> {
         match read_frame(&mut self.stream, DEFAULT_MAX_FRAME, None, None)? {
             FrameRead::Frame(payload) => {
-                let doc = jsonin::parse(&payload).map_err(|e| {
+                let doc = lockbind_obs::json::parse(&payload).map_err(|e| {
                     io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}"))
                 })?;
                 Ok((doc, payload))
@@ -98,19 +90,15 @@ impl ServeClient {
     /// protocol error (the daemon serializes responses per connection).
     pub fn call(&mut self, request: &Json) -> io::Result<CallOutcome> {
         self.send(request)?;
-        let want_id = field(request, "id").cloned().unwrap_or(Json::Null);
+        let want_id = request["id"].clone();
         let mut progress = Vec::new();
         loop {
             let (doc, raw) = self.read_event()?;
-            let is_response = matches!(
-                field(&doc, "type"),
-                Some(Json::Str(t)) if t == "response"
-            );
-            if !is_response {
+            if doc["type"].as_str() != Some("response") {
                 progress.push(doc);
                 continue;
             }
-            let id = field(&doc, "id").cloned().unwrap_or(Json::Null);
+            let id = doc["id"].clone();
             if id != want_id && id != Json::Null {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -148,21 +136,15 @@ impl ServeClient {
 
 /// The `status` string of a response document, or `""`.
 pub fn response_status(doc: &Json) -> &str {
-    match field(doc, "status") {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => "",
-    }
+    doc["status"].as_str().unwrap_or("")
 }
 
 /// The `error.code` string of a response document, or `""`.
 pub fn response_error_code(doc: &Json) -> &str {
-    match field(doc, "error").and_then(|e| field(e, "code")) {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => "",
-    }
+    doc["error"]["code"].as_str().unwrap_or("")
 }
 
 /// A named field of the `result` object, if present.
 pub fn result_field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
-    field(doc, "result").and_then(|r| field(r, name))
+    doc["result"].get(name)
 }

@@ -13,8 +13,8 @@
 //! cancels map to distinct response statuses), and graceful drain
 //! (SIGTERM completes every admitted request before exit).
 //!
-//! Module map, wire to core: [`wire`] (framing) → [`jsonin`] (strict
-//! parsing) → [`proto`] (validation + envelopes) → [`admission`]
+//! Module map, wire to core: [`wire`] (framing) → strict parsing
+//! ([`lockbind_obs::json::parse`]) → [`proto`] (validation + envelopes) → [`admission`]
 //! (tenant-fair bounded queue) → [`jobs`] (engine job bodies) →
 //! [`server`] (threads, coalescing, drain), with [`progress`] routing
 //! engine spans back to subscribed requests, [`signal`] latching

@@ -117,29 +117,9 @@ impl LoadReport {
         let Some(stats) = &self.server_stats else {
             return 0.0;
         };
-        let get = |outer: &Json, name: &str| -> f64 {
-            if let Json::Object(pairs) = outer {
-                if let Some((_, Json::Object(cache))) =
-                    pairs.iter().find(|(k, _)| k == "cache").map(|p| (0, &p.1))
-                {
-                    if let Some((_, Json::UInt(v))) = cache.iter().find(|(k, _)| k == name) {
-                        return *v as f64;
-                    }
-                }
-            }
-            0.0
-        };
-        let result = match stats {
-            Json::Object(pairs) => pairs
-                .iter()
-                .find(|(k, _)| k == "result")
-                .map(|(_, v)| v)
-                .cloned()
-                .unwrap_or(Json::Null),
-            _ => Json::Null,
-        };
-        let hits = get(&result, "hits");
-        let misses = get(&result, "misses");
+        let cache = &stats["result"]["cache"];
+        let hits = cache["hits"].as_u64().unwrap_or(0) as f64;
+        let misses = cache["misses"].as_u64().unwrap_or(0) as f64;
         if hits + misses == 0.0 {
             0.0
         } else {
@@ -467,7 +447,7 @@ mod tests {
         for id in 0..64 {
             let doc = template(&mut rng, id, "t0", Some(2000));
             let text = doc.render();
-            let parsed = crate::jsonin::parse(text.as_bytes()).expect("template parses");
+            let parsed = lockbind_obs::json::parse(text.as_bytes()).expect("template parses");
             crate::proto::decode_request(&parsed, false).expect("template validates");
         }
     }
@@ -479,7 +459,7 @@ mod tests {
         // never at the JSON layer.
         let mut parse_failures = 0;
         for probe in FIXED_PROBES {
-            if crate::jsonin::parse(probe.as_bytes()).is_err() {
+            if lockbind_obs::json::parse(probe.as_bytes()).is_err() {
                 parse_failures += 1;
             }
         }

@@ -394,15 +394,10 @@ pub const KIND_NAMES: [&str; 10] = [
     "sleep",
 ];
 
-fn field<'a>(pairs: &'a [(String, Json)], name: &str) -> Option<&'a Json> {
-    pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn check_unknown_fields(
-    path: &str,
-    pairs: &[(String, Json)],
-    allowed: &[&str],
-) -> Result<(), ReqError> {
+fn check_unknown_fields(path: &str, obj: &Json, allowed: &[&str]) -> Result<(), ReqError> {
+    let Json::Object(pairs) = obj else {
+        return Ok(());
+    };
     for (key, _) in pairs {
         if !allowed.contains(&key.as_str()) {
             return Err(ReqError::new(
@@ -417,9 +412,9 @@ fn check_unknown_fields(
     Ok(())
 }
 
-fn as_object<'a>(path: &str, doc: &'a Json) -> Result<&'a [(String, Json)], ReqError> {
+fn as_object<'a>(path: &str, doc: &'a Json) -> Result<&'a Json, ReqError> {
     match doc {
-        Json::Object(pairs) => Ok(pairs),
+        Json::Object(_) => Ok(doc),
         _ => Err(ReqError::new(
             code::BAD_TYPE,
             format!("{path}: must be a JSON object"),
@@ -427,8 +422,8 @@ fn as_object<'a>(path: &str, doc: &'a Json) -> Result<&'a [(String, Json)], ReqE
     }
 }
 
-fn req_uint(path: &str, pairs: &[(String, Json)], name: &str) -> Result<u64, ReqError> {
-    match field(pairs, name) {
+fn req_uint(path: &str, obj: &Json, name: &str) -> Result<u64, ReqError> {
+    match obj.get(name) {
         Some(Json::UInt(v)) => Ok(*v),
         Some(_) => Err(ReqError::new(
             code::BAD_TYPE,
@@ -441,13 +436,8 @@ fn req_uint(path: &str, pairs: &[(String, Json)], name: &str) -> Result<u64, Req
     }
 }
 
-fn opt_uint(
-    path: &str,
-    pairs: &[(String, Json)],
-    name: &str,
-    default: u64,
-) -> Result<u64, ReqError> {
-    match field(pairs, name) {
+fn opt_uint(path: &str, obj: &Json, name: &str, default: u64) -> Result<u64, ReqError> {
+    match obj.get(name) {
         None => Ok(default),
         Some(Json::UInt(v)) => Ok(*v),
         Some(Json::Float(v)) if *v < 0.0 => Err(ReqError::new(
@@ -484,23 +474,23 @@ fn ranged(
 
 fn opt_ranged(
     path: &str,
-    pairs: &[(String, Json)],
+    obj: &Json,
     name: &str,
     min: u64,
     max: u64,
     default: u64,
 ) -> Result<u64, ReqError> {
-    let value = opt_uint(path, pairs, name, default)?;
+    let value = opt_uint(path, obj, name, default)?;
     ranged(path, name, value, min, max, default)
 }
 
 fn opt_str<'a>(
     path: &str,
-    pairs: &'a [(String, Json)],
+    obj: &'a Json,
     name: &str,
     default: &'a str,
 ) -> Result<&'a str, ReqError> {
-    match field(pairs, name) {
+    match obj.get(name) {
         None => Ok(default),
         Some(Json::Str(s)) => Ok(s.as_str()),
         Some(_) => Err(ReqError::new(
@@ -510,13 +500,8 @@ fn opt_str<'a>(
     }
 }
 
-fn opt_bool(
-    path: &str,
-    pairs: &[(String, Json)],
-    name: &str,
-    default: bool,
-) -> Result<bool, ReqError> {
-    match field(pairs, name) {
+fn opt_bool(path: &str, obj: &Json, name: &str, default: bool) -> Result<bool, ReqError> {
+    match obj.get(name) {
         None => Ok(default),
         Some(Json::Bool(b)) => Ok(*b),
         Some(_) => Err(ReqError::new(
@@ -526,8 +511,8 @@ fn opt_bool(
     }
 }
 
-fn parse_kernel(path: &str, pairs: &[(String, Json)]) -> Result<Kernel, ReqError> {
-    let name = match field(pairs, "kernel") {
+fn parse_kernel(path: &str, obj: &Json) -> Result<Kernel, ReqError> {
+    let name = match obj.get("kernel") {
         Some(Json::Str(s)) => s.as_str(),
         Some(_) => {
             return Err(ReqError::new(
@@ -557,8 +542,8 @@ fn parse_kernel(path: &str, pairs: &[(String, Json)]) -> Result<Kernel, ReqError
         })
 }
 
-fn parse_class(path: &str, pairs: &[(String, Json)]) -> Result<FuClass, ReqError> {
-    match opt_str(path, pairs, "class", "adder")? {
+fn parse_class(path: &str, obj: &Json) -> Result<FuClass, ReqError> {
+    match opt_str(path, obj, "class", "adder")? {
         "adder" => Ok(FuClass::Adder),
         "multiplier" => Ok(FuClass::Multiplier),
         other => Err(ReqError::new(
@@ -568,8 +553,8 @@ fn parse_class(path: &str, pairs: &[(String, Json)]) -> Result<FuClass, ReqError
     }
 }
 
-fn parse_scheme(path: &str, pairs: &[(String, Json)]) -> Result<SatScheme, ReqError> {
-    let label = opt_str(path, pairs, "scheme", "critical-minterm")?;
+fn parse_scheme(path: &str, obj: &Json) -> Result<SatScheme, ReqError> {
+    let label = opt_str(path, obj, "scheme", "critical-minterm")?;
     SatScheme::ALL
         .into_iter()
         .find(|s| s.label() == label)
@@ -592,11 +577,11 @@ struct KernelParams {
     seed: u64,
 }
 
-fn parse_kernel_params(path: &str, pairs: &[(String, Json)]) -> Result<KernelParams, ReqError> {
+fn parse_kernel_params(path: &str, obj: &Json) -> Result<KernelParams, ReqError> {
     Ok(KernelParams {
-        kernel: parse_kernel(path, pairs)?,
-        frames: opt_ranged(path, pairs, "frames", 1, MAX_FRAMES as u64, 120)? as usize,
-        seed: opt_uint(path, pairs, "seed", 2021)?,
+        kernel: parse_kernel(path, obj)?,
+        frames: opt_ranged(path, obj, "frames", 1, MAX_FRAMES as u64, 120)? as usize,
+        seed: opt_uint(path, obj, "seed", 2021)?,
     })
 }
 
@@ -607,14 +592,14 @@ fn parse_kernel_params(path: &str, pairs: &[(String, Json)]) -> Result<KernelPar
 /// [`ReqError`] with a stable code on any schema violation; the message
 /// names the offending field and the accepted values.
 pub fn decode_request(doc: &Json, debug_kinds: bool) -> Result<RequestEnvelope, ReqError> {
-    let pairs = as_object("request", doc)?;
+    let obj = as_object("request", doc)?;
     check_unknown_fields(
         "",
-        pairs,
+        obj,
         &["id", "kind", "tenant", "deadline_ms", "progress", "params"],
     )?;
-    let id = req_uint("", pairs, "id")?;
-    let tenant = opt_str("", pairs, "tenant", "anon")?.to_string();
+    let id = req_uint("", obj, "id")?;
+    let tenant = opt_str("", obj, "tenant", "anon")?.to_string();
     if tenant.is_empty()
         || tenant.len() > MAX_TENANT_LEN
         || !tenant
@@ -626,19 +611,19 @@ pub fn decode_request(doc: &Json, debug_kinds: bool) -> Result<RequestEnvelope, 
             format!("tenant: must be 1..={MAX_TENANT_LEN} characters from [a-zA-Z0-9._-]"),
         ));
     }
-    let deadline_ms = match field(pairs, "deadline_ms") {
+    let deadline_ms = match obj.get("deadline_ms") {
         None => None,
         Some(_) => Some(ranged(
             "",
             "deadline_ms",
-            req_uint("", pairs, "deadline_ms")?,
+            req_uint("", obj, "deadline_ms")?,
             1,
             MAX_DEADLINE_MS,
             2000,
         )?),
     };
-    let progress = opt_bool("", pairs, "progress", false)?;
-    let kind_name = match field(pairs, "kind") {
+    let progress = opt_bool("", obj, "progress", false)?;
+    let kind_name = match obj.get("kind") {
         Some(Json::Str(s)) => s.as_str(),
         Some(_) => return Err(ReqError::new(code::BAD_TYPE, "kind: must be a string")),
         None => {
@@ -648,8 +633,8 @@ pub fn decode_request(doc: &Json, debug_kinds: bool) -> Result<RequestEnvelope, 
             ))
         }
     };
-    let empty: Vec<(String, Json)> = Vec::new();
-    let params: &[(String, Json)] = match field(pairs, "params") {
+    let empty = Json::Object(Vec::new());
+    let params = match obj.get("params") {
         None => &empty,
         Some(doc) => as_object("params", doc)?,
     };
@@ -802,12 +787,10 @@ pub fn decode_request(doc: &Json, debug_kinds: bool) -> Result<RequestEnvelope, 
 /// for echoing on validation-error responses ([`Json::Null`] when the
 /// frame never got far enough to carry one).
 pub fn extract_id(doc: &Json) -> Json {
-    if let Json::Object(pairs) = doc {
-        if let Some(Json::UInt(v)) = field(pairs, "id") {
-            return Json::UInt(*v);
-        }
+    match doc.get("id") {
+        Some(Json::UInt(v)) => Json::UInt(*v),
+        _ => Json::Null,
     }
-    Json::Null
 }
 
 /// Builds an `ok` response frame.
@@ -865,7 +848,7 @@ mod tests {
 
     fn decode(text: &str) -> Result<RequestEnvelope, ReqError> {
         decode_request(
-            &crate::jsonin::parse(text.as_bytes()).expect("valid JSON"),
+            &lockbind_obs::json::parse(text.as_bytes()).expect("valid JSON"),
             true,
         )
     }
@@ -951,7 +934,7 @@ mod tests {
 
     #[test]
     fn sleep_is_gated_behind_debug_kinds() {
-        let doc = crate::jsonin::parse(br#"{"id":1,"kind":"sleep"}"#).expect("valid");
+        let doc = lockbind_obs::json::parse(br#"{"id":1,"kind":"sleep"}"#).expect("valid");
         assert!(decode_request(&doc, true).is_ok());
         assert_eq!(
             decode_request(&doc, false).unwrap_err().code,

@@ -48,7 +48,6 @@ use lockbind_telemetry::{expo, Telemetry, TelemetryConfig};
 
 use crate::admission::{AdmissionQueue, ShedReason};
 use crate::jobs::ServeJob;
-use crate::jsonin;
 use crate::progress::{next_request_seq, ProgressRouter};
 use crate::proto::{
     code, decode_request, extract_id, progress_event, response_error, response_ok, status,
@@ -350,7 +349,7 @@ fn encode_body(body: &WorkBody) -> Option<Vec<u8>> {
     match body {
         WorkBody::Ok(result) => {
             let rendered = result.render();
-            let reparsed = jsonin::parse(rendered.as_bytes()).ok()?;
+            let reparsed = lockbind_obs::json::parse(rendered.as_bytes()).ok()?;
             if reparsed.render() != rendered {
                 return None;
             }
@@ -372,7 +371,7 @@ fn encode_body(body: &WorkBody) -> Option<Vec<u8>> {
 /// on any shape the current code does not recognise.
 fn decode_body(bytes: &[u8]) -> Option<WorkBody> {
     match bytes.split_first()? {
-        (b'O', rest) => Some(WorkBody::Ok(jsonin::parse(rest).ok()?)),
+        (b'O', rest) => Some(WorkBody::Ok(lockbind_obs::json::parse(rest).ok()?)),
         (b'E', rest) => Some(WorkBody::Err(String::from_utf8(rest.to_vec()).ok()?)),
         _ => None,
     }
@@ -710,7 +709,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Handles one request frame; `false` closes the connection.
 fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) -> bool {
-    let doc = match jsonin::parse(frame) {
+    let doc = match lockbind_obs::json::parse(frame) {
         Ok(doc) => doc,
         Err(e) => {
             let err_code = if e.code == "non_finite" {

@@ -97,21 +97,7 @@ impl Daemon {
 }
 
 fn parse(text: &str) -> Json {
-    lockbind_serve::jsonin::parse(text.as_bytes()).expect("valid JSON")
-}
-
-fn uint(doc: &Json, path: &[&str]) -> u64 {
-    let mut cur = doc;
-    for key in path {
-        let Json::Object(pairs) = cur else {
-            panic!("expected object at {key}");
-        };
-        cur = &pairs.iter().find(|(k, _)| k == key).expect(key).1;
-    }
-    match cur {
-        Json::UInt(v) => *v,
-        other => panic!("expected uint at {path:?}, got {other:?}"),
-    }
+    lockbind_obs::json::parse(text.as_bytes()).expect("valid JSON")
 }
 
 /// Runs every probe against a live daemon, returning probe → raw
@@ -138,7 +124,9 @@ fn persisted_hits(daemon: &Daemon) -> u64 {
     let stats = client
         .call(&parse(r#"{"id":900,"kind":"stats"}"#))
         .expect("stats");
-    uint(&stats.response, &["result", "durable", "persisted_hits"])
+    stats.response["result"]["durable"]["persisted_hits"]
+        .as_u64()
+        .expect("persisted_hits")
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {

@@ -4,7 +4,6 @@
 
 use std::time::Duration;
 
-use lockbind_obs::Json;
 use lockbind_serve::client::{response_status, ServeClient};
 use lockbind_serve::server::{start, ServerConfig};
 use lockbind_serve::status;
@@ -39,13 +38,9 @@ fn drain_completes_all_admitted_work() {
     let mut by_id = std::collections::BTreeMap::new();
     for _ in 0..5 {
         let (doc, _) = client.read_event().expect("reads response");
-        let id = match &doc {
-            Json::Object(pairs) => match pairs.iter().find(|(k, _)| k == "id") {
-                Some((_, Json::UInt(id))) => *id,
-                _ => panic!("response without integer id: {doc:?}"),
-            },
-            _ => panic!("non-object response"),
-        };
+        let id = doc["id"]
+            .as_u64()
+            .unwrap_or_else(|| panic!("response without integer id: {doc:?}"));
         by_id.insert(id, response_status(&doc).to_string());
     }
     assert_eq!(

@@ -29,24 +29,10 @@ fn client_for(handle: &lockbind_serve::ServerHandle) -> ServeClient {
 }
 
 fn req(text: &str) -> Json {
-    lockbind_serve::jsonin::parse(text.as_bytes()).expect("valid request JSON")
+    lockbind_obs::json::parse(text.as_bytes()).expect("valid request JSON")
 }
 
 const BIND: &str = r#"{"id":1,"kind":"bind","params":{"kernel":"fir","frames":30}}"#;
-
-fn uint(doc: &Json, path: &[&str]) -> u64 {
-    let mut cur = doc;
-    for key in path {
-        let Json::Object(pairs) = cur else {
-            panic!("expected object at {key}");
-        };
-        cur = &pairs.iter().find(|(k, _)| k == key).expect(key).1;
-    }
-    match cur {
-        Json::UInt(v) => *v,
-        other => panic!("expected uint at {path:?}, got {other:?}"),
-    }
-}
 
 #[test]
 fn warm_restart_replays_byte_identical_responses() {
@@ -64,10 +50,13 @@ fn warm_restart_replays_byte_identical_responses() {
         let stats = client
             .call(&req(r#"{"id":2,"kind":"stats"}"#))
             .expect("stats");
-        assert_eq!(uint(&stats.response, &["result", "durable", "appends"]), 1);
         assert_eq!(
-            uint(&stats.response, &["result", "durable", "persisted_hits"]),
-            0
+            stats.response["result"]["durable"]["appends"].as_u64(),
+            Some(1)
+        );
+        assert_eq!(
+            stats.response["result"]["durable"]["persisted_hits"].as_u64(),
+            Some(0)
         );
         assert_eq!(handle.drain_and_join().dropped, 0);
     }
@@ -90,13 +79,13 @@ fn warm_restart_replays_byte_identical_responses() {
             .call(&req(r#"{"id":2,"kind":"stats"}"#))
             .expect("stats");
         assert_eq!(
-            uint(&stats.response, &["result", "durable", "persisted_hits"]),
-            1,
+            stats.response["result"]["durable"]["persisted_hits"].as_u64(),
+            Some(1),
             "the warm answer came from disk"
         );
         assert_eq!(
-            uint(&stats.response, &["result", "durable", "appends"]),
-            0,
+            stats.response["result"]["durable"]["appends"].as_u64(),
+            Some(0),
             "nothing new was computed"
         );
         assert_eq!(handle.drain_and_join().dropped, 0);
@@ -123,8 +112,8 @@ fn warm_restart_replays_byte_identical_responses() {
             .call(&req(r#"{"id":2,"kind":"stats"}"#))
             .expect("stats");
         assert_eq!(
-            uint(&stats.response, &["result", "durable", "persisted_hits"]),
-            0,
+            stats.response["result"]["durable"]["persisted_hits"].as_u64(),
+            Some(0),
             "the corrupt record was not a hit"
         );
         assert_eq!(handle.drain_and_join().dropped, 0);

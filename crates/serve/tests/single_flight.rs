@@ -8,30 +8,11 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use lockbind_obs::Json;
 use lockbind_serve::client::{response_status, ServeClient};
 use lockbind_serve::server::{start, ServerConfig};
 use lockbind_serve::status;
 
 const N: usize = 6;
-
-fn uint_field(doc: &Json, path: &[&str]) -> u64 {
-    let mut cursor = doc;
-    for name in path {
-        let Json::Object(pairs) = cursor else {
-            panic!("expected object at {name}")
-        };
-        cursor = pairs
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing field {name}"));
-    }
-    match cursor {
-        Json::UInt(v) => *v,
-        other => panic!("expected integer at {path:?}, got {other:?}"),
-    }
-}
 
 #[test]
 fn concurrent_identical_requests_build_once_and_match_bytes() {
@@ -90,12 +71,12 @@ fn concurrent_identical_requests_build_once_and_match_bytes() {
     // lookup — all on the serve-response key — is a hit.
     let mut stats_client = ServeClient::connect(&addr).expect("connects");
     let stats = stats_client
-        .call(&lockbind_serve::jsonin::parse(br#"{"id":99,"kind":"stats"}"#).expect("valid"))
+        .call(&lockbind_obs::json::parse(br#"{"id":99,"kind":"stats"}"#).expect("valid"))
         .expect("stats call")
         .response;
-    assert_eq!(uint_field(&stats, &["result", "cache", "misses"]), 3);
+    assert_eq!(stats["result"]["cache"]["misses"].as_u64(), Some(3));
     assert_eq!(
-        uint_field(&stats, &["result", "cache", "hits"]),
+        stats["result"]["cache"]["hits"].as_u64().expect("hits"),
         N as u64 - 1
     );
 

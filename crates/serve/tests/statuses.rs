@@ -40,7 +40,7 @@ fn request(id: u64, kind: &str, extra: &str) -> Json {
     } else {
         format!(r#"{{"id":{id},"kind":"{kind}",{extra}}}"#)
     };
-    lockbind_serve::jsonin::parse(text.as_bytes()).expect("valid request JSON")
+    lockbind_obs::json::parse(text.as_bytes()).expect("valid request JSON")
 }
 
 #[test]
@@ -123,17 +123,7 @@ fn deadline_can_expire_while_queued() {
     let mut statuses = Vec::new();
     for _ in 0..2 {
         let (doc, _) = client.read_event().expect("reads");
-        statuses.push((
-            match &doc {
-                Json::Object(pairs) => pairs
-                    .iter()
-                    .find(|(k, _)| k == "id")
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or(Json::Null),
-                _ => Json::Null,
-            },
-            response_status(&doc).to_string(),
-        ));
+        statuses.push((doc["id"].clone(), response_status(&doc).to_string()));
     }
     statuses.sort_by_key(|(id, _)| format!("{id:?}"));
     assert_eq!(
@@ -163,13 +153,7 @@ fn interrupted_is_distinct_from_deadline_exceeded() {
     let mut seen = std::collections::BTreeMap::new();
     for _ in 0..2 {
         let (doc, _) = client.read_event().expect("reads");
-        let id = match &doc {
-            Json::Object(pairs) => match pairs.iter().find(|(k, _)| k == "id") {
-                Some((_, Json::UInt(v))) => *v,
-                _ => 0,
-            },
-            _ => 0,
-        };
+        let id = doc["id"].as_u64().unwrap_or(0);
         seen.insert(id, doc);
     }
     let cancel_resp = seen.get(&8).expect("cancel response");
@@ -262,18 +246,7 @@ fn progress_frames_stream_span_names() {
     let spans: Vec<String> = outcome
         .progress
         .iter()
-        .filter_map(|doc| match doc {
-            Json::Object(pairs) => {
-                pairs
-                    .iter()
-                    .find(|(k, _)| k == "span")
-                    .and_then(|(_, v)| match v {
-                        Json::Str(s) => Some(s.clone()),
-                        _ => None,
-                    })
-            }
-            _ => None,
-        })
+        .filter_map(|doc| doc["span"].as_str().map(str::to_string))
         .collect();
     assert!(
         spans.iter().any(|s| s == "prepare.kernel"),

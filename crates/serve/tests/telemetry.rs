@@ -29,29 +29,7 @@ fn request(id: u64, kind: &str, extra: &str) -> Json {
     } else {
         format!(r#"{{"id":{id},"kind":"{kind}",{extra}}}"#)
     };
-    lockbind_serve::jsonin::parse(text.as_bytes()).expect("valid request JSON")
-}
-
-fn obj_get<'a>(doc: &'a Json, key: &str) -> &'a Json {
-    match doc {
-        Json::Object(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing key '{key}' in {}", doc.render())),
-        other => panic!("expected object for '{key}', got {}", other.render()),
-    }
-}
-
-fn get_path<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
-    path.iter().fold(doc, |d, key| obj_get(d, key))
-}
-
-fn uint(doc: &Json, path: &[&str]) -> u64 {
-    match get_path(doc, path) {
-        Json::UInt(v) => *v,
-        other => panic!("expected uint at {path:?}, got {}", other.render()),
-    }
+    lockbind_obs::json::parse(text.as_bytes()).expect("valid request JSON")
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -92,24 +70,24 @@ fn stats_reports_queue_depth_and_per_tenant_inflight() {
     let outcome = observer.call(&request(10, "stats", "")).expect("calls");
     assert_eq!(response_status(&outcome.response), status::OK);
     let queue = result_field(&outcome.response, "queue").expect("queue object");
-    assert_eq!(uint(queue, &["queued"]), 2, "two requests waiting");
-    assert_eq!(uint(queue, &["in_flight"]), 1, "one on the worker");
+    assert_eq!(queue["queued"].as_u64(), Some(2), "two requests waiting");
+    assert_eq!(queue["in_flight"].as_u64(), Some(1), "one on the worker");
     assert_eq!(
-        uint(queue, &["max_depth"]),
-        8,
+        queue["max_depth"].as_u64(),
+        Some(8),
         "configured limit is reported"
     );
-    assert_eq!(uint(queue, &["max_per_tenant"]), 8);
+    assert_eq!(queue["max_per_tenant"].as_u64(), Some(8));
     let tenants = result_field(&outcome.response, "tenants").expect("tenants object");
-    assert_eq!(uint(tenants, &["a", "in_flight"]), 1);
-    assert_eq!(uint(tenants, &["a", "queued"]), 1);
-    assert_eq!(uint(tenants, &["a", "admitted"]), 2);
-    assert_eq!(uint(tenants, &["a", "completed"]), 0);
-    assert_eq!(uint(tenants, &["b", "queued"]), 1);
-    assert_eq!(uint(tenants, &["b", "admitted"]), 1);
+    assert_eq!(tenants["a"]["in_flight"].as_u64(), Some(1));
+    assert_eq!(tenants["a"]["queued"].as_u64(), Some(1));
+    assert_eq!(tenants["a"]["admitted"].as_u64(), Some(2));
+    assert_eq!(tenants["a"]["completed"].as_u64(), Some(0));
+    assert_eq!(tenants["b"]["queued"].as_u64(), Some(1));
+    assert_eq!(tenants["b"]["admitted"].as_u64(), Some(1));
     // The serve aggregate embeds the live telemetry snapshot.
     let serve = result_field(&outcome.response, "serve").expect("serve object");
-    assert_eq!(uint(serve, &["telemetry", "schema_version"]), 1);
+    assert_eq!(serve["telemetry"]["schema_version"].as_u64(), Some(1));
 
     // Drain the queue, then the same counters must survive retirement.
     for _ in 0..1 {
@@ -120,13 +98,13 @@ fn stats_reports_queue_depth_and_per_tenant_inflight() {
     }
     let outcome = observer.call(&request(11, "stats", "")).expect("calls");
     let queue = result_field(&outcome.response, "queue").expect("queue object");
-    assert_eq!(uint(queue, &["queued"]), 0);
-    assert_eq!(uint(queue, &["in_flight"]), 0);
-    assert_eq!(uint(queue, &["completed"]), 3);
+    assert_eq!(queue["queued"].as_u64(), Some(0));
+    assert_eq!(queue["in_flight"].as_u64(), Some(0));
+    assert_eq!(queue["completed"].as_u64(), Some(3));
     let tenants = result_field(&outcome.response, "tenants").expect("tenants object");
-    assert_eq!(uint(tenants, &["a", "completed"]), 2);
-    assert_eq!(uint(tenants, &["a", "in_flight"]), 0);
-    assert_eq!(uint(tenants, &["b", "completed"]), 1);
+    assert_eq!(tenants["a"]["completed"].as_u64(), Some(2));
+    assert_eq!(tenants["a"]["in_flight"].as_u64(), Some(0));
+    assert_eq!(tenants["b"]["completed"].as_u64(), Some(1));
     assert_eq!(handle.drain_and_join().dropped, 0);
 }
 
@@ -155,37 +133,40 @@ fn introspect_returns_a_live_snapshot() {
 
     let outcome = client.call(&request(3, "introspect", "")).expect("calls");
     assert_eq!(response_status(&outcome.response), status::OK);
-    let snap = obj_get(&outcome.response, "result");
-    assert_eq!(uint(snap, &["schema_version"]), 1);
-    assert!(uint(snap, &["window_ms"]) > 0);
+    let snap = &outcome.response["result"];
+    assert_eq!(snap["schema_version"].as_u64(), Some(1));
+    assert!(snap["window_ms"].as_u64().expect("window_ms") > 0);
     assert_eq!(
-        uint(snap, &["latency_us", "count"]),
-        2,
+        snap["latency_us"]["count"].as_u64(),
+        Some(2),
         "both sleeps recorded"
     );
     // A 5ms sleep can never report a sub-5ms p50 (quantiles round up).
-    assert!(uint(snap, &["latency_us", "p50"]) >= 5_000);
-    assert!(uint(snap, &["latency_us", "p999"]) >= uint(snap, &["latency_us", "p50"]));
-    assert!(uint(snap, &["latency_us", "max"]) >= 5_000);
-    assert_eq!(uint(snap, &["latency_total_us", "count"]), 2);
-    let tenants = match get_path(snap, &["tenants"]) {
+    assert!(snap["latency_us"]["p50"].as_u64().expect("p50") >= 5_000);
+    assert!(
+        snap["latency_us"]["p999"].as_u64().expect("p999")
+            >= snap["latency_us"]["p50"].as_u64().expect("p50")
+    );
+    assert!(snap["latency_us"]["max"].as_u64().expect("max") >= 5_000);
+    assert_eq!(snap["latency_total_us"]["count"].as_u64(), Some(2));
+    let tenants = match &snap["tenants"] {
         Json::Array(items) => items,
         other => panic!("tenants must be an array, got {}", other.render()),
     };
     assert_eq!(tenants.len(), 2);
     for t in tenants {
-        assert_eq!(uint(t, &["requests"]), 1);
-        assert_eq!(uint(t, &["ok"]), 1);
-        assert_eq!(uint(t, &["inflight"]), 0);
-        assert_eq!(uint(t, &["shed"]), 0);
+        assert_eq!(t["requests"].as_u64(), Some(1));
+        assert_eq!(t["ok"].as_u64(), Some(1));
+        assert_eq!(t["inflight"].as_u64(), Some(0));
+        assert_eq!(t["shed"].as_u64(), Some(0));
         // SLO state is present with the default objective.
-        get_path(t, &["slo", "burn_short"]);
-        get_path(t, &["slo", "burn_long"]);
-        assert_eq!(uint(t, &["slo", "latency_objective_us"]), 250_000);
+        assert!(t["slo"].get("burn_short").is_some(), "burn_short");
+        assert!(t["slo"].get("burn_long").is_some(), "burn_long");
+        assert_eq!(t["slo"]["latency_objective_us"].as_u64(), Some(250_000));
     }
     assert_eq!(
-        uint(snap, &["flight", "recorded"]),
-        2,
+        snap["flight"]["recorded"].as_u64(),
+        Some(2),
         "one admit event each"
     );
     assert_eq!(handle.drain_and_join().dropped, 0);
@@ -355,33 +336,30 @@ fn flight_dump_is_documented_jsonl() {
         lines.len() >= 4,
         "header + admit/admit/shed events:\n{text}"
     );
-    let header = lockbind_serve::jsonin::parse(lines[0].as_bytes()).expect("header is JSON");
+    let header = lockbind_obs::json::parse(lines[0].as_bytes()).expect("header is JSON");
+    assert_eq!(&header["line"], &Json::Str("flight_dump".to_string()));
+    assert_eq!(header["schema_version"].as_u64(), Some(1));
+    assert_eq!(&header["trigger"], &Json::Str("signal".to_string()));
     assert_eq!(
-        obj_get(&header, "line"),
-        &Json::Str("flight_dump".to_string())
+        header["events"].as_u64().expect("events"),
+        (lines.len() - 1) as u64
     );
-    assert_eq!(uint(&header, &["schema_version"]), 1);
-    assert_eq!(
-        obj_get(&header, "trigger"),
-        &Json::Str("signal".to_string())
-    );
-    assert_eq!(uint(&header, &["events"]), (lines.len() - 1) as u64);
     let mut kinds = Vec::new();
     let mut prev_seq = None;
     for line in &lines[1..] {
-        let event = lockbind_serve::jsonin::parse(line.as_bytes()).expect("event is JSON");
-        assert_eq!(obj_get(&event, "line"), &Json::Str("event".to_string()));
-        let seq = uint(&event, &["seq"]);
+        let event = lockbind_obs::json::parse(line.as_bytes()).expect("event is JSON");
+        assert_eq!(&event["line"], &Json::Str("event".to_string()));
+        let seq = event["seq"].as_u64().expect("seq");
         if let Some(prev) = prev_seq {
             assert_eq!(seq, prev + 1, "seq numbers are gapless");
         }
         prev_seq = Some(seq);
-        if let Json::Str(kind) = obj_get(&event, "kind") {
+        if let Json::Str(kind) = &event["kind"] {
             kinds.push(kind.clone());
         }
-        get_path(&event, &["t_us"]);
-        get_path(&event, &["tenant"]);
-        get_path(&event, &["detail"]);
+        assert!(event.get("t_us").is_some(), "t_us");
+        assert!(event.get("tenant").is_some(), "tenant");
+        assert!(event.get("detail").is_some(), "detail");
     }
     assert!(
         kinds.iter().any(|k| k == "admit"),
