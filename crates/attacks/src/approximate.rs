@@ -13,8 +13,9 @@ use rand::{Rng, SeedableRng};
 
 use lockbind_locking::corruption::error_rate;
 use lockbind_locking::LockedNetlist;
-use lockbind_netlist::cnf::{encode_netlist, Cnf};
-use lockbind_sat::{SolveResult, Solver};
+use lockbind_resil::CancelToken;
+
+use crate::sat_attack::DipDriver;
 
 /// Outcome of [`approximate_sat_attack`].
 #[derive(Debug, Clone, PartialEq)]
@@ -46,82 +47,25 @@ pub fn approximate_sat_attack(
     random_queries: u64,
     seed: u64,
 ) -> ApproximateOutcome {
-    let nl = locked.netlist();
-    let n = nl.num_inputs();
-    let kb = nl.num_keys();
-
-    let mut cnf = Cnf::new();
-    let mut solver = Solver::new();
-    let mut pushed = 0usize;
-    let x = cnf.new_vars(n);
-    let k1 = cnf.new_vars(kb);
-    let k2 = cnf.new_vars(kb);
-    let act = cnf.new_var();
-    let ct = cnf.new_var();
-    cnf.add_clause([ct]);
-
-    let o1 = encode_netlist(nl, &mut cnf, &x, &k1);
-    let o2 = encode_netlist(nl, &mut cnf, &x, &k2);
-    let mut miter = vec![-act];
-    for (a, b) in o1.iter().zip(&o2) {
-        let d = cnf.new_var();
-        cnf.add_clause([-d, *a, *b]);
-        cnf.add_clause([-d, -*a, -*b]);
-        cnf.add_clause([d, -*a, *b]);
-        cnf.add_clause([d, *a, -*b]);
-        miter.push(d);
-    }
-    cnf.add_clause(miter);
-
-    let flush = |cnf: &Cnf, solver: &mut Solver, pushed: &mut usize| {
-        solver.reserve_vars(cnf.num_vars());
-        for cl in &cnf.clauses()[*pushed..] {
-            solver.add_clause(cl);
-        }
-        *pushed = cnf.clauses().len();
-    };
-    let constrain = |cnf: &mut Cnf, bits: &[bool], y: &[bool]| {
-        let in_lits: Vec<i32> = bits.iter().map(|&b| if b { ct } else { -ct }).collect();
-        for keys in [&k1, &k2] {
-            let outs = encode_netlist(nl, cnf, &in_lits, keys);
-            for (o, &yv) in outs.iter().zip(y) {
-                cnf.add_clause([if yv { *o } else { -*o }]);
-            }
-        }
-    };
-
-    let mut iterations = 0u64;
-    while iterations < dip_budget {
-        flush(&cnf, &mut solver, &mut pushed);
-        match solver.solve_with_assumptions(&[act]) {
-            // No budget or interrupt token is installed here, but treat
-            // either answer like an exhausted budget: stop refining.
-            SolveResult::Unsat | SolveResult::BudgetExhausted | SolveResult::Interrupted => break,
-            SolveResult::Sat => {
-                iterations += 1;
-                let bits: Vec<bool> = x.iter().map(|&l| solver.model_value(l)).collect();
-                let y = locked.oracle().eval(&bits, &[]).expect("oracle arity");
-                constrain(&mut cnf, &bits, &y);
-            }
-        }
-    }
+    let n = locked.netlist().num_inputs();
+    // The exact attack's DIP loop, capped at the budget. No conflict
+    // budget or interrupt can fire here, and hitting the cap is the
+    // point, so every stop just ends refinement.
+    let mut driver = DipDriver::new(locked, None, &CancelToken::new());
+    let _ = driver.run(dip_budget);
+    let iterations = driver.iterations();
 
     // Random reinforcement (the "App" part).
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..random_queries {
         let bits: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
         let y = locked.oracle().eval(&bits, &[]).expect("oracle arity");
-        constrain(&mut cnf, &bits, &y);
+        driver.constrain(&bits, &y);
     }
 
-    flush(&cnf, &mut solver, &mut pushed);
-    let res = solver.solve_with_assumptions(&[-act]);
-    debug_assert_eq!(
-        res,
-        SolveResult::Sat,
-        "the correct key is always consistent"
-    );
-    let key: Vec<bool> = k1.iter().map(|&l| solver.model_value(l)).collect();
+    let key = driver
+        .extract_key()
+        .expect("no budget or interrupt is installed");
     let residual = error_rate(locked, &key, n as u32);
     ApproximateOutcome {
         exact: residual == 0.0,

@@ -87,8 +87,8 @@ impl SatAttackOutcome {
 /// Publishes a finished attack's cumulative solver statistics into the
 /// global metrics registry: hot-path counters (propagations, watcher
 /// visits, blocker hits), clause-database maintenance (reduces, GC runs),
-/// and the learnt-clause glue histogram (one bucket per LBD value, the
-/// last collecting glue ≥ 8). Called once per attack — each attack owns a
+/// and the learnt-clause glue histogram (exact per LBD value; the solver
+/// reports glue ≥ 8 as 8). Called once per attack — each attack owns a
 /// fresh solver, so the cumulative stats are exactly this attack's work.
 fn record_solver_metrics(stats: &SolverStats) {
     obs::counter!("sat.solver.conflicts").add(stats.conflicts);
@@ -97,11 +97,182 @@ fn record_solver_metrics(stats: &SolverStats) {
     obs::counter!("sat.solver.blocker_hits").add(stats.blocker_hits);
     obs::counter!("sat.solver.reduces").add(stats.reduces);
     obs::counter!("sat.solver.gc_runs").add(stats.gc_runs);
-    let glue_hist = obs::histogram!("sat.glue", &[1, 2, 3, 4, 5, 6, 7]);
+    let glue_hist = obs::histogram!("sat.glue");
     for (i, &count) in stats.glue_hist.iter().enumerate() {
         if count > 0 {
-            glue_hist.observe_n(i as u64 + 1, count);
+            glue_hist.record_n(i as u64 + 1, count);
         }
+    }
+}
+
+/// The one DIP loop behind both [`sat_attack`] and the approximate
+/// attack: a miter of two keyed copies of the locked netlist sharing the
+/// inputs `x`, incrementally fed to one CDCL solver. Each DIP adds two
+/// oracle-agreement copies; the clause order is part of the contract,
+/// because it fixes the solver's search path and thus every DIP sequence
+/// and work count.
+pub(crate) struct DipDriver<'a> {
+    locked: &'a LockedNetlist,
+    cnf: Cnf,
+    solver: Solver,
+    /// Checked between DIP iterations (and polled inside the solver).
+    cancel: CancelToken,
+    /// Clauses of `cnf` already handed to `solver`.
+    pushed: usize,
+    x: Vec<i32>,
+    k1: Vec<i32>,
+    k2: Vec<i32>,
+    /// Activation literal: assumed true, the miter forces the copies'
+    /// outputs to differ.
+    act: i32,
+    /// Constant-true literal for binding DIP inputs in agreement copies.
+    ct: i32,
+    /// The DIPs found so far, packed LSB-first.
+    dips: Vec<u64>,
+    /// Solver conflicts spent in each DIP search.
+    conflicts_per_iteration: Vec<u64>,
+}
+
+impl<'a> DipDriver<'a> {
+    /// Builds the miter; `conflict_budget` and `cancel` are installed into
+    /// the solver and bound every query.
+    pub(crate) fn new(
+        locked: &'a LockedNetlist,
+        conflict_budget: Option<u64>,
+        cancel: &CancelToken,
+    ) -> Self {
+        let nl = locked.netlist();
+        let mut cnf = Cnf::new();
+        let mut solver = Solver::new();
+        solver.set_conflict_budget(conflict_budget);
+        solver.set_interrupt(Some(cancel.clone()));
+
+        let x = cnf.new_vars(nl.num_inputs());
+        let k1 = cnf.new_vars(nl.num_keys());
+        let k2 = cnf.new_vars(nl.num_keys());
+        let act = cnf.new_var();
+        let ct = cnf.new_var();
+        cnf.add_clause([ct]);
+
+        // Miter: two keyed copies sharing X, with outputs forced to differ
+        // when `act` is assumed.
+        let o1 = encode_netlist(nl, &mut cnf, &x, &k1);
+        let o2 = encode_netlist(nl, &mut cnf, &x, &k2);
+        let mut miter_clause = vec![-act];
+        for (a, b) in o1.iter().zip(&o2) {
+            let d = cnf.new_var();
+            // d <-> a xor b
+            cnf.add_clause([-d, *a, *b]);
+            cnf.add_clause([-d, -*a, -*b]);
+            cnf.add_clause([d, -*a, *b]);
+            cnf.add_clause([d, *a, -*b]);
+            miter_clause.push(d);
+        }
+        cnf.add_clause(miter_clause);
+        DipDriver {
+            locked,
+            cnf,
+            solver,
+            cancel: cancel.clone(),
+            pushed: 0,
+            x,
+            k1,
+            k2,
+            act,
+            ct,
+            dips: Vec::new(),
+            conflicts_per_iteration: Vec::new(),
+        }
+    }
+
+    /// DIPs found so far.
+    pub(crate) fn iterations(&self) -> u64 {
+        self.dips.len() as u64
+    }
+
+    /// Hands the clauses added since the last query to the solver and
+    /// solves under `assumption`.
+    fn solve(&mut self, assumption: i32) -> Result<bool, AttackStop> {
+        self.solver.reserve_vars(self.cnf.num_vars());
+        for cl in &self.cnf.clauses()[self.pushed..] {
+            self.solver.add_clause(cl);
+        }
+        self.pushed = self.cnf.clauses().len();
+        obs::counter!("sat.queries").inc();
+        match self.solver.solve_with_assumptions(&[assumption]) {
+            SolveResult::Sat => Ok(true),
+            SolveResult::Unsat => Ok(false),
+            SolveResult::BudgetExhausted => Err(AttackStop::BudgetExhausted),
+            SolveResult::Interrupted => Err(AttackStop::Interrupted),
+        }
+    }
+
+    /// Searches for the next DIP: its input bits, or `None` when no DIP
+    /// remains (every consistent key is then functionally correct).
+    fn next_dip(&mut self) -> Result<Option<Vec<bool>>, AttackStop> {
+        let before = self.solver.stats().conflicts;
+        if !self.solve(self.act)? {
+            return Ok(None);
+        }
+        let spent = self.solver.stats().conflicts - before;
+        obs::counter!("sat.dips").inc();
+        obs::histogram!("sat.conflicts_per_dip").record(spent);
+        self.conflicts_per_iteration.push(spent);
+        let bits: Vec<bool> = self.x.iter().map(|&l| self.solver.model_value(l)).collect();
+        self.dips.push(
+            bits.iter()
+                .enumerate()
+                .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i)),
+        );
+        Ok(Some(bits))
+    }
+
+    /// Constrains both key copies to reproduce the oracle output `y` on
+    /// input `bits`.
+    pub(crate) fn constrain(&mut self, bits: &[bool], y: &[bool]) {
+        let ct = self.ct;
+        let in_lits: Vec<i32> = bits.iter().map(|&b| if b { ct } else { -ct }).collect();
+        for keys in [&self.k1, &self.k2] {
+            let outs = encode_netlist(self.locked.netlist(), &mut self.cnf, &in_lits, keys);
+            for (o, &yv) in outs.iter().zip(y) {
+                self.cnf.add_clause([if yv { *o } else { -*o }]);
+            }
+        }
+    }
+
+    /// Runs the DIP loop: find a DIP, query the oracle on it, constrain.
+    /// `Ok` when no DIP remains; [`AttackStop::IterationCap`] once `cap`
+    /// DIPs have been found; otherwise the solver's early stop.
+    pub(crate) fn run(&mut self, cap: u64) -> Result<(), AttackStop> {
+        while self.iterations() < cap {
+            if self.cancel.is_cancelled() {
+                return Err(AttackStop::Interrupted);
+            }
+            let Some(bits) = self.next_dip()? else {
+                return Ok(());
+            };
+            // Oracle query on the activated chip.
+            let y = self
+                .locked
+                .oracle()
+                .eval(&bits, &[])
+                .expect("oracle arity matches");
+            self.constrain(&bits, &y);
+        }
+        Err(AttackStop::IterationCap)
+    }
+
+    /// Deactivates the miter and extracts a key consistent with every
+    /// constraint so far.
+    pub(crate) fn extract_key(&mut self) -> Result<Vec<bool>, AttackStop> {
+        if !self.solve(-self.act)? {
+            unreachable!("the correct key always satisfies the agreement constraints")
+        }
+        Ok(self
+            .k1
+            .iter()
+            .map(|&l| self.solver.model_value(l))
+            .collect())
     }
 }
 
@@ -135,192 +306,36 @@ pub fn sat_attack_with_cancel(
     obs::counter!("sat.attacks").inc();
     assert!(n <= 63, "sat attack DIP packing supports at most 63 inputs");
 
-    let mut cnf = Cnf::new();
-    let mut solver = Solver::new();
-    solver.set_conflict_budget(config.conflict_budget);
-    solver.set_interrupt(Some(cancel.clone()));
-    let mut pushed = 0usize;
-
-    let x = cnf.new_vars(n);
-    let k1 = cnf.new_vars(kb);
-    let k2 = cnf.new_vars(kb);
-    let act = cnf.new_var();
-    // Constant-true literal for binding DIP inputs in agreement copies.
-    let ct = cnf.new_var();
-    cnf.add_clause([ct]);
-
-    // Miter: two keyed copies sharing X, with outputs forced to differ when
-    // `act` is assumed.
-    let o1 = encode_netlist(nl, &mut cnf, &x, &k1);
-    let o2 = encode_netlist(nl, &mut cnf, &x, &k2);
-    let mut diff_lits = Vec::with_capacity(o1.len());
-    for (a, b) in o1.iter().zip(&o2) {
-        let d = cnf.new_var();
-        // d <-> a xor b
-        cnf.add_clause([-d, *a, *b]);
-        cnf.add_clause([-d, -*a, -*b]);
-        cnf.add_clause([d, -*a, *b]);
-        cnf.add_clause([d, *a, -*b]);
-        diff_lits.push(d);
-    }
-    let mut miter_clause = vec![-act];
-    miter_clause.extend(&diff_lits);
-    cnf.add_clause(miter_clause);
-
-    let flush = |cnf: &Cnf, solver: &mut Solver, pushed: &mut usize| {
-        solver.reserve_vars(cnf.num_vars());
-        for cl in &cnf.clauses()[*pushed..] {
-            solver.add_clause(cl);
+    let mut driver = DipDriver::new(locked, config.conflict_budget, cancel);
+    let (key, success, stop) = match driver
+        .run(config.max_iterations)
+        .and_then(|()| driver.extract_key())
+    {
+        Ok(key) => {
+            let success = !config.verify || is_functionally_correct(locked, &key);
+            (key, success, AttackStop::Completed)
         }
-        *pushed = cnf.clauses().len();
-    };
-
-    // Early-stop outcome: no key was extracted, so report the zero key and
-    // the reason the attack could not finish.
-    let aborted = |stop: AttackStop,
-                   iterations: u64,
-                   dips: Vec<u64>,
-                   conflicts_per_iteration: Vec<u64>,
-                   solver: &Solver| {
-        match stop {
-            AttackStop::BudgetExhausted => obs::counter!("sat.budget_exhausted").inc(),
-            AttackStop::Interrupted => obs::counter!("sat.interrupted").inc(),
-            _ => obs::counter!("sat.iteration_capped").inc(),
-        }
-        record_solver_metrics(&solver.stats());
-        SatAttackOutcome {
-            key: vec![false; kb],
-            iterations,
-            dips,
-            success: false,
-            stop,
-            solver_stats: solver.stats(),
-            conflicts_per_iteration,
-        }
-    };
-
-    let mut iterations = 0u64;
-    let mut dips = Vec::new();
-    let mut conflicts_per_iteration = Vec::new();
-    let mut last_conflicts = 0u64;
-    loop {
-        if cancel.is_cancelled() {
-            return aborted(
-                AttackStop::Interrupted,
-                iterations,
-                dips,
-                conflicts_per_iteration,
-                &solver,
-            );
-        }
-        flush(&cnf, &mut solver, &mut pushed);
-        obs::counter!("sat.queries").inc();
-        let result = solver.solve_with_assumptions(&[act]);
-        let now = solver.stats().conflicts;
-        match result {
-            SolveResult::Unsat => break,
-            SolveResult::BudgetExhausted => {
-                return aborted(
-                    AttackStop::BudgetExhausted,
-                    iterations,
-                    dips,
-                    conflicts_per_iteration,
-                    &solver,
-                );
+        // Early stop: no key was extracted, so report the zero key and the
+        // reason the attack could not finish.
+        Err(stop) => {
+            match stop {
+                AttackStop::BudgetExhausted => obs::counter!("sat.budget_exhausted").inc(),
+                AttackStop::Interrupted => obs::counter!("sat.interrupted").inc(),
+                _ => obs::counter!("sat.iteration_capped").inc(),
             }
-            SolveResult::Interrupted => {
-                return aborted(
-                    AttackStop::Interrupted,
-                    iterations,
-                    dips,
-                    conflicts_per_iteration,
-                    &solver,
-                );
-            }
-            SolveResult::Sat => {
-                iterations += 1;
-                obs::counter!("sat.dips").inc();
-                obs::histogram!("sat.conflicts_per_dip").observe(now - last_conflicts);
-                conflicts_per_iteration.push(now - last_conflicts);
-                last_conflicts = now;
-                let dip_bits: Vec<bool> = x.iter().map(|&l| solver.model_value(l)).collect();
-                let dip_packed = dip_bits
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i));
-                dips.push(dip_packed);
-
-                // Oracle query on the activated chip.
-                let y = locked
-                    .oracle()
-                    .eval(&dip_bits, &[])
-                    .expect("oracle arity matches");
-
-                // Both key copies must reproduce the oracle on this DIP.
-                let in_lits: Vec<i32> =
-                    dip_bits.iter().map(|&b| if b { ct } else { -ct }).collect();
-                for keys in [&k1, &k2] {
-                    let outs = encode_netlist(nl, &mut cnf, &in_lits, keys);
-                    for (o, &yv) in outs.iter().zip(&y) {
-                        cnf.add_clause([if yv { *o } else { -*o }]);
-                    }
-                }
-
-                if iterations >= config.max_iterations {
-                    return aborted(
-                        AttackStop::IterationCap,
-                        iterations,
-                        dips,
-                        conflicts_per_iteration,
-                        &solver,
-                    );
-                }
-            }
-        }
-    }
-
-    // No DIP remains: any key consistent with the agreement constraints is
-    // functionally correct. Deactivate the miter and extract one.
-    flush(&cnf, &mut solver, &mut pushed);
-    obs::counter!("sat.queries").inc();
-    let key: Vec<bool> = match solver.solve_with_assumptions(&[-act]) {
-        SolveResult::Sat => k1.iter().map(|&l| solver.model_value(l)).collect(),
-        SolveResult::Interrupted => {
-            return aborted(
-                AttackStop::Interrupted,
-                iterations,
-                dips,
-                conflicts_per_iteration,
-                &solver,
-            );
-        }
-        SolveResult::BudgetExhausted => {
-            return aborted(
-                AttackStop::BudgetExhausted,
-                iterations,
-                dips,
-                conflicts_per_iteration,
-                &solver,
-            );
-        }
-        SolveResult::Unsat => {
-            unreachable!("the correct key always satisfies the agreement constraints")
+            (vec![false; kb], false, stop)
         }
     };
-    let success = if config.verify {
-        is_functionally_correct(locked, &key)
-    } else {
-        true
-    };
-    record_solver_metrics(&solver.stats());
+    let solver_stats = driver.solver.stats();
+    record_solver_metrics(&solver_stats);
     SatAttackOutcome {
         key,
-        iterations,
-        dips,
+        iterations: driver.iterations(),
+        dips: driver.dips,
         success,
-        stop: AttackStop::Completed,
-        solver_stats: solver.stats(),
-        conflicts_per_iteration,
+        stop,
+        solver_stats,
+        conflicts_per_iteration: driver.conflicts_per_iteration,
     }
 }
 
@@ -520,7 +535,7 @@ mod tests {
         let glue_total = |snap: &obs::MetricsSnapshot| {
             snap.histograms
                 .get("sat.glue")
-                .map(|h| h.counts.iter().sum::<u64>())
+                .map(|h| h.count())
                 .unwrap_or(0)
         };
         let learnt_total: u64 = st.glue_hist.iter().sum();

@@ -530,24 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn search_prunes_and_accounts_for_every_configuration() {
-        let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Jdmerge1);
-        let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 1)];
-        let evaluated = obs::counter!("codesign.combos_evaluated");
-        let pruned = obs::counter!("codesign.combos_pruned");
-        let (e0, p0) = (evaluated.get(), pruned.get());
-        codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates).expect("searchable");
-        let combos = combinations(candidates.len(), 2).len() as u64;
-        let visited = (evaluated.get() - e0) + (pruned.get() - p0);
-        assert_eq!(
-            visited,
-            combos * combos,
-            "evaluated + pruned must cover the full search product"
-        );
-        assert!(pruned.get() > p0, "dual bounds should prune something");
-    }
-
-    #[test]
     fn rejects_overwide_minterm_candidates() {
         // Regression: the heuristic used to accept candidates wider than the
         // kernel's 2*width-bit FU input space; they can never occur on any

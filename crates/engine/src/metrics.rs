@@ -24,6 +24,10 @@
 //! `lockbind-check` audit passes record on the obs registry — all zeros
 //! unless the run enabled the audit (`--audit`); all earlier fields are
 //! unchanged.
+//! Version 7 moved the `obs.histograms` members to the shared log-linear
+//! bucket layout (`lockbind_obs::hist`): each histogram is an object of
+//! its non-empty buckets, `{"upper": count}`, replacing the old
+//! `bounds`/`counts` arrays; all other fields are unchanged.
 
 use std::time::Duration;
 
@@ -33,7 +37,7 @@ use crate::cache::CacheStats;
 use lockbind_obs::Json;
 
 /// JSON schema version written by [`RunMetrics::to_json`].
-pub const METRICS_SCHEMA_VERSION: u64 = 6;
+pub const METRICS_SCHEMA_VERSION: u64 = 7;
 
 /// Request aggregates recorded by the serve daemon on the obs registry,
 /// one counter per terminal response status plus the coalescing count.
@@ -500,7 +504,7 @@ mod tests {
         assert!(!summary.contains("skipped"), "{summary}");
         assert!(summary.contains("1 check-failed"), "{summary}");
         let json = metrics.to_json().render();
-        assert!(json.contains("\"schema_version\":6"));
+        assert!(json.contains("\"schema_version\":7"));
         assert!(json.contains("\"cells_check_failed\":1"));
         assert!(json.contains("\"check_codes\":{\"LB0304\":2}"));
         assert!(json.contains("\"root_seed\":2021"));

@@ -4,9 +4,9 @@
 //!
 //! Three layers, by cost:
 //!
-//! * **Counters / gauges / histograms** ([`registry`]) — always on. A
-//!   relaxed atomic add on a handle cached in a `OnceLock`, cheap enough
-//!   for release builds and innermost loops (`matching.augment_paths`,
+//! * **Counters / gauges / histograms** ([`registry`], [`hist`]) — always
+//!   on. A relaxed atomic add on a handle cached in a `OnceLock`, cheap
+//!   enough for release builds and innermost loops (`matching.augment_paths`,
 //!   `sat.queries`, `codesign.combos_evaluated`, `cache.{hit,miss}`).
 //! * **Timers** ([`timing`]) — accumulating per-function wall clocks,
 //!   optionally sampling 1-in-2^k calls on hot leaves. Gated behind
@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod hist;
 pub mod json;
 pub mod profile;
 pub mod registry;
@@ -65,11 +66,10 @@ pub mod timing;
 pub mod trace;
 
 pub use chrome::{chrome_trace, write_chrome_trace};
+pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use profile::render_profile;
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, DEFAULT_BUCKETS,
-};
+pub use registry::{Counter, Gauge, MetricsSnapshot, Registry};
 pub use timing::{profiling_enabled, set_profiling, Timer, TimerGuard, TimerStats};
 pub use trace::{
     install_collector, tracing_enabled, ArgValue, CellScope, CollectingSink, SpanGuard, SpanRecord,
@@ -96,21 +96,13 @@ macro_rules! gauge {
     }};
 }
 
-/// Resolves (once) and returns a `&'static` [`Histogram`] (default
-/// buckets) from the global registry:
-/// `obs::histogram!("sat.conflicts_per_dip").observe(v)`.
-///
-/// The two-argument form registers explicit bucket bounds (applied on
-/// first registration only): `obs::histogram!("sat.glue", &[1, 2, 3])`.
+/// Resolves (once) and returns a `&'static` [`Histogram`] from the global
+/// registry: `obs::histogram!("sat.conflicts_per_dip").record(v)`.
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
         static HANDLE: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
         HANDLE.get_or_init(|| $crate::Registry::global().histogram($name))
-    }};
-    ($name:expr, $bounds:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::Registry::global().histogram_with($name, $bounds))
     }};
 }
 

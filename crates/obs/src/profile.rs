@@ -105,19 +105,10 @@ pub fn render_profile(spans: &[SpanRecord], snapshot: &MetricsSnapshot, wall: Du
     if !snapshot.histograms.is_empty() {
         out.push_str("\n── histograms ──\n");
         for (name, hist) in &snapshot.histograms {
-            let mut buckets = Vec::new();
-            for (i, &count) in hist.counts.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                match hist.bounds.get(i) {
-                    Some(bound) => buckets.push(format!("le{bound}:{count}")),
-                    None => buckets.push(format!("inf:{count}")),
-                }
-            }
+            let buckets: Vec<String> = hist.buckets().map(|(u, c)| format!("{u}:{c}")).collect();
             out.push_str(&format!(
                 "{name:<40} n={} {}\n",
-                hist.total(),
+                hist.count(),
                 buckets.join(" ")
             ));
         }
@@ -149,7 +140,7 @@ mod tests {
     fn table_merges_spans_and_timers_sorted_by_total() {
         let reg = Registry::new();
         reg.counter("sat.queries").add(12);
-        reg.histogram_with("conflicts", &[10]).observe(3);
+        reg.histogram("conflicts").record(3);
         let snapshot = reg.snapshot();
         let spans = vec![
             span("slow.stage", 3_000_000_000),
@@ -163,7 +154,7 @@ mod tests {
         assert!(table.contains("4.00s"), "{table}");
         assert!(table.contains("200.0%"), "summed across workers:\n{table}");
         assert!(table.contains("sat.queries"), "{table}");
-        assert!(table.contains("n=1 le10:1"), "{table}");
+        assert!(table.contains("n=1 3:1"), "{table}");
     }
 
     #[test]

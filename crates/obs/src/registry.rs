@@ -1,5 +1,5 @@
-//! Global metrics registry: counters, gauges, fixed-bucket histograms, and
-//! accumulating timers.
+//! Global metrics registry: counters, gauges, log-linear histograms
+//! ([`crate::hist`]), and accumulating timers.
 //!
 //! Counters, gauges, and histograms are **always on**: recording is a
 //! relaxed atomic add on a pre-resolved handle (see the [`counter!`],
@@ -23,15 +23,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::hist::{Histogram, HistogramSnapshot};
 use crate::json::Json;
 use crate::timing::{Timer, TimerStats};
-
-/// Default histogram bucket upper bounds: powers of four from 1 to ~4M,
-/// plus an implicit overflow bucket. Wide enough for iteration counts
-/// (SAT conflicts, augmenting-path steps) without tuning per metric.
-pub const DEFAULT_BUCKETS: &[u64] = &[
-    1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304,
-];
 
 /// A monotonically increasing counter (relaxed atomic).
 #[derive(Clone, Debug, Default)]
@@ -71,67 +65,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug)]
-struct HistogramInner {
-    /// Strictly increasing upper bounds; `counts` has one extra overflow slot.
-    bounds: Vec<u64>,
-    counts: Vec<AtomicU64>,
-}
-
-/// A fixed-bucket histogram: `observe(v)` lands in the first bucket whose
-/// upper bound is `>= v`, or the overflow bucket.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    inner: Arc<HistogramInner>,
-}
-
-impl Histogram {
-    fn with_bounds(bounds: &[u64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram {
-            inner: Arc::new(HistogramInner {
-                bounds: bounds.to_vec(),
-                counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            }),
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        self.observe_n(v, 1);
-    }
-
-    /// Records `n` observations of the same value in one atomic add (bulk
-    /// import of externally aggregated histograms, e.g. per-solver glue
-    /// distributions merged after an attack).
-    pub fn observe_n(&self, v: u64, n: u64) {
-        let idx = self.inner.bounds.partition_point(|&b| v > b);
-        self.inner.counts[idx].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Bucket upper bounds (exclusive of the overflow bucket).
-    pub fn bounds(&self) -> &[u64] {
-        &self.inner.bounds
-    }
-
-    /// Per-bucket counts, overflow last.
-    pub fn counts(&self) -> Vec<u64> {
-        self.inner
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.counts().iter().sum()
     }
 }
 
@@ -183,20 +116,13 @@ impl Registry {
             .clone()
     }
 
-    /// Returns (registering on first use) the histogram `name` with
-    /// [`DEFAULT_BUCKETS`].
+    /// Returns (registering on first use) the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with(name, DEFAULT_BUCKETS)
-    }
-
-    /// Returns (registering on first use) the histogram `name`; `bounds`
-    /// applies only on first registration.
-    pub fn histogram_with(&self, name: &str, bounds: &[u64]) -> Histogram {
         self.histograms
             .lock()
             .expect("registry poisoned")
             .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
+            .or_default()
             .clone()
     }
 
@@ -241,15 +167,7 @@ impl Registry {
                 .lock()
                 .expect("registry poisoned")
                 .iter()
-                .map(|(name, h)| {
-                    (
-                        name.clone(),
-                        HistogramSnapshot {
-                            bounds: h.bounds().to_vec(),
-                            counts: h.counts(),
-                        },
-                    )
-                })
+                .map(|(name, h)| (name.clone(), h.snapshot()))
                 .collect(),
             timers: self
                 .timers
@@ -259,22 +177,6 @@ impl Registry {
                 .map(|(name, t)| (name.clone(), t.stats()))
                 .collect(),
         }
-    }
-}
-
-/// A point-in-time copy of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Bucket upper bounds.
-    pub bounds: Vec<u64>,
-    /// Per-bucket counts, overflow last.
-    pub counts: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// Total observations across all buckets.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
     }
 }
 
@@ -312,24 +214,11 @@ impl MetricsSnapshot {
             .histograms
             .iter()
             .filter_map(|(name, h)| {
-                let counts: Vec<u64> = match earlier.histograms.get(name) {
-                    Some(prev) if prev.bounds == h.bounds => h
-                        .counts
-                        .iter()
-                        .zip(&prev.counts)
-                        .map(|(now, was)| now.saturating_sub(*was))
-                        .collect(),
-                    _ => h.counts.clone(),
+                let d = match earlier.histograms.get(name) {
+                    Some(prev) => h.delta_from(prev),
+                    None => h.clone(),
                 };
-                (counts.iter().any(|&c| c > 0)).then(|| {
-                    (
-                        name.clone(),
-                        HistogramSnapshot {
-                            bounds: h.bounds.clone(),
-                            counts,
-                        },
-                    )
-                })
+                (d.count() > 0).then(|| (name.clone(), d))
             })
             .collect();
         let timers = self
@@ -371,9 +260,10 @@ impl MetricsSnapshot {
     }
 
     /// A canonical text rendering of every **work count** in the snapshot:
-    /// counters, gauges, histogram buckets, and timer *call* counts —
-    /// never nanoseconds. Byte-identical across worker counts for a
-    /// deterministic workload; this is what the determinism tests compare.
+    /// counters, gauges, histogram buckets (the non-empty ones, as
+    /// `upper:count`), and timer *call* counts — never nanoseconds.
+    /// Byte-identical across worker counts for a deterministic workload;
+    /// this is what the determinism tests compare.
     pub fn render_deterministic(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
@@ -383,8 +273,8 @@ impl MetricsSnapshot {
             out.push_str(&format!("gauge {name} {v}\n"));
         }
         for (name, h) in &self.histograms {
-            let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-            out.push_str(&format!("histogram {name} [{}]\n", counts.join(",")));
+            let buckets: Vec<String> = h.buckets().map(|(u, c)| format!("{u}:{c}")).collect();
+            out.push_str(&format!("histogram {name} [{}]\n", buckets.join(",")));
         }
         for (name, t) in &self.timers {
             out.push_str(&format!("timer {name} calls={}\n", t.calls));
@@ -392,7 +282,8 @@ impl MetricsSnapshot {
         out
     }
 
-    /// The snapshot as a JSON tree (includes timing data).
+    /// The snapshot as a JSON tree (includes timing data). Histograms
+    /// render as objects of their non-empty buckets, `{"upper": count}`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
@@ -410,13 +301,8 @@ impl MetricsSnapshot {
             (
                 "histograms",
                 Json::obj(self.histograms.iter().map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Json::obj([
-                            ("bounds", Json::arr(h.bounds.iter().map(|&b| Json::from(b)))),
-                            ("counts", Json::arr(h.counts.iter().map(|&c| Json::from(c)))),
-                        ]),
-                    )
+                    let buckets = h.buckets().map(|(u, c)| (u.to_string(), Json::from(c)));
+                    (k.clone(), Json::obj(buckets))
                 })),
             ),
             (
@@ -453,41 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_observations_at_bounds() {
+    fn histogram_handles_share_one_registration() {
         let reg = Registry::new();
-        let h = reg.histogram_with("h", &[1, 4, 16]);
-        // v <= bound lands in that bucket; bound-exact values stay inclusive.
-        for v in [0, 1] {
-            h.observe(v);
-        }
-        for v in [2, 3, 4] {
-            h.observe(v);
-        }
-        for v in [5, 16] {
-            h.observe(v);
-        }
-        for v in [17, 1_000_000] {
-            h.observe(v);
-        }
-        assert_eq!(h.counts(), vec![2, 3, 2, 2]);
-        assert_eq!(h.count(), 9);
-    }
-
-    #[test]
-    fn histogram_bounds_stick_on_first_registration() {
-        let reg = Registry::new();
-        let a = reg.histogram_with("h", &[10, 20]);
-        let b = reg.histogram_with("h", &[1, 2, 3]);
-        assert_eq!(a.bounds(), b.bounds());
-        a.observe(15);
-        assert_eq!(b.counts(), vec![0, 1, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_bounds_are_rejected() {
-        let reg = Registry::new();
-        let _ = reg.histogram_with("bad", &[4, 4]);
+        reg.histogram("h").record(15);
+        reg.histogram("h").record_n(3, 2);
+        let buckets: Vec<(u64, u64)> = reg.snapshot().histograms["h"].buckets().collect();
+        assert_eq!(buckets, vec![(3, 2), (15, 1)]);
     }
 
     #[test]
@@ -495,17 +352,19 @@ mod tests {
         let reg = Registry::new();
         reg.counter("a").add(10);
         reg.counter("idle").add(3);
-        reg.histogram_with("h", &[8]).observe(2);
+        reg.histogram("h").record(2);
         let before = reg.snapshot();
         reg.counter("a").add(7);
         reg.counter("new").inc();
-        reg.histogram_with("h", &[8]).observe(100);
+        reg.histogram("h").record(100);
         reg.gauge("g").set(5);
         let delta = reg.snapshot().delta_from(&before);
         assert_eq!(delta.counters.get("a"), Some(&7));
         assert_eq!(delta.counters.get("new"), Some(&1));
         assert!(!delta.counters.contains_key("idle"));
-        assert_eq!(delta.histograms["h"].counts, vec![0, 1]);
+        let h = &delta.histograms["h"];
+        assert_eq!(h.buckets().collect::<Vec<_>>(), vec![(101, 1)]);
+        assert_eq!(h.sum, 100);
         assert_eq!(delta.gauges.get("g"), Some(&5));
     }
 
@@ -514,11 +373,12 @@ mod tests {
         let reg = Registry::new();
         reg.counter("z.last").inc();
         reg.counter("a.first").add(2);
-        reg.histogram_with("h", &[1]).observe(9);
+        reg.histogram("h").record(9);
+        reg.histogram("h").record(40);
         let text = reg.snapshot().render_deterministic();
         assert_eq!(
             text,
-            "counter a.first 2\ncounter z.last 1\nhistogram h [0,1]\n"
+            "counter a.first 2\ncounter z.last 1\nhistogram h [9:1,40:1]\n"
         );
         assert!(!text.contains("ns"), "no wall-time data in canonical form");
     }
@@ -541,10 +401,10 @@ mod tests {
         let reg = Registry::new();
         reg.counter("c").add(3);
         reg.gauge("g").set(1);
-        reg.histogram_with("h", &[2]).observe(1);
+        reg.histogram("h").record(1);
         let json = reg.snapshot().to_json().render();
         assert!(json.contains("\"c\":3"), "{json}");
-        assert!(json.contains("\"bounds\":[2]"), "{json}");
+        assert!(json.contains("\"h\":{\"1\":1}"), "{json}");
         assert!(json.contains("\"timers\":{}"), "{json}");
     }
 }

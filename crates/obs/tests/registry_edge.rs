@@ -8,50 +8,58 @@
 use lockbind_obs::{MetricsSnapshot, Registry};
 
 #[test]
-fn zero_observation_histogram_snapshots_as_all_zero_buckets() {
+fn zero_observation_histogram_snapshots_as_empty() {
     let reg = Registry::new();
-    let h = reg.histogram_with("latency", &[10, 100, 1000]);
-    assert_eq!(h.count(), 0);
-    // One count slot per bound plus the overflow slot, all zero.
-    assert_eq!(h.counts(), vec![0, 0, 0, 0]);
+    let h = reg.histogram("latency");
+    assert_eq!(h.snapshot().count(), 0);
 
     let snap = reg.snapshot();
     let hist = snap.histograms.get("latency").expect("registered");
-    assert_eq!(hist.bounds, vec![10, 100, 1000]);
-    assert_eq!(hist.counts, vec![0, 0, 0, 0]);
-    assert_eq!(hist.total(), 0);
+    assert_eq!(hist.count(), 0);
+    assert_eq!(hist.sum, 0);
+    assert_eq!(hist.buckets().count(), 0);
     // The deterministic render still lists it (registration is work).
     assert!(snap
         .render_deterministic()
-        .contains("histogram latency [0,0,0,0]"));
+        .contains("histogram latency []\n"));
 }
 
 #[test]
-fn bounds_are_inclusive_and_u64_max_lands_in_the_overflow_slot() {
+fn bucket_bounds_are_inclusive_and_u64_max_lands_in_the_top_bucket() {
     let reg = Registry::new();
-    let h = reg.histogram_with("h", &[10, 100]);
-    h.observe(10); // exactly on a bound: that bucket, not the next
-    h.observe(11);
-    h.observe(100);
-    h.observe(101);
-    h.observe(u64::MAX);
-    h.observe_n(u64::MAX, 2); // bulk import overflows the same slot
-    assert_eq!(h.counts(), vec![1, 2, 4]);
-    assert_eq!(h.count(), 7);
+    let h = reg.histogram("h");
+    h.record(31); // last exact bucket
+    h.record(32); // first log-linear bucket: exact too
+    h.record(100); // shares the [100, 101] bucket ...
+    h.record(101); // ... with 101
+    h.record(u64::MAX);
+    h.record_n(u64::MAX, 2); // bulk import: v * n must not overflow
+    let snap = h.snapshot();
+    let buckets: Vec<(u64, u64)> = snap.buckets().collect();
+    assert_eq!(buckets, vec![(31, 1), (32, 1), (101, 2), (u64::MAX, 3)]);
+    assert_eq!(snap.count(), 7);
+    assert_eq!(snap.max(), u64::MAX);
 }
 
 #[test]
-fn overflow_slot_survives_snapshot_and_delta() {
+fn top_bucket_survives_snapshot_and_delta() {
     let reg = Registry::new();
-    let h = reg.histogram_with("h", &[5]);
-    h.observe(u64::MAX);
+    let h = reg.histogram("h");
+    h.record(u64::MAX);
     let before = reg.snapshot();
-    h.observe(u64::MAX);
-    h.observe(1);
+    h.record(u64::MAX);
+    h.record(1);
     let after = reg.snapshot();
     let delta = after.delta_from(&before);
     let hist = delta.histograms.get("h").expect("active in the window");
-    assert_eq!(hist.counts, vec![1, 1], "delta, not cumulative");
+    assert_eq!(
+        hist.buckets().collect::<Vec<_>>(),
+        vec![(1, 1), (u64::MAX, 1)],
+        "delta, not cumulative"
+    );
+    // The running sum wraps and the delta subtracts modulo 2^64, so the
+    // window's sum is exact modulo 2^64.
+    assert_eq!(hist.sum, u64::MAX.wrapping_add(1));
 }
 
 #[test]

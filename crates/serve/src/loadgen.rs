@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lockbind_obs::Json;
+use lockbind_obs::{Histogram, HistogramSnapshot, Json};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -73,8 +73,8 @@ pub struct LoadReport {
     pub deadline_exceeded: u64,
     /// `interrupted` responses.
     pub interrupted: u64,
-    /// Per-request latencies in microseconds, sorted ascending.
-    pub latencies_us: Vec<u64>,
+    /// Per-request latencies in microseconds.
+    pub latency: HistogramSnapshot,
     /// Wall-clock duration of the run in milliseconds.
     pub elapsed_ms: f64,
     /// The server's `stats` response at the end of the run, if it
@@ -83,13 +83,10 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// The `q`-quantile latency in microseconds (nearest-rank).
+    /// The nearest-rank `q`-quantile latency in microseconds, as its
+    /// bucket's upper bound (at most 3.1% high, never low).
     pub fn latency_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let rank = ((self.latencies_us.len() - 1) as f64 * q).round() as usize;
-        self.latencies_us[rank]
+        self.latency.quantile(q)
     }
 
     /// Completed responses per second.
@@ -259,14 +256,14 @@ struct Tally {
 pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
     let next_id = Arc::new(AtomicUsize::new(0));
     let tally = Arc::new(Tally::default());
-    let latencies = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let latency = Histogram::new();
     let started = Instant::now();
     let mut threads = Vec::new();
     for thread_idx in 0..cfg.concurrency.max(1) {
         let cfg = cfg.clone();
         let next_id = Arc::clone(&next_id);
         let tally = Arc::clone(&tally);
-        let latencies = Arc::clone(&latencies);
+        let latency = latency.clone();
         threads.push(std::thread::spawn(move || -> io::Result<()> {
             let mut client = ServeClient::connect(&cfg.addr)?;
             let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed.wrapping_add(thread_idx as u64));
@@ -291,7 +288,7 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
                     }
                 };
                 let micros = sent_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                latencies.lock().expect("latency vec poisoned").push(micros);
+                latency.record(micros);
                 let counter = match response_status(&outcome.response) {
                     status::OK => &tally.ok,
                     status::SHED => &tally.shed,
@@ -322,11 +319,6 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         client.call(&request).ok().map(|outcome| outcome.response)
     });
 
-    let mut latencies = Arc::try_unwrap(latencies)
-        .expect("latency vec has one owner")
-        .into_inner()
-        .expect("latency vec poisoned");
-    latencies.sort_unstable();
     Ok(LoadReport {
         sent: tally.sent.load(Ordering::Relaxed),
         ok: tally.ok.load(Ordering::Relaxed),
@@ -334,7 +326,7 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         shed: tally.shed.load(Ordering::Relaxed),
         deadline_exceeded: tally.deadline_exceeded.load(Ordering::Relaxed),
         interrupted: tally.interrupted.load(Ordering::Relaxed),
-        latencies_us: latencies,
+        latency: latency.snapshot(),
         elapsed_ms,
         server_stats,
     })

@@ -24,9 +24,8 @@
 
 use std::fmt::Write as _;
 
-use lockbind_obs::MetricsSnapshot;
+use lockbind_obs::{HistogramSnapshot, MetricsSnapshot};
 
-use crate::hist::HistSnapshot;
 use crate::TelemetrySnapshot;
 
 /// `le` ladder (µs) for the exposed latency histogram. Bounds are
@@ -68,7 +67,7 @@ fn family(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-fn write_latency_histogram(out: &mut String, name: &str, labels: &str, snap: &HistSnapshot) {
+fn write_latency_histogram(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
     let count = snap.count();
     for le in LATENCY_LE_US {
         let sep = if labels.is_empty() { "" } else { "," };

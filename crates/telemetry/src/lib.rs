@@ -6,14 +6,17 @@
 //! goldens, so nothing wall-clock flavored may ever enter it. Everything
 //! this crate measures is wall-clock flavored by construction: latency
 //! quantiles, queue wait, SLO burn rates, flight-recorder timelines.
+//! Latency is recorded into the same `obs::Histogram` type the registry
+//! uses (one bucket layout everywhere), but into unregistered instances
+//! owned here, so it never reaches the registry.
 //! The two layers meet only at the exposition endpoint
 //! ([`expo::render_prometheus`]), which renders obs counters and
 //! telemetry series side by side into one scrape document.
 //!
 //! Layout:
 //!
-//! - [`hist`] — lock-free log-linear histograms (p50/p90/p99/p999) with
-//!   ring-of-epochs windowed decay;
+//! - [`WindowedHistogram`] — a ring of epoch `obs::Histogram`s for
+//!   windowed latency quantiles (p50/p90/p99/p999);
 //! - [`slo`] — per-tenant SLO trackers: latency objective + error/shed
 //!   budget, burn rate over a short and a long window;
 //! - [`recorder`] — the flight recorder: a bounded ring of structured
@@ -31,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod expo;
-pub mod hist;
 pub mod recorder;
 pub mod slo;
 
@@ -41,9 +43,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use lockbind_obs::Json;
+use lockbind_obs::{Histogram, HistogramSnapshot, Json};
 
-use hist::{HistSnapshot, LogLinearHistogram, WindowedHistogram};
 use recorder::{DumpTrigger, FlightKind, FlightRecorder};
 use slo::{SloOutcome, SloSnapshot, SloTracker};
 
@@ -120,13 +121,60 @@ impl WindowedCounter {
     }
 }
 
+/// A ring of epoch histograms: records go to the current epoch, reads
+/// merge the whole ring, [`rotate`](Self::rotate) expires the oldest.
+///
+/// A snapshot (the sum of all slots) always covers the last
+/// `slots × epoch-length` of traffic, and old observations fall out whole
+/// epochs at a time. A record racing a rotation may land in the slot
+/// being cleared and be lost; telemetry tolerates that one-in-an-epoch
+/// blip in exchange for staying lock-free.
+#[derive(Debug)]
+pub struct WindowedHistogram {
+    epochs: Vec<Histogram>,
+    current: AtomicUsize,
+}
+
+impl WindowedHistogram {
+    /// A window of `slots` epochs (at least 1).
+    pub fn new(slots: usize) -> Self {
+        WindowedHistogram {
+            epochs: (0..slots.max(1)).map(|_| Histogram::new()).collect(),
+            current: AtomicUsize::new(0),
+        }
+    }
+
+    /// Records one observation into the current epoch.
+    pub fn record(&self, v: u64) {
+        let cur = self.current.load(Ordering::Relaxed) % self.epochs.len();
+        self.epochs[cur].record(v);
+    }
+
+    /// Advances the epoch cursor, clearing the slot it lands on (which
+    /// held the oldest epoch). Call on a fixed cadence from one thread.
+    pub fn rotate(&self) {
+        let next = (self.current.load(Ordering::Relaxed) + 1) % self.epochs.len();
+        self.epochs[next].clear();
+        self.current.store(next, Ordering::Relaxed);
+    }
+
+    /// The merged histogram over the whole window.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut acc = HistogramSnapshot::default();
+        for epoch in &self.epochs {
+            epoch.add_to(&mut acc);
+        }
+        acc
+    }
+}
+
 /// Per-tenant runtime state.
 #[derive(Debug)]
 struct TenantTelemetry {
     /// Windowed latency (quantiles for `lockbind_top` / introspect).
     latency_window: WindowedHistogram,
     /// Cumulative latency (monotone — feeds Prometheus exposition).
-    latency_total: LogLinearHistogram,
+    latency_total: Histogram,
     slo: SloTracker,
     requests: AtomicU64,
     ok: AtomicU64,
@@ -141,7 +189,7 @@ impl TenantTelemetry {
     fn new(cfg: &TelemetryConfig) -> Self {
         TenantTelemetry {
             latency_window: WindowedHistogram::new(cfg.epoch_slots),
-            latency_total: LogLinearHistogram::new(),
+            latency_total: Histogram::new(),
             slo: SloTracker::new(
                 cfg.epoch_slots,
                 cfg.short_epochs,
@@ -175,7 +223,7 @@ pub struct Telemetry {
     /// Global windowed latency across all tenants.
     latency_window: WindowedHistogram,
     /// Global cumulative latency (monotone, for exposition).
-    latency_total: LogLinearHistogram,
+    latency_total: Histogram,
     /// Shed-spike detector: an SLO tracker where "bad" means shed, so
     /// `burning(1.0)` fires exactly when the windowed shed fraction
     /// exceeds [`TelemetryConfig::shed_spike_fraction`].
@@ -203,7 +251,7 @@ impl Telemetry {
         Telemetry {
             recorder: FlightRecorder::new(cfg.flight_capacity),
             latency_window: WindowedHistogram::new(cfg.epoch_slots),
-            latency_total: LogLinearHistogram::new(),
+            latency_total: Histogram::new(),
             shed_spike,
             tenants: RwLock::new(BTreeMap::new()),
             started: Instant::now(),
@@ -409,7 +457,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Digests a histogram snapshot.
-    pub fn of(snap: &HistSnapshot) -> Self {
+    pub fn of(snap: &HistogramSnapshot) -> Self {
         LatencySummary {
             count: snap.count(),
             mean_us: snap.mean(),
@@ -455,9 +503,9 @@ pub struct TenantSnapshot {
     /// Sheds inside the current window.
     pub window_shed: u64,
     /// Windowed latency histogram (drives live quantiles).
-    pub latency_window: HistSnapshot,
+    pub latency_window: HistogramSnapshot,
     /// Cumulative latency histogram (drives Prometheus exposition).
-    pub latency_total: HistSnapshot,
+    pub latency_total: HistogramSnapshot,
     /// SLO state.
     pub slo: SloSnapshot,
 }
@@ -504,9 +552,9 @@ pub struct TelemetrySnapshot {
     /// Length of the decay window in milliseconds.
     pub window_ms: u64,
     /// Global windowed latency.
-    pub latency_window: HistSnapshot,
+    pub latency_window: HistogramSnapshot,
     /// Global cumulative latency (monotone).
-    pub latency_total: HistSnapshot,
+    pub latency_total: HistogramSnapshot,
     /// Per-tenant slices, sorted by tenant name.
     pub tenants: Vec<TenantSnapshot>,
     /// Flight-recorder events recorded since start.
@@ -670,6 +718,44 @@ mod tests {
             "\"flight\"",
         ] {
             assert!(doc.contains(key), "missing {key} in {doc}");
+        }
+    }
+
+    #[test]
+    fn windowed_rotation_expires_old_epochs() {
+        let w = WindowedHistogram::new(3);
+        w.record(100);
+        assert_eq!(w.snapshot().count(), 1);
+        w.rotate();
+        w.record(200);
+        assert_eq!(w.snapshot().count(), 2, "window covers both epochs");
+        w.rotate();
+        w.rotate(); // cursor returns to (and clears) the slot holding 100
+        assert_eq!(w.snapshot().count(), 1, "first epoch expired");
+        w.rotate();
+        assert_eq!(w.snapshot().count(), 0, "second epoch expired");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn windowed_merge_equals_flat_histogram(
+            a in proptest::collection::vec(0u64..1_000_000, 0..100),
+            b in proptest::collection::vec(0u64..1_000_000, 0..100),
+        ) {
+            // Recording across an epoch rotation (without expiry) yields
+            // the same merged snapshot as one flat histogram.
+            let w = WindowedHistogram::new(4);
+            let flat = Histogram::new();
+            for &v in &a {
+                w.record(v);
+                flat.record(v);
+            }
+            w.rotate();
+            for &v in &b {
+                w.record(v);
+                flat.record(v);
+            }
+            proptest::prop_assert_eq!(w.snapshot(), flat.snapshot());
         }
     }
 
