@@ -13,9 +13,9 @@ use rand::{Rng, SeedableRng};
 
 use lockbind_locking::corruption::error_rate;
 use lockbind_locking::LockedNetlist;
-use lockbind_resil::CancelToken;
 
 use crate::sat_attack::DipDriver;
+use crate::AttackConfig;
 
 /// Outcome of [`approximate_sat_attack`].
 #[derive(Debug, Clone, PartialEq)]
@@ -48,10 +48,10 @@ pub fn approximate_sat_attack(
     seed: u64,
 ) -> ApproximateOutcome {
     let n = locked.netlist().num_inputs();
-    // The exact attack's DIP loop, capped at the budget. No conflict
-    // budget or interrupt can fire here, and hitting the cap is the
-    // point, so every stop just ends refinement.
-    let mut driver = DipDriver::new(locked, None, &CancelToken::new());
+    // The exact attack's DIP loop, capped at the budget. The default
+    // config installs no conflict budget and a token that never fires, and
+    // hitting the cap is the point, so every stop just ends refinement.
+    let mut driver = DipDriver::new(locked, &AttackConfig::default());
     let _ = driver.run(dip_budget);
     let iterations = driver.iterations();
 

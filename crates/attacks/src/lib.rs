@@ -22,6 +22,28 @@
 //! assert!(outcome.success);
 //! assert!(outcome.iterations < 64);
 //! ```
+//!
+//! # Example: stop an attack at a deadline
+//!
+//! The cancel token is one more stop condition in [`AttackConfig`], next to
+//! the iteration cap and the conflict budget.
+//!
+//! ```
+//! use std::time::Duration;
+//! use lockbind_netlist::builders::adder_fu;
+//! use lockbind_locking::lock_anti_sat;
+//! use lockbind_attacks::{sat_attack, AttackConfig, AttackStop};
+//! use lockbind_resil::CancelToken;
+//!
+//! let locked = lock_anti_sat(&adder_fu(5)).expect("lockable");
+//! let config = AttackConfig {
+//!     cancel: CancelToken::with_deadline(Duration::from_millis(1)),
+//!     ..AttackConfig::default()
+//! };
+//! let outcome = sat_attack(&locked, &config);
+//! assert_eq!(outcome.stop, AttackStop::Interrupted);
+//! assert!(!outcome.success);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +55,5 @@ mod verify;
 
 pub use approximate::{approximate_sat_attack, ApproximateOutcome};
 pub use random_query::{random_query_attack, RandomQueryOutcome};
-pub use sat_attack::{
-    sat_attack, sat_attack_with_cancel, AttackConfig, AttackStop, SatAttackOutcome,
-};
+pub use sat_attack::{sat_attack, AttackConfig, AttackStop, SatAttackOutcome};
 pub use verify::is_functionally_correct;

@@ -8,8 +8,9 @@ use lockbind_sat::{SolveResult, Solver, SolverStats};
 
 use crate::is_functionally_correct;
 
-/// Configuration for [`sat_attack`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration for [`sat_attack`]: the verification switch and the three
+/// stop conditions (iteration cap, conflict budget, cancel token).
+#[derive(Debug, Clone)]
 pub struct AttackConfig {
     /// Abort after this many DIP iterations (the outcome reports
     /// `success = false`). SAT-resilient locks are *expected* to hit this.
@@ -21,6 +22,11 @@ pub struct AttackConfig {
     /// [`AttackStop::BudgetExhausted`] — distinguishable from a genuine
     /// UNSAT "no DIP remains" answer.
     pub conflict_budget: Option<u64>,
+    /// Cooperative cancel token: installed into the CDCL solver
+    /// (interrupting even a single pathological DIP search) and checked
+    /// between DIP iterations. A fired token ends the attack with
+    /// [`AttackStop::Interrupted`]. The default token never fires.
+    pub cancel: CancelToken,
 }
 
 impl Default for AttackConfig {
@@ -29,6 +35,7 @@ impl Default for AttackConfig {
             max_iterations: 200_000,
             verify: true,
             conflict_budget: None,
+            cancel: CancelToken::new(),
         }
     }
 }
@@ -43,7 +50,7 @@ pub enum AttackStop {
     IterationCap,
     /// A solver query ran out of its [`AttackConfig::conflict_budget`].
     BudgetExhausted,
-    /// The cancel token passed to [`sat_attack_with_cancel`] fired.
+    /// [`AttackConfig::cancel`] fired.
     Interrupted,
 }
 
@@ -134,18 +141,14 @@ pub(crate) struct DipDriver<'a> {
 }
 
 impl<'a> DipDriver<'a> {
-    /// Builds the miter; `conflict_budget` and `cancel` are installed into
-    /// the solver and bound every query.
-    pub(crate) fn new(
-        locked: &'a LockedNetlist,
-        conflict_budget: Option<u64>,
-        cancel: &CancelToken,
-    ) -> Self {
+    /// Builds the miter; the config's conflict budget and cancel token are
+    /// installed into the solver and bound every query.
+    pub(crate) fn new(locked: &'a LockedNetlist, config: &AttackConfig) -> Self {
         let nl = locked.netlist();
         let mut cnf = Cnf::new();
         let mut solver = Solver::new();
-        solver.set_conflict_budget(conflict_budget);
-        solver.set_interrupt(Some(cancel.clone()));
+        solver.set_conflict_budget(config.conflict_budget);
+        solver.set_interrupt(Some(config.cancel.clone()));
 
         let x = cnf.new_vars(nl.num_inputs());
         let k1 = cnf.new_vars(nl.num_keys());
@@ -173,7 +176,7 @@ impl<'a> DipDriver<'a> {
             locked,
             cnf,
             solver,
-            cancel: cancel.clone(),
+            cancel: config.cancel.clone(),
             pushed: 0,
             x,
             k1,
@@ -278,26 +281,14 @@ impl<'a> DipDriver<'a> {
 
 /// Runs the SAT attack against a locked module, using its retained original
 /// netlist as the activated-chip oracle (the standard threat model: the
-/// attacker owns one unlocked chip plus the locked GDSII).
+/// attacker owns one unlocked chip plus the locked GDSII). An early stop
+/// (iteration cap, conflict budget, fired [`AttackConfig::cancel`]) ends
+/// the attack with `success = false` and the reason in
+/// [`SatAttackOutcome::stop`].
 ///
 /// # Panics
 /// Panics if the module has more than 63 inputs (DIP packing limit).
 pub fn sat_attack(locked: &LockedNetlist, config: &AttackConfig) -> SatAttackOutcome {
-    sat_attack_with_cancel(locked, config, &CancelToken::new())
-}
-
-/// [`sat_attack`] with a cooperative cancel token: the token is installed
-/// into the CDCL solver (interrupting even a single pathological DIP
-/// search) and checked between DIP iterations. A fired token ends the
-/// attack with [`AttackStop::Interrupted`] and `success = false`.
-///
-/// # Panics
-/// Panics if the module has more than 63 inputs (DIP packing limit).
-pub fn sat_attack_with_cancel(
-    locked: &LockedNetlist,
-    config: &AttackConfig,
-    cancel: &CancelToken,
-) -> SatAttackOutcome {
     let nl = locked.netlist();
     let n = nl.num_inputs();
     let kb = nl.num_keys();
@@ -306,7 +297,7 @@ pub fn sat_attack_with_cancel(
     obs::counter!("sat.attacks").inc();
     assert!(n <= 63, "sat attack DIP packing supports at most 63 inputs");
 
-    let mut driver = DipDriver::new(locked, config.conflict_budget, cancel);
+    let mut driver = DipDriver::new(locked, config);
     let (key, success, stop) = match driver
         .run(config.max_iterations)
         .and_then(|()| driver.extract_key())
@@ -456,11 +447,10 @@ mod tests {
 
     #[test]
     fn cancelled_token_interrupts_the_attack() {
-        use lockbind_resil::CancelToken;
         let locked = lock_anti_sat(&adder_fu(4)).expect("lockable");
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let out = sat_attack_with_cancel(&locked, &AttackConfig::default(), &cancel);
+        let config = AttackConfig::default();
+        config.cancel.cancel();
+        let out = sat_attack(&locked, &config);
         assert!(!out.success);
         assert_eq!(out.stop, AttackStop::Interrupted);
         assert_eq!(out.iterations, 0);
@@ -468,14 +458,16 @@ mod tests {
 
     #[test]
     fn deadline_token_interrupts_a_hard_attack() {
-        use lockbind_resil::CancelToken;
         use std::time::{Duration, Instant};
         // A 5-bit anti-SAT attack needs ~2^10 DIPs — effectively unbounded
         // at test scale; a 50ms deadline must cut it short promptly.
         let locked = lock_anti_sat(&adder_fu(5)).expect("lockable");
-        let cancel = CancelToken::with_deadline(Duration::from_millis(50));
+        let config = AttackConfig {
+            cancel: CancelToken::with_deadline(Duration::from_millis(50)),
+            ..AttackConfig::default()
+        };
         let started = Instant::now();
-        let out = sat_attack_with_cancel(&locked, &AttackConfig::default(), &cancel);
+        let out = sat_attack(&locked, &config);
         assert_eq!(out.stop, AttackStop::Interrupted);
         assert!(
             started.elapsed() < Duration::from_secs(10),

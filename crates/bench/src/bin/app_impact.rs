@@ -14,6 +14,7 @@ use lockbind_bench::PreparedKernel;
 use lockbind_core::{application_impact, bind_area_aware, codesign_heuristic};
 use lockbind_hls::{FuClass, FuId};
 use lockbind_mediabench::Kernel;
+use lockbind_resil::CancelToken;
 
 fn main() {
     let frames: usize = std::env::args()
@@ -44,6 +45,7 @@ fn main() {
             &fus,
             2,
             &candidates,
+            &CancelToken::new(),
         )
         .expect("feasible");
         let area = bind_area_aware(&p.dfg, &p.schedule, &p.alloc).expect("feasible");

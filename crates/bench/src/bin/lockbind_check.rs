@@ -35,6 +35,7 @@ use lockbind_mediabench::Kernel;
 use lockbind_netlist::builders::{adder_fu, multiplier_fu};
 use lockbind_netlist::Netlist;
 use lockbind_obs::Json;
+use lockbind_resil::CancelToken;
 
 fn usage() -> &'static str {
     "lockbind-check — offline linter for HLS/locking artifacts\n\
@@ -216,6 +217,7 @@ fn lint_kernels(frames: usize, seed: u64) -> ExitCode {
                 &[FuId::new(class, 0)],
                 2.min(candidates.len()),
                 &candidates,
+                &CancelToken::new(),
             ) {
                 Ok(d) => d,
                 Err(e) => {

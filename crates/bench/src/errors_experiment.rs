@@ -17,8 +17,8 @@
 //!   combinations (the paper does not state its convention).
 
 use lockbind_core::{
-    bind_area_aware, bind_power_aware, codesign_heuristic_cancellable,
-    codesign_optimal_cancellable, combinations, CoreError, ErrorSweep,
+    bind_area_aware, bind_power_aware, codesign_heuristic, codesign_optimal, combinations,
+    CoreError, ErrorSweep,
 };
 use lockbind_hls::{Binding, FuClass, FuId, Minterm, OccurrenceProfile};
 use lockbind_obs as obs;
@@ -176,33 +176,13 @@ impl ClassContext {
 /// outside the feasible bounds (more locked FUs than allocated, more locked
 /// inputs than candidates) return an empty record list.
 ///
-/// # Errors
-/// Propagates binding/search errors from `lockbind-core`.
-pub fn run_error_cell(
-    prepared: &PreparedKernel,
-    ctx: &ClassContext,
-    params: &ExperimentParams,
-    locked_fus: usize,
-    locked_inputs: usize,
-) -> Result<Vec<ErrorRecord>, CoreError> {
-    run_error_cell_cancellable(
-        prepared,
-        ctx,
-        params,
-        locked_fus,
-        locked_inputs,
-        &CancelToken::new(),
-    )
-}
-
-/// [`run_error_cell`] with cooperative cancellation: the token is polled
-/// once per combination assignment and per co-design search step, so a cell
-/// whose deadline fires stops within one assignment's worth of work instead
-/// of running to completion.
+/// `cancel` is polled once per combination assignment and per co-design
+/// search step, so a cell whose deadline fires stops within one
+/// assignment's worth of work; batch callers pass `&CancelToken::new()`.
 ///
 /// # Errors
-/// Returns [`CoreError::Interrupted`] when `cancel` fires mid-cell, in
-/// addition to the errors of [`run_error_cell`].
+/// Propagates binding/search errors from `lockbind-core`, and returns
+/// [`CoreError::Interrupted`] when `cancel` fires mid-cell.
 pub fn run_error_cell_cancellable(
     prepared: &PreparedKernel,
     ctx: &ClassContext,
@@ -242,6 +222,20 @@ pub fn run_error_cell_cancellable(
     Ok(records)
 }
 
+/// [`run_error_cell_cancellable`] with a token that never fires, kept only
+/// because the frozen `perfbench` harness calls it. Delete at the next
+/// benchmark change.
+#[doc(hidden)]
+pub fn run_error_cell(
+    p: &PreparedKernel,
+    ctx: &ClassContext,
+    params: &ExperimentParams,
+    fus: usize,
+    inputs: usize,
+) -> Result<Vec<ErrorRecord>, CoreError> {
+    run_error_cell_cancellable(p, ctx, params, fus, inputs, &CancelToken::new())
+}
+
 /// Runs the full error-ratio experiment for one prepared kernel, producing
 /// one [`ErrorRecord`] per (class, configuration, algorithm).
 ///
@@ -255,6 +249,7 @@ pub fn run_error_experiment(
     prepared: &PreparedKernel,
     params: &ExperimentParams,
 ) -> Result<Vec<ErrorRecord>, CoreError> {
+    let cancel = CancelToken::new();
     let mut records = Vec::new();
     for class in prepared.classes() {
         let Some(ctx) = ClassContext::build(prepared, class, params.num_candidates)? else {
@@ -262,12 +257,13 @@ pub fn run_error_experiment(
         };
         for locked_fus in 1..=params.max_locked_fus {
             for locked_inputs in 1..=params.max_locked_inputs {
-                records.extend(run_error_cell(
+                records.extend(run_error_cell_cancellable(
                     prepared,
                     &ctx,
                     params,
                     locked_fus,
                     locked_inputs,
+                    &cancel,
                 )?);
             }
         }
@@ -489,7 +485,7 @@ fn codesign_cell(
     };
 
     let mut out = Vec::new();
-    let heur = codesign_heuristic_cancellable(
+    let heur = codesign_heuristic(
         &prepared.dfg,
         &prepared.schedule,
         &prepared.alloc,
@@ -515,7 +511,7 @@ fn codesign_cell(
         .checked_pow(fus.len() as u32)
         .unwrap_or(u128::MAX);
     if evaluations <= params.optimal_budget {
-        let opt = codesign_optimal_cancellable(
+        let opt = codesign_optimal(
             &prepared.dfg,
             &prepared.schedule,
             &prepared.alloc,
@@ -682,8 +678,15 @@ mod tests {
                 };
                 for locked_fus in 1..=2 {
                     for locked_inputs in 1..=2 {
-                        let fast = run_error_cell(&p, &ctx, &params, locked_fus, locked_inputs)
-                            .expect("runs");
+                        let fast = run_error_cell_cancellable(
+                            &p,
+                            &ctx,
+                            &params,
+                            locked_fus,
+                            locked_inputs,
+                            &CancelToken::new(),
+                        )
+                        .expect("runs");
                         let Some(fast) = fast.iter().find(|r| r.algo == SecurityAlgo::ObfAware)
                         else {
                             continue; // infeasible configuration for this class

@@ -10,9 +10,9 @@
 //! (stage `sat-attack`) and wraps all three in one [`HeadlineCell`] job
 //! type so a single engine run covers the full pipeline.
 
-use lockbind_attacks::{sat_attack_with_cancel, AttackConfig, AttackStop};
+use lockbind_attacks::{sat_attack, AttackConfig, AttackStop};
 use lockbind_core::locked_sim::{output_corruption, wrong_keys};
-use lockbind_core::{codesign_heuristic_cancellable, realize_locked_modules};
+use lockbind_core::{codesign_heuristic, realize_locked_modules};
 use lockbind_engine::{CellResult, Job, JobCtx};
 use lockbind_hls::{FuClass, FuId};
 use lockbind_locking::{
@@ -71,7 +71,7 @@ impl Job for ImpactCell {
             FuClass::Adder
         };
         let candidates = prepared.candidates(class, 8);
-        let design = codesign_heuristic_cancellable(
+        let design = codesign_heuristic(
             &prepared.dfg,
             &prepared.schedule,
             &prepared.alloc,
@@ -215,7 +215,11 @@ impl Job for SatCell {
         if ctx.audit {
             crate::check::audit_locked_netlist(locked.netlist())?;
         }
-        let out = sat_attack_with_cancel(&locked, &AttackConfig::default(), &ctx.cancel);
+        let config = AttackConfig {
+            cancel: ctx.cancel.clone(),
+            ..AttackConfig::default()
+        };
+        let out = sat_attack(&locked, &config);
         if out.stop == AttackStop::Interrupted {
             // Surface the interruption as a cell error so the engine can
             // classify it (deadline fired → `CellResult::TimedOut`).

@@ -7,6 +7,7 @@ use lockbind_core::{
 };
 use lockbind_hls::metrics::{register_count, switching};
 use lockbind_hls::{FuId, Minterm};
+use lockbind_resil::CancelToken;
 
 use crate::{ErrorRecord, PreparedKernel, SecurityAlgo};
 
@@ -77,6 +78,7 @@ pub fn measure_overhead(
                     &fus,
                     locked_inputs,
                     &candidates,
+                    &CancelToken::new(),
                 )?;
 
                 // Representative fixed spec for obf-aware: the first

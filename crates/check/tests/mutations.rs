@@ -16,6 +16,7 @@ use lockbind_hls::{
     Schedule,
 };
 use lockbind_mediabench::Kernel;
+use lockbind_resil::CancelToken;
 use proptest::prelude::*;
 
 const FRAMES: usize = 16;
@@ -274,6 +275,7 @@ proptest! {
         prop_assert_eq!(incumbent, Some(true_max), "pruned scan missed the optimum");
         let opt = codesign_optimal(
             &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, 2, &f.candidates,
+            &CancelToken::new(),
         ).expect("searchable");
         prop_assert_eq!(opt.errors, true_max, "codesign_optimal missed the optimum");
     }

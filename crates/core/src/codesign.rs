@@ -85,41 +85,18 @@ fn validate(
 /// every combination assignment of candidate locked inputs to locked FUs and
 /// returns the best (Sec. V-B claims this maximizes Eqn. 2 exactly).
 ///
+/// `cancel` is polled once per visited combination assignment (evaluated or
+/// pruned); batch callers pass `&CancelToken::new()`, which never fires.
+///
 /// # Errors
 ///
 /// Everything [`bind_obfuscation_aware`] can return, plus
-/// [`CoreError::NotEnoughCandidates`] and, when the search would exceed
-/// ~3M binding evaluations, [`CoreError::SearchSpaceTooLarge`] (use
+/// [`CoreError::NotEnoughCandidates`], [`CoreError::Interrupted`] when the
+/// token fires mid-search and, when the search would exceed ~3M binding
+/// evaluations, [`CoreError::SearchSpaceTooLarge`] (use
 /// [`codesign_heuristic`] instead).
-pub fn codesign_optimal(
-    dfg: &Dfg,
-    schedule: &Schedule,
-    alloc: &Allocation,
-    profile: &OccurrenceProfile,
-    locked_fus: &[FuId],
-    inputs_per_fu: usize,
-    candidates: &[Minterm],
-) -> Result<CoDesignOutcome, CoreError> {
-    codesign_optimal_cancellable(
-        dfg,
-        schedule,
-        alloc,
-        profile,
-        locked_fus,
-        inputs_per_fu,
-        candidates,
-        &CancelToken::new(),
-    )
-}
-
-/// [`codesign_optimal`] with a cooperative cancel token, polled once per
-/// visited combination assignment (evaluated or pruned).
-///
-/// # Errors
-/// Everything [`codesign_optimal`] can return, plus
-/// [`CoreError::Interrupted`] when the token fires mid-search.
 #[allow(clippy::too_many_arguments)]
-pub fn codesign_optimal_cancellable(
+pub fn codesign_optimal(
     dfg: &Dfg,
     schedule: &Schedule,
     alloc: &Allocation,
@@ -250,38 +227,13 @@ pub fn codesign_optimal_cancellable(
 /// spec produces the result.
 ///
 /// Runs in `O(s |L| |N| |R| log |R|)` for bounded `|C|` — polynomial time.
+/// `cancel` is polled once per visited candidate combination (evaluated or
+/// pruned).
 ///
 /// # Errors
 /// Same as [`codesign_optimal`] minus the search-space guard.
-pub fn codesign_heuristic(
-    dfg: &Dfg,
-    schedule: &Schedule,
-    alloc: &Allocation,
-    profile: &OccurrenceProfile,
-    locked_fus: &[FuId],
-    inputs_per_fu: usize,
-    candidates: &[Minterm],
-) -> Result<CoDesignOutcome, CoreError> {
-    codesign_heuristic_cancellable(
-        dfg,
-        schedule,
-        alloc,
-        profile,
-        locked_fus,
-        inputs_per_fu,
-        candidates,
-        &CancelToken::new(),
-    )
-}
-
-/// [`codesign_heuristic`] with a cooperative cancel token, polled once per
-/// visited candidate combination (evaluated or pruned).
-///
-/// # Errors
-/// Everything [`codesign_heuristic`] can return, plus
-/// [`CoreError::Interrupted`] when the token fires mid-search.
 #[allow(clippy::too_many_arguments)]
-pub fn codesign_heuristic_cancellable(
+pub fn codesign_heuristic(
     dfg: &Dfg,
     schedule: &Schedule,
     alloc: &Allocation,
@@ -380,34 +332,16 @@ mod tests {
         let fus = [FuId::new(FuClass::Adder, 0)];
         let token = CancelToken::new();
         token.cancel();
-        let opt = codesign_optimal_cancellable(
-            &dfg,
-            &sched,
-            &alloc,
-            &profile,
-            &fus,
-            2,
-            &candidates,
-            &token,
-        )
-        .unwrap_err();
+        let opt = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &token)
+            .unwrap_err();
         assert_eq!(
             opt,
             CoreError::Interrupted {
                 stage: "codesign.optimal"
             }
         );
-        let heu = codesign_heuristic_cancellable(
-            &dfg,
-            &sched,
-            &alloc,
-            &profile,
-            &fus,
-            2,
-            &candidates,
-            &token,
-        )
-        .unwrap_err();
+        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &token)
+            .unwrap_err();
         assert_eq!(
             heu,
             CoreError::Interrupted {
@@ -418,11 +352,12 @@ mod tests {
 
     #[test]
     fn heuristic_close_to_optimal_single_fu() {
+        let never = CancelToken::new();
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Fir);
         let fus = [FuId::new(FuClass::Adder, 0)];
-        let opt = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
+        let opt = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
             .expect("searchable");
-        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
+        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
             .expect("feasible");
         // Single FU: the heuristic IS the optimal search.
         assert_eq!(opt.errors, heu.errors);
@@ -431,11 +366,12 @@ mod tests {
 
     #[test]
     fn heuristic_within_tolerance_of_optimal_two_fus() {
+        let never = CancelToken::new();
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Jdmerge1);
         let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 1)];
-        let opt = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
+        let opt = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
             .expect("searchable");
-        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
+        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
             .expect("feasible");
         assert!(heu.errors <= opt.errors);
         // Paper reports <0.5% degradation; allow 5% slack on our stand-ins.
@@ -449,9 +385,10 @@ mod tests {
 
     #[test]
     fn codesign_dominates_fixed_random_choice() {
+        let never = CancelToken::new();
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Motion2);
         let fus = [FuId::new(FuClass::Adder, 1)];
-        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates)
+        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates, &never)
             .expect("feasible");
         // Any fixed candidate choice bound with obf-aware binding is <= the
         // co-design result.
@@ -515,11 +452,13 @@ mod tests {
 
     #[test]
     fn pruned_gray_search_matches_legacy_scan_exactly() {
+        let never = CancelToken::new();
         for kernel in [Kernel::Fir, Kernel::Jdmerge1, Kernel::Motion2] {
             let (dfg, sched, alloc, profile, candidates) = setup(kernel);
             let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 2)];
-            let fast = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
-                .expect("searchable");
+            let fast =
+                codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
+                    .expect("searchable");
             let slow = optimal_reference(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates);
             assert_eq!(fast.errors, slow.errors, "{kernel:?}");
             // Same winner, not merely the same score: spec and binding must
@@ -531,6 +470,7 @@ mod tests {
 
     #[test]
     fn rejects_overwide_minterm_candidates() {
+        let never = CancelToken::new();
         // Regression: the heuristic used to accept candidates wider than the
         // kernel's 2*width-bit FU input space; they can never occur on any
         // FU's inputs, so every weight is zero and the "lock" is vacuous.
@@ -539,8 +479,8 @@ mod tests {
         candidates.push(Minterm::pack(0x2a0, 0x11, 12)); // raw needs 22 bits > 16
         let fus = [FuId::new(FuClass::Adder, 0)];
         for result in [
-            codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates),
-            codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates),
+            codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates, &never),
+            codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates, &never),
         ] {
             assert!(matches!(
                 result,
@@ -551,6 +491,7 @@ mod tests {
 
     #[test]
     fn search_space_guard_trips() {
+        let never = CancelToken::new();
         let (dfg, sched, alloc, profile, _) = setup(Kernel::Dct);
         // 20 candidates choose 3, ^3 FUs = 1140^3 > 1e9 -> guarded.
         let many: Vec<Minterm> = (0..20).map(|i| Minterm::pack(i, i, 8)).collect();
@@ -559,26 +500,46 @@ mod tests {
             FuId::new(FuClass::Adder, 1),
             FuId::new(FuClass::Adder, 2),
         ];
-        let err = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 3, &many).unwrap_err();
+        let err =
+            codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 3, &many, &never).unwrap_err();
         assert!(matches!(err, CoreError::SearchSpaceTooLarge { .. }));
     }
 
     #[test]
     fn validation_errors() {
+        let never = CancelToken::new();
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Fir);
         let bad_fu = [FuId::new(FuClass::Adder, 9)];
         assert!(matches!(
-            codesign_heuristic(&dfg, &sched, &alloc, &profile, &bad_fu, 1, &candidates),
+            codesign_heuristic(
+                &dfg,
+                &sched,
+                &alloc,
+                &profile,
+                &bad_fu,
+                1,
+                &candidates,
+                &never
+            ),
             Err(CoreError::UnknownFu { .. })
         ));
         let dup = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 0)];
         assert!(matches!(
-            codesign_heuristic(&dfg, &sched, &alloc, &profile, &dup, 1, &candidates),
+            codesign_heuristic(&dfg, &sched, &alloc, &profile, &dup, 1, &candidates, &never),
             Err(CoreError::DuplicateFu { .. })
         ));
         let fus = [FuId::new(FuClass::Adder, 0)];
         assert!(matches!(
-            codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 99, &candidates),
+            codesign_heuristic(
+                &dfg,
+                &sched,
+                &alloc,
+                &profile,
+                &fus,
+                99,
+                &candidates,
+                &never
+            ),
             Err(CoreError::NotEnoughCandidates { .. })
         ));
     }

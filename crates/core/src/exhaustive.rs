@@ -16,29 +16,15 @@ const MAX_OPS_PER_CYCLE: usize = 8;
 
 /// Finds the error-maximizing binding by brute force (per-cycle injective
 /// enumeration). Agrees with [`crate::bind_obfuscation_aware`] by Thm. 2.
+/// `cancel` is polled once per (cycle, FU class) enumeration.
 ///
 /// # Errors
 ///
 /// * [`CoreError::SearchSpaceTooLarge`] if some cycle schedules more than 8
 ///   operations of one class,
+/// * [`CoreError::Interrupted`] when the token fires mid-search,
 /// * the usual spec/allocation errors.
 pub fn bind_exhaustive(
-    dfg: &Dfg,
-    schedule: &Schedule,
-    alloc: &Allocation,
-    profile: &OccurrenceProfile,
-    spec: &LockingSpec,
-) -> Result<Binding, CoreError> {
-    bind_exhaustive_cancellable(dfg, schedule, alloc, profile, spec, &CancelToken::new())
-}
-
-/// [`bind_exhaustive`] with a cooperative cancel token, polled once per
-/// (cycle, FU class) enumeration.
-///
-/// # Errors
-/// Everything [`bind_exhaustive`] can return, plus
-/// [`CoreError::Interrupted`] when the token fires mid-search.
-pub fn bind_exhaustive_cancellable(
     dfg: &Dfg,
     schedule: &Schedule,
     alloc: &Allocation,
@@ -168,8 +154,15 @@ mod tests {
                 .expect("valid");
                 let fast = bind_obfuscation_aware(&b.dfg, &schedule, &alloc, &profile, &spec)
                     .expect("feasible");
-                let slow =
-                    bind_exhaustive(&b.dfg, &schedule, &alloc, &profile, &spec).expect("feasible");
+                let slow = bind_exhaustive(
+                    &b.dfg,
+                    &schedule,
+                    &alloc,
+                    &profile,
+                    &spec,
+                    &CancelToken::new(),
+                )
+                .expect("feasible");
                 assert_eq!(
                     expected_application_errors(&fast, &profile, &spec),
                     expected_application_errors(&slow, &profile, &spec),
@@ -185,9 +178,9 @@ mod tests {
         let alloc = Allocation::new(3, 3);
         let schedule = schedule_list(&b.dfg, &alloc).expect("schedulable");
         let profile = OccurrenceProfile::from_trace(&b.dfg, &b.trace).expect("profiled");
-        let token = lockbind_resil::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
-        let err = bind_exhaustive_cancellable(
+        let err = bind_exhaustive(
             &b.dfg,
             &schedule,
             &alloc,
@@ -215,8 +208,15 @@ mod tests {
         let alloc = Allocation::new(10, 0);
         let trace = lockbind_hls::Trace::from_frames(vec![vec![1]; 2]);
         let profile = OccurrenceProfile::from_trace(&d, &trace).expect("profiled");
-        let err =
-            bind_exhaustive(&d, &sched, &alloc, &profile, &LockingSpec::unlocked()).unwrap_err();
+        let err = bind_exhaustive(
+            &d,
+            &sched,
+            &alloc,
+            &profile,
+            &LockingSpec::unlocked(),
+            &CancelToken::new(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CoreError::SearchSpaceTooLarge { .. }));
     }
 }

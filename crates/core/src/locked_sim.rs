@@ -167,6 +167,7 @@ mod tests {
     use crate::{codesign_heuristic, realize_locked_modules};
     use lockbind_hls::{schedule_list, Allocation, FuClass, OccurrenceProfile};
     use lockbind_mediabench::Kernel;
+    use lockbind_resil::CancelToken;
 
     fn setup() -> (Dfg, Binding, Vec<(FuId, LockedNetlist)>, Trace) {
         let bench = Kernel::Jctrans2.benchmark(120, 9);
@@ -183,6 +184,7 @@ mod tests {
             &[FuId::new(FuClass::Multiplier, 0)],
             2,
             &candidates,
+            &CancelToken::new(),
         )
         .expect("feasible");
         let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");
@@ -238,6 +240,7 @@ mod tests {
             &[FuId::new(FuClass::Multiplier, 0)],
             2,
             &candidates,
+            &CancelToken::new(),
         )
         .expect("feasible");
         let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");

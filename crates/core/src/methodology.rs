@@ -13,6 +13,7 @@
 
 use lockbind_hls::{Allocation, Dfg, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_locking::{epsilon_for_locked_inputs, expected_sat_iterations};
+use lockbind_resil::CancelToken;
 
 use crate::{codesign_heuristic, CoDesignOutcome, CoreError};
 
@@ -78,6 +79,7 @@ pub fn design_lock(
             locked_fus,
             inputs_per_fu,
             candidates,
+            &CancelToken::new(),
         )?;
         best_errors = best_errors.max(design.errors);
         if design.errors >= goals.min_application_errors {

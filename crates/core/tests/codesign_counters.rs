@@ -9,9 +9,11 @@ use lockbind_core::{codesign_optimal, combinations};
 use lockbind_hls::{schedule_list, Allocation, FuClass, FuId, OccurrenceProfile};
 use lockbind_mediabench::Kernel;
 use lockbind_obs as obs;
+use lockbind_resil::CancelToken;
 
 #[test]
 fn search_prunes_and_accounts_for_every_configuration() {
+    let never = CancelToken::new();
     let b = Kernel::Jdmerge1.benchmark(120, 31);
     let alloc = Allocation::new(3, 3);
     let sched = schedule_list(&b.dfg, &alloc).expect("schedulable");
@@ -23,7 +25,17 @@ fn search_prunes_and_accounts_for_every_configuration() {
     let evaluated = obs::counter!("codesign.combos_evaluated");
     let pruned = obs::counter!("codesign.combos_pruned");
     let (e0, p0) = (evaluated.get(), pruned.get());
-    codesign_optimal(&b.dfg, &sched, &alloc, &profile, &fus, 2, &candidates).expect("searchable");
+    codesign_optimal(
+        &b.dfg,
+        &sched,
+        &alloc,
+        &profile,
+        &fus,
+        2,
+        &candidates,
+        &never,
+    )
+    .expect("searchable");
     let combos = combinations(candidates.len(), 2).len() as u64;
     let visited = (evaluated.get() - e0) + (pruned.get() - p0);
     assert_eq!(

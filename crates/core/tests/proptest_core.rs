@@ -9,6 +9,7 @@ use lockbind_hls::{
     bind_naive, schedule_asap, Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, OpKind,
     Trace, ValueRef,
 };
+use lockbind_resil::CancelToken;
 use proptest::prelude::*;
 
 /// Random layered DFG of adds (single class keeps specs simple) plus a
@@ -80,7 +81,7 @@ proptest! {
         prop_assume!(!candidates.is_empty());
         let fu = FuId::new(FuClass::Adder, 0);
 
-        let cd = codesign_heuristic(&dfg, &schedule, &alloc, &profile, &[fu], 1, &candidates)
+        let cd = codesign_heuristic(&dfg, &schedule, &alloc, &profile, &[fu], 1, &candidates, &CancelToken::new())
             .expect("feasible");
         let best_fixed = candidates
             .iter()

@@ -19,10 +19,11 @@
 //! *exactly once* — no duplicated work, and every counter incremented
 //! inside a build fires a deterministic number of times regardless of
 //! worker count, which is what keeps the metrics registry byte-identical
-//! across `--threads` values. If a build panics, the panic propagates to
-//! the builder, waiters retry (typically re-building and re-panicking in
-//! their own cell, preserving per-cell panic isolation), and the failed
-//! slot is removed.
+//! across `--threads` values. A build may fail, by returning `Err` from
+//! [`ArtifactCache::get_or_try_insert_with`] or by panicking: the error or
+//! panic goes to the builder, waiters retry (typically re-building and
+//! failing again in their own cell, preserving per-cell isolation), the
+//! failed slot is removed, and nothing is stored.
 //!
 //! Hit/miss counters are kept both per-cache (for [`CacheStats`] deltas)
 //! and on the global `lockbind-obs` registry (`cache.hit` / `cache.miss`),
@@ -31,6 +32,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -121,7 +123,7 @@ impl CacheStats {
 }
 
 /// One cache slot: pending while its builder runs, then ready (or failed,
-/// transiently, when the builder panicked).
+/// transiently, when the build returned `Err` or panicked).
 #[derive(Debug)]
 enum SlotState {
     Pending,
@@ -184,6 +186,26 @@ impl ArtifactCache {
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
+        self.get_or_try_insert_with(key, || Ok::<T, Infallible>(build()))
+            .unwrap_or_else(|never| match never {})
+    }
+
+    /// [`get_or_insert_with`](Self::get_or_insert_with) for a build that
+    /// can fail. An `Err` is returned to the builder only: the slot is
+    /// removed without storing anything, the build counts as a miss, and
+    /// concurrent waiters wake up and retry (one of them becomes the next
+    /// builder) — exactly what a panicking build does.
+    ///
+    /// # Errors
+    /// The builder's own `Err`; a waiter never sees another thread's error.
+    ///
+    /// # Panics
+    /// As [`get_or_insert_with`](Self::get_or_insert_with).
+    pub fn get_or_try_insert_with<T, E, F>(&self, key: CacheKey, build: F) -> Result<Arc<T>, E>
+    where
+        T: Send + Sync + 'static,
+        F: FnOnce() -> Result<T, E>,
+    {
         let hash = key.fnv1a();
         let mut build = Some(build);
         loop {
@@ -204,21 +226,18 @@ impl ArtifactCache {
                 obs::counter!("cache.miss").inc();
                 let build = build.take().expect("a thread builds at most once");
                 match catch_unwind(AssertUnwindSafe(build)) {
-                    Ok(value) => {
+                    Ok(Ok(value)) => {
                         let erased: Erased = Arc::new(value);
                         slot.finish(SlotState::Ready(Arc::clone(&erased)));
-                        return downcast::<T>(erased);
+                        return Ok(downcast::<T>(erased));
+                    }
+                    Ok(Err(e)) => {
+                        self.discard(hash, &slot);
+                        return Err(e);
                     }
                     Err(payload) => {
-                        // Unblock waiters, drop the slot so later lookups
-                        // rebuild, and let the panic take down this cell.
-                        slot.finish(SlotState::Failed);
-                        {
-                            let mut buckets = self.buckets.lock().expect("cache poisoned");
-                            if let Some(bucket) = buckets.get_mut(&hash) {
-                                bucket.retain(|(_, s)| !Arc::ptr_eq(s, &slot));
-                            }
-                        }
+                        // Let the panic take down this cell.
+                        self.discard(hash, &slot);
                         resume_unwind(payload);
                     }
                 }
@@ -231,7 +250,7 @@ impl ArtifactCache {
                             drop(state);
                             self.hits.fetch_add(1, Ordering::Relaxed);
                             obs::counter!("cache.hit").inc();
-                            return downcast::<T>(value);
+                            return Ok(downcast::<T>(value));
                         }
                         SlotState::Failed => break,
                         SlotState::Pending => {
@@ -239,9 +258,19 @@ impl ArtifactCache {
                         }
                     }
                 }
-                // The builder panicked; retry from the top (this thread may
+                // The build failed; retry from the top (this thread may
                 // become the new builder).
             }
+        }
+    }
+
+    /// Fails a slot whose build did not produce a value: unblocks its
+    /// waiters and drops it so later lookups rebuild.
+    fn discard(&self, hash: u64, slot: &Arc<Slot>) {
+        slot.finish(SlotState::Failed);
+        let mut buckets = self.buckets.lock().expect("cache poisoned");
+        if let Some(bucket) = buckets.get_mut(&hash) {
+            bucket.retain(|(_, s)| !Arc::ptr_eq(s, slot));
         }
     }
 
@@ -409,15 +438,53 @@ mod tests {
 
     #[test]
     fn panicking_build_unblocks_waiters_and_allows_retry() {
-        let cache = ArtifactCache::new();
-        let key = || CacheKey::new("flaky").push_u64(1);
-        let first = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _ = cache.get_or_insert_with::<u64, _>(key(), || panic!("build exploded"));
-        }));
-        assert!(first.is_err(), "builder sees the panic");
-        // The failed slot was removed: a retry rebuilds and succeeds.
-        let v = cache.get_or_insert_with::<u64, _>(key(), || 7);
-        assert_eq!(*v, 7);
-        assert_eq!(cache.stats().entries, 1);
+        // A build that returns `Err` must behave exactly like one that
+        // panics: the waiter unblocks and retries, the slot is gone, a
+        // retry builds, and hits/misses match.
+        for returns_err in [false, true] {
+            let cache = ArtifactCache::new();
+            let key = || CacheKey::new("flaky").push_u64(1);
+            let (started_tx, started_rx) = std::sync::mpsc::channel();
+            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+            std::thread::scope(|scope| {
+                let shared = &cache;
+                let builder = scope.spawn(move || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        shared.get_or_try_insert_with::<u64, &str, _>(key(), || {
+                            started_tx.send(()).expect("test alive");
+                            release_rx.recv().expect("test alive");
+                            if returns_err {
+                                Err("build failed")
+                            } else {
+                                panic!("build exploded")
+                            }
+                        })
+                    }))
+                });
+                started_rx.recv().expect("builder started");
+                let waiter = scope.spawn(|| cache.get_or_insert_with::<u64, _>(key(), || 7));
+                // Give the waiter time to find the pending slot and block
+                // on it; it must not return while the build is pending.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                assert!(!waiter.is_finished(), "waiter blocks on the pending slot");
+                release_tx.send(()).expect("builder alive");
+                match builder.join().expect("builder thread") {
+                    Ok(Err(e)) => assert!(returns_err && e == "build failed"),
+                    Err(_) => assert!(!returns_err, "builder sees the panic"),
+                    Ok(Ok(v)) => panic!("failed build stored {v}"),
+                }
+                assert_eq!(*waiter.join().expect("waiter thread"), 7);
+            });
+            // The failed slot was removed and the waiter's retry stored the
+            // value: a later lookup hits it.
+            let v = cache.get_or_insert_with::<u64, _>(key(), || 9);
+            assert_eq!(*v, 7);
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.entries),
+                (1, 2, 1),
+                "returns_err = {returns_err}"
+            );
+        }
     }
 }

@@ -147,6 +147,12 @@ impl CancelToken {
         self.reason() == Some(CancelReason::DeadlineExceeded)
     }
 
+    /// `true` when both handles are clones of one token (so cancelling
+    /// either cancels both), as opposed to two tokens in equal states.
+    pub fn same_token(&self, other: &CancelToken) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// `true` when the token was constructed with a deadline.
     pub fn has_deadline(&self) -> bool {
         self.inner.deadline.is_some()

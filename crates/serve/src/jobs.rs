@@ -17,8 +17,7 @@ use lockbind_bench::grid::{cached_class_context, cached_prepared};
 use lockbind_bench::headline_cells::{ImpactCell, SatCell};
 use lockbind_bench::prepared::PreparedKernel;
 use lockbind_core::{
-    bind_obfuscation_aware, codesign_heuristic_cancellable, expected_application_errors, CoreError,
-    LockingSpec,
+    bind_obfuscation_aware, codesign_heuristic, expected_application_errors, CoreError, LockingSpec,
 };
 use lockbind_engine::{Job, JobCtx};
 use lockbind_hls::{FuClass, FuId, Minterm};
@@ -141,7 +140,7 @@ impl Job for ServeJob {
                     ));
                 }
                 let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(class, i)).collect();
-                let outcome = codesign_heuristic_cancellable(
+                let outcome = codesign_heuristic(
                     &prepared.dfg,
                     &prepared.schedule,
                     &prepared.alloc,

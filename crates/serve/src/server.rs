@@ -23,26 +23,28 @@
 //! read the same [`WorkBody`], making their `result` objects
 //! byte-identical. Outcomes that reflect *this request's* fate rather
 //! than the work's value (deadline expiry, explicit cancel) must not be
-//! served to others: the builder escapes the cache via a
-//! [`NotCacheable`] panic payload, which the cache's failed-build path
-//! converts into "waiters retry" — exactly the semantics wanted.
+//! served to others: the build returns them as `Err` from
+//! [`ArtifactCache::get_or_try_insert_with`], which stores nothing and
+//! makes waiters retry under their own tokens — exactly the semantics
+//! wanted.
 //!
 //! [`ArtifactCache`]: lockbind_engine::ArtifactCache
+//! [`ArtifactCache::get_or_try_insert_with`]: lockbind_engine::ArtifactCache::get_or_try_insert_with
 
 use std::collections::HashMap;
 use std::io;
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lockbind_durable::{SegmentStore, StoreConfig};
 use lockbind_engine::{CellResult, Engine, EngineConfig, ServeAggregates};
 use lockbind_obs::Json;
-use lockbind_resil::CancelToken;
+use lockbind_resil::{CancelReason, CancelToken};
 use lockbind_telemetry::recorder::{DumpTrigger, FlightKind};
 use lockbind_telemetry::{expo, Telemetry, TelemetryConfig};
 
@@ -132,15 +134,6 @@ pub enum WorkBody {
     Err(String),
 }
 
-/// Panic payload used to escape the cache build when the outcome must
-/// not be shared (request-specific fate, not work value).
-struct NotCacheable(Escape);
-
-enum Escape {
-    DeadlineExceeded(String),
-    Interrupted(String),
-}
-
 /// Write half of a connection; a mutex serializes whole frames.
 pub struct Responder {
     stream: Mutex<TcpStream>,
@@ -187,9 +180,10 @@ struct Shared {
     telemetry: Arc<Telemetry>,
     admission: AdmissionQueue<QueuedRequest>,
     /// Cancel tokens of admitted, unfinished requests, keyed by
-    /// `(tenant, id)` so tenants can only cancel their own work. On a
-    /// duplicate id the newest token wins.
-    inflight: Mutex<HashMap<(String, u64), CancelToken>>,
+    /// `(tenant, id)` so tenants can only cancel their own work. Every
+    /// request that reuses an id keeps its own token here until it
+    /// finishes or is shed; a `cancel` fires them all.
+    inflight: Mutex<HashMap<(String, u64), Vec<CancelToken>>>,
     /// Phase 1 of shutdown: stop accepting connections; admission is
     /// closed separately. Readers keep serving (shedding new work with
     /// `draining`) so clients learn to back off.
@@ -213,6 +207,19 @@ impl Shared {
     /// would fuse every status onto whichever name arrived first here.
     fn counter(&self, name: &str) {
         lockbind_obs::Registry::global().counter(name).inc();
+    }
+
+    /// Drops one finished or shed request's token, leaving the tokens of
+    /// other in-flight requests that share its id.
+    fn forget_inflight(&self, tenant: &str, id: u64, token: &CancelToken) {
+        let mut inflight = self.inflight.lock().expect("inflight poisoned");
+        let key = (tenant.to_string(), id);
+        if let Some(tokens) = inflight.get_mut(&key) {
+            tokens.retain(|t| !t.same_token(token));
+            if tokens.is_empty() {
+                inflight.remove(&key);
+            }
+        }
     }
 }
 
@@ -419,27 +426,11 @@ fn durable_persist(shared: &Shared, work: &Work, body: &WorkBody) {
     }
 }
 
-/// Suppresses the default panic message for [`NotCacheable`] escapes —
-/// they are control flow, not failures. Installed once per process.
-fn install_quiet_escape_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().is::<NotCacheable>() {
-                return;
-            }
-            default(info);
-        }));
-    });
-}
-
 /// Starts a server.
 ///
 /// # Errors
 /// Propagates bind errors.
 pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
-    install_quiet_escape_hook();
     // Force the progress router into place before any request runs.
     let _ = ProgressRouter::global();
     let listener = TcpListener::bind(&cfg.addr)?;
@@ -765,14 +756,12 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
             ));
         }
         RequestKind::Cancel { target_id } => {
-            let token = {
+            let found = {
                 let inflight = shared.inflight.lock().expect("inflight poisoned");
-                inflight.get(&(envelope.tenant.clone(), target_id)).cloned()
+                let tokens = inflight.get(&(envelope.tenant.clone(), target_id));
+                tokens.into_iter().flatten().for_each(CancelToken::cancel);
+                tokens.is_some()
             };
-            let found = token.is_some();
-            if let Some(token) = token {
-                token.cancel();
-            }
             shared.counter(ServeAggregates::OK);
             responder.send(&response_ok(
                 Json::UInt(id),
@@ -790,12 +779,13 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
                 Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
                 None => CancelToken::new(),
             };
-            let key = (envelope.tenant.clone(), id);
             shared
                 .inflight
                 .lock()
                 .expect("inflight poisoned")
-                .insert(key.clone(), cancel.clone());
+                .entry((envelope.tenant.clone(), id))
+                .or_default()
+                .push(cancel.clone());
             let queued = QueuedRequest {
                 id,
                 tenant: envelope.tenant.clone(),
@@ -803,17 +793,13 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
                 work,
                 seq: next_request_seq(),
                 admitted_at: Instant::now(),
-                cancel,
+                cancel: cancel.clone(),
                 responder: Arc::clone(responder),
             };
             match shared.admission.admit(&envelope.tenant, queued) {
                 Ok(()) => shared.telemetry.on_admit(id, &envelope.tenant),
                 Err(reason) => {
-                    shared
-                        .inflight
-                        .lock()
-                        .expect("inflight poisoned")
-                        .remove(&key);
+                    shared.forget_inflight(&envelope.tenant, id, &cancel);
                     let (err_code, message) = match reason {
                         ShedReason::QueueFull => (
                             code::QUEUE_FULL,
@@ -931,11 +917,7 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: u64) {
         // still unwinds out of `execute` would poison drain accounting,
         // so the guard below keeps `task_done` on every path.
         let outcome = catch_unwind(AssertUnwindSafe(|| execute(shared, &request, worker_id)));
-        shared
-            .inflight
-            .lock()
-            .expect("inflight poisoned")
-            .remove(&(request.tenant.clone(), request.id));
+        shared.forget_inflight(&request.tenant, request.id, &request.cancel);
         shared.admission.task_done(&request.tenant);
         let latency_us =
             u64::try_from(request.admitted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -980,7 +962,7 @@ fn execute(shared: &Arc<Shared>, request: &QueuedRequest, worker_id: u64) -> Jso
     // engine: a deadline that expired in the queue is still a deadline,
     // and a cancel that landed first still wins.
     if request.cancel.is_cancelled() {
-        return fate_response(shared, request, "expired while queued");
+        return fired_response(shared, request, "expired while queued", None);
     }
     let _progress_guard = request.progress.then(|| {
         let responder = Arc::clone(&request.responder);
@@ -995,105 +977,79 @@ fn execute(shared: &Arc<Shared>, request: &QueuedRequest, worker_id: u64) -> Jso
         work: request.work.clone(),
     };
     let seed = request.work.seed_from_content();
-    if !request.work.cacheable() {
+    let run = || {
         let result =
             shared
                 .engine
                 .run_one(&job, request.seq, worker_id, seed, request.cancel.clone());
-        return match classify(shared, request, result) {
-            Ok(body) => body_response(shared, request, &body, false),
-            Err(escape) => escape_response(shared, request, &escape),
+        classify(request, result)
+    };
+    if !request.work.cacheable() {
+        return match run() {
+            Ok(body) => body_response(shared, request, &body),
+            Err(message) => fired_response(shared, request, &message, Some(&message)),
         };
     }
     // Coalescing: identical work from any connection single-flights
     // through the content-keyed cache. `built` distinguishes the builder
     // from coalesced followers.
     let built = std::cell::Cell::new(false);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        shared
-            .engine
-            .cache()
-            .get_or_insert_with(request.work.cache_key(), || {
-                built.set(true);
-                // Warm restart: a durable record for this key replays
-                // the previous run's bytes without touching the engine.
-                if let Some(body) = durable_lookup(shared, &request.work) {
-                    return body;
-                }
-                let result = shared.engine.run_one(
-                    &job,
-                    request.seq,
-                    worker_id,
-                    seed,
-                    request.cancel.clone(),
-                );
-                match classify(shared, request, result) {
-                    Ok(body) => {
-                        durable_persist(shared, &request.work, &body);
-                        body
-                    }
-                    Err(escape) => panic_any(NotCacheable(escape)),
-                }
-            })
-    }));
-    match outcome {
-        Ok(body) => {
-            let coalesced = !built.get();
-            if coalesced {
-                shared.counter(ServeAggregates::COALESCED);
-                shared.telemetry.event(
-                    FlightKind::Coalesce,
-                    request.id,
-                    &request.tenant,
-                    request.work.kind_name(),
-                );
-            } else {
-                shared.telemetry.event(
-                    FlightKind::CacheMiss,
-                    request.id,
-                    &request.tenant,
-                    request.work.kind_name(),
-                );
+    let outcome = shared
+        .engine
+        .cache()
+        .get_or_try_insert_with::<WorkBody, String, _>(request.work.cache_key(), || {
+            built.set(true);
+            // Warm restart: a durable record for this key replays the
+            // previous run's bytes without touching the engine.
+            if let Some(body) = durable_lookup(shared, &request.work) {
+                return Ok(body);
             }
-            body_response(shared, request, &body, coalesced)
-        }
-        Err(payload) => match payload.downcast::<NotCacheable>() {
-            Ok(escape) => escape_response(shared, request, &escape.0),
-            Err(payload) => resume_unwind(payload),
-        },
+            let body = run()?;
+            durable_persist(shared, &request.work, &body);
+            Ok(body)
+        });
+    let body = match outcome {
+        Ok(body) => body,
+        Err(message) => return fired_response(shared, request, &message, Some(&message)),
+    };
+    let coalesced = !built.get();
+    if coalesced {
+        shared.counter(ServeAggregates::COALESCED);
     }
+    shared.telemetry.event(
+        if coalesced {
+            FlightKind::Coalesce
+        } else {
+            FlightKind::CacheMiss
+        },
+        request.id,
+        &request.tenant,
+        request.work.kind_name(),
+    );
+    body_response(shared, request, &body)
 }
 
-/// Classifies an engine result into a cacheable body or a
-/// request-specific escape.
-fn classify(
-    _shared: &Shared,
-    request: &QueuedRequest,
-    result: CellResult<Json>,
-) -> Result<WorkBody, Escape> {
+/// Classifies an engine result: a body every coalesced request may
+/// share, or, as `Err`, the message of a job stopped by this request's
+/// own token (its deadline, or an explicit cancel).
+fn classify(request: &QueuedRequest, result: CellResult<Json>) -> Result<WorkBody, String> {
     match result {
         CellResult::Ok { output, .. } => Ok(WorkBody::Ok(output)),
-        CellResult::TimedOut { message, .. } => Err(Escape::DeadlineExceeded(message)),
-        CellResult::Failed { message, .. } => {
-            if request.cancel.reason() == Some(lockbind_resil::CancelReason::Cancelled) {
-                Err(Escape::Interrupted(message))
-            } else {
-                Ok(WorkBody::Err(message))
-            }
+        CellResult::TimedOut { message, .. } => Err(message),
+        CellResult::Failed { message, .. }
+            if request.cancel.reason() == Some(CancelReason::Cancelled) =>
+        {
+            Err(message)
         }
+        CellResult::Failed { message, .. } => Ok(WorkBody::Err(message)),
     }
 }
 
 /// Composes the response for a (possibly cached) work body. A follower
 /// whose own token fired while it waited still reports its own fate.
-fn body_response(
-    shared: &Shared,
-    request: &QueuedRequest,
-    body: &WorkBody,
-    _coalesced: bool,
-) -> Json {
+fn body_response(shared: &Shared, request: &QueuedRequest, body: &WorkBody) -> Json {
     if request.cancel.is_cancelled() {
-        return fate_response(shared, request, "while waiting on a coalesced build");
+        return fired_response(shared, request, "while waiting on a coalesced build", None);
     }
     let kind = request.work.kind_name();
     match body {
@@ -1114,65 +1070,48 @@ fn body_response(
     }
 }
 
-fn escape_response(shared: &Shared, request: &QueuedRequest, escape: &Escape) -> Json {
-    let kind = request.work.kind_name();
-    match escape {
-        Escape::DeadlineExceeded(message) => {
-            shared.counter(ServeAggregates::DEADLINE_EXCEEDED);
-            shared
-                .telemetry
-                .event(FlightKind::Deadline, request.id, &request.tenant, message);
-            response_error(
-                Json::UInt(request.id),
-                kind,
-                status::DEADLINE_EXCEEDED,
-                code::DEADLINE_EXCEEDED,
-                message,
-            )
-        }
-        Escape::Interrupted(message) => {
-            shared.counter(ServeAggregates::INTERRUPTED);
-            shared
-                .telemetry
-                .event(FlightKind::Cancel, request.id, &request.tenant, message);
-            response_error(
-                Json::UInt(request.id),
-                kind,
-                status::INTERRUPTED,
-                code::INTERRUPTED,
-                message,
-            )
-        }
-    }
-}
-
-/// The response for a request whose token already fired (`context`
-/// says where that was noticed).
-fn fate_response(shared: &Shared, request: &QueuedRequest, context: &str) -> Json {
-    let kind = request.work.kind_name();
-    if request.cancel.deadline_exceeded() {
-        shared.counter(ServeAggregates::DEADLINE_EXCEEDED);
-        shared
-            .telemetry
-            .event(FlightKind::Deadline, request.id, &request.tenant, context);
-        response_error(
-            Json::UInt(request.id),
-            kind,
+/// The response for a request whose token fired. Status, code, counter
+/// and flight-event kind follow the token's reason, which never changes
+/// once fired — so a job the engine classified as timed out always
+/// answers `deadline_exceeded`. `detail` is the flight-event detail. The
+/// message is the job's own error when the job noticed the token
+/// (`job_message`); otherwise the daemon noticed it at `detail`, and the
+/// message names the reason.
+fn fired_response(
+    shared: &Shared,
+    request: &QueuedRequest,
+    detail: &str,
+    job_message: Option<&str>,
+) -> Json {
+    let (counter, flight, status, err_code, reason) = match request.cancel.reason() {
+        Some(CancelReason::DeadlineExceeded) => (
+            ServeAggregates::DEADLINE_EXCEEDED,
+            FlightKind::Deadline,
             status::DEADLINE_EXCEEDED,
             code::DEADLINE_EXCEEDED,
-            &format!("deadline exceeded {context}"),
-        )
-    } else {
-        shared.counter(ServeAggregates::INTERRUPTED);
-        shared
-            .telemetry
-            .event(FlightKind::Cancel, request.id, &request.tenant, context);
-        response_error(
-            Json::UInt(request.id),
-            kind,
+            "deadline exceeded",
+        ),
+        _ => (
+            ServeAggregates::INTERRUPTED,
+            FlightKind::Cancel,
             status::INTERRUPTED,
             code::INTERRUPTED,
-            &format!("cancelled {context}"),
-        )
-    }
+            "cancelled",
+        ),
+    };
+    shared.counter(counter);
+    shared
+        .telemetry
+        .event(flight, request.id, &request.tenant, detail);
+    let message = match job_message {
+        Some(message) => message.to_string(),
+        None => format!("{reason} {detail}"),
+    };
+    response_error(
+        Json::UInt(request.id),
+        request.work.kind_name(),
+        status,
+        err_code,
+        &message,
+    )
 }

@@ -330,3 +330,121 @@ fn connections_over_the_cap_are_shed_with_a_distinct_code() {
     }
     assert_eq!(handle.drain_and_join().dropped, 0);
 }
+
+#[test]
+fn deadline_during_a_cacheable_build_is_neither_shared_nor_persisted() {
+    // About 0.2 s of polled work in a release build and 2.5 s in a debug
+    // build: long enough that a 60 ms deadline always fires mid-build.
+    const WORK: &str = r#""kind":"error_rate","params":{"kernel":"fir","frames":60,"locked_fus":3,"locked_inputs":3,"max_assignments":20000,"optimal_budget":200000}"#;
+    let work = |id: u64, extra: &str| {
+        lockbind_obs::json::parse(format!(r#"{{"id":{id},{extra}{WORK}}}"#).as_bytes())
+            .expect("valid request JSON")
+    };
+    // The reference answer from a fresh daemon, computed concurrently.
+    let fresh = debug_server(1, 8, 8);
+    let mut fresh_client = client_for(&fresh);
+    let reference = std::thread::spawn(move || {
+        let raw = fresh_client.call(&work(3, "")).expect("calls").raw;
+        assert_eq!(fresh.drain_and_join().dropped, 0);
+        raw
+    });
+
+    let dir = std::env::temp_dir().join(format!("lockbind-deadline-build-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    // The leader starts the build under a deadline; the follower, sent
+    // while that build runs, coalesces onto it without a deadline.
+    let mut leader = client_for(&handle);
+    leader
+        .send(&work(1, r#""deadline_ms":60,"#))
+        .expect("sends");
+    std::thread::sleep(Duration::from_millis(10));
+    let mut follower = client_for(&handle);
+    follower.send(&work(2, "")).expect("sends");
+
+    let (doc, _) = leader.read_event().expect("reads");
+    assert_eq!(response_status(&doc), status::DEADLINE_EXCEEDED);
+    assert_eq!(response_error_code(&doc), code::DEADLINE_EXCEEDED);
+    let message = doc["error"]["message"].as_str().unwrap_or_default();
+    assert!(
+        message.starts_with("deadline exceeded: "),
+        "the deadline fired inside the leader's own build: {message}"
+    );
+    // The timed-out build stored nothing: the follower retries under its
+    // own token and gets the real answer.
+    let (doc, _) = follower.read_event().expect("reads");
+    assert_eq!(response_status(&doc), status::OK, "{doc:?}");
+
+    let later = client_for(&handle).call(&work(3, "")).expect("calls");
+    assert_eq!(response_status(&later.response), status::OK);
+    assert_eq!(
+        later.raw,
+        reference.join().expect("reference thread"),
+        "same bytes as a fresh daemon"
+    );
+    assert_eq!(
+        handle.durable_counts(),
+        Some((0, 1)),
+        "only the follower's build is persisted"
+    );
+    assert_eq!(handle.drain_and_join().dropped, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reused_id_never_makes_another_request_uncancellable() {
+    let handle = debug_server(2, 8, 8);
+    let mut long = client_for(&handle);
+    let mut other = client_for(&handle);
+    let mut admin = client_for(&handle);
+    let cancel = |admin: &mut ServeClient, target: u64| {
+        let outcome = admin
+            .call(&request(
+                100 + target,
+                "cancel",
+                &format!(r#""params":{{"target_id":{target}}}"#),
+            ))
+            .expect("calls");
+        result_field(&outcome.response, "found").cloned()
+    };
+    let assert_interrupted_promptly = |long: &mut ServeClient, started: std::time::Instant| {
+        let (doc, _) = long.read_event().expect("reads");
+        assert_eq!(response_status(&doc), status::INTERRUPTED);
+        assert!(
+            started.elapsed() < Duration::from_secs(4),
+            "the cancel did not reach the long request"
+        );
+    };
+
+    // Finish: a short request with the same id completes first.
+    let started = std::time::Instant::now();
+    long.send(&request(7, "sleep", r#""params":{"ms":5000}"#))
+        .expect("sends");
+    std::thread::sleep(Duration::from_millis(50)); // let it start
+    let outcome = other
+        .call(&request(7, "sleep", r#""params":{"ms":1}"#))
+        .expect("calls");
+    assert_eq!(response_status(&outcome.response), status::OK);
+    assert_eq!(cancel(&mut admin, 7), Some(Json::Bool(true)));
+    assert_interrupted_promptly(&mut long, started);
+
+    // Shed: a request with the same id is refused at admission.
+    let started = std::time::Instant::now();
+    long.send(&request(9, "sleep", r#""params":{"ms":5000}"#))
+        .expect("sends");
+    std::thread::sleep(Duration::from_millis(50)); // let it start
+    handle.begin_drain();
+    let outcome = other
+        .call(&request(9, "sleep", r#""params":{"ms":1}"#))
+        .expect("calls");
+    assert_eq!(response_status(&outcome.response), status::SHED);
+    assert_eq!(cancel(&mut admin, 9), Some(Json::Bool(true)));
+    assert_interrupted_promptly(&mut long, started);
+    assert_eq!(handle.drain_and_join().dropped, 0);
+}

@@ -48,6 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[FuId::new(FuClass::Multiplier, 0)],
         2,
         &candidates,
+        &CancelToken::new(),
     )?;
     println!(
         "co-design chose {} with {} expected error injections over 500 frames",

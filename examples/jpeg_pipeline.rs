@@ -48,6 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &fus,
                 inputs,
                 &candidates,
+                &CancelToken::new(),
             )?;
             let e_area = expected_application_errors(&area, &profile, &design.spec);
             let e_power = expected_application_errors(&power, &profile, &design.spec);
@@ -74,6 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &fus,
         3,
         &candidates,
+        &CancelToken::new(),
     )?;
     let regs_sec = metrics::register_count(&bench.dfg, &schedule, &best.binding, &alloc);
     let regs_area = metrics::register_count(&bench.dfg, &schedule, &area, &alloc);

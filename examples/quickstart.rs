@@ -50,6 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[locked_fu],
         2,
         &candidates,
+        &CancelToken::new(),
     )?;
 
     let e = |binding: &Binding, spec: &LockingSpec| {

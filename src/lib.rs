@@ -37,11 +37,12 @@
 //! let profile = OccurrenceProfile::from_trace(&bench.dfg, &bench.trace)?;
 //!
 //! // 3. Co-design the binding and the locked inputs for one locked adder.
+//! //    The last argument is a cancel token; this one never fires.
 //! let candidates = profile.top_candidates_among(
 //!     &bench.dfg.ops_of_class(FuClass::Adder), 10);
 //! let fus = [FuId::new(FuClass::Adder, 0)];
 //! let design = codesign_heuristic(
-//!     &bench.dfg, &schedule, &alloc, &profile, &fus, 2, &candidates)?;
+//!     &bench.dfg, &schedule, &alloc, &profile, &fus, 2, &candidates, &CancelToken::new())?;
 //! assert!(design.errors > 0);
 //!
 //! // 4. Realize the locked adder as a gate-level netlist.
@@ -87,5 +88,6 @@ pub mod prelude {
         synthetic_benchmark, trace_stats, Benchmark, Kernel, SkewParams,
     };
     pub use lockbind_netlist::{builders, Netlist};
+    pub use lockbind_resil::CancelToken;
     pub use lockbind_sat::{SolveResult, Solver};
 }

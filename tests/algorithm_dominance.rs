@@ -87,6 +87,7 @@ fn obf_aware_dominates_every_other_binding_for_fixed_specs() {
 
 #[test]
 fn codesign_dominates_obf_aware_with_any_fixed_choice() {
+    let never = CancelToken::new();
     for kernel in [
         Kernel::Dct,
         Kernel::Jctrans2,
@@ -101,8 +102,17 @@ fn codesign_dominates_obf_aware_with_any_fixed_choice() {
         };
         let candidates = profile.top_candidates_among(&dfg.ops_of_class(class), 5);
         let fus = [FuId::new(class, 0), FuId::new(class, 1)];
-        let cd = codesign_heuristic(&dfg, &schedule, &alloc, &profile, &fus, 1, &candidates)
-            .expect("feasible");
+        let cd = codesign_heuristic(
+            &dfg,
+            &schedule,
+            &alloc,
+            &profile,
+            &fus,
+            1,
+            &candidates,
+            &never,
+        )
+        .expect("feasible");
         for &c0 in &candidates {
             for &c1 in &candidates {
                 let spec = LockingSpec::new(&alloc, vec![(fus[0], vec![c0]), (fus[1], vec![c1])])
@@ -122,6 +132,7 @@ fn codesign_dominates_obf_aware_with_any_fixed_choice() {
 
 #[test]
 fn optimal_codesign_beats_heuristic_nowhere_by_much() {
+    let never = CancelToken::new();
     // Where the optimal search is tractable, the heuristic must be within a
     // few percent (the paper reports <0.5% average degradation).
     let mut total_opt = 0.0;
@@ -133,10 +144,28 @@ fn optimal_codesign_beats_heuristic_nowhere_by_much() {
             FuId::new(FuClass::Multiplier, 0),
             FuId::new(FuClass::Multiplier, 1),
         ];
-        let opt = codesign_optimal(&dfg, &schedule, &alloc, &profile, &fus, 2, &candidates)
-            .expect("tractable");
-        let heur = codesign_heuristic(&dfg, &schedule, &alloc, &profile, &fus, 2, &candidates)
-            .expect("feasible");
+        let opt = codesign_optimal(
+            &dfg,
+            &schedule,
+            &alloc,
+            &profile,
+            &fus,
+            2,
+            &candidates,
+            &never,
+        )
+        .expect("tractable");
+        let heur = codesign_heuristic(
+            &dfg,
+            &schedule,
+            &alloc,
+            &profile,
+            &fus,
+            2,
+            &candidates,
+            &never,
+        )
+        .expect("feasible");
         assert!(heur.errors <= opt.errors);
         total_opt += opt.errors as f64;
         total_heur += heur.errors as f64;

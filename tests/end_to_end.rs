@@ -48,6 +48,7 @@ fn cost_function_matches_trace_replay_on_every_kernel() {
             &[FuId::new(class, 0)],
             2.min(candidates.len()),
             &candidates,
+            &CancelToken::new(),
         )
         .expect("feasible");
 
@@ -75,6 +76,7 @@ fn realized_modules_corrupt_exactly_the_locked_minterms() {
         &[FuId::new(FuClass::Multiplier, 0)],
         2,
         &candidates,
+        &CancelToken::new(),
     )
     .expect("feasible");
 
@@ -118,6 +120,7 @@ fn locked_module_behaves_like_fu_on_workload_values() {
         &[FuId::new(FuClass::Multiplier, 0)],
         1,
         &candidates,
+        &CancelToken::new(),
     )
     .expect("feasible");
     let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");

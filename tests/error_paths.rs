@@ -121,6 +121,7 @@ fn methodology_unreachable_target_reports_best_effort() {
 
 #[test]
 fn codesign_guard_message_suggests_heuristic() {
+    let never = CancelToken::new();
     let bench = Kernel::Dct.benchmark(30, 1);
     let alloc = Allocation::new(3, 3);
     let sched = schedule_list(&bench.dfg, &alloc).expect("schedulable");
@@ -131,6 +132,7 @@ fn codesign_guard_message_suggests_heuristic() {
         FuId::new(FuClass::Adder, 1),
         FuId::new(FuClass::Adder, 2),
     ];
-    let err = codesign_optimal(&bench.dfg, &sched, &alloc, &profile, &fus, 3, &many).unwrap_err();
+    let err =
+        codesign_optimal(&bench.dfg, &sched, &alloc, &profile, &fus, 3, &many, &never).unwrap_err();
     assert!(err.to_string().contains("codesign_heuristic"));
 }

@@ -122,9 +122,11 @@ fn obfuscation_aware_selects_binding2_with_16_errors() {
 
 #[test]
 fn codesign_locks_y_for_17_errors() {
+    let never = CancelToken::new();
     let (d, s, alloc, k, ops) = setup();
     let fu1 = FuId::new(FuClass::Adder, 0);
-    let out = codesign_heuristic(&d, &s, &alloc, &k, &[fu1], 1, &[x(), y()]).expect("feasible");
+    let out =
+        codesign_heuristic(&d, &s, &alloc, &k, &[fu1], 1, &[x(), y()], &never).expect("feasible");
     assert_eq!(out.errors, 17, "the paper's co-design result");
     assert_eq!(
         out.spec.minterms_of(fu1),
@@ -136,7 +138,8 @@ fn codesign_locks_y_for_17_errors() {
     assert_eq!(out.binding.fu(ops[3]), fu1);
 
     // And the optimal search agrees (2 candidates, 1 FU: trivially small).
-    let opt = codesign_optimal(&d, &s, &alloc, &k, &[fu1], 1, &[x(), y()]).expect("searchable");
+    let opt =
+        codesign_optimal(&d, &s, &alloc, &k, &[fu1], 1, &[x(), y()], &never).expect("searchable");
     assert_eq!(opt.errors, 17);
 }
 
