@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use lockbind_locking::LockedNetlist;
-use lockbind_netlist::cnf::{encode_netlist, Cnf};
+use lockbind_netlist::cnf::{constrain_io, Cnf};
 use lockbind_sat::{SolveResult, Solver};
 
 use crate::is_functionally_correct;
@@ -37,17 +37,10 @@ pub fn random_query_attack(locked: &LockedNetlist, queries: u64, seed: u64) -> R
 
     let mut cnf = Cnf::new();
     let k = cnf.new_vars(kb);
-    let ct = cnf.new_var();
-    cnf.add_clause([ct]);
-
     for _ in 0..queries {
         let bits: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
         let y = locked.oracle().eval(&bits, &[]).expect("oracle arity");
-        let in_lits: Vec<i32> = bits.iter().map(|&b| if b { ct } else { -ct }).collect();
-        let outs = encode_netlist(nl, &mut cnf, &in_lits, &k);
-        for (o, &yv) in outs.iter().zip(&y) {
-            cnf.add_clause([if yv { *o } else { -*o }]);
-        }
+        constrain_io(nl, &mut cnf, &bits, &k, &y);
     }
 
     let mut solver = Solver::new();

@@ -1,7 +1,7 @@
 //! The oracle-guided SAT attack (DIP loop).
 
 use lockbind_locking::LockedNetlist;
-use lockbind_netlist::cnf::{encode_netlist, Cnf};
+use lockbind_netlist::cnf::{constrain_io, encode_netlist, Cnf};
 use lockbind_obs as obs;
 use lockbind_resil::CancelToken;
 use lockbind_sat::{SolveResult, Solver, SolverStats};
@@ -77,6 +77,9 @@ pub struct SatAttackOutcome {
     /// locking family (Full-Lock-style) from merely iteration-count-hard
     /// schemes (Sec. II-A / V-C of the paper).
     pub conflicts_per_iteration: Vec<u64>,
+    /// Clauses handed to the solver: the miter plus every oracle
+    /// constraint. A deterministic measure of the encoding's size.
+    pub clauses: u64,
 }
 
 impl SatAttackOutcome {
@@ -114,10 +117,11 @@ fn record_solver_metrics(stats: &SolverStats) {
 
 /// The one DIP loop behind both [`sat_attack`] and the approximate
 /// attack: a miter of two keyed copies of the locked netlist sharing the
-/// inputs `x`, incrementally fed to one CDCL solver. Each DIP adds two
-/// oracle-agreement copies; the clause order is part of the contract,
-/// because it fixes the solver's search path and thus every DIP sequence
-/// and work count.
+/// inputs `x`, incrementally fed to one CDCL solver. Each DIP adds one
+/// oracle constraint per key copy ([`constrain_io`]: the DIP bits folded
+/// through the netlist, so only the key-dependent logic is encoded); the
+/// clause order is part of the contract, because it fixes the solver's
+/// search path and thus every DIP sequence and work count.
 pub(crate) struct DipDriver<'a> {
     locked: &'a LockedNetlist,
     cnf: Cnf,
@@ -132,8 +136,6 @@ pub(crate) struct DipDriver<'a> {
     /// Activation literal: assumed true, the miter forces the copies'
     /// outputs to differ.
     act: i32,
-    /// Constant-true literal for binding DIP inputs in agreement copies.
-    ct: i32,
     /// The DIPs found so far, packed LSB-first.
     dips: Vec<u64>,
     /// Solver conflicts spent in each DIP search.
@@ -154,8 +156,12 @@ impl<'a> DipDriver<'a> {
         let k1 = cnf.new_vars(nl.num_keys());
         let k2 = cnf.new_vars(nl.num_keys());
         let act = cnf.new_var();
-        let ct = cnf.new_var();
-        cnf.add_clause([ct]);
+        // A constant-true unit that no clause reads. It is part of the
+        // miter formula, which alone decides the first DIP, so removing it
+        // moves every pinned DIP sequence and work count (the search-path
+        // contract above) without changing which keys are admitted.
+        let unit = cnf.new_var();
+        cnf.add_clause([unit]);
 
         // Miter: two keyed copies sharing X, with outputs forced to differ
         // when `act` is assumed.
@@ -182,7 +188,6 @@ impl<'a> DipDriver<'a> {
             k1,
             k2,
             act,
-            ct,
             dips: Vec::new(),
             conflicts_per_iteration: Vec::new(),
         }
@@ -233,13 +238,8 @@ impl<'a> DipDriver<'a> {
     /// Constrains both key copies to reproduce the oracle output `y` on
     /// input `bits`.
     pub(crate) fn constrain(&mut self, bits: &[bool], y: &[bool]) {
-        let ct = self.ct;
-        let in_lits: Vec<i32> = bits.iter().map(|&b| if b { ct } else { -ct }).collect();
         for keys in [&self.k1, &self.k2] {
-            let outs = encode_netlist(self.locked.netlist(), &mut self.cnf, &in_lits, keys);
-            for (o, &yv) in outs.iter().zip(y) {
-                self.cnf.add_clause([if yv { *o } else { -*o }]);
-            }
+            constrain_io(self.locked.netlist(), &mut self.cnf, bits, keys, y);
         }
     }
 
@@ -327,6 +327,7 @@ pub fn sat_attack(locked: &LockedNetlist, config: &AttackConfig) -> SatAttackOut
         stop,
         solver_stats,
         conflicts_per_iteration: driver.conflicts_per_iteration,
+        clauses: driver.pushed as u64,
     }
 }
 
@@ -533,6 +534,34 @@ mod tests {
         let learnt_total: u64 = st.glue_hist.iter().sum();
         assert!(learnt_total > 0, "attack should have learnt clauses");
         assert!(glue_total(&after) - glue_total(&before) >= learnt_total);
+    }
+
+    #[test]
+    fn clauses_count_what_the_solver_was_handed() {
+        // A run capped at one DIP hands the solver only the miter; a run
+        // capped at two also hands it the first DIP's folded constraint,
+        // once per key copy.
+        let locked = lock_critical_minterms(&adder_fu(3), &[5]).expect("lockable");
+        let capped = |max_iterations| {
+            sat_attack(
+                &locked,
+                &AttackConfig {
+                    max_iterations,
+                    ..AttackConfig::default()
+                },
+            )
+        };
+        let (one, two) = (capped(1), capped(2));
+        let nl = locked.netlist();
+        let bits: Vec<bool> = (0..nl.num_inputs())
+            .map(|i| (one.dips[0] >> i) & 1 == 1)
+            .collect();
+        let y = locked.oracle().eval(&bits, &[]).expect("oracle arity");
+        let mut cnf = Cnf::new();
+        let keys = cnf.new_vars(nl.num_keys());
+        constrain_io(nl, &mut cnf, &bits, &keys, &y);
+        assert!(one.clauses > 0);
+        assert_eq!(two.clauses - one.clauses, 2 * cnf.clauses().len() as u64);
     }
 
     #[test]

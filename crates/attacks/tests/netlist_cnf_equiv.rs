@@ -1,7 +1,9 @@
 //! Cross-substrate property tests: the Tseitin encoder, the CDCL solver,
-//! and the netlist simulator must agree with each other on random circuits.
+//! and the netlist simulator must agree with each other on random circuits,
+//! and the folded oracle constraint ([`constrain_io`]) must admit exactly
+//! the keys the full encoding admits.
 
-use lockbind_netlist::cnf::{encode_netlist, Cnf};
+use lockbind_netlist::cnf::{constrain_io, encode_netlist, Cnf};
 use lockbind_netlist::{Netlist, Signal};
 use lockbind_sat::{SolveResult, Solver};
 use proptest::prelude::*;
@@ -30,8 +32,121 @@ fn netlist_strategy() -> impl Strategy<Value = Netlist> {
     })
 }
 
+/// Keyed variant of [`netlist_strategy`]: 1–4 primary inputs, 0–6 key
+/// inputs, gates (including constant 0) over every earlier signal, and
+/// two declared outputs (the last gate and one chosen earlier signal).
+fn keyed_netlist_strategy() -> impl Strategy<Value = Netlist> {
+    let gate = (0..5usize, 0..64usize, 0..64usize);
+    (
+        1..5usize,
+        0..7usize,
+        proptest::collection::vec(gate, 2..30),
+        0..64usize,
+    )
+        .prop_map(|(num_inputs, num_keys, gates, pick)| {
+            let mut nl = Netlist::new("random-keyed");
+            let mut signals: Vec<Signal> = (0..num_inputs).map(|_| nl.add_input()).collect();
+            signals.extend((0..num_keys).map(|_| nl.add_key()));
+            for (kind, a, b) in gates {
+                let sa = signals[a % signals.len()];
+                let sb = signals[b % signals.len()];
+                let s = match kind {
+                    0 => nl.and(sa, sb),
+                    1 => nl.or(sa, sb),
+                    2 => nl.xor(sa, sb),
+                    3 => nl.not(sa),
+                    _ => nl.lit_false(),
+                };
+                signals.push(s);
+            }
+            nl.mark_output(*signals.last().expect("at least inputs"));
+            nl.mark_output(signals[pick % signals.len()]);
+            nl
+        })
+}
+
+/// The low `n` bits of `word`, LSB first.
+fn bits(word: u64, n: usize) -> Vec<bool> {
+    (0..n).map(|i| (word >> i) & 1 == 1).collect()
+}
+
+/// Solves `cnf` with the key literals assumed to `key`.
+fn sat_under_key(cnf: &Cnf, key_lits: &[i32], key: &[bool]) -> bool {
+    let mut solver = Solver::new();
+    solver.reserve_vars(cnf.num_vars());
+    for cl in cnf.clauses() {
+        solver.add_clause(cl);
+    }
+    let assumptions: Vec<i32> = key_lits
+        .iter()
+        .zip(key)
+        .map(|(&l, &b)| if b { l } else { -l })
+        .collect();
+    match solver.solve_with_assumptions(&assumptions) {
+        SolveResult::Sat => true,
+        SolveResult::Unsat => false,
+        other => panic!("unbudgeted solve ended with {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The folded oracle constraint and the full encoding with pinned
+    /// inputs and outputs admit exactly the same key assignments — and
+    /// exactly the keys under which the netlist simulates to the observed
+    /// outputs. The observation is the simulation under a random key with
+    /// a random mask of output bits flipped, so both admitted and rejected
+    /// keys (and disagreeing constant outputs) occur.
+    #[test]
+    fn folded_constraint_admits_exactly_the_full_encodings_keys(
+        nl in keyed_netlist_strategy(),
+        stim in any::<u64>(),
+        key0 in any::<u64>(),
+        flip in 0..4u64,
+    ) {
+        let (n, kb) = (nl.num_inputs(), nl.num_keys());
+        let in_bits = bits(stim, n);
+        let mut observed = nl.eval(&in_bits, &bits(key0, kb)).expect("arity");
+        for (i, o) in observed.iter_mut().enumerate() {
+            *o ^= (flip >> i) & 1 == 1;
+        }
+
+        let mut folded = Cnf::new();
+        let folded_keys = folded.new_vars(kb);
+        constrain_io(&nl, &mut folded, &in_bits, &folded_keys, &observed);
+
+        let mut full = Cnf::new();
+        let x = full.new_vars(n);
+        let full_keys = full.new_vars(kb);
+        let outs = encode_netlist(&nl, &mut full, &x, &full_keys);
+        for (&l, &b) in x.iter().zip(&in_bits) {
+            full.add_clause([if b { l } else { -l }]);
+        }
+        for (&o, &y) in outs.iter().zip(&observed) {
+            full.add_clause([if y { o } else { -o }]);
+        }
+
+        for word in 0..1u64 << kb {
+            let key = bits(word, kb);
+            let admitted = sat_under_key(&folded, &folded_keys, &key);
+            prop_assert_eq!(admitted, sat_under_key(&full, &full_keys, &key), "key {:#b}", word);
+            let sim = nl.eval(&in_bits, &key).expect("arity");
+            prop_assert_eq!(admitted, sim == observed, "key {:#b}", word);
+        }
+    }
+
+    /// An output that the known inputs settle to a constant, observed with
+    /// the other value, makes the folded constraint unsatisfiable.
+    #[test]
+    fn disagreeing_constant_output_is_unsat(nl in netlist_strategy(), stim in any::<u64>()) {
+        let in_bits = bits(stim, nl.num_inputs());
+        let mut observed = nl.eval(&in_bits, &[]).expect("arity");
+        observed[0] = !observed[0];
+        let mut cnf = Cnf::new();
+        constrain_io(&nl, &mut cnf, &in_bits, &[], &observed);
+        prop_assert!(!sat_under_key(&cnf, &[], &[]));
+    }
 
     /// A miter of a netlist against itself (shared inputs) is UNSAT: the
     /// encoder never invents degrees of freedom and the solver proves it.

@@ -7,6 +7,11 @@
 //! * RLL: huge ε, unlocked in a handful of iterations,
 //! * Anti-SAT: tiny ε, iterations ~ 2^n with near-zero corruption.
 //!
+//! One secret is one sample of the iteration count, and Eqn. 1 is an
+//! expectation; the 1-minterm rows therefore also report the mean, min
+//! and max over every secret minterm of the input space. The random-query
+//! baseline is reported as the number of seeds (of 8) it breaks.
+//!
 //! Usage: `cargo run -p lockbind-bench --release --bin sat_resilience [width]`
 //! (default operand width 3 bits keeps full attacks under a second each).
 
@@ -15,8 +20,31 @@ use lockbind_bench::report::render_table;
 use lockbind_locking::corruption::average_wrong_key_error_rate;
 use lockbind_locking::{
     expected_sat_iterations, lock_anti_sat, lock_critical_minterms, lock_permutation, lock_rll,
+    LockedNetlist,
 };
 use lockbind_netlist::builders::{adder_fu, multiplier_fu};
+use lockbind_netlist::Netlist;
+
+/// Random-query seeds tried per scheme.
+const RANDOM_QUERY_SEEDS: u64 = 8;
+
+/// SAT iterations over every 1-minterm critical-minterm lock of `fu` (one
+/// per secret minterm of its `input_bits`-bit input space), rendered as
+/// `mean [min, max]`.
+fn secret_sweep(fu: &Netlist, input_bits: u32) -> String {
+    let iterations: Vec<u64> = (0..1u64 << input_bits)
+        .map(|secret| {
+            let locked = lock_critical_minterms(fu, &[secret]).expect("lockable");
+            let out = sat_attack(&locked, &AttackConfig::default());
+            assert!(out.success, "secret {secret}: key not recovered");
+            out.iterations
+        })
+        .collect();
+    let mean = iterations.iter().sum::<u64>() as f64 / iterations.len() as f64;
+    let min = iterations.iter().min().expect("nonempty");
+    let max = iterations.iter().max().expect("nonempty");
+    format!("{mean:.1} [{min}, {max}]")
+}
 
 fn main() {
     let width: u32 = std::env::args()
@@ -33,7 +61,7 @@ fn main() {
     let adder = adder_fu(width);
     let mult = multiplier_fu(width);
 
-    let mut run = |name: String, locked: lockbind_locking::LockedNetlist| {
+    let mut run = |name: String, locked: LockedNetlist, sweep: Option<&Netlist>| {
         let eps = average_wrong_key_error_rate(&locked, input_bits, 24, 7);
         let analytic = if eps > 0.0 && eps < 1.0 {
             expected_sat_iterations(locked.key_bits() as u32, 1, eps)
@@ -41,15 +69,18 @@ fn main() {
             f64::NAN
         };
         let out = sat_attack(&locked, &AttackConfig::default());
-        let rq = random_query_attack(&locked, 64, 5);
+        let broken = (0..RANDOM_QUERY_SEEDS)
+            .filter(|&seed| random_query_attack(&locked, 64, seed).success)
+            .count();
         rows.push(vec![
             name,
             locked.key_bits().to_string(),
             format!("{eps:.4}"),
             format!("{analytic:.0}"),
             out.iterations.to_string(),
+            sweep.map_or("-".into(), |fu| secret_sweep(fu, input_bits)),
             if out.success { "yes" } else { "CAP" }.to_string(),
-            if rq.success { "yes" } else { "no" }.to_string(),
+            format!("{broken}/{RANDOM_QUERY_SEEDS}"),
         ]);
     };
 
@@ -60,23 +91,28 @@ fn main() {
         run(
             format!("critical-minterm adder ({n} inp.)"),
             lock_critical_minterms(&adder, &minterms).expect("lockable"),
+            (n == 1).then_some(&adder),
         );
     }
     run(
         "critical-minterm multiplier (1 inp.)".into(),
         lock_critical_minterms(&mult, &[9]).expect("lockable"),
+        Some(&mult),
     );
     run(
         "rll adder (8 key gates)".into(),
         lock_rll(&adder, 8, 42).expect("lockable"),
+        None,
     );
     run(
         "anti-sat adder".into(),
         lock_anti_sat(&adder).expect("lockable"),
+        None,
     );
     run(
         "permutation adder (2 stages)".into(),
         lock_permutation(&adder, 2).expect("lockable"),
+        None,
     );
 
     println!(
@@ -88,14 +124,16 @@ fn main() {
                 "measured eps",
                 "Eqn.1 lambda",
                 "SAT iters",
+                "all secrets: mean [min, max]",
                 "key found",
-                "random-query breaks",
+                "random-query seeds broken",
             ],
             &rows
         )
     );
     println!("Reading: low eps => many SAT iterations (resilient, little corruption);");
     println!("high eps (RLL/permutation) => broken in a handful of iterations.");
+    println!("All secrets: SAT iterations over every secret minterm (1-minterm rows).");
 
     // Per-iteration hardness: the Full-Lock-family property (Sec. V-C) is
     // that each SAT iteration gets *expensive*, independent of the count.

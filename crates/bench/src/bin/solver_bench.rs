@@ -15,7 +15,9 @@
 //!
 //! `--smoke` runs a reduced grid (width-3 operands, one repeat) and prints
 //! the deterministic verdict summary CI diffs against
-//! `results/BENCH_solver_smoke.txt`.
+//! `results/BENCH_solver_smoke.txt`. Its `clauses` column (clauses handed
+//! to the solver, miter plus oracle constraints) pins the encoding size
+//! next to the DIP and propagation counts.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -149,6 +151,7 @@ fn main() {
             m.name.to_string(),
             if m.outcome.success { "yes" } else { "no" }.to_string(),
             m.outcome.iterations.to_string(),
+            m.outcome.clauses.to_string(),
             st.conflicts.to_string(),
             st.propagations.to_string(),
             st.decisions.to_string(),
@@ -167,6 +170,7 @@ fn main() {
                 "workload",
                 "key found",
                 "DIPs",
+                "clauses",
                 "conflicts",
                 "propagations",
                 "decisions",
@@ -200,6 +204,7 @@ fn main() {
                 ("workload", Json::from(m.name)),
                 ("wall_ms", Json::Float(m.wall_ms)),
                 ("iterations", Json::UInt(m.outcome.iterations)),
+                ("clauses", Json::UInt(m.outcome.clauses)),
                 ("conflicts", Json::UInt(st.conflicts)),
                 ("propagations", Json::UInt(st.propagations)),
                 ("decisions", Json::UInt(st.decisions)),

@@ -21,8 +21,11 @@ use lockbind_obs as obs;
 use lockbind_obs::json::{self, Json};
 
 /// Checkpoint file schema version (the `"schema"` header field). Schema 1
-/// stored payloads as delimited strings; schema 2 embeds JSON records.
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+/// stored payloads as delimited strings; later schemas embed JSON records.
+/// Bump it whenever a job's output for an unchanged cell changes (schema 3:
+/// SAT-attack records), so a resume never splices records of two builds
+/// into one result.
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
 /// Content fingerprint of a grid: FNV-1a over the root seed, the cell
 /// count, and every length-prefixed cell label. Two grids resume-compatible
@@ -436,7 +439,8 @@ mod tests {
             .expect("append");
         drop(writer);
         let text = std::fs::read_to_string(&path).expect("read");
-        assert!(text.starts_with("{\"schema\":2,"), "{text}");
+        let header = format!("{{\"schema\":{CHECKPOINT_SCHEMA},");
+        assert!(text.starts_with(&header), "{text}");
         assert!(!text.contains('\x1e'), "old records survived: {text}");
         let entries = load(&path, fp).expect("load");
         assert_eq!(entries.len(), 1);
@@ -444,5 +448,27 @@ mod tests {
             (entries[0].cell, &entries[0].payload),
             (1, &Json::from("new"))
         );
+    }
+
+    #[test]
+    fn checkpoint_with_other_sat_results_is_ignored_and_rewritten() {
+        // A schema-2 file with the right fingerprint holds a SAT-attack
+        // record whose counts this build no longer produces. Resuming must
+        // not splice it in: loading rejects it and the writer starts over.
+        let path = temp_path("schema-2");
+        let fp = fingerprint(5, &labels(2));
+        let old = format!(
+            "{{\"schema\":2,\"fingerprint\":{fp},\"root_seed\":5,\"cells\":2}}\n\
+             {{\"cell\":0,\"label\":\"cell/0\",\"payload\":{{\"sat\":{{\"iterations\":23,\"conflicts\":192}}}}}}\n"
+        );
+        std::fs::write(&path, old).expect("write");
+        let err = load(&path, fp).unwrap_err();
+        assert!(err.contains("schema"), "{err}");
+        let writer = CheckpointWriter::open(&path, fp, 5, 2, true).expect("reopen");
+        assert!(!writer.appended(), "a schema-2 file must be rewritten");
+        drop(writer);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(!text.contains("\"sat\""), "old records survived: {text}");
+        assert!(load(&path, fp).expect("load").is_empty());
     }
 }

@@ -6,6 +6,11 @@
 //! into one [`Cnf`] with different input/key literal vectors — exactly what
 //! the SAT attack's miter construction needs (two copies sharing inputs but
 //! with independent keys).
+//!
+//! Two encoders share the gate clauses: [`encode_netlist`] encodes every
+//! gate over symbolic inputs (the miter), and [`constrain_io`] encodes one
+//! oracle observation — known inputs, observed outputs — folding the known
+//! inputs through the netlist so only the key-dependent logic is encoded.
 
 use crate::{Gate, Netlist};
 
@@ -132,31 +137,9 @@ pub fn encode_netlist_with_map(
             Gate::Input(i) => input_lits[i],
             Gate::Key(i) => key_lits[i],
             Gate::Not(a) => -lit_of[a.index()],
-            Gate::And(a, b) => {
-                let (x, y) = (lit_of[a.index()], lit_of[b.index()]);
-                let c = cnf.new_var();
-                cnf.add_clause([-c, x]);
-                cnf.add_clause([-c, y]);
-                cnf.add_clause([c, -x, -y]);
-                c
-            }
-            Gate::Or(a, b) => {
-                let (x, y) = (lit_of[a.index()], lit_of[b.index()]);
-                let c = cnf.new_var();
-                cnf.add_clause([c, -x]);
-                cnf.add_clause([c, -y]);
-                cnf.add_clause([-c, x, y]);
-                c
-            }
-            Gate::Xor(a, b) => {
-                let (x, y) = (lit_of[a.index()], lit_of[b.index()]);
-                let c = cnf.new_var();
-                cnf.add_clause([-c, x, y]);
-                cnf.add_clause([-c, -x, -y]);
-                cnf.add_clause([c, -x, y]);
-                cnf.add_clause([c, x, -y]);
-                c
-            }
+            Gate::And(a, b) => and_gate(cnf, lit_of[a.index()], lit_of[b.index()]),
+            Gate::Or(a, b) => or_gate(cnf, lit_of[a.index()], lit_of[b.index()]),
+            Gate::Xor(a, b) => xor_gate(cnf, lit_of[a.index()], lit_of[b.index()]),
         };
         lit_of.push(lit);
     }
@@ -166,6 +149,121 @@ pub fn encode_netlist_with_map(
         .map(|s| lit_of[s.index()])
         .collect();
     (outputs, lit_of)
+}
+
+/// A net of a netlist whose primary inputs are known: settled to a
+/// constant, or still a function of the key (a literal).
+#[derive(Debug, Clone, Copy)]
+enum Net {
+    Const(bool),
+    Lit(i32),
+}
+
+/// Forces one instantiation of `netlist`, keyed by `key_lits`, to map the
+/// known primary `inputs` to the observed `outputs` — the oracle constraint
+/// of the SAT attack.
+///
+/// One walk over the gate array carries each net as a constant or a
+/// literal and folds constants through every gate (`AND(x,1)=x`,
+/// `AND(x,0)=0`, `OR(x,0)=x`, `OR(x,1)=1`, `XOR(x,c)=±x`, `NOT`). A
+/// variable and its Tseitin clauses are emitted only where both operands
+/// still depend on the key. Each output is then pinned: a unit clause on a
+/// literal output, nothing on an agreeing constant, and an unsatisfiable
+/// pair on a disagreeing constant. The key assignments admitted are
+/// exactly those [`encode_netlist`] admits with the inputs and outputs
+/// pinned.
+///
+/// # Panics
+/// Panics if `inputs`, `key_lits` or `outputs` do not match the netlist's
+/// arities.
+pub fn constrain_io(
+    netlist: &Netlist,
+    cnf: &mut Cnf,
+    inputs: &[bool],
+    key_lits: &[i32],
+    outputs: &[bool],
+) {
+    assert_eq!(inputs.len(), netlist.num_inputs(), "input count mismatch");
+    assert_eq!(
+        key_lits.len(),
+        netlist.num_keys(),
+        "key literal count mismatch"
+    );
+    assert_eq!(
+        outputs.len(),
+        netlist.num_outputs(),
+        "output count mismatch"
+    );
+
+    let mut nets: Vec<Net> = Vec::with_capacity(netlist.num_nodes());
+    for (_, gate) in netlist.iter_gates() {
+        let net = match gate {
+            Gate::False => Net::Const(false),
+            Gate::Input(i) => Net::Const(inputs[i]),
+            Gate::Key(i) => Net::Lit(key_lits[i]),
+            Gate::Not(a) => match nets[a.index()] {
+                Net::Const(c) => Net::Const(!c),
+                Net::Lit(x) => Net::Lit(-x),
+            },
+            Gate::And(a, b) => match (nets[a.index()], nets[b.index()]) {
+                (Net::Const(false), _) | (_, Net::Const(false)) => Net::Const(false),
+                (Net::Const(true), n) | (n, Net::Const(true)) => n,
+                (Net::Lit(x), Net::Lit(y)) => Net::Lit(and_gate(cnf, x, y)),
+            },
+            Gate::Or(a, b) => match (nets[a.index()], nets[b.index()]) {
+                (Net::Const(true), _) | (_, Net::Const(true)) => Net::Const(true),
+                (Net::Const(false), n) | (n, Net::Const(false)) => n,
+                (Net::Lit(x), Net::Lit(y)) => Net::Lit(or_gate(cnf, x, y)),
+            },
+            Gate::Xor(a, b) => match (nets[a.index()], nets[b.index()]) {
+                (Net::Const(c), Net::Const(d)) => Net::Const(c != d),
+                (Net::Const(c), Net::Lit(x)) | (Net::Lit(x), Net::Const(c)) => {
+                    Net::Lit(if c { -x } else { x })
+                }
+                (Net::Lit(x), Net::Lit(y)) => Net::Lit(xor_gate(cnf, x, y)),
+            },
+        };
+        nets.push(net);
+    }
+    for (s, &want) in netlist.outputs().iter().zip(outputs) {
+        match nets[s.index()] {
+            Net::Lit(l) => cnf.add_clause([if want { l } else { -l }]),
+            Net::Const(c) if c == want => {}
+            Net::Const(_) => {
+                let v = cnf.new_var();
+                cnf.add_clause([v]);
+                cnf.add_clause([-v]);
+            }
+        }
+    }
+}
+
+/// Emits `c <-> x AND y` for a fresh `c` and returns `c`.
+fn and_gate(cnf: &mut Cnf, x: i32, y: i32) -> i32 {
+    let c = cnf.new_var();
+    cnf.add_clause([-c, x]);
+    cnf.add_clause([-c, y]);
+    cnf.add_clause([c, -x, -y]);
+    c
+}
+
+/// Emits `c <-> x OR y` for a fresh `c` and returns `c`.
+fn or_gate(cnf: &mut Cnf, x: i32, y: i32) -> i32 {
+    let c = cnf.new_var();
+    cnf.add_clause([c, -x]);
+    cnf.add_clause([c, -y]);
+    cnf.add_clause([-c, x, y]);
+    c
+}
+
+/// Emits `c <-> x XOR y` for a fresh `c` and returns `c`.
+fn xor_gate(cnf: &mut Cnf, x: i32, y: i32) -> i32 {
+    let c = cnf.new_var();
+    cnf.add_clause([-c, x, y]);
+    cnf.add_clause([-c, -x, -y]);
+    cnf.add_clause([c, -x, y]);
+    cnf.add_clause([c, x, -y]);
+    c
 }
 
 #[cfg(test)]
@@ -312,6 +410,48 @@ mod tests {
         let mut cnf = Cnf::new();
         let _ = cnf.new_var();
         cnf.add_clause([0]);
+    }
+
+    #[test]
+    fn keyless_observation_emits_no_variables() {
+        // With every input known and no key, the whole adder folds to
+        // constants: an agreeing observation adds nothing to the formula.
+        let nl = adder_fu(3);
+        let mut cnf = Cnf::new();
+        let in_bits = [true, false, true, true, true, false]; // 5 + 3
+        let sum = nl.eval(&in_bits, &[]).expect("ok");
+        constrain_io(&nl, &mut cnf, &in_bits, &[], &sum);
+        assert_eq!(cnf.num_vars(), 0);
+        assert!(cnf.clauses().is_empty());
+    }
+
+    #[test]
+    fn disagreeing_constant_output_is_an_unsatisfiable_pair() {
+        let nl = adder_fu(3);
+        let mut cnf = Cnf::new();
+        let in_bits = [false; 6];
+        constrain_io(&nl, &mut cnf, &in_bits, &[], &[true, false, false]);
+        assert_eq!(cnf.num_vars(), 1);
+        assert_eq!(cnf.clauses(), &[vec![1], vec![-1]]);
+    }
+
+    #[test]
+    fn key_dependent_cone_alone_is_encoded() {
+        // out = (a AND k0) XOR (b OR k1): with a=1, b=0 it folds to
+        // k0 XOR k1 — one XOR variable and a unit clause pinning it.
+        let mut nl = Netlist::new("cone");
+        let (a, b) = (nl.add_input(), nl.add_input());
+        let (k0, k1) = (nl.add_key(), nl.add_key());
+        let l = nl.and(a, k0);
+        let r = nl.or(b, k1);
+        let o = nl.xor(l, r);
+        nl.mark_output(o);
+        let mut cnf = Cnf::new();
+        let keys = cnf.new_vars(2);
+        constrain_io(&nl, &mut cnf, &[true, false], &keys, &[true]);
+        assert_eq!(cnf.num_vars(), 3);
+        assert_eq!(cnf.clauses().len(), 5);
+        assert_eq!(cnf.clauses().last(), Some(&vec![3]));
     }
 
     #[test]

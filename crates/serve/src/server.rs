@@ -332,11 +332,12 @@ impl ServerHandle {
 
 /// Fingerprint binding a durable segment to the response format that
 /// wrote it: FNV-1a over the crate version plus a format tag. Bumping
-/// the crate (or the tag, on any response-shape change) sets stale
-/// stores aside on open instead of replaying bytes from old code.
+/// the crate (or the tag, on any change to response shape or content)
+/// sets stale stores aside on open instead of replaying bytes from old
+/// code.
 fn response_cache_fingerprint() -> u64 {
     let tag = concat!(
-        "lockbind-serve response-cache v1 ",
+        "lockbind-serve response-cache v2 ",
         env!("CARGO_PKG_VERSION")
     );
     let mut hash = 0xCBF2_9CE4_8422_2325u64;

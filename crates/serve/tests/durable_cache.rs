@@ -5,10 +5,12 @@
 use std::path::Path;
 use std::time::Duration;
 
+use lockbind_durable::{SegmentStore, StoreConfig};
 use lockbind_obs::Json;
 use lockbind_serve::client::{response_status, ServeClient};
+use lockbind_serve::proto::decode_request;
 use lockbind_serve::server::{start, ServerConfig};
-use lockbind_serve::status;
+use lockbind_serve::{status, RequestKind};
 
 fn cache_server(dir: &Path) -> lockbind_serve::ServerHandle {
     start(ServerConfig {
@@ -118,5 +120,74 @@ fn warm_restart_replays_byte_identical_responses() {
         );
         assert_eq!(handle.drain_and_join().dropped, 0);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fingerprint of the previous response format (tag `v1`): FNV-1a
+/// over the tag and the crate version, as the daemon computes it.
+fn v1_fingerprint() -> u64 {
+    let tag = concat!(
+        "lockbind-serve response-cache v1 ",
+        env!("CARGO_PKG_VERSION")
+    );
+    tag.bytes().fold(0xCBF2_9CE4_8422_2325u64, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn a_segment_written_under_the_previous_format_is_set_aside() {
+    const SAT: &str = r#"{"id":12,"kind":"sat_attack","params":{"scheme":"rll","width":3}}"#;
+    // The body the previous format returned for this request.
+    const OLD_BODY: &str = r#"O{"scheme":"rll","key_bits":6,"iterations":3,"success":true,"conflicts":67,"propagations":1716,"gc_runs":0}"#;
+    let dir = std::env::temp_dir().join(format!("lockbind-durable-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let (mut store, _) = SegmentStore::open(
+            &dir,
+            StoreConfig {
+                fingerprint: v1_fingerprint(),
+                ..StoreConfig::default()
+            },
+        )
+        .expect("opens under v1");
+        let RequestKind::Work(work) = decode_request(&req(SAT), false).expect("decodes").kind
+        else {
+            panic!("sat_attack is engine work");
+        };
+        store
+            .append(work.cache_key().as_bytes(), OLD_BODY.as_bytes())
+            .expect("appends");
+    }
+
+    let fresh = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let fresh_bytes = client_for(&fresh).call(&req(SAT)).expect("fresh call").raw;
+    assert_eq!(fresh.drain_and_join().dropped, 0);
+
+    let handle = cache_server(&dir);
+    let recovery = handle.durable_recovery().expect("durable enabled");
+    assert!(
+        recovery.contains("stale segment set aside") && recovery.contains("fingerprint"),
+        "{recovery}"
+    );
+    assert!(
+        dir.join("cache.seg.stale").exists(),
+        "old segment kept aside"
+    );
+    let mut client = client_for(&handle);
+    let outcome = client.call(&req(SAT)).expect("upgraded call");
+    assert_eq!(response_status(&outcome.response), status::OK);
+    assert_eq!(outcome.raw, fresh_bytes, "answers like a fresh daemon");
+    assert_eq!(
+        handle.durable_counts(),
+        Some((0, 1)),
+        "recomputed, not replayed"
+    );
+    assert_eq!(handle.drain_and_join().dropped, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
