@@ -55,5 +55,5 @@ mod verify;
 
 pub use approximate::{approximate_sat_attack, ApproximateOutcome};
 pub use random_query::{random_query_attack, RandomQueryOutcome};
-pub use sat_attack::{sat_attack, AttackConfig, AttackStop, SatAttackOutcome};
+pub use sat_attack::{sat_attack, secret_sweep, AttackConfig, AttackStop, SatAttackOutcome};
 pub use verify::is_functionally_correct;

@@ -1,7 +1,8 @@
 //! The oracle-guided SAT attack (DIP loop).
 
-use lockbind_locking::LockedNetlist;
+use lockbind_locking::{lock_critical_minterms, LockedNetlist};
 use lockbind_netlist::cnf::{constrain_io, encode_netlist, Cnf};
+use lockbind_netlist::Netlist;
 use lockbind_obs as obs;
 use lockbind_resil::CancelToken;
 use lockbind_sat::{SolveResult, Solver, SolverStats};
@@ -331,10 +332,28 @@ pub fn sat_attack(locked: &LockedNetlist, config: &AttackConfig) -> SatAttackOut
     }
 }
 
+/// SAT-attack iterations against every 1-minterm critical-minterm lock of
+/// `fu`, one per secret minterm of its input space, in minterm order:
+/// resilience as a distribution over secrets (Eqn. 1 is an expectation)
+/// rather than one sample.
+///
+/// # Panics
+/// Panics if an attack does not recover its key.
+pub fn secret_sweep(fu: &Netlist) -> Vec<u64> {
+    (0..1u64 << fu.num_inputs())
+        .map(|secret| {
+            let locked = lock_critical_minterms(fu, &[secret]).expect("lockable");
+            let out = sat_attack(&locked, &AttackConfig::default());
+            assert!(out.success, "secret {secret}: key not recovered");
+            out.iterations
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockbind_locking::{lock_anti_sat, lock_critical_minterms, lock_permutation, lock_rll};
+    use lockbind_locking::{lock_anti_sat, lock_permutation, lock_rll};
     use lockbind_netlist::builders::{adder_fu, multiplier_fu, xor_fu};
 
     #[test]

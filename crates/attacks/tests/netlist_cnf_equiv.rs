@@ -4,7 +4,7 @@
 //! the keys the full encoding admits.
 
 use lockbind_netlist::cnf::{constrain_io, encode_netlist, Cnf};
-use lockbind_netlist::{Netlist, Signal};
+use lockbind_netlist::{Gate, Netlist, Signal};
 use lockbind_sat::{SolveResult, Solver};
 use proptest::prelude::*;
 
@@ -89,6 +89,56 @@ fn sat_under_key(cnf: &Cnf, key_lits: &[i32], key: &[bool]) -> bool {
     }
 }
 
+/// The variables the full-Tseitin fold allocates for one observation: one
+/// per gate both of whose operands still depend on the key once the known
+/// inputs are folded through, plus one per output settled to a constant
+/// that disagrees with the observation (its unsatisfiable pair).
+fn tseitin_fold_vars(nl: &Netlist, in_bits: &[bool], observed: &[bool]) -> u32 {
+    // `None`: the net still depends on the key.
+    let mut known: Vec<Option<bool>> = Vec::with_capacity(nl.num_nodes());
+    let mut vars = 0;
+    for (_, gate) in nl.iter_gates() {
+        let net = match gate {
+            Gate::False => Some(false),
+            Gate::Input(i) => Some(in_bits[i]),
+            Gate::Key(_) => None,
+            Gate::Not(a) => known[a.index()].map(|c| !c),
+            Gate::And(a, b) => match (known[a.index()], known[b.index()]) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), n) | (n, Some(true)) => n,
+                (None, None) => {
+                    vars += 1;
+                    None
+                }
+            },
+            Gate::Or(a, b) => match (known[a.index()], known[b.index()]) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), n) | (n, Some(false)) => n,
+                (None, None) => {
+                    vars += 1;
+                    None
+                }
+            },
+            Gate::Xor(a, b) => match (known[a.index()], known[b.index()]) {
+                (Some(c), Some(d)) => Some(c != d),
+                (None, None) => {
+                    vars += 1;
+                    None
+                }
+                _ => None,
+            },
+        };
+        known.push(net);
+    }
+    let disagreeing = nl
+        .outputs()
+        .iter()
+        .zip(observed)
+        .filter(|(s, &y)| known[s.index()] == Some(!y))
+        .count();
+    vars + disagreeing as u32
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -134,6 +184,28 @@ proptest! {
             let sim = nl.eval(&in_bits, &key).expect("arity");
             prop_assert_eq!(admitted, sim == observed, "key {:#b}", word);
         }
+    }
+
+    /// The pinned-polarity constraint never allocates more variables than
+    /// the fold that Tseitin-encodes every gate with two key-dependent
+    /// operands.
+    #[test]
+    fn constraint_allocates_no_more_variables_than_the_fold(
+        nl in keyed_netlist_strategy(),
+        stim in any::<u64>(),
+        key0 in any::<u64>(),
+        flip in 0..4u64,
+    ) {
+        let in_bits = bits(stim, nl.num_inputs());
+        let mut observed = nl.eval(&in_bits, &bits(key0, nl.num_keys())).expect("arity");
+        for (i, o) in observed.iter_mut().enumerate() {
+            *o ^= (flip >> i) & 1 == 1;
+        }
+        let mut cnf = Cnf::new();
+        let keys = cnf.new_vars(nl.num_keys());
+        constrain_io(&nl, &mut cnf, &in_bits, &keys, &observed);
+        let fresh = cnf.num_vars() - nl.num_keys() as u32;
+        prop_assert!(fresh <= tseitin_fold_vars(&nl, &in_bits, &observed));
     }
 
     /// An output that the known inputs settle to a constant, observed with

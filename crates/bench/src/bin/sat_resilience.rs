@@ -15,7 +15,7 @@
 //! Usage: `cargo run -p lockbind-bench --release --bin sat_resilience [width]`
 //! (default operand width 3 bits keeps full attacks under a second each).
 
-use lockbind_attacks::{random_query_attack, sat_attack, AttackConfig};
+use lockbind_attacks::{random_query_attack, sat_attack, secret_sweep, AttackConfig};
 use lockbind_bench::report::render_table;
 use lockbind_locking::corruption::average_wrong_key_error_rate;
 use lockbind_locking::{
@@ -29,17 +29,9 @@ use lockbind_netlist::Netlist;
 const RANDOM_QUERY_SEEDS: u64 = 8;
 
 /// SAT iterations over every 1-minterm critical-minterm lock of `fu` (one
-/// per secret minterm of its `input_bits`-bit input space), rendered as
-/// `mean [min, max]`.
-fn secret_sweep(fu: &Netlist, input_bits: u32) -> String {
-    let iterations: Vec<u64> = (0..1u64 << input_bits)
-        .map(|secret| {
-            let locked = lock_critical_minterms(fu, &[secret]).expect("lockable");
-            let out = sat_attack(&locked, &AttackConfig::default());
-            assert!(out.success, "secret {secret}: key not recovered");
-            out.iterations
-        })
-        .collect();
+/// per secret minterm of its input space), rendered as `mean [min, max]`.
+fn render_sweep(fu: &Netlist) -> String {
+    let iterations = secret_sweep(fu);
     let mean = iterations.iter().sum::<u64>() as f64 / iterations.len() as f64;
     let min = iterations.iter().min().expect("nonempty");
     let max = iterations.iter().max().expect("nonempty");
@@ -78,7 +70,7 @@ fn main() {
             format!("{eps:.4}"),
             format!("{analytic:.0}"),
             out.iterations.to_string(),
-            sweep.map_or("-".into(), |fu| secret_sweep(fu, input_bits)),
+            sweep.map_or("-".into(), render_sweep),
             if out.success { "yes" } else { "CAP" }.to_string(),
             format!("{broken}/{RANDOM_QUERY_SEEDS}"),
         ]);

@@ -22,10 +22,10 @@ use lockbind_obs::json::{self, Json};
 
 /// Checkpoint file schema version (the `"schema"` header field). Schema 1
 /// stored payloads as delimited strings; later schemas embed JSON records.
-/// Bump it whenever a job's output for an unchanged cell changes (schema 3:
-/// SAT-attack records), so a resume never splices records of two builds
-/// into one result.
-pub const CHECKPOINT_SCHEMA: u64 = 3;
+/// Bump it whenever a job's output for an unchanged cell changes (schemas 3
+/// and 4: SAT-attack records), so a resume never splices records of two
+/// builds into one result.
+pub const CHECKPOINT_SCHEMA: u64 = 4;
 
 /// Content fingerprint of a grid: FNV-1a over the root seed, the cell
 /// count, and every length-prefixed cell label. Two grids resume-compatible
@@ -452,20 +452,33 @@ mod tests {
 
     #[test]
     fn checkpoint_with_other_sat_results_is_ignored_and_rewritten() {
-        // A schema-2 file with the right fingerprint holds a SAT-attack
-        // record whose counts this build no longer produces. Resuming must
-        // not splice it in: loading rejects it and the writer starts over.
-        let path = temp_path("schema-2");
+        old_sat_checkpoint_is_ignored_and_rewritten(2, 23, 192);
+    }
+
+    #[test]
+    fn schema_three_sat_checkpoint_is_ignored_and_rewritten() {
+        old_sat_checkpoint_is_ignored_and_rewritten(3, 19, 188);
+    }
+
+    /// A file of an older `schema` with the right fingerprint holds a
+    /// SAT-attack record whose counts this build no longer produces.
+    /// Resuming must not splice it in: loading rejects it and the writer
+    /// starts over.
+    fn old_sat_checkpoint_is_ignored_and_rewritten(schema: u64, iterations: u64, conflicts: u64) {
+        let path = temp_path(&format!("schema-{schema}"));
         let fp = fingerprint(5, &labels(2));
         let old = format!(
-            "{{\"schema\":2,\"fingerprint\":{fp},\"root_seed\":5,\"cells\":2}}\n\
-             {{\"cell\":0,\"label\":\"cell/0\",\"payload\":{{\"sat\":{{\"iterations\":23,\"conflicts\":192}}}}}}\n"
+            "{{\"schema\":{schema},\"fingerprint\":{fp},\"root_seed\":5,\"cells\":2}}\n\
+             {{\"cell\":0,\"label\":\"cell/0\",\"payload\":{{\"sat\":{{\"iterations\":{iterations},\"conflicts\":{conflicts}}}}}}}\n"
         );
         std::fs::write(&path, old).expect("write");
         let err = load(&path, fp).unwrap_err();
         assert!(err.contains("schema"), "{err}");
         let writer = CheckpointWriter::open(&path, fp, 5, 2, true).expect("reopen");
-        assert!(!writer.appended(), "a schema-2 file must be rewritten");
+        assert!(
+            !writer.appended(),
+            "a schema-{schema} file must be rewritten"
+        );
         drop(writer);
         let text = std::fs::read_to_string(&path).expect("read");
         assert!(!text.contains("\"sat\""), "old records survived: {text}");

@@ -7,12 +7,14 @@
 //! the SAT attack's miter construction needs (two copies sharing inputs but
 //! with independent keys).
 //!
-//! Two encoders share the gate clauses: [`encode_netlist`] encodes every
-//! gate over symbolic inputs (the miter), and [`constrain_io`] encodes one
-//! oracle observation — known inputs, observed outputs — folding the known
-//! inputs through the netlist so only the key-dependent logic is encoded.
+//! Two encoders: [`encode_netlist`] Tseitin-encodes every gate over
+//! symbolic inputs (the miter), and [`constrain_io`] encodes one oracle
+//! observation — known inputs, observed outputs — by folding the known
+//! inputs through the netlist and pushing the observed values down the
+//! key-dependent cone, so a pinned chain of ANDs or ORs becomes clauses
+//! over key literals (polarity-aware, Plaisted–Greenbaum style).
 
-use crate::{Gate, Netlist};
+use crate::{Gate, Netlist, Signal};
 
 /// A CNF formula under construction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -152,26 +154,185 @@ pub fn encode_netlist_with_map(
 }
 
 /// A net of a netlist whose primary inputs are known: settled to a
-/// constant, or still a function of the key (a literal).
+/// constant, or still a function of the key. A key-dependent net follows
+/// one key-dependent node (a key input, or a gate both of whose operands
+/// depend on the key), inverted when `inv` is set.
 #[derive(Debug, Clone, Copy)]
 enum Net {
     Const(bool),
-    Lit(i32),
+    Dep { node: usize, inv: bool },
+}
+
+/// Per-node memo of [`constrain_io`]'s second step.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeMemo {
+    /// Operand slots of key-dependent gates that read this node.
+    readers: u32,
+    /// The node's variable; 0 until a clause needs a literal for it.
+    var: i32,
+    /// `defined[v]`: the clauses by which `var = v` implies node value `v`
+    /// are emitted.
+    defined: [bool; 2],
+    /// `required[v]`: the node is already forced to value `v`.
+    required: [bool; 2],
+}
+
+/// Pushes required output values down the folded cone of one observation.
+struct Pinner<'a> {
+    netlist: &'a Netlist,
+    cnf: &'a mut Cnf,
+    key_lits: &'a [i32],
+    nets: Vec<Net>,
+    memo: Vec<NodeMemo>,
+}
+
+/// `l` if `v`, else `-l`.
+fn signed(l: i32, v: bool) -> i32 {
+    if v {
+        l
+    } else {
+        -l
+    }
+}
+
+/// Whether an AND/OR gate at value `v` needs all of its operands at `v`
+/// (AND true, OR false) rather than any one of them (AND false, OR true).
+fn needs_all(gate: Gate, v: bool) -> bool {
+    matches!(gate, Gate::And(..)) == v
+}
+
+impl Pinner<'_> {
+    fn gate(&self, node: usize) -> Gate {
+        self.netlist.gate(Signal(node as u32))
+    }
+
+    /// The key-dependent node behind operand `s` of a key-dependent gate,
+    /// and the value it needs for the operand to be `v`.
+    fn operand(&self, s: Signal, v: bool) -> (usize, bool) {
+        match self.nets[s.index()] {
+            Net::Dep { node, inv } => (node, v != inv),
+            Net::Const(_) => unreachable!("operands of a key-dependent gate depend on the key"),
+        }
+    }
+
+    /// Forces `node` to `v`, with no variable for `node` itself unless it
+    /// is an XOR: a key input becomes a unit clause, an "all operands"
+    /// gate requires each operand, and an "any operand" gate becomes one
+    /// clause over its leaves.
+    fn require(&mut self, node: usize, v: bool) {
+        if std::mem::replace(&mut self.memo[node].required[v as usize], true) {
+            return;
+        }
+        match self.gate(node) {
+            Gate::Key(i) => self.cnf.add_clause([signed(self.key_lits[i], v)]),
+            gate @ (Gate::And(a, b) | Gate::Or(a, b)) if needs_all(gate, v) => {
+                for s in [a, b] {
+                    let (m, u) = self.operand(s, v);
+                    self.require(m, u);
+                }
+            }
+            Gate::And(..) | Gate::Or(..) => {
+                let mut clause = Vec::new();
+                self.gather(node, v, &mut clause);
+                self.cnf.add_clause(clause);
+            }
+            _ => {
+                let l = self.lit(node, v);
+                self.cnf.add_clause([l]);
+            }
+        }
+    }
+
+    /// Appends one literal per leaf of the AND/OR `node` at value `v`: an
+    /// operand gate of the same kind (both "all" or both "any") whose
+    /// only reader is `node` is expanded in place, so its clauses merge
+    /// into `node`'s and the clause count cannot grow; any other operand
+    /// contributes its [`Pinner::lit`].
+    fn gather(&mut self, node: usize, v: bool, out: &mut Vec<i32>) {
+        let gate = self.gate(node);
+        let (Gate::And(a, b) | Gate::Or(a, b)) = gate else {
+            unreachable!("only AND/OR gates have leaves")
+        };
+        for s in [a, b] {
+            let (m, u) = self.operand(s, v);
+            let child = self.gate(m);
+            if self.memo[m].readers == 1
+                && matches!(child, Gate::And(..) | Gate::Or(..))
+                && needs_all(child, u) == needs_all(gate, v)
+            {
+                self.gather(m, u, out);
+            } else {
+                out.push(self.lit(m, u));
+            }
+        }
+    }
+
+    /// A literal that implies `node = v`: the key literal of a key input,
+    /// else the node's variable, whose implication clauses for polarity
+    /// `v` (Plaisted–Greenbaum) are emitted on first use, before the
+    /// literal is returned. XOR needs both polarities of its operands and
+    /// gets the full Tseitin definition.
+    fn lit(&mut self, node: usize, v: bool) -> i32 {
+        let gate = self.gate(node);
+        if let Gate::Key(i) = gate {
+            return signed(self.key_lits[i], v);
+        }
+        if !std::mem::replace(&mut self.memo[node].defined[v as usize], true) {
+            if let Gate::Xor(a, b) = gate {
+                let (x, y) = (self.both(a), self.both(b));
+                self.memo[node].defined = [true; 2];
+                self.memo[node].var = xor_gate(self.cnf, x, y);
+            } else {
+                let mut leaves = Vec::new();
+                self.gather(node, v, &mut leaves);
+                if self.memo[node].var == 0 {
+                    self.memo[node].var = self.cnf.new_var();
+                }
+                let guard = signed(-self.memo[node].var, v);
+                if needs_all(gate, v) {
+                    for l in leaves {
+                        self.cnf.add_clause([guard, l]);
+                    }
+                } else {
+                    leaves.insert(0, guard);
+                    self.cnf.add_clause(leaves);
+                }
+            }
+        }
+        signed(self.memo[node].var, v)
+    }
+
+    /// A literal equivalent to operand `s` of an XOR: its node defined in
+    /// both polarities.
+    fn both(&mut self, s: Signal) -> i32 {
+        let (m, u) = self.operand(s, true);
+        let l = self.lit(m, u);
+        self.lit(m, !u);
+        l
+    }
 }
 
 /// Forces one instantiation of `netlist`, keyed by `key_lits`, to map the
 /// known primary `inputs` to the observed `outputs` — the oracle constraint
 /// of the SAT attack.
 ///
-/// One walk over the gate array carries each net as a constant or a
-/// literal and folds constants through every gate (`AND(x,1)=x`,
-/// `AND(x,0)=0`, `OR(x,0)=x`, `OR(x,1)=1`, `XOR(x,c)=±x`, `NOT`). A
-/// variable and its Tseitin clauses are emitted only where both operands
-/// still depend on the key. Each output is then pinned: a unit clause on a
-/// literal output, nothing on an agreeing constant, and an unsatisfiable
-/// pair on a disagreeing constant. The key assignments admitted are
-/// exactly those [`encode_netlist`] admits with the inputs and outputs
-/// pinned.
+/// Two steps. First, one walk over the gate array folds the known inputs
+/// through every gate (`AND(x,1)=x`, `AND(x,0)=0`, `OR(x,0)=x`,
+/// `OR(x,1)=1`, `XOR(x,c)=±x`, `NOT`) and emits nothing: each net becomes
+/// a constant or a possibly inverted key-dependent node. Second, each
+/// observed value is pushed down its output's cone. A key input gets a
+/// unit clause; an AND required true (OR required false) requires each
+/// operand; an AND required false (OR required true) becomes one clause
+/// over its leaves. A gate inside such a clause gets one variable, and
+/// only the implications for the polarity it is reached in are emitted;
+/// XOR gets the full Tseitin clauses. An output settled to a constant
+/// emits nothing when it agrees and an unsatisfiable pair when it does
+/// not. Every clause holds when each variable carries its node's value,
+/// and every literal implies its node's value, so the key assignments
+/// admitted are exactly those [`encode_netlist`] admits with the inputs
+/// and outputs pinned. Variables go only to gates both of whose operands
+/// depend on the key, and the clause order is fixed by the netlist and
+/// the observation alone.
 ///
 /// # Panics
 /// Panics if `inputs`, `key_lits` or `outputs` do not match the netlist's
@@ -196,43 +357,71 @@ pub fn constrain_io(
     );
 
     let mut nets: Vec<Net> = Vec::with_capacity(netlist.num_nodes());
-    for (_, gate) in netlist.iter_gates() {
+    let mut memo = vec![NodeMemo::default(); netlist.num_nodes()];
+    let mut read_both = |x: usize, y: usize| {
+        memo[x].readers += 1;
+        memo[y].readers += 1;
+    };
+    for (s, gate) in netlist.iter_gates() {
+        let dep = Net::Dep {
+            node: s.index(),
+            inv: false,
+        };
         let net = match gate {
             Gate::False => Net::Const(false),
             Gate::Input(i) => Net::Const(inputs[i]),
-            Gate::Key(i) => Net::Lit(key_lits[i]),
+            Gate::Key(_) => dep,
             Gate::Not(a) => match nets[a.index()] {
                 Net::Const(c) => Net::Const(!c),
-                Net::Lit(x) => Net::Lit(-x),
+                Net::Dep { node, inv } => Net::Dep { node, inv: !inv },
             },
             Gate::And(a, b) => match (nets[a.index()], nets[b.index()]) {
                 (Net::Const(false), _) | (_, Net::Const(false)) => Net::Const(false),
                 (Net::Const(true), n) | (n, Net::Const(true)) => n,
-                (Net::Lit(x), Net::Lit(y)) => Net::Lit(and_gate(cnf, x, y)),
+                (Net::Dep { node: x, .. }, Net::Dep { node: y, .. }) => {
+                    read_both(x, y);
+                    dep
+                }
             },
             Gate::Or(a, b) => match (nets[a.index()], nets[b.index()]) {
                 (Net::Const(true), _) | (_, Net::Const(true)) => Net::Const(true),
                 (Net::Const(false), n) | (n, Net::Const(false)) => n,
-                (Net::Lit(x), Net::Lit(y)) => Net::Lit(or_gate(cnf, x, y)),
+                (Net::Dep { node: x, .. }, Net::Dep { node: y, .. }) => {
+                    read_both(x, y);
+                    dep
+                }
             },
             Gate::Xor(a, b) => match (nets[a.index()], nets[b.index()]) {
                 (Net::Const(c), Net::Const(d)) => Net::Const(c != d),
-                (Net::Const(c), Net::Lit(x)) | (Net::Lit(x), Net::Const(c)) => {
-                    Net::Lit(if c { -x } else { x })
+                (Net::Const(c), Net::Dep { node, inv })
+                | (Net::Dep { node, inv }, Net::Const(c)) => Net::Dep {
+                    node,
+                    inv: inv != c,
+                },
+                (Net::Dep { node: x, .. }, Net::Dep { node: y, .. }) => {
+                    read_both(x, y);
+                    dep
                 }
-                (Net::Lit(x), Net::Lit(y)) => Net::Lit(xor_gate(cnf, x, y)),
             },
         };
         nets.push(net);
     }
+
+    let mut pinner = Pinner {
+        netlist,
+        cnf,
+        key_lits,
+        nets,
+        memo,
+    };
     for (s, &want) in netlist.outputs().iter().zip(outputs) {
-        match nets[s.index()] {
-            Net::Lit(l) => cnf.add_clause([if want { l } else { -l }]),
+        match pinner.nets[s.index()] {
+            Net::Dep { node, inv } => pinner.require(node, want != inv),
             Net::Const(c) if c == want => {}
             Net::Const(_) => {
-                let v = cnf.new_var();
-                cnf.add_clause([v]);
-                cnf.add_clause([-v]);
+                let v = pinner.cnf.new_var();
+                pinner.cnf.add_clause([v]);
+                pinner.cnf.add_clause([-v]);
             }
         }
     }
@@ -452,6 +641,60 @@ mod tests {
         assert_eq!(cnf.num_vars(), 3);
         assert_eq!(cnf.clauses().len(), 5);
         assert_eq!(cnf.clauses().last(), Some(&vec![3]));
+    }
+
+    #[test]
+    fn agreeing_anti_sat_observation_is_one_clause_over_key_literals() {
+        // The Anti-SAT shape: outputs `f XOR (g(X^K1) AND NOT g(X^K2))`,
+        // `g` an AND chain. An observation agreeing with `f` requires the
+        // flip to be 0: one wide clause over K1's literals and one variable
+        // standing for `g(X^K2)`, defined by a binary clause per key bit.
+        let n = 4;
+        let mut nl = Netlist::new("anti-sat");
+        let x = nl.add_inputs(n);
+        let k1 = nl.add_keys(n);
+        let k2 = nl.add_keys(n);
+        let f = [nl.and(x[0], x[1]), nl.xor(x[2], x[3])];
+        let g = |nl: &mut Netlist, k: &[Signal]| {
+            let terms: Vec<Signal> = x.iter().zip(k).map(|(&a, &b)| nl.xor(a, b)).collect();
+            terms[1..].iter().fold(terms[0], |acc, &t| nl.and(acc, t))
+        };
+        let g1 = g(&mut nl, &k1);
+        let g2 = g(&mut nl, &k2);
+        let not_g2 = nl.not(g2);
+        let flip = nl.and(g1, not_g2);
+        for o in f {
+            let out = nl.xor(o, flip);
+            nl.mark_output(out);
+        }
+        for word in 0..1u32 << n {
+            let in_bits: Vec<bool> = (0..n).map(|i| (word >> i) & 1 == 1).collect();
+            let y = nl.eval(&in_bits, &[false; 8]).expect("ok");
+            // Two key copies in one formula, as the DIP loop adds them.
+            let mut cnf = Cnf::new();
+            for _copy in 0..2 {
+                let keys = cnf.new_vars(2 * n);
+                let clauses_before = cnf.clauses().len();
+                constrain_io(&nl, &mut cnf, &in_bits, &keys, &y);
+                let fresh = cnf.num_vars() as i32;
+                assert_eq!(fresh, keys[2 * n - 1] + 1, "one fresh variable");
+                let added = &cnf.clauses()[clauses_before..];
+                assert_eq!(added.len(), n + 1);
+                let wide: Vec<&Vec<i32>> = added.iter().filter(|c| c.len() > 2).collect();
+                assert_eq!(wide.len(), 1, "one wide clause");
+                let mut k1_lits: Vec<i32> = wide[0]
+                    .iter()
+                    .copied()
+                    .filter(|l| l.abs() != fresh)
+                    .collect();
+                k1_lits.sort_by_key(|l| l.abs());
+                let expected: Vec<i32> = (0..n)
+                    .map(|i| if in_bits[i] { keys[i] } else { -keys[i] })
+                    .collect();
+                assert_eq!(k1_lits, expected, "the clause blocks K1 = NOT X");
+                assert!(added.iter().all(|c| c.len() > 2 || c.contains(&-fresh)));
+            }
+        }
     }
 
     #[test]

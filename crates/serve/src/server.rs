@@ -337,7 +337,7 @@ impl ServerHandle {
 /// code.
 fn response_cache_fingerprint() -> u64 {
     let tag = concat!(
-        "lockbind-serve response-cache v2 ",
+        "lockbind-serve response-cache v3 ",
         env!("CARGO_PKG_VERSION")
     );
     let mut hash = 0xCBF2_9CE4_8422_2325u64;

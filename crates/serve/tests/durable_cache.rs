@@ -123,11 +123,11 @@ fn warm_restart_replays_byte_identical_responses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The fingerprint of the previous response format (tag `v1`): FNV-1a
-/// over the tag and the crate version, as the daemon computes it.
-fn v1_fingerprint() -> u64 {
-    let tag = concat!(
-        "lockbind-serve response-cache v1 ",
+/// The fingerprint of an earlier response format (tag `v1`, `v2`, ...):
+/// FNV-1a over the tag and the crate version, as the daemon computes it.
+fn fingerprint_of(version: &str) -> u64 {
+    let tag = format!(
+        "lockbind-serve response-cache {version} {}",
         env!("CARGO_PKG_VERSION")
     );
     tag.bytes().fold(0xCBF2_9CE4_8422_2325u64, |hash, byte| {
@@ -137,26 +137,47 @@ fn v1_fingerprint() -> u64 {
 
 #[test]
 fn a_segment_written_under_the_previous_format_is_set_aside() {
-    const SAT: &str = r#"{"id":12,"kind":"sat_attack","params":{"scheme":"rll","width":3}}"#;
-    // The body the previous format returned for this request.
-    const OLD_BODY: &str = r#"O{"scheme":"rll","key_bits":6,"iterations":3,"success":true,"conflicts":67,"propagations":1716,"gc_runs":0}"#;
-    let dir = std::env::temp_dir().join(format!("lockbind-durable-v1-{}", std::process::id()));
+    // The body the `v1` format returned for the request.
+    stale_segment_is_set_aside(
+        "v1",
+        r#"{"id":12,"kind":"sat_attack","params":{"scheme":"rll","width":3}}"#,
+        r#"O{"scheme":"rll","key_bits":6,"iterations":3,"success":true,"conflicts":67,"propagations":1716,"gc_runs":0}"#,
+    );
+}
+
+#[test]
+fn a_segment_written_under_the_v2_format_is_set_aside() {
+    // The body the `v2` format (Tseitin chains in every oracle
+    // constraint) returned for the request.
+    stale_segment_is_set_aside(
+        "v2",
+        r#"{"id":12,"kind":"sat_attack","params":{"scheme":"anti-sat","width":3}}"#,
+        r#"O{"scheme":"anti-sat","key_bits":12,"iterations":64,"success":true,"conflicts":200,"propagations":90872,"gc_runs":0}"#,
+    );
+}
+
+/// A store holding `old_body` for the SAT request `sat` under format
+/// `version` is set aside on open, and the request is recomputed exactly
+/// as a fresh daemon answers it.
+fn stale_segment_is_set_aside(version: &str, sat: &str, old_body: &str) {
+    let dir =
+        std::env::temp_dir().join(format!("lockbind-durable-{version}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
         let (mut store, _) = SegmentStore::open(
             &dir,
             StoreConfig {
-                fingerprint: v1_fingerprint(),
+                fingerprint: fingerprint_of(version),
                 ..StoreConfig::default()
             },
         )
-        .expect("opens under v1");
-        let RequestKind::Work(work) = decode_request(&req(SAT), false).expect("decodes").kind
+        .expect("opens under the old format");
+        let RequestKind::Work(work) = decode_request(&req(sat), false).expect("decodes").kind
         else {
             panic!("sat_attack is engine work");
         };
         store
-            .append(work.cache_key().as_bytes(), OLD_BODY.as_bytes())
+            .append(work.cache_key().as_bytes(), old_body.as_bytes())
             .expect("appends");
     }
 
@@ -166,7 +187,7 @@ fn a_segment_written_under_the_previous_format_is_set_aside() {
         ..ServerConfig::default()
     })
     .expect("server starts");
-    let fresh_bytes = client_for(&fresh).call(&req(SAT)).expect("fresh call").raw;
+    let fresh_bytes = client_for(&fresh).call(&req(sat)).expect("fresh call").raw;
     assert_eq!(fresh.drain_and_join().dropped, 0);
 
     let handle = cache_server(&dir);
@@ -180,7 +201,7 @@ fn a_segment_written_under_the_previous_format_is_set_aside() {
         "old segment kept aside"
     );
     let mut client = client_for(&handle);
-    let outcome = client.call(&req(SAT)).expect("upgraded call");
+    let outcome = client.call(&req(sat)).expect("upgraded call");
     assert_eq!(response_status(&outcome.response), status::OK);
     assert_eq!(outcome.raw, fresh_bytes, "answers like a fresh daemon");
     assert_eq!(

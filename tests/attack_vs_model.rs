@@ -32,6 +32,17 @@ fn measured_iterations_track_the_eqn1_ordering() {
         a_cml.iterations,
         a_rll.iterations
     );
+
+    // Eqn. 1 is an expectation over secrets, so the ordering must also
+    // hold for the mean over every 1-minterm lock of the adder.
+    let sweep = lockbind::attacks::secret_sweep(&adder);
+    assert_eq!(sweep.len(), 64);
+    let mean_cml = sweep.iter().sum::<u64>() as f64 / sweep.len() as f64;
+    assert!(
+        mean_cml > a_rll.iterations as f64,
+        "mean iterations over all 64 secrets must exceed RLL's: cml {mean_cml} vs rll {}",
+        a_rll.iterations
+    );
 }
 
 #[test]
