@@ -13,10 +13,14 @@
 //!
 //! Parts 1, 3, and 4 run their independent cells on the execution engine
 //! (each part keeps its own fixed frames/seed so results stay comparable
-//! with the documented deviations); `--threads` controls the pool.
+//! with the documented deviations); `--threads` controls the pool. A part
+//! with a failed or timed-out cell prints no table; the cells are listed
+//! at the end and the run exits 1.
 //!
 //! Usage: `cargo run -p lockbind-bench --release --bin ablation --
-//! [--threads N] [--json PATH] [--fail-fast]`
+//! [--threads N] [--fail-fast]`
+
+use std::process::ExitCode;
 
 use lockbind_bench::grid::cached_prepared;
 use lockbind_bench::report::render_table;
@@ -25,7 +29,7 @@ use lockbind_core::{
     bind_area_aware, bind_obfuscation_aware, bind_power_aware, bind_random,
     expected_application_errors, LockingSpec,
 };
-use lockbind_engine::{Engine, EngineArgs, Job, JobCtx};
+use lockbind_engine::{failure_list, Engine, EngineArgs, Job, JobCtx};
 use lockbind_hls::metrics::{register_count, register_lower_bound, switching};
 use lockbind_hls::{bind_naive, FuClass, FuId};
 use lockbind_mediabench::{synthetic_benchmark, Kernel, SkewParams};
@@ -85,10 +89,7 @@ fn skew_sweep(engine: &Engine) -> Result<(), Vec<(String, String)>> {
         })
         .collect();
     let report = engine.run(&cells);
-    let failures: Vec<(String, String)> = report
-        .failures()
-        .map(|(c, m)| (c.to_string(), m.to_string()))
-        .collect();
+    let failures = failure_list(&report.results);
     if !failures.is_empty() {
         return Err(failures);
     }
@@ -100,7 +101,7 @@ fn skew_sweep(engine: &Engine) -> Result<(), Vec<(String, String)>> {
         let mut cd = (0.0, 0.0);
         let mut n = 0.0;
         for result in &report.results[hi * SKEW_SEEDS.len()..(hi + 1) * SKEW_SEEDS.len()] {
-            let records = result.output().expect("failures handled above");
+            let records = result.output().expect("every cell completed");
             for r in records.iter().filter(|r| r.class == FuClass::Multiplier) {
                 match r.algo {
                     lockbind_bench::SecurityAlgo::ObfAware => {
@@ -218,10 +219,7 @@ fn register_models(engine: &Engine) -> Result<(), Vec<(String, String)>> {
         .map(|kernel| RegisterRowCell { kernel })
         .collect();
     let report = engine.run(&cells);
-    let failures: Vec<(String, String)> = report
-        .failures()
-        .map(|(c, m)| (c.to_string(), m.to_string()))
-        .collect();
+    let failures = failure_list(&report.results);
     if !failures.is_empty() {
         return Err(failures);
     }
@@ -283,10 +281,7 @@ fn switching_baselines(engine: &Engine) -> Result<(), Vec<(String, String)>> {
             .map(|kernel| SwitchingRowCell { kernel })
             .collect();
     let report = engine.run(&cells);
-    let failures: Vec<(String, String)> = report
-        .failures()
-        .map(|(c, m)| (c.to_string(), m.to_string()))
-        .collect();
+    let failures = failure_list(&report.results);
     if !failures.is_empty() {
         return Err(failures);
     }
@@ -299,7 +294,7 @@ fn switching_baselines(engine: &Engine) -> Result<(), Vec<(String, String)>> {
     Ok(())
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = EngineArgs::parse("ablation");
     // One obs session spans all three engine runs of the ablation.
     let obs = args.obs_session();
@@ -318,15 +313,5 @@ fn main() {
         all_failures.extend(f);
     }
 
-    if let Err(e) = obs.finish() {
-        eprintln!("ablation: cannot write trace: {e}");
-        std::process::exit(2);
-    }
-    if !all_failures.is_empty() {
-        eprintln!("[ablation] {} cells FAILED:", all_failures.len());
-        for (cell, message) in &all_failures {
-            eprintln!("  {cell}: {message}");
-        }
-        std::process::exit(1);
-    }
+    obs.end_run("ablation", None, &all_failures)
 }

@@ -6,6 +6,8 @@
 //! Usage: `cargo run -p lockbind-bench --release --bin fig4 --
 //! [FRAMES] [SEED] [--threads N] [--json PATH] [--fail-fast]`
 
+use std::process::ExitCode;
+
 use lockbind_bench::errors_experiment::geomean;
 use lockbind_bench::report::{fmt_ratio, render_table};
 use lockbind_bench::{collect_error_records, error_grid, ExperimentParams, SecurityAlgo};
@@ -13,7 +15,7 @@ use lockbind_engine::{Engine, EngineArgs};
 use lockbind_hls::FuClass;
 use lockbind_mediabench::Kernel;
 
-fn main() {
+fn main() -> ExitCode {
     let args = EngineArgs::parse("fig4");
     let params = ExperimentParams::default();
     let obs = args.obs_session();
@@ -85,23 +87,5 @@ fn main() {
         println!("{}", render_table(&headers, &rows));
     }
 
-    eprintln!("[fig4] {}", report.metrics.summary());
-    if let Some(path) = &args.json {
-        if let Err(e) = report.metrics.write_json(path) {
-            eprintln!("fig4: cannot write metrics to {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("[fig4] metrics written to {}", path.display());
-    }
-    if let Err(e) = obs.finish() {
-        eprintln!("fig4: cannot write trace: {e}");
-        std::process::exit(2);
-    }
-    if !failures.is_empty() {
-        eprintln!("[fig4] {} cells FAILED:", failures.len());
-        for (cell, message) in &failures {
-            eprintln!("  {cell}: {message}");
-        }
-        std::process::exit(1);
-    }
+    obs.end_run("fig4", Some(&report.metrics), &failures)
 }

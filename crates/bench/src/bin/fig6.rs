@@ -6,12 +6,14 @@
 //! Usage: `cargo run -p lockbind-bench --release --bin fig6 --
 //! [FRAMES] [SEED] [--threads N] [--json PATH] [--fail-fast]`
 
+use std::process::ExitCode;
+
 use lockbind_bench::report::render_table;
 use lockbind_bench::{OverheadCell, SecurityAlgo};
-use lockbind_engine::{CellResult, Engine, EngineArgs};
+use lockbind_engine::{failure_list, Engine, EngineArgs};
 use lockbind_mediabench::Kernel;
 
-fn main() {
+fn main() -> ExitCode {
     let args = EngineArgs::parse("fig6");
     let obs = args.obs_session();
 
@@ -32,19 +34,10 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut sums = [0.0f64; 4];
-    let mut failures = Vec::new();
     let mut measured = 0usize;
     for (cell, result) in cells.iter().zip(&report.results) {
-        let records = match result {
-            CellResult::Ok { output, .. } => output,
-            CellResult::Failed { cell, message } => {
-                failures.push((cell.clone(), message.clone()));
-                continue;
-            }
-            CellResult::TimedOut { cell, message } => {
-                failures.push((cell.clone(), format!("timed out: {message}")));
-                continue;
-            }
+        let Some(records) = result.output() else {
+            continue;
         };
         let get = |algo: SecurityAlgo| -> (f64, f64) {
             records
@@ -92,23 +85,9 @@ fn main() {
     );
     println!("(registers vs area-aware binding; switching rate vs power-aware binding)");
 
-    eprintln!("[fig6] {}", report.metrics.summary());
-    if let Some(path) = &args.json {
-        if let Err(e) = report.metrics.write_json(path) {
-            eprintln!("fig6: cannot write metrics to {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("[fig6] metrics written to {}", path.display());
-    }
-    if let Err(e) = obs.finish() {
-        eprintln!("fig6: cannot write trace: {e}");
-        std::process::exit(2);
-    }
-    if !failures.is_empty() {
-        eprintln!("[fig6] {} cells FAILED:", failures.len());
-        for (cell, message) in &failures {
-            eprintln!("  {cell}: {message}");
-        }
-        std::process::exit(1);
-    }
+    obs.end_run(
+        "fig6",
+        Some(&report.metrics),
+        &failure_list(&report.results),
+    )
 }

@@ -18,14 +18,17 @@
 //! [--trace PATH] [--profile]`
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use lockbind_bench::errors_experiment::geomean;
 use lockbind_bench::{collect_headline_records, headline_grid, ExperimentParams, SecurityAlgo};
 use lockbind_engine::{Engine, EngineArgs};
 use lockbind_mediabench::Kernel;
 
-fn main() {
-    let args = EngineArgs::parse("headline");
+fn main() -> ExitCode {
+    let mut args = EngineArgs::parse("headline");
+    args.json
+        .get_or_insert_with(|| PathBuf::from("results/BENCH_headline.json"));
     let params = ExperimentParams::default();
     let obs = args.obs_session();
 
@@ -137,28 +140,5 @@ fn main() {
         );
     }
 
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("results/BENCH_headline.json"));
-    if let Err(e) = report.metrics.write_json(&json_path) {
-        eprintln!(
-            "headline: cannot write metrics to {}: {e}",
-            json_path.display()
-        );
-        std::process::exit(2);
-    }
-    eprintln!("[headline] {}", report.metrics.summary());
-    eprintln!("[headline] metrics written to {}", json_path.display());
-    if let Err(e) = obs.finish() {
-        eprintln!("headline: cannot write trace: {e}");
-        std::process::exit(2);
-    }
-    if !failures.is_empty() {
-        eprintln!("[headline] {} cells FAILED:", failures.len());
-        for (cell, message) in &failures {
-            eprintln!("  {cell}: {message}");
-        }
-        std::process::exit(1);
-    }
+    obs.end_run("headline", Some(&report.metrics), &failures)
 }

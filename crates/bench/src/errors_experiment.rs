@@ -18,11 +18,11 @@
 
 use lockbind_core::{
     bind_area_aware, bind_power_aware, codesign_heuristic, codesign_optimal, combinations,
-    CoreError, ErrorSweep,
+    CoreError, ErrorSweep, LockingSpec,
 };
 use lockbind_hls::{Binding, FuClass, FuId, Minterm, OccurrenceProfile};
 use lockbind_obs as obs;
-use lockbind_resil::CancelToken;
+use lockbind_resil::{splitmix64, CancelToken};
 
 use crate::PreparedKernel;
 
@@ -105,14 +105,6 @@ impl Default for ExperimentParams {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Laplace-smoothed error ratio.
 fn ratio(sec: u64, base: u64) -> f64 {
     (1.0 + sec as f64) / (1.0 + base as f64)
@@ -164,6 +156,44 @@ impl ClassContext {
             area,
             power,
         }))
+    }
+
+    /// The fixed locking spec of a configuration: the first `locked_inputs`
+    /// candidates on each of the first `locked_fus` FUs of the class. It is
+    /// the representative lock of an error cell under `--check`/`--audit`
+    /// and the spec serve's `bind` requests lock.
+    ///
+    /// # Errors
+    /// A message naming the kernel when it allocates fewer FUs or yields
+    /// fewer candidates than the configuration locks.
+    pub fn first_candidates_spec(
+        &self,
+        prepared: &PreparedKernel,
+        locked_fus: usize,
+        locked_inputs: usize,
+    ) -> Result<LockingSpec, String> {
+        let available = prepared.alloc.count(self.class);
+        if locked_fus > available {
+            return Err(format!(
+                "kernel '{}' allocates only {available} {} FU(s); cannot lock {locked_fus}",
+                prepared.name,
+                self.class.name()
+            ));
+        }
+        if locked_inputs > self.candidates.len() {
+            return Err(format!(
+                "kernel '{}' yields only {} locked-input candidate(s) for class {}; \
+                 cannot lock {locked_inputs} per FU",
+                prepared.name,
+                self.candidates.len(),
+                self.class.name()
+            ));
+        }
+        let minterms = &self.candidates[..locked_inputs];
+        let entries = (0..locked_fus)
+            .map(|i| (FuId::new(self.class, i), minterms.to_vec()))
+            .collect();
+        LockingSpec::new(&prepared.alloc, entries).map_err(|e| e.to_string())
     }
 }
 
@@ -577,6 +607,34 @@ mod tests {
         assert!(records.iter().any(|r| r.class == FuClass::Multiplier));
         // 2 classes x 2 fu-counts x 2 input-counts x (obf + heur [+ opt]).
         assert!(records.len() >= 16, "records: {}", records.len());
+    }
+
+    #[test]
+    fn first_candidates_spec_locks_the_leading_candidates_or_says_why_not() {
+        let p = PreparedKernel::new(Kernel::Fir, 40, 5);
+        let ctx = ClassContext::build(&p, FuClass::Adder, 2)
+            .expect("builds")
+            .expect("fir has adder candidates");
+        let spec = ctx.first_candidates_spec(&p, 2, 2).expect("feasible");
+        assert_eq!(spec.iter().count(), 2);
+        for (i, (fu, minterms)) in spec.iter().enumerate() {
+            assert_eq!(fu, FuId::new(FuClass::Adder, i));
+            assert_eq!(minterms, &ctx.candidates[..2]);
+        }
+        // Serve's `bind` answers with these messages verbatim.
+        let adders = p.alloc.count(FuClass::Adder);
+        assert_eq!(
+            ctx.first_candidates_spec(&p, adders + 1, 1).unwrap_err(),
+            format!(
+                "kernel 'fir' allocates only {adders} adder FU(s); cannot lock {}",
+                adders + 1
+            )
+        );
+        assert_eq!(
+            ctx.first_candidates_spec(&p, 1, 3).unwrap_err(),
+            "kernel 'fir' yields only 2 locked-input candidate(s) for class adder; \
+             cannot lock 3 per FU"
+        );
     }
 
     #[test]

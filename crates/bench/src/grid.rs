@@ -21,9 +21,9 @@
 
 use std::sync::Arc;
 
-use lockbind_core::{CoreError, LockingSpec};
-use lockbind_engine::{ArtifactCache, CacheKey, CellResult, Job, JobCtx};
-use lockbind_hls::{FuClass, FuId};
+use lockbind_core::CoreError;
+use lockbind_engine::{failure_list, ArtifactCache, CacheKey, CellResult, Job, JobCtx};
+use lockbind_hls::FuClass;
 use lockbind_mediabench::Kernel;
 use lockbind_obs as obs;
 use lockbind_obs::Json;
@@ -139,35 +139,23 @@ impl Job for ErrorCell {
                     &ctx.cancel,
                 )
                 .map_err(|e| e.to_string())?;
-                // `--check` mode: lint the cell's *representative* locked
-                // artifact (first combination assignment — the per-sweep
-                // bindings are far too many to lint individually). An
-                // infeasible configuration produced no records and has no
-                // representative.
-                if ctx.check && !records.is_empty() {
-                    let fus: Vec<FuId> = (0..self.locked_fus)
-                        .map(|i| FuId::new(self.class, i))
-                        .collect();
-                    let minterms = cc.candidates[..self.locked_inputs].to_vec();
-                    let spec = LockingSpec::new(
-                        &prepared.alloc,
-                        fus.into_iter().map(|fu| (fu, minterms.clone())).collect(),
-                    )
-                    .map_err(|e| format!("check spec: {e}"))?;
+                // An infeasible configuration produced no records and has no
+                // representative lock to check or audit.
+                if !(ctx.check || ctx.audit) || records.is_empty() {
+                    return Ok(records);
+                }
+                // The cell's *representative* lock: its first combination
+                // assignment (the per-sweep bindings are far too many to
+                // check individually).
+                let spec =
+                    cc.first_candidates_spec(&prepared, self.locked_fus, self.locked_inputs)?;
+                // `--check` mode: lint the representative locked artifact.
+                if ctx.check {
                     crate::check::lint_locked_binding(&prepared, None, &spec, &cc.candidates)?;
                 }
                 // `--audit` mode: realize the representative lock as
                 // gate-level modules and score their structural leakage.
-                if ctx.audit && !records.is_empty() {
-                    let fus: Vec<FuId> = (0..self.locked_fus)
-                        .map(|i| FuId::new(self.class, i))
-                        .collect();
-                    let minterms = cc.candidates[..self.locked_inputs].to_vec();
-                    let spec = LockingSpec::new(
-                        &prepared.alloc,
-                        fus.into_iter().map(|fu| (fu, minterms.clone())).collect(),
-                    )
-                    .map_err(|e| format!("audit spec: {e}"))?;
+                if ctx.audit {
                     let modules =
                         lockbind_core::realize_locked_modules(&spec, prepared.dfg.width())
                             .map_err(|e| format!("audit realize: {e}"))?;
@@ -220,25 +208,18 @@ pub fn error_grid(
     cells
 }
 
-/// Flattens in-order grid results into the serial record sequence,
-/// separating failed cells out as `(cell, message)` pairs.
+/// Flattens in-order grid results into the serial record sequence, plus
+/// the run's [`failure_list`].
 pub fn collect_error_records(
     results: &[CellResult<Vec<ErrorRecord>>],
 ) -> (Vec<ErrorRecord>, Vec<(String, String)>) {
-    let mut records = Vec::new();
-    let mut failures = Vec::new();
-    for result in results {
-        match result {
-            CellResult::Ok { output, .. } => records.extend(output.iter().cloned()),
-            CellResult::Failed { cell, message } => {
-                failures.push((cell.clone(), message.clone()));
-            }
-            CellResult::TimedOut { cell, message } => {
-                failures.push((cell.clone(), format!("timed out: {message}")));
-            }
-        }
-    }
-    (records, failures)
+    let records = results
+        .iter()
+        .filter_map(CellResult::output)
+        .flatten()
+        .cloned()
+        .collect();
+    (records, failure_list(results))
 }
 
 /// One kernel of the Fig. 6 overhead measurement.

@@ -13,7 +13,7 @@
 use lockbind_attacks::{sat_attack, AttackConfig, AttackStop};
 use lockbind_core::locked_sim::{output_corruption, wrong_keys};
 use lockbind_core::{codesign_heuristic, realize_locked_modules};
-use lockbind_engine::{CellResult, Job, JobCtx};
+use lockbind_engine::{failure_list, CellResult, Job, JobCtx};
 use lockbind_hls::{FuClass, FuId};
 use lockbind_locking::{
     lock_anti_sat, lock_critical_minterms, lock_permutation, lock_rll, LockError, LockedNetlist,
@@ -335,28 +335,19 @@ pub type HeadlineRecords = (
 );
 
 /// Splits in-order combined-grid results back into per-stage record lists
-/// plus `(cell, message)` failures.
+/// plus the run's [`failure_list`].
 pub fn collect_headline_records(results: &[CellResult<HeadlineOutput>]) -> HeadlineRecords {
     let mut errors = Vec::new();
     let mut impacts = Vec::new();
     let mut sats = Vec::new();
-    let mut failures = Vec::new();
-    for result in results {
-        match result {
-            CellResult::Ok { output, .. } => match output {
-                HeadlineOutput::Error(records) => errors.extend(records.iter().cloned()),
-                HeadlineOutput::Impact(record) => impacts.push(record.clone()),
-                HeadlineOutput::Sat(record) => sats.push(record.clone()),
-            },
-            CellResult::Failed { cell, message } => {
-                failures.push((cell.clone(), message.clone()));
-            }
-            CellResult::TimedOut { cell, message } => {
-                failures.push((cell.clone(), format!("timed out: {message}")));
-            }
+    for output in results.iter().filter_map(CellResult::output) {
+        match output {
+            HeadlineOutput::Error(records) => errors.extend(records.iter().cloned()),
+            HeadlineOutput::Impact(record) => impacts.push(record.clone()),
+            HeadlineOutput::Sat(record) => sats.push(record.clone()),
         }
     }
-    (errors, impacts, sats, failures)
+    (errors, impacts, sats, failure_list(results))
 }
 
 #[cfg(test)]

@@ -2,16 +2,9 @@
 //! comparator used in ablations.
 
 use lockbind_hls::{Allocation, Binding, Dfg, FuClass, FuId, Schedule};
+use lockbind_resil::splitmix64;
 
 use crate::CoreError;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
 
 /// Binds each cycle's operations to a uniformly random injective choice of
 /// class-compatible FUs, deterministically in `seed`.

@@ -84,16 +84,17 @@ impl CacheKey {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
+}
 
-    /// FNV-1a over the key bytes; used only to pick the bucket.
-    fn fnv1a(&self) -> u64 {
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for &byte in &self.bytes {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
-    }
+/// 64-bit FNV-1a over `bytes`. It is stable across processes and builds,
+/// so it backs every persisted fingerprint (checkpoints, the durable
+/// response cache) and serve's content-derived request seeds, as well as
+/// the cache's bucket choice.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 type Erased = Arc<dyn Any + Send + Sync>;
@@ -206,7 +207,7 @@ impl ArtifactCache {
         T: Send + Sync + 'static,
         F: FnOnce() -> Result<T, E>,
     {
-        let hash = key.fnv1a();
+        let hash = fnv1a(key.as_bytes());
         let mut build = Some(build);
         loop {
             let (slot, is_builder) = {

@@ -31,22 +31,14 @@ pub const CHECKPOINT_SCHEMA: u64 = 4;
 /// count, and every length-prefixed cell label. Two grids resume-compatible
 /// iff their fingerprints match.
 pub fn fingerprint(root_seed: u64, labels: &[String]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    eat(&root_seed.to_le_bytes());
-    eat(&(labels.len() as u64).to_le_bytes());
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&root_seed.to_le_bytes());
+    bytes.extend_from_slice(&(labels.len() as u64).to_le_bytes());
     for label in labels {
-        eat(&(label.len() as u64).to_le_bytes());
-        eat(label.as_bytes());
+        bytes.extend_from_slice(&(label.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(label.as_bytes());
     }
-    hash
+    crate::cache::fnv1a(&bytes)
 }
 
 /// One completed-cell record loaded from a checkpoint file.

@@ -15,9 +15,10 @@
 //!
 //! `--trace PATH` writes a chrome://tracing-compatible span trace,
 //! `--profile` prints a per-stage profile table to stderr at exit; both
-//! are serviced by [`EngineArgs::obs_session`] /
-//! [`ObsSession::finish`], which every figure binary calls around its
-//! engine runs.
+//! are serviced by [`EngineArgs::obs_session`], which every figure binary
+//! opens before its engine runs. [`ObsSession::end_run`] ends every run
+//! the same way: metrics summary, `--json` metrics, trace and profile,
+//! then the list of cells that did not complete.
 //!
 //! The resilience knobs map onto [`EngineConfig`]: `--cell-timeout` sets
 //! the per-attempt deadline, `--retries`/`--retry-backoff-ms` the retry
@@ -29,11 +30,13 @@
 //! parsing stays environment-free.
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use lockbind_obs as obs;
 use lockbind_resil::{FaultPlan, RetryPolicy};
 
+use crate::metrics::RunMetrics;
 use crate::pool::EngineConfig;
 
 /// Parsed engine-binary arguments.
@@ -239,8 +242,9 @@ impl EngineArgs {
     /// Starts an observability session for this invocation: when `--trace`
     /// or `--profile` was given, enables span collection and timers and
     /// snapshots the metrics registry. Call **before** creating the engine
-    /// and [`ObsSession::finish`] after the last run; the session may span
-    /// several `Engine::run` calls (e.g. `ablation`).
+    /// and [`ObsSession::end_run`] after the last run; the session may span
+    /// several `Engine::run` calls (e.g. `ablation`). The session keeps the
+    /// `--json` path as it is now, so set a binary's default path first.
     pub fn obs_session(&self) -> ObsSession {
         let enabled = self.trace.is_some() || self.profile;
         let collector = if enabled {
@@ -250,6 +254,7 @@ impl EngineArgs {
             None
         };
         ObsSession {
+            json: self.json.clone(),
             trace: self.trace.clone(),
             profile: self.profile,
             collector,
@@ -260,8 +265,10 @@ impl EngineArgs {
 }
 
 /// An in-flight observability session: holds the span collector and the
-/// pre-run registry snapshot backing `--trace` / `--profile`.
+/// pre-run registry snapshot backing `--trace` / `--profile`, and the
+/// `--json` metrics path.
 pub struct ObsSession {
+    json: Option<PathBuf>,
     trace: Option<PathBuf>,
     profile: bool,
     collector: Option<std::sync::Arc<obs::CollectingSink>>,
@@ -270,6 +277,43 @@ pub struct ObsSession {
 }
 
 impl ObsSession {
+    /// Ends an engine binary's run. With the run's `metrics` (binaries
+    /// that run several grids pass `None`), prints the summary line and
+    /// writes the `--json` metrics; then finishes the session and lists
+    /// `failures`, the run's [`failure_list`](crate::failure_list).
+    ///
+    /// Returns exit status 2 when a metrics or trace file cannot be
+    /// written, 1 when any cell failed or timed out, and 0 otherwise.
+    pub fn end_run(
+        self,
+        bin: &str,
+        metrics: Option<&RunMetrics>,
+        failures: &[(String, String)],
+    ) -> ExitCode {
+        if let Some(metrics) = metrics {
+            eprintln!("[{bin}] {}", metrics.summary());
+            if let Some(path) = &self.json {
+                if let Err(e) = metrics.write_json(path) {
+                    eprintln!("{bin}: cannot write metrics to {}: {e}", path.display());
+                    return ExitCode::from(2);
+                }
+                eprintln!("[{bin}] metrics written to {}", path.display());
+            }
+        }
+        if let Err(e) = self.finish() {
+            eprintln!("{bin}: cannot write trace: {e}");
+            return ExitCode::from(2);
+        }
+        if failures.is_empty() {
+            return ExitCode::SUCCESS;
+        }
+        eprintln!("[{bin}] {} cells FAILED:", failures.len());
+        for (cell, message) in failures {
+            eprintln!("  {cell}: {message}");
+        }
+        ExitCode::from(1)
+    }
+
     /// Finishes the session: writes the chrome trace (if `--trace`) and
     /// prints the per-stage profile table to stderr (if `--profile`).
     /// A no-op when neither flag was given.
@@ -445,6 +489,50 @@ mod tests {
         let session = args.obs_session();
         assert!(!lockbind_obs::tracing_enabled());
         session.finish().unwrap();
+    }
+
+    #[test]
+    fn end_run_exits_1_on_failed_cells_and_2_on_write_errors() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(
+            args.obs_session().end_run("t", None, &[]),
+            ExitCode::SUCCESS
+        );
+        let failures = [("cell-0".to_string(), "timed out: deadline".to_string())];
+        assert_eq!(
+            args.obs_session().end_run("t", None, &failures),
+            ExitCode::from(1)
+        );
+
+        struct Noop;
+        impl crate::Job for Noop {
+            type Output = ();
+            fn label(&self) -> String {
+                "noop".to_string()
+            }
+            fn run(&self, _: &mut crate::JobCtx<'_>) -> Result<(), String> {
+                Ok(())
+            }
+        }
+        let engine = crate::Engine::new(crate::EngineConfig {
+            progress: false,
+            ..crate::EngineConfig::default()
+        });
+        let metrics = engine.run(&[Noop]).metrics;
+        let dir = std::env::temp_dir().join(format!("lockbind-end-run-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut args = parse(&[]).unwrap();
+        args.json = Some(dir.join("metrics.json"));
+        let status = args.obs_session().end_run("t", Some(&metrics), &[]);
+        assert_eq!(status, ExitCode::SUCCESS);
+        assert!(dir.join("metrics.json").exists(), "--json metrics written");
+        // A metrics write error wins over failed cells.
+        std::fs::write(dir.join("blocker"), "x").expect("write");
+        args.json = Some(dir.join("blocker/metrics.json"));
+        let status = args.obs_session().end_run("t", Some(&metrics), &failures);
+        assert_eq!(status, ExitCode::from(2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

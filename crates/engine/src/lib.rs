@@ -33,6 +33,9 @@
 //!   checkpoint/resume (fingerprinted JSON-lines, [`checkpoint`]), and a
 //!   seed-driven fault-injection plan
 //!   ([`FaultPlan`](lockbind_resil::FaultPlan)) to drill all of the above.
+//!   Every cell that did not complete, timed-out ones included, is in the
+//!   run's [`failure_list`], which [`ObsSession::end_run`] prints before
+//!   the binary exits 1.
 //!
 //! The engine is experiment-agnostic: anything implementing [`Job`] can be
 //! scheduled. The concrete cell types live in `lockbind-bench`.
@@ -46,10 +49,12 @@ pub mod cli;
 pub mod metrics;
 pub mod pool;
 
-pub use cache::{ArtifactCache, CacheKey, CacheStats};
+pub use cache::{fnv1a, ArtifactCache, CacheKey, CacheStats};
 pub use checkpoint::{CheckpointEntry, CHECKPOINT_SCHEMA};
 pub use cli::{EngineArgs, ObsSession};
 pub use metrics::{
     AuditAggregates, CellTiming, RunMetrics, ServeAggregates, StageMetrics, METRICS_SCHEMA_VERSION,
 };
-pub use pool::{CellResult, Engine, EngineConfig, Job, JobCtx, RunReport, CHECK_FAILURE_PREFIX};
+pub use pool::{
+    failure_list, CellResult, Engine, EngineConfig, Job, JobCtx, RunReport, CHECK_FAILURE_PREFIX,
+};

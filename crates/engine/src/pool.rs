@@ -219,22 +219,23 @@ impl<T> CellResult<T> {
             _ => None,
         }
     }
+}
 
-    /// The `(cell, message)` pair, if the cell failed (timeouts excluded).
-    pub fn failure(&self) -> Option<(&str, &str)> {
-        match self {
-            CellResult::Failed { cell, message } => Some((cell, message)),
-            _ => None,
-        }
-    }
-
-    /// The `(cell, message)` pair, if the cell hit its deadline.
-    pub fn timeout(&self) -> Option<(&str, &str)> {
-        match self {
-            CellResult::TimedOut { cell, message } => Some((cell, message)),
-            _ => None,
-        }
-    }
+/// The `(cell, message)` list of every cell of a run that did not
+/// complete, in submission order. Timed-out cells are listed too, their
+/// message prefixed with `timed out: `; this is the list every engine
+/// binary prints before exiting 1.
+pub fn failure_list<T>(results: &[CellResult<T>]) -> Vec<(String, String)> {
+    results
+        .iter()
+        .filter_map(|result| match result {
+            CellResult::Ok { .. } => None,
+            CellResult::Failed { cell, message } => Some((cell.clone(), message.clone())),
+            CellResult::TimedOut { cell, message } => {
+                Some((cell.clone(), format!("timed out: {message}")))
+            }
+        })
+        .collect()
 }
 
 /// Pool configuration.
@@ -316,16 +317,6 @@ impl<T> RunReport<T> {
     /// Iterates over the completed cells' payloads, in submission order.
     pub fn outputs(&self) -> impl Iterator<Item = &T> {
         self.results.iter().filter_map(CellResult::output)
-    }
-
-    /// Iterates over `(cell, message)` pairs of failed cells.
-    pub fn failures(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.results.iter().filter_map(CellResult::failure)
-    }
-
-    /// Iterates over `(cell, message)` pairs of timed-out cells.
-    pub fn timeouts(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.results.iter().filter_map(CellResult::timeout)
     }
 }
 
@@ -616,7 +607,10 @@ impl Engine {
         // identical at any worker count.
         let mut cells_check_failed = 0usize;
         let mut check_codes: Vec<(String, usize)> = Vec::new();
-        for (_, message) in results.iter().filter_map(CellResult::failure) {
+        for result in &results {
+            let CellResult::Failed { message, .. } = result else {
+                continue;
+            };
             let Some(rest) = message.strip_prefix(CHECK_FAILURE_PREFIX) else {
                 continue;
             };
@@ -891,14 +885,14 @@ mod tests {
         });
         let report = engine.run(&jobs);
         assert_eq!(report.results.len(), 8);
-        let failures: Vec<(&str, &str)> = report.failures().collect();
+        let failures = failure_list(&report.results);
         assert_eq!(failures.len(), 2);
         assert!(failures
             .iter()
-            .any(|(c, m)| *c == "cell-3" && m.contains("injected panic")));
+            .any(|(c, m)| c == "cell-3" && m.contains("injected panic")));
         assert!(failures
             .iter()
-            .any(|(c, m)| *c == "cell-5" && m.contains("injected error")));
+            .any(|(c, m)| c == "cell-5" && m.contains("injected error")));
         // Every other cell still completed with its own output.
         for (id, result) in report.results.iter().enumerate() {
             if id != 3 && id != 5 {
@@ -931,7 +925,9 @@ mod tests {
         });
         let panicky = FaultyJob { id: 3 };
         let result = engine.run_one(&panicky, 0, 0, 1, CancelToken::new());
-        let (cell, message) = result.failure().expect("panic becomes Failed");
+        let CellResult::Failed { cell, message } = result else {
+            panic!("panic becomes Failed, got {result:?}");
+        };
         assert_eq!(cell, "cell-3");
         assert!(message.contains("injected panic"), "{message}");
 
@@ -950,13 +946,16 @@ mod tests {
         }
         let expired = CancelToken::with_deadline(Duration::from_millis(5));
         let result = engine.run_one(&Cooperative, 0, 0, 1, expired);
-        assert!(result.timeout().is_some(), "fired deadline => TimedOut");
+        assert!(
+            matches!(result, CellResult::TimedOut { .. }),
+            "fired deadline => TimedOut"
+        );
 
         let token = CancelToken::new();
         token.cancel();
         let result = engine.run_one(&Cooperative, 0, 0, 1, token);
         assert!(
-            result.failure().is_some(),
+            matches!(result, CellResult::Failed { .. }),
             "explicit cancel stays a plain failure; the caller maps it via the token reason"
         );
     }
@@ -972,8 +971,9 @@ mod tests {
         });
         let report = engine.run(&jobs);
         assert_eq!(report.results.len(), 64, "every cell has a result row");
-        assert!(report.failures().any(|(_, m)| m.contains("injected panic")));
-        assert!(report.failures().any(|(_, m)| m.contains("fail-fast")));
+        let failures = failure_list(&report.results);
+        assert!(failures.iter().any(|(_, m)| m.contains("injected panic")));
+        assert!(failures.iter().any(|(_, m)| m.contains("fail-fast")));
         assert!(report.metrics.cells_ok < 64);
         // Skips are accounted separately from real failures: with one
         // worker, cells 0..3 ran (3 failed), everything after was skipped.
@@ -1049,10 +1049,17 @@ mod tests {
             started.elapsed() < Duration::from_secs(10),
             "the hung cell must be bounded by the deadline"
         );
-        let timeouts: Vec<(&str, &str)> = report.timeouts().collect();
-        assert_eq!(timeouts.len(), 1);
-        assert_eq!(timeouts[0].0, "hang-2");
-        assert!(timeouts[0].1.contains("deadline"), "{}", timeouts[0].1);
+        assert!(matches!(report.results[2], CellResult::TimedOut { .. }));
+        // The failure list carries the hung cell, marked as timed out.
+        let failures = failure_list(&report.results);
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].0, "hang-2");
+        assert!(
+            failures[0].1.starts_with("timed out: "),
+            "{}",
+            failures[0].1
+        );
+        assert!(failures[0].1.contains("deadline"), "{}", failures[0].1);
         // The hang poisoned nothing else.
         assert_eq!(report.metrics.cells_ok, 5);
         assert_eq!(report.metrics.cells_failed, 0);
@@ -1130,7 +1137,9 @@ mod tests {
         let report = engine.run(&jobs);
         assert_eq!(report.metrics.cells_failed, 1);
         assert_eq!(report.metrics.cells_retried, 2);
-        let (_, message) = report.failures().next().expect("failed");
+        let CellResult::Failed { message, .. } = &report.results[0] else {
+            panic!("exhausted retries fail the cell");
+        };
         assert!(message.contains("attempt 2"), "{message}");
     }
 

@@ -4,7 +4,9 @@
 //! central quantity: their number per module drives both the application
 //! error rate and, via Eqn. 1, the expected SAT-attack iterations.
 
-use crate::{splitmix64, LockedNetlist};
+use lockbind_resil::splitmix64;
+
+use crate::LockedNetlist;
 
 /// Exhaustively enumerates the input minterms (packed LSB-first over the
 /// input bus) on which the locked module under `key` disagrees with the

@@ -68,13 +68,3 @@ pub use permnet::lock_permutation;
 pub use point::lock_critical_minterms;
 pub use rll::lock_rll;
 pub use sfll::lock_sfll_hd;
-
-/// Deterministic 64-bit mixer used for seed-driven scheme construction
-/// (keeps the crate free of RNG dependencies).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}

@@ -6,8 +6,9 @@
 
 use lockbind_netlist::analysis::{eval_tv, fanin_cone, Tv};
 use lockbind_netlist::{Gate, Netlist, Signal};
+use lockbind_resil::splitmix64;
 
-use crate::{splitmix64, LockError, LockedNetlist};
+use crate::{LockError, LockedNetlist};
 
 /// Inserts up to `key_bits` XOR/XNOR key gates on distinct internal wires of
 /// `original`, chosen pseudo-randomly from `seed`. If the module has fewer

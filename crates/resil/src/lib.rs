@@ -524,7 +524,12 @@ fn parse_kind(text: &str) -> Result<FaultKind, String> {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// Deterministic 64-bit mixer (splitmix64): advances `state` and returns
+/// the next draw. Every seed-driven choice in the workspace that needs no
+/// RNG crate uses it: fault plans, random bindings, lock construction and
+/// the error experiment's combination subsample.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -13,26 +13,16 @@
 
 use lockbind_bench::codec::{error_record_json, impact_record_json, sat_record_json};
 use lockbind_bench::errors_experiment::{ClassContext, ExperimentParams};
-use lockbind_bench::grid::{cached_class_context, cached_prepared};
+use lockbind_bench::grid::{cached_class_context, cached_prepared, ErrorCell};
 use lockbind_bench::headline_cells::{ImpactCell, SatCell};
 use lockbind_bench::prepared::PreparedKernel;
-use lockbind_core::{
-    bind_obfuscation_aware, codesign_heuristic, expected_application_errors, CoreError, LockingSpec,
-};
+use lockbind_core::{bind_obfuscation_aware, codesign_heuristic, expected_application_errors};
 use lockbind_engine::{Job, JobCtx};
-use lockbind_hls::{FuClass, FuId, Minterm};
+use lockbind_hls::{FuClass, FuId};
 use lockbind_mediabench::Kernel;
 use lockbind_obs::Json;
 
 use crate::proto::Work;
-
-/// Wire label for an FU class.
-pub fn class_label(class: FuClass) -> &'static str {
-    match class {
-        FuClass::Adder => "adder",
-        FuClass::Multiplier => "multiplier",
-    }
-}
 
 /// A [`Work`] request as an engine job producing a JSON `result` body.
 #[derive(Debug, Clone)]
@@ -73,7 +63,7 @@ impl Job for ServeJob {
                     class,
                     num_candidates,
                 )?;
-                let spec = first_candidates_spec(&prepared, &class_ctx, locked_fus, locked_inputs)?;
+                let spec = class_ctx.first_candidates_spec(&prepared, locked_fus, locked_inputs)?;
                 let obf = bind_obfuscation_aware(
                     &prepared.dfg,
                     &prepared.schedule,
@@ -84,7 +74,7 @@ impl Job for ServeJob {
                 .map_err(|e| e.to_string())?;
                 Ok(Json::obj([
                     ("kernel", Json::from(kernel.name())),
-                    ("class", Json::from(class_label(class))),
+                    ("class", Json::from(class.name())),
                     ("locked_fus", Json::from(locked_fus)),
                     ("locked_inputs", Json::from(locked_inputs)),
                     ("spec", Json::from(spec.to_string())),
@@ -126,7 +116,7 @@ impl Job for ServeJob {
                         "kernel '{}' allocates only {available} {} FU(s); \
                          cannot lock {locked_fus}",
                         kernel.name(),
-                        class_label(class)
+                        class.name()
                     ));
                 }
                 let candidates = prepared.candidates(class, num_candidates);
@@ -136,7 +126,7 @@ impl Job for ServeJob {
                          {}; cannot pick {inputs_per_fu} per FU",
                         kernel.name(),
                         candidates.len(),
-                        class_label(class)
+                        class.name()
                     ));
                 }
                 let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(class, i)).collect();
@@ -166,7 +156,7 @@ impl Job for ServeJob {
                     .collect();
                 Ok(Json::obj([
                     ("kernel", Json::from(kernel.name())),
-                    ("class", Json::from(class_label(class))),
+                    ("class", Json::from(class.name())),
                     ("locked_fus", Json::from(locked_fus)),
                     ("inputs_per_fu", Json::from(inputs_per_fu)),
                     ("errors", Json::from(outcome.errors)),
@@ -184,36 +174,30 @@ impl Job for ServeJob {
                 max_assignments,
                 optimal_budget,
             } => {
+                // A class without candidates is an error here, where the
+                // grid's cell returns no records.
                 let prepared = cached_prepared(ctx.cache, kernel, frames, seed);
-                let class_ctx = lookup_class_context(
-                    ctx,
-                    &prepared,
+                lookup_class_context(ctx, &prepared, kernel, frames, seed, class, num_candidates)?;
+                let cell = ErrorCell {
                     kernel,
                     frames,
                     seed,
                     class,
-                    num_candidates,
-                )?;
-                let params = ExperimentParams {
-                    num_candidates,
-                    max_locked_fus: locked_fus,
-                    max_locked_inputs: locked_inputs,
-                    max_assignments,
-                    optimal_budget: u128::from(optimal_budget),
-                    seed,
-                };
-                let records = lockbind_bench::errors_experiment::run_error_cell_cancellable(
-                    &prepared,
-                    &class_ctx,
-                    &params,
                     locked_fus,
                     locked_inputs,
-                    &ctx.cancel,
-                )
-                .map_err(|e| e.to_string())?;
+                    params: ExperimentParams {
+                        num_candidates,
+                        max_locked_fus: locked_fus,
+                        max_locked_inputs: locked_inputs,
+                        max_assignments,
+                        optimal_budget: u128::from(optimal_budget),
+                        seed,
+                    },
+                };
+                let records = cell.run(ctx)?;
                 Ok(Json::obj([
                     ("kernel", Json::from(kernel.name())),
-                    ("class", Json::from(class_label(class))),
+                    ("class", Json::from(class.name())),
                     (
                         "records",
                         Json::Array(records.iter().map(error_record_json).collect()),
@@ -280,42 +264,65 @@ fn lookup_class_context(
             "kernel '{}' has no locked-input candidates for class {} \
              (e.g. ecb_enc4 has no multiplies)",
             kernel.name(),
-            class_label(class)
+            class.name()
         )),
         Err(e) => Err(e.to_string()),
     }
 }
 
-/// Builds the fixed locking spec used by `bind`: the first
-/// `locked_inputs` candidates on the first `locked_fus` FUs of the
-/// class — the same deterministic choice the error-rate grids make for
-/// their obfuscation-aware cells.
-fn first_candidates_spec(
-    prepared: &PreparedKernel,
-    class_ctx: &ClassContext,
-    locked_fus: usize,
-    locked_inputs: usize,
-) -> Result<LockingSpec, String> {
-    let available = prepared.alloc.count(class_ctx.class);
-    if locked_fus > available {
-        return Err(format!(
-            "kernel '{}' allocates only {available} {} FU(s); cannot lock {locked_fus}",
-            prepared.name,
-            class_label(class_ctx.class)
-        ));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lockbind_engine::{CellResult, Engine, EngineConfig};
+    use lockbind_resil::CancelToken;
+
+    #[test]
+    fn error_rate_without_candidates_is_an_error_where_the_grid_returns_nothing() {
+        let engine = Engine::new(EngineConfig {
+            progress: false,
+            ..EngineConfig::default()
+        });
+        let params = ExperimentParams {
+            num_candidates: 8,
+            max_locked_fus: 1,
+            max_locked_inputs: 1,
+            max_assignments: 20,
+            optimal_budget: 0,
+            seed: 5,
+        };
+        let cell = ErrorCell {
+            kernel: Kernel::EcbEnc4,
+            frames: 40,
+            seed: 5,
+            class: FuClass::Multiplier,
+            locked_fus: 1,
+            locked_inputs: 1,
+            params,
+        };
+        let grid = engine.run_one(&cell, 0, 0, 1, CancelToken::new());
+        assert_eq!(grid.output().map(Vec::len), Some(0));
+
+        let job = ServeJob {
+            work: Work::ErrorRate {
+                kernel: Kernel::EcbEnc4,
+                frames: 40,
+                seed: 5,
+                class: FuClass::Multiplier,
+                locked_fus: 1,
+                locked_inputs: 1,
+                num_candidates: 8,
+                max_assignments: 20,
+                optimal_budget: 0,
+            },
+        };
+        let CellResult::Failed { message, .. } = engine.run_one(&job, 0, 0, 1, CancelToken::new())
+        else {
+            panic!("a class without candidates fails the request");
+        };
+        assert_eq!(
+            message,
+            "kernel 'ecb_enc4' has no locked-input candidates for class multiplier \
+             (e.g. ecb_enc4 has no multiplies)"
+        );
     }
-    if locked_inputs > class_ctx.candidates.len() {
-        return Err(format!(
-            "kernel '{}' yields only {} locked-input candidate(s) for class {}; \
-             cannot lock {locked_inputs} per FU",
-            prepared.name,
-            class_ctx.candidates.len(),
-            class_label(class_ctx.class)
-        ));
-    }
-    let minterms: Vec<Minterm> = class_ctx.candidates[..locked_inputs].to_vec();
-    let entries: Vec<(FuId, Vec<Minterm>)> = (0..locked_fus)
-        .map(|i| (FuId::new(class_ctx.class, i), minterms.clone()))
-        .collect();
-    LockingSpec::new(&prepared.alloc, entries).map_err(|e: CoreError| e.to_string())
 }

@@ -39,7 +39,7 @@
 //! byte-identical `result` objects, whether computed or coalesced.
 
 use lockbind_bench::headline_cells::SatScheme;
-use lockbind_engine::CacheKey;
+use lockbind_engine::{fnv1a, CacheKey};
 use lockbind_hls::FuClass;
 use lockbind_mediabench::Kernel;
 use lockbind_obs::Json;
@@ -371,12 +371,7 @@ impl Work {
     /// The deterministic per-request RNG seed: FNV-1a over the canonical
     /// identity. Identical requests replay identical ChaCha streams.
     pub fn seed_from_content(&self) -> u64 {
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for &byte in &self.canonical() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        fnv1a(&self.canonical())
     }
 }
 
@@ -961,6 +956,57 @@ mod tests {
         };
         assert_ne!(wa.canonical(), wc.canonical());
         assert_ne!(wa.seed_from_content(), wc.seed_from_content());
+    }
+
+    /// `canonical` keys the durable cache and `seed_from_content` seeds
+    /// each request's RNG, so both are pinned byte for byte, one request
+    /// per work kind.
+    #[test]
+    fn canonical_bytes_and_seeds_are_pinned() {
+        let pins = [
+            (
+                r#"{"id":1,"kind":"bind","params":{"kernel":"fir"}}"#,
+                "62696e6400666972007800000000000000e5070000000000000000000000000000010000000000000002000000000000000800000000000000",
+                16179965715831425190u64,
+            ),
+            (
+                r#"{"id":1,"kind":"codesign","params":{"kernel":"dct","class":"multiplier","locked_fus":2}}"#,
+                "636f64657369676e00646374007800000000000000e5070000000000000100000000000000020000000000000002000000000000000800000000000000",
+                8645228010145244087,
+            ),
+            (
+                r#"{"id":1,"kind":"error_rate","params":{"kernel":"motion2","locked_inputs":3,"optimal_budget":0}}"#,
+                "6572726f725f72617465006d6f74696f6e32007800000000000000e5070000000000000000000000000000010000000000000003000000000000000800000000000000f4010000000000000000000000000000",
+                7843505651758314529,
+            ),
+            (
+                r#"{"id":1,"kind":"locked_sim","params":{"kernel":"jdmerge4","frames":60,"seed":5}}"#,
+                "6c6f636b65645f73696d006a646d6572676534003c000000000000000500000000000000",
+                10852089468561396224,
+            ),
+            (
+                r#"{"id":1,"kind":"sat_attack","params":{"scheme":"anti-sat","width":4}}"#,
+                "7361745f61747461636b00616e74692d736174000400000000000000",
+                12841270228770117931,
+            ),
+            (
+                r#"{"id":1,"kind":"sleep","params":{"ms":5}}"#,
+                "736c656570000500000000000000",
+                10303351039752128509,
+            ),
+        ];
+        for (request, hex, seed) in pins {
+            let RequestKind::Work(work) = decode(request).expect("decodes").kind else {
+                panic!("work kind: {request}");
+            };
+            let canonical: String = work
+                .canonical()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(canonical, hex, "{request}");
+            assert_eq!(work.seed_from_content(), seed, "{request}");
+        }
     }
 
     #[test]

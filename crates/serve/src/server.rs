@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lockbind_durable::{SegmentStore, StoreConfig};
-use lockbind_engine::{CellResult, Engine, EngineConfig, ServeAggregates};
+use lockbind_engine::{fnv1a, CellResult, Engine, EngineConfig, ServeAggregates};
 use lockbind_obs::Json;
 use lockbind_resil::{CancelReason, CancelToken};
 use lockbind_telemetry::recorder::{DumpTrigger, FlightKind};
@@ -340,12 +340,7 @@ fn response_cache_fingerprint() -> u64 {
         "lockbind-serve response-cache v3 ",
         env!("CARGO_PKG_VERSION")
     );
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in tag.as_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(tag.as_bytes())
 }
 
 /// Encodes a cacheable [`WorkBody`] for the durable store: a tag byte
