@@ -1,9 +1,9 @@
 //! Matching/co-design stage benchmark: runs the full error-cell grid (the
-//! headline benchmark's dominant stage) and records the incremental
-//! solver's work profile — cold vs warm solves, augmentation steps,
-//! combinations evaluated vs pruned, and the warm-start hit rate — next to
-//! the frozen pre-incremental baseline in `results/BENCH_matching.json`,
-//! so the matching-stage speedup is pinned by data instead of asserted.
+//! headline benchmark's dominant stage) and records its work profile —
+//! cold solves, augmentation steps, combinations evaluated and
+//! obfuscation-aware binds — next to the frozen pre-incremental baseline
+//! in `results/BENCH_matching.json`, so the matching-stage speedup is
+//! pinned by data instead of asserted.
 //!
 //! Stdout prints only deterministic work counters (identical across thread
 //! counts and machines for fixed `FRAMES`/`SEED`); wall-clock goes to the
@@ -33,23 +33,16 @@ mod baseline {
     pub const COMMIT: &str = "848f8e3";
     pub const WALL_SECONDS: f64 = 17.566052513;
     pub const COLD_SOLVES: u64 = 6_382_590;
-    pub const WARM_SOLVES: u64 = 0;
     pub const AUGMENT_STEPS: u64 = 27_974_350;
     pub const COMBOS_EVALUATED: u64 = 394_058;
-    pub const COMBOS_PRUNED: u64 = 0;
     pub const OBF_AWARE_BINDS: u64 = 547_033;
-    pub const WARM_HIT_RATE: f64 = 0.0;
 }
 
 /// Work counters the benchmark snapshots before and after the grid run.
 const COUNTERS: &[&str] = &[
     "matching.solves",
-    "matching.warm_solves",
-    "matching.warm_rows_total",
-    "matching.warm_rows_reaugmented",
     "matching.augment_steps",
     "codesign.combos_evaluated",
-    "codesign.combos_pruned",
     "bind.obf_aware.calls",
 ];
 
@@ -89,16 +82,7 @@ fn main() {
     }
 
     let cold = get("matching.solves");
-    let warm = get("matching.warm_solves");
-    let rows_total = get("matching.warm_rows_total");
-    let rows_reaugmented = get("matching.warm_rows_reaugmented");
-    let warm_hit_rate = if rows_total == 0 {
-        0.0
-    } else {
-        1.0 - rows_reaugmented as f64 / rows_total as f64
-    };
     let evaluated = get("codesign.combos_evaluated");
-    let pruned = get("codesign.combos_pruned");
 
     // Deterministic work profile — the surface that CI can diff.
     println!(
@@ -107,17 +91,12 @@ fn main() {
         records.len()
     );
     println!("  cold solves            : {cold}");
-    println!("  warm solves            : {warm}");
-    println!("  rows re-augmented      : {rows_reaugmented} / {rows_total}");
     println!(
         "  augment steps          : {}",
         get("matching.augment_steps")
     );
     println!("  combos evaluated       : {evaluated}");
-    println!("  combos pruned          : {pruned}");
-    println!("  combos total           : {}", evaluated + pruned);
     println!("  obf-aware binds        : {}", get("bind.obf_aware.calls"));
-    println!("  warm-start hit rate    : {warm_hit_rate:.4}");
 
     eprintln!(
         "[matching_bench] stage wall {wall_seconds:.3}s vs baseline {:.3}s = {:.2}x ({})",
@@ -140,12 +119,9 @@ fn main() {
                 ),
                 ("wall_seconds", Json::Float(baseline::WALL_SECONDS)),
                 ("cold_solves", Json::UInt(baseline::COLD_SOLVES)),
-                ("warm_solves", Json::UInt(baseline::WARM_SOLVES)),
                 ("augment_steps", Json::UInt(baseline::AUGMENT_STEPS)),
                 ("combos_evaluated", Json::UInt(baseline::COMBOS_EVALUATED)),
-                ("combos_pruned", Json::UInt(baseline::COMBOS_PRUNED)),
                 ("obf_aware_binds", Json::UInt(baseline::OBF_AWARE_BINDS)),
-                ("warm_start_hit_rate", Json::Float(baseline::WARM_HIT_RATE)),
             ]),
         ),
         (
@@ -153,14 +129,9 @@ fn main() {
             Json::obj([
                 ("wall_seconds", Json::Float(wall_seconds)),
                 ("cold_solves", Json::UInt(cold)),
-                ("warm_solves", Json::UInt(warm)),
-                ("rows_total", Json::UInt(rows_total)),
-                ("rows_reaugmented", Json::UInt(rows_reaugmented)),
                 ("augment_steps", Json::UInt(get("matching.augment_steps"))),
                 ("combos_evaluated", Json::UInt(evaluated)),
-                ("combos_pruned", Json::UInt(pruned)),
                 ("obf_aware_binds", Json::UInt(get("bind.obf_aware.calls"))),
-                ("warm_start_hit_rate", Json::Float(warm_hit_rate)),
             ]),
         ),
         (

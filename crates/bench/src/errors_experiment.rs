@@ -380,8 +380,8 @@ fn baseline_tables(
 /// locked with the *same* assignment.
 ///
 /// Scoring goes through [`ErrorSweep`] — per assignment only the slots
-/// whose combination differs from the previous assignment update their
-/// warm-started matrix columns, and the per-cycle optima are the exact
+/// whose combination differs from the previous assignment rewrite their
+/// weights, and the per-cycle optima are the exact
 /// errors a cold `bind_obfuscation_aware` + `expected_application_errors`
 /// pair would produce (the `lockbind-check` mutation suite pins this).
 /// Baseline errors come from [`baseline_tables`]. The f64 accumulation
@@ -428,7 +428,7 @@ fn obf_aware_cell(
         for (k, &ci) in assign.iter().enumerate() {
             sweep.set_slot(k, ci);
         }
-        let e_obf = sweep.solve_errors()?;
+        let e_obf = sweep.solve_errors();
         let e_area: u64 = assign
             .iter()
             .enumerate()

@@ -8,8 +8,8 @@
 
 use lockbind_check::{check_artifact, Artifact, Report};
 use lockbind_core::{
-    bind_obfuscation_aware_certified, codesign_optimal, combinations, BindingCertificate,
-    ErrorSweep, LockingSpec,
+    bind_obfuscation_aware, bind_obfuscation_aware_certified, codesign_optimal, combinations,
+    expected_application_errors, BindingCertificate, ErrorSweep, LockingSpec,
 };
 use lockbind_hls::{
     schedule_list, Allocation, Binding, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, OpId,
@@ -238,54 +238,46 @@ proptest! {
         prop_assert!(has_code(&report, "LB0405"), "{}", report.render_human());
     }
 
-    /// Pruning soundness: the co-design searches skip a combination only
-    /// when the sweep's dual upper bound says it cannot beat the incumbent.
-    /// Replay that exact skip rule while *also* solving every combination:
-    /// the bound must dominate the true score everywhere (so no skipped
-    /// combination could have won), and the pruned scan's incumbent must
-    /// land on the true maximum — which is also what [`codesign_optimal`]
-    /// returns through its Gray-order pruned search.
+    /// Sweep exactness: the co-design searches score every combination
+    /// through the sweep alone. Each combination's sweep score must equal
+    /// the realized Eqn. 2 errors of a cold obfuscation-aware binding of
+    /// the same spec, and [`codesign_optimal`] must return the maximum.
     #[test]
-    fn pruning_bound_never_undercuts_a_skipped_combination(k in 0usize..11, seed in 0u64..32) {
+    fn sweep_scores_every_combination_exactly(k in 0usize..11, seed in 0u64..32) {
         let f = Fixture::new(k, seed);
         prop_assume!(f.candidates.len() >= 2);
-        let fus = [FuId::new(FuClass::Adder, 0)];
+        let fu = FuId::new(FuClass::Adder, 0);
         let combos = combinations(f.candidates.len(), 2);
         let mut sweep = ErrorSweep::new(
-            &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, &f.candidates, &combos,
+            &f.dfg, &f.schedule, &f.alloc, &f.profile, &[fu], &f.candidates, &combos,
         ).expect("builds");
-        let mut incumbent: Option<u64> = None;
         let mut true_max = 0u64;
-        for ci in 0..combos.len() {
+        for (ci, combo) in combos.iter().enumerate() {
             sweep.set_slot(0, ci);
-            let bound = sweep.upper_bound();
-            let exact = sweep.solve_errors().expect("feasible");
-            prop_assert!(bound >= exact, "combo {ci}: bound {bound} < exact {exact}");
+            let fast = sweep.solve_errors();
+            let spec = LockingSpec::new(
+                &f.alloc,
+                vec![(fu, combo.iter().map(|&i| f.candidates[i]).collect())],
+            ).expect("valid spec");
+            let binding = bind_obfuscation_aware(
+                &f.dfg, &f.schedule, &f.alloc, &f.profile, &spec,
+            ).expect("feasible");
+            let exact = expected_application_errors(&binding, &f.profile, &spec);
+            prop_assert_eq!(fast, exact, "combo {}: sweep vs cold bind", ci);
             true_max = true_max.max(exact);
-            match incumbent {
-                Some(best) if bound <= best => {
-                    // The search would skip this combination. A wrongly
-                    // skipped combination would violate the line above;
-                    // assert the consequence directly too.
-                    prop_assert!(exact <= best, "wrongly skipped combo {ci}");
-                }
-                _ => incumbent = Some(incumbent.unwrap_or(0).max(exact)),
-            }
         }
-        prop_assert_eq!(incumbent, Some(true_max), "pruned scan missed the optimum");
         let opt = codesign_optimal(
-            &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, 2, &f.candidates,
+            &f.dfg, &f.schedule, &f.alloc, &f.profile, &[fu], 2, &f.candidates,
             &CancelToken::new(),
         ).expect("searchable");
         prop_assert_eq!(opt.errors, true_max, "codesign_optimal missed the optimum");
     }
 
-    /// Mutation: inflate one column potential of a cycle certificate. The
-    /// potentials are exactly what the sweep's pruning bound is read from —
-    /// an inflated column potential is the forged "certificate" that would
-    /// justify wrongly skipping a combination, and the `LB04xx` family must
-    /// reject it (sign violation, dual infeasibility, or a duality gap,
-    /// depending on where the slack runs out).
+    /// Mutation: inflate one column potential of a cycle certificate. An
+    /// inflated column potential is a forged optimality claim for the
+    /// cycle's binding, and the `LB04xx` family must reject it (sign
+    /// violation, dual infeasibility, or a duality gap, depending on where
+    /// the slack runs out).
     #[test]
     fn inflated_column_potential_trips_lb04xx(k in 0usize..11, seed in 0u64..32, pick in any::<u64>()) {
         let f = Fixture::new(k, seed);

@@ -11,14 +11,13 @@
 //! [`ErrorSweep`] rather than a cold binding solve per configuration. The
 //! optimal search walks the `C(|C|, m)^{|L|}` product in *Gray-code order*
 //! (Knuth 7.2.1.1 Algorithm H), so exactly one FU's combination — hence one
-//! warm-started matrix column per cycle — changes per step, and prunes
-//! configurations whose certified dual upper bound cannot beat the
-//! incumbent (`codesign.combos_pruned`; evaluated + pruned always equals
-//! the full product, so the counters audit search exhaustiveness). The
-//! selected configuration is *identical* to the legacy first-maximum scan:
-//! ties are broken by each configuration's rank in the legacy mixed-radix
-//! iteration order. A final cold [`bind_obfuscation_aware`] solve on the
-//! winner reproduces the byte-exact legacy binding and spec.
+//! slot's weights per cycle — changes per step, and scores every
+//! configuration exactly (`codesign.combos_evaluated` gains the full
+//! product once per search). The selected configuration is *identical* to
+//! the legacy first-maximum scan: ties are broken by each configuration's
+//! rank in the legacy mixed-radix iteration order. A final cold
+//! [`bind_obfuscation_aware`] solve on the winner reproduces the byte-exact
+//! legacy binding and spec.
 
 use lockbind_hls::{Allocation, Binding, Dfg, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_obs as obs;
@@ -85,8 +84,8 @@ fn validate(
 /// every combination assignment of candidate locked inputs to locked FUs and
 /// returns the best (Sec. V-B claims this maximizes Eqn. 2 exactly).
 ///
-/// `cancel` is polled once per visited combination assignment (evaluated or
-/// pruned); batch callers pass `&CancelToken::new()`, which never fires.
+/// `cancel` is polled once per combination assignment; batch callers pass
+/// `&CancelToken::new()`, which never fires.
 ///
 /// # Errors
 ///
@@ -149,30 +148,21 @@ pub fn codesign_optimal(
     let mut rank = 0u64;
     // (errors, legacy rank, digits) of the incumbent.
     let mut best: Option<(u64, u64, Vec<usize>)> = None;
+    let mut evaluated = 0u64;
     loop {
         if cancel.is_cancelled() {
+            obs::counter!("codesign.combos_evaluated").add(evaluated);
             return Err(CoreError::Interrupted {
                 stage: "codesign.optimal",
             });
         }
-        // Prune when the certified bound cannot beat the incumbent — on an
-        // exact tie, only when this configuration would also lose the
-        // lowest-rank tie-break.
-        let prune = best.as_ref().is_some_and(|&(be, br, _)| {
-            let ub = sweep.upper_bound();
-            ub < be || (ub == be && rank > br)
-        });
-        if prune {
-            obs::counter!("codesign.combos_pruned").inc();
-        } else {
-            let errors = sweep.solve_errors()?;
-            obs::counter!("codesign.combos_evaluated").inc();
-            if best
-                .as_ref()
-                .is_none_or(|&(be, br, _)| errors > be || (errors == be && rank < br))
-            {
-                best = Some((errors, rank, a.clone()));
-            }
+        let errors = sweep.solve_errors();
+        evaluated += 1;
+        if best
+            .as_ref()
+            .is_none_or(|&(be, br, _)| errors > be || (errors == be && rank < br))
+        {
+            best = Some((errors, rank, a.clone()));
         }
         if r == 1 {
             break; // single combination per slot: one configuration total
@@ -196,6 +186,7 @@ pub fn codesign_optimal(
             f[j + 1] = j + 1;
         }
     }
+    obs::counter!("codesign.combos_evaluated").add(evaluated);
 
     // Re-solve the winner cold: reproduces the legacy binding byte-exactly
     // and double-checks the sweep's score against realized Eqn. 2 errors.
@@ -227,8 +218,7 @@ pub fn codesign_optimal(
 /// spec produces the result.
 ///
 /// Runs in `O(s |L| |N| |R| log |R|)` for bounded `|C|` — polynomial time.
-/// `cancel` is polled once per visited candidate combination (evaluated or
-/// pruned).
+/// `cancel` is polled once per candidate combination.
 ///
 /// # Errors
 /// Same as [`codesign_optimal`] minus the search-space guard.
@@ -254,32 +244,28 @@ pub fn codesign_heuristic(
     // One sweep serves every stage: slots before `k` hold their frozen
     // winners, slot `k` varies, slots after `k` stay unlocked (all-zero
     // columns — exactly the legacy "not-yet-fixed FUs absent from the
-    // spec"). The warm state carries over between combinations *and*
-    // between stages.
+    // spec"). Cached subproblem totals carry over between combinations
+    // *and* between stages.
     let mut sweep = ErrorSweep::new(
         dfg, schedule, alloc, profile, locked_fus, candidates, &combos,
     )?;
     let mut winners: Vec<usize> = Vec::with_capacity(locked_fus.len());
     let mut stage_best = 0u64;
+    let mut evaluated = 0u64;
     for k in 0..locked_fus.len() {
         let mut best: Option<(u64, usize)> = None;
         for ci in 0..combos.len() {
             if cancel.is_cancelled() {
+                obs::counter!("codesign.combos_evaluated").add(evaluated);
                 return Err(CoreError::Interrupted {
                     stage: "codesign.heuristic",
                 });
             }
             sweep.set_slot(k, ci);
+            let errors = sweep.solve_errors();
+            evaluated += 1;
             // Index order + strictly-greater replacement keeps the first
-            // maximum, so a bound that cannot *exceed* the incumbent prunes.
-            if let Some((be, _)) = best {
-                if sweep.upper_bound() <= be {
-                    obs::counter!("codesign.combos_pruned").inc();
-                    continue;
-                }
-            }
-            let errors = sweep.solve_errors()?;
-            obs::counter!("codesign.combos_evaluated").inc();
+            // maximum.
             if best.is_none_or(|(e, _)| errors > e) {
                 best = Some((errors, ci));
             }
@@ -289,6 +275,7 @@ pub fn codesign_heuristic(
         winners.push(ci);
         stage_best = e;
     }
+    obs::counter!("codesign.combos_evaluated").add(evaluated);
 
     let entries: Vec<(FuId, Vec<Minterm>)> = locked_fus
         .iter()
@@ -403,7 +390,7 @@ mod tests {
 
     /// The legacy exhaustive scan, reproduced verbatim: mixed-radix counter
     /// (digit 0 fastest), one cold binding solve per configuration, first
-    /// maximum kept. The Gray-order pruned search must select the identical
+    /// maximum kept. The Gray-order search must select the identical
     /// configuration.
     fn optimal_reference(
         dfg: &Dfg,

@@ -19,13 +19,15 @@
 //!   potentials as a [`DualCertificate`]; [`verify_dual_certificate`] proves
 //!   optimality offline (dual feasibility + zero duality gap) without
 //!   re-running the solver,
-//! * [`HungarianState`] — an incremental solver that keeps the LP dual
-//!   potentials alive across weight edits: after a column update only the
-//!   invalidated rows are re-augmented, and [`HungarianState::objective_bound`]
-//!   reads a weak-duality bound off the repaired duals without solving (the
-//!   co-design branch-and-bound pruning hook),
 //! * [`brute_force`] — an exponential reference implementation used by the
 //!   test-suite to validate the Hungarian solver on small instances.
+//!
+//! Every solve here is cold. The co-design sweeps in `lockbind-core`
+//! (`ErrorSweep`) score millions of locking configurations without this
+//! crate: their Eqn. 3 matrices are zero outside the few locked columns, so
+//! a small exact kernel over those columns replaces the full assignment
+//! problem, and its differential properties use [`max_weight_matching`] as
+//! the reference.
 //!
 //! # Example
 //!
@@ -58,7 +60,6 @@ mod brute;
 mod certificate;
 mod error;
 mod hungarian;
-mod incremental;
 mod matrix;
 
 pub use brute::brute_force;
@@ -70,5 +71,4 @@ pub use hungarian::{
     max_weight_matching, max_weight_matching_certified, min_cost_matching,
     min_cost_matching_certified,
 };
-pub use incremental::{HungarianState, IncrementalStats};
 pub use matrix::{Matching, WeightMatrix};

@@ -166,8 +166,7 @@ impl Matching {
     /// Panics if any assigned column is `>= cols` or if two rows claim the
     /// same column — either means the matching does not belong to a
     /// `cols`-wide instance, and a silent wrap or overwrite here would
-    /// corrupt every downstream consumer (the incremental solver's repair
-    /// path indexes column state through this view).
+    /// corrupt every consumer that indexes column state through this view.
     ///
     /// # Example
     /// ```
