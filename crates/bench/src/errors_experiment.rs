@@ -227,26 +227,15 @@ pub fn run_error_cell_cancellable(
         return Ok(Vec::new());
     }
     let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
-    let mut records = obf_aware_cell(
-        prepared,
-        params,
-        ctx.class,
-        &fus,
-        locked_inputs,
-        &ctx.candidates,
-        &ctx.area,
-        &ctx.power,
-        cancel,
-    )?;
+    let inputs = CellInputs::build(prepared, ctx, params, &fus, locked_inputs);
+    let mut records = obf_aware_cell(prepared, ctx, &fus, locked_inputs, &inputs, cancel)?;
     records.extend(codesign_cell(
         prepared,
         params,
-        ctx.class,
+        ctx,
         &fus,
         locked_inputs,
-        &ctx.candidates,
-        &ctx.area,
-        &ctx.power,
+        &inputs,
         cancel,
     )?);
     Ok(records)
@@ -350,10 +339,10 @@ fn enumerate_assignments(
 /// Per-(slot, combination) Eqn. 2 error contribution of a *fixed* baseline
 /// binding: `table[k][ci]` is the errors that slot `k`'s FU contributes when
 /// locked with combination `ci`, so the baseline errors of any assignment
-/// are the sum of one table entry per slot. Exactly equal (u64 addition is
-/// order-independent) to `expected_application_errors(binding, ..)` on the
-/// assignment's spec, at one table lookup per slot instead of a full
-/// binding walk per assignment.
+/// are the sum of one table entry per slot. Each FU's count per candidate
+/// is summed over its ops once, and a combination's entry is the sum of its
+/// members' sums — the same u64 total (addition is order-independent) as
+/// `expected_application_errors(binding, ..)` on the assignment's spec.
 fn baseline_tables(
     profile: &OccurrenceProfile,
     binding: &Binding,
@@ -364,43 +353,75 @@ fn baseline_tables(
     fus.iter()
         .map(|&fu| {
             let ops = binding.ops_on(fu);
+            let per_candidate: Vec<u64> = candidates
+                .iter()
+                .map(|&c| ops.iter().map(|&op| profile.count(op, c)).sum())
+                .collect();
             combos
                 .iter()
-                .map(|combo| {
-                    let ms: Vec<Minterm> = combo.iter().map(|&i| candidates[i]).collect();
-                    ops.iter().map(|&op| profile.count_sum(op, &ms)).sum()
-                })
+                .map(|combo| combo.iter().map(|&i| per_candidate[i]).sum())
                 .collect()
         })
         .collect()
 }
 
-/// Obfuscation-aware cell: enumerate (or sample) combination assignments,
-/// score each with obf-aware binding, and compare against the baselines
-/// locked with the *same* assignment.
+/// What both halves of an error cell share: the combination list, the
+/// evaluated assignments, and each assignment's baseline errors under the
+/// area- and power-aware bindings (read off [`baseline_tables`]).
+struct CellInputs {
+    combos: Vec<Vec<usize>>,
+    assignments: Vec<Vec<usize>>,
+    base_area: Vec<u64>,
+    base_power: Vec<u64>,
+}
+
+impl CellInputs {
+    fn build(
+        prepared: &PreparedKernel,
+        ctx: &ClassContext,
+        params: &ExperimentParams,
+        fus: &[FuId],
+        locked_inputs: usize,
+    ) -> CellInputs {
+        let combos = combinations(ctx.candidates.len(), locked_inputs);
+        let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
+        let base = |binding: &Binding| -> Vec<u64> {
+            let table = baseline_tables(&prepared.profile, binding, fus, &combos, &ctx.candidates);
+            assignments
+                .iter()
+                .map(|assign| assign.iter().enumerate().map(|(k, &ci)| table[k][ci]).sum())
+                .collect()
+        };
+        CellInputs {
+            base_area: base(&ctx.area),
+            base_power: base(&ctx.power),
+            combos,
+            assignments,
+        }
+    }
+}
+
+/// Obfuscation-aware cell: score each combination assignment with
+/// obf-aware binding, and compare against the baselines locked with the
+/// *same* assignment.
 ///
 /// Scoring goes through [`ErrorSweep`] — per assignment only the slots
-/// whose combination differs from the previous assignment rewrite their
-/// weights, and the per-cycle optima are the exact
+/// whose combination differs from the previous assignment load a new
+/// column, and the per-cycle optima are the exact
 /// errors a cold `bind_obfuscation_aware` + `expected_application_errors`
 /// pair would produce (the `lockbind-check` mutation suite pins this).
-/// Baseline errors come from [`baseline_tables`]. The f64 accumulation
+/// Baseline errors come from [`CellInputs`]. The f64 accumulation
 /// order is unchanged, so every emitted record is byte-identical to the
 /// legacy per-assignment binding loop.
-#[allow(clippy::too_many_arguments)]
 fn obf_aware_cell(
     prepared: &PreparedKernel,
-    params: &ExperimentParams,
-    class: FuClass,
+    ctx: &ClassContext,
     fus: &[FuId],
     locked_inputs: usize,
-    candidates: &[Minterm],
-    area: &Binding,
-    power: &Binding,
+    inputs: &CellInputs,
     cancel: &CancelToken,
 ) -> Result<Vec<ErrorRecord>, CoreError> {
-    let combos = combinations(candidates.len(), locked_inputs);
-    let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
+    let assignments = &inputs.assignments;
     let _span = obs::span!("cell.obf_aware", assignments = assignments.len());
 
     let mut sweep = ErrorSweep::new(
@@ -409,17 +430,15 @@ fn obf_aware_cell(
         &prepared.alloc,
         &prepared.profile,
         fus,
-        candidates,
-        &combos,
+        &ctx.candidates,
+        &inputs.combos,
     )?;
-    let t_area = baseline_tables(&prepared.profile, area, fus, &combos, candidates);
-    let t_power = baseline_tables(&prepared.profile, power, fus, &combos, candidates);
 
     let mut sum_area = 0.0;
     let mut sum_power = 0.0;
     let mut sum_err = 0.0;
     let n = assignments.len();
-    for assign in &assignments {
+    for (i, assign) in assignments.iter().enumerate() {
         if cancel.is_cancelled() {
             return Err(CoreError::Interrupted {
                 stage: "bench.obf_aware",
@@ -429,24 +448,14 @@ fn obf_aware_cell(
             sweep.set_slot(k, ci);
         }
         let e_obf = sweep.solve_errors();
-        let e_area: u64 = assign
-            .iter()
-            .enumerate()
-            .map(|(k, &ci)| t_area[k][ci])
-            .sum();
-        let e_power: u64 = assign
-            .iter()
-            .enumerate()
-            .map(|(k, &ci)| t_power[k][ci])
-            .sum();
-        sum_area += ratio(e_obf, e_area);
-        sum_power += ratio(e_obf, e_power);
+        sum_area += ratio(e_obf, inputs.base_area[i]);
+        sum_power += ratio(e_obf, inputs.base_power[i]);
         sum_err += e_obf as f64;
     }
 
     Ok(vec![ErrorRecord {
         kernel: prepared.name.clone(),
-        class,
+        class: ctx.class,
         locked_fus: fus.len(),
         locked_inputs,
         algo: SecurityAlgo::ObfAware,
@@ -467,51 +476,30 @@ fn obf_aware_cell(
 /// averaged — i.e. "how much better is letting the algorithm pick both the
 /// binding and the inputs than locking a same-shaped configuration after
 /// area/power-aware binding".
-#[allow(clippy::too_many_arguments)]
 fn codesign_cell(
     prepared: &PreparedKernel,
     params: &ExperimentParams,
-    class: FuClass,
+    ctx: &ClassContext,
     fus: &[FuId],
     locked_inputs: usize,
-    candidates: &[Minterm],
-    area: &Binding,
-    power: &Binding,
+    inputs: &CellInputs,
     cancel: &CancelToken,
 ) -> Result<Vec<ErrorRecord>, CoreError> {
-    let combos = combinations(candidates.len(), locked_inputs);
-    let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
-    let _span = obs::span!("cell.codesign", assignments = assignments.len());
-
-    // Baseline error distribution over the enumerated combinations, read
-    // off the per-slot tables (one lookup per slot per assignment).
-    let t_area = baseline_tables(&prepared.profile, area, fus, &combos, candidates);
-    let t_power = baseline_tables(&prepared.profile, power, fus, &combos, candidates);
-    let mut base_area = Vec::with_capacity(assignments.len());
-    let mut base_power = Vec::with_capacity(assignments.len());
-    for assign in &assignments {
-        if cancel.is_cancelled() {
-            return Err(CoreError::Interrupted {
-                stage: "bench.codesign",
-            });
-        }
-        base_area.push(
-            assign
-                .iter()
-                .enumerate()
-                .map(|(k, &ci)| t_area[k][ci])
-                .sum(),
-        );
-        base_power.push(
-            assign
-                .iter()
-                .enumerate()
-                .map(|(k, &ci)| t_power[k][ci])
-                .sum(),
-        );
-    }
+    let samples = inputs.assignments.len();
+    let _span = obs::span!("cell.codesign", assignments = samples);
     let mean_ratio = |errors: u64, bases: &[u64]| -> f64 {
         bases.iter().map(|&b| ratio(errors, b)).sum::<f64>() / bases.len() as f64
+    };
+    let record = |algo: SecurityAlgo, errors: u64| ErrorRecord {
+        kernel: prepared.name.clone(),
+        class: ctx.class,
+        locked_fus: fus.len(),
+        locked_inputs,
+        algo,
+        vs_area: mean_ratio(errors, &inputs.base_area),
+        vs_power: mean_ratio(errors, &inputs.base_power),
+        mean_errors: errors as f64,
+        samples,
     };
 
     let mut out = Vec::new();
@@ -522,22 +510,12 @@ fn codesign_cell(
         &prepared.profile,
         fus,
         locked_inputs,
-        candidates,
+        &ctx.candidates,
         cancel,
     )?;
-    out.push(ErrorRecord {
-        kernel: prepared.name.clone(),
-        class,
-        locked_fus: fus.len(),
-        locked_inputs,
-        algo: SecurityAlgo::CoDesignHeuristic,
-        vs_area: mean_ratio(heur.errors, &base_area),
-        vs_power: mean_ratio(heur.errors, &base_power),
-        mean_errors: heur.errors as f64,
-        samples: assignments.len(),
-    });
+    out.push(record(SecurityAlgo::CoDesignHeuristic, heur.errors));
 
-    let evaluations = (combos.len() as u128)
+    let evaluations = (inputs.combos.len() as u128)
         .checked_pow(fus.len() as u32)
         .unwrap_or(u128::MAX);
     if evaluations <= params.optimal_budget {
@@ -548,20 +526,10 @@ fn codesign_cell(
             &prepared.profile,
             fus,
             locked_inputs,
-            candidates,
+            &ctx.candidates,
             cancel,
         )?;
-        out.push(ErrorRecord {
-            kernel: prepared.name.clone(),
-            class,
-            locked_fus: fus.len(),
-            locked_inputs,
-            algo: SecurityAlgo::CoDesignOptimal,
-            vs_area: mean_ratio(opt.errors, &base_area),
-            vs_power: mean_ratio(opt.errors, &base_power),
-            mean_errors: opt.errors as f64,
-            samples: assignments.len(),
-        });
+        out.push(record(SecurityAlgo::CoDesignOptimal, opt.errors));
     }
     Ok(out)
 }
@@ -681,18 +649,21 @@ mod tests {
     /// The legacy obf-aware cell, reimplemented verbatim: one cold binding
     /// solve and three full Eqn. 2 walks per assignment. The sweep-backed
     /// cell must reproduce its record *bitwise* (same f64 accumulation).
+    /// Also returns each assignment's area-/power-aware baseline errors,
+    /// the legacy inputs of the co-design records' ratios.
     fn legacy_obf_aware_record(
         p: &PreparedKernel,
         params: &ExperimentParams,
         ctx: &ClassContext,
         locked_fus: usize,
         locked_inputs: usize,
-    ) -> ErrorRecord {
+    ) -> (ErrorRecord, Vec<u64>, Vec<u64>) {
         use lockbind_core::{bind_obfuscation_aware, expected_application_errors, LockingSpec};
         let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
         let combos = combinations(ctx.candidates.len(), locked_inputs);
         let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
         let (mut sum_area, mut sum_power, mut sum_err) = (0.0, 0.0, 0.0);
+        let (mut base_area, mut base_power) = (Vec::new(), Vec::new());
         for assign in &assignments {
             let entries: Vec<(FuId, Vec<Minterm>)> = fus
                 .iter()
@@ -708,9 +679,11 @@ mod tests {
             sum_area += ratio(e_obf, e_area);
             sum_power += ratio(e_obf, e_power);
             sum_err += e_obf as f64;
+            base_area.push(e_area);
+            base_power.push(e_power);
         }
         let n = assignments.len();
-        ErrorRecord {
+        let record = ErrorRecord {
             kernel: p.name.clone(),
             class: ctx.class,
             locked_fus,
@@ -720,22 +693,39 @@ mod tests {
             vs_power: sum_power / n as f64,
             mean_errors: sum_err / n as f64,
             samples: n,
-        }
+        };
+        (record, base_area, base_power)
+    }
+
+    /// The legacy co-design ratio: the mean over the assignments' baseline
+    /// errors, summed in assignment order.
+    fn legacy_mean_ratio(errors: u64, bases: &[u64]) -> f64 {
+        bases.iter().map(|&b| ratio(errors, b)).sum::<f64>() / bases.len() as f64
     }
 
     #[test]
     fn sweep_cell_is_bitwise_identical_to_legacy_cell() {
+        // Five candidates so three inputs per FU still leave a choice, and
+        // a sample cap that both enumerates (small configurations) and
+        // subsamples (`C(5, 2)^3 = 1000`).
+        let params = ExperimentParams {
+            num_candidates: 5,
+            max_locked_fus: 3,
+            max_locked_inputs: 3,
+            max_assignments: 60,
+            optimal_budget: 200,
+            seed: 7,
+        };
         for kernel in [Kernel::Fir, Kernel::Motion2] {
             let p = PreparedKernel::new(kernel, 80, 5);
-            let params = small_params();
             for class in [FuClass::Adder, FuClass::Multiplier] {
                 let Some(ctx) =
                     ClassContext::build(&p, class, params.num_candidates).expect("builds")
                 else {
                     continue;
                 };
-                for locked_fus in 1..=2 {
-                    for locked_inputs in 1..=2 {
+                for locked_fus in 1..=3 {
+                    for locked_inputs in 1..=3 {
                         let fast = run_error_cell_cancellable(
                             &p,
                             &ctx,
@@ -745,18 +735,39 @@ mod tests {
                             &CancelToken::new(),
                         )
                         .expect("runs");
-                        let Some(fast) = fast.iter().find(|r| r.algo == SecurityAlgo::ObfAware)
+                        let Some(obf) = fast.iter().find(|r| r.algo == SecurityAlgo::ObfAware)
                         else {
                             continue; // infeasible configuration for this class
                         };
-                        let slow =
+                        let (slow, base_area, base_power) =
                             legacy_obf_aware_record(&p, &params, &ctx, locked_fus, locked_inputs);
                         // Bitwise, not approximate: headline artifacts must
                         // stay byte-identical across the fast path.
-                        assert_eq!(fast.vs_area.to_bits(), slow.vs_area.to_bits());
-                        assert_eq!(fast.vs_power.to_bits(), slow.vs_power.to_bits());
-                        assert_eq!(fast.mean_errors.to_bits(), slow.mean_errors.to_bits());
-                        assert_eq!(fast.samples, slow.samples);
+                        assert_eq!(obf.vs_area.to_bits(), slow.vs_area.to_bits());
+                        assert_eq!(obf.vs_power.to_bits(), slow.vs_power.to_bits());
+                        assert_eq!(obf.mean_errors.to_bits(), slow.mean_errors.to_bits());
+                        assert_eq!(obf.samples, slow.samples);
+                        let codesign: Vec<&ErrorRecord> = fast
+                            .iter()
+                            .filter(|r| r.algo != SecurityAlgo::ObfAware)
+                            .collect();
+                        assert!(!codesign.is_empty(), "the heuristic always runs");
+                        for r in codesign {
+                            let errors = r.mean_errors as u64;
+                            assert_eq!(
+                                r.vs_area.to_bits(),
+                                legacy_mean_ratio(errors, &base_area).to_bits(),
+                                "{:?} vs_area",
+                                r.algo
+                            );
+                            assert_eq!(
+                                r.vs_power.to_bits(),
+                                legacy_mean_ratio(errors, &base_power).to_bits(),
+                                "{:?} vs_power",
+                                r.algo
+                            );
+                            assert_eq!(r.samples, slow.samples);
+                        }
                     }
                 }
             }

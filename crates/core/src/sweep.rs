@@ -9,15 +9,14 @@
 //!
 //! [`ErrorSweep`] scores a configuration from three pieces of state:
 //!
-//! * per *live* `(cycle, class)` subproblem, a weight table over the
-//!   class's locked slots × the cycle's live ops only — unlocked FUs'
-//!   columns are identically zero and never stored;
-//! * per `(op, candidate)` pair, a packed occurrence row
-//!   (counts + occupancy bitset) so an Eqn. 3 weight `w(op, combo)` is a
-//!   word-parallel masked walk over the combo's candidate bitmask instead of
-//!   `|combo|` hash-map probes;
+//! * per *live* `(cycle, class)` subproblem, a column table: for each
+//!   combination `c` and live op `r`, the Eqn. 3 weight `w(r, c)` at
+//!   `cols[c * rows + r]`, plus one all-zero column standing for
+//!   "unlocked". The weights depend only on (op, combination), so they are
+//!   computed once at construction and loading a slot is an index change;
+//! * per subproblem, the column each of the class's locked slots reads;
 //! * a cached per-subproblem optimum, so scoring a configuration only
-//!   re-solves the subproblems whose weights actually moved.
+//!   re-solves the subproblems whose columns actually moved.
 //!
 //! The scored value is *exactly* the legacy one: for any complete
 //! configuration, `Σ` per-cycle max-weight totals over the Eqn. 3 matrices
@@ -34,71 +33,49 @@
 //! slots and the live ops (those with a non-zero count for some
 //! candidate). Ops with no candidate occurrence, and cycles of a class with
 //! no locked slot, always contribute 0 and are dropped at construction.
+//!
+//! **Closed forms.** With one locked slot the optimum is its column's
+//! maximum. With two it is `max_{i≠j} x_i + y_j` over the two columns, or
+//! `max(x_0, y_0)` when only one op is live: with two or more live ops a
+//! matching that leaves a slot free never beats one that gives it another
+//! op, because weights are non-negative. Three or more slots go through
+//! the subset DP, which reads each slot's weights in place from its
+//! selected column.
 
-use lockbind_hls::{Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, OpId, Schedule};
+use lockbind_hls::{Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_matching::MatchingError;
 
 use crate::CoreError;
-
-/// One packed candidate-occurrence row: for one op, `counts[k]` is
-/// `K[candidates[k], op]` and `occ` has bit `k` set iff that count is
-/// non-zero.
-struct CandRow {
-    counts: Vec<u64>,
-    occ: Vec<u64>,
-}
-
-impl CandRow {
-    /// The op's packed row, or `None` when it never sees any candidate (its
-    /// weight is 0 under every combination).
-    fn live(
-        profile: &OccurrenceProfile,
-        op: OpId,
-        candidates: &[Minterm],
-        words: usize,
-    ) -> Option<CandRow> {
-        let counts: Vec<u64> = candidates.iter().map(|&c| profile.count(op, c)).collect();
-        let mut occ = vec![0u64; words];
-        for (i, &ct) in counts.iter().enumerate() {
-            if ct > 0 {
-                occ[i / 64] |= 1 << (i % 64);
-            }
-        }
-        occ.iter()
-            .any(|&o| o != 0)
-            .then_some(CandRow { counts, occ })
-    }
-
-    /// Eqn. 3 weight of this op against a combination bitmask: the sum of
-    /// occurrence counts over `mask ∩ occ`, word-parallel with an instant
-    /// zero when the intersection is empty.
-    fn weight(&self, mask: &[u64]) -> u64 {
-        let mut sum = 0u64;
-        for (w, (&m, &o)) in mask.iter().zip(&self.occ).enumerate() {
-            let mut bits = m & o;
-            while bits != 0 {
-                let k = bits.trailing_zeros() as usize;
-                sum += self.counts[w * 64 + k];
-                bits &= bits - 1;
-            }
-        }
-        sum
-    }
-}
 
 /// One live `(cycle, class)` subproblem: the class has a locked slot and
 /// the cycle has at least one live op of the class.
 struct Sub {
     class: FuClass,
-    /// Number of locked slots of `class`.
-    locked: usize,
-    /// Packed candidate rows of the live ops.
-    rows: Vec<CandRow>,
-    /// `weights[s * rows.len() + r]`: Eqn. 3 weight of live row `r` on the
-    /// class's `s`-th locked slot (0 while the slot is unlocked).
-    weights: Vec<u64>,
-    /// The subproblem's optimal total under the current weights, if solved.
+    /// Number of live ops.
+    rows: usize,
+    /// `cols[c * rows + r]`: Eqn. 3 weight of live row `r` under
+    /// combination `c`; the last column is all-zero ("unlocked").
+    cols: Vec<u64>,
+    /// Per locked slot of `class` (by position), the column it reads.
+    sel: Vec<usize>,
+    /// The subproblem's optimal total under the current columns, if solved.
     total: Option<u64>,
+}
+
+impl Sub {
+    fn col(&self, c: usize) -> &[u64] {
+        &self.cols[c * self.rows..(c + 1) * self.rows]
+    }
+
+    /// The optimum over the current columns: closed form for one or two
+    /// locked slots, the subset DP beyond.
+    fn solve(&self, dp: &mut [u64]) -> u64 {
+        match *self.sel.as_slice() {
+            [a] => max_column(self.col(a)),
+            [a, b] => best_pair(self.col(a), self.col(b)),
+            _ => best_partial_matching(&self.cols, &self.sel, self.rows, dp),
+        }
+    }
 }
 
 /// One locked-FU slot of the sweep.
@@ -106,9 +83,10 @@ struct Slot {
     class: FuClass,
     /// Position among the locked slots of `class`.
     local: usize,
-    /// Index into the combination list currently loaded, `None` = unlocked
-    /// (all-zero weights, matching the heuristic's "later FUs unlocked").
-    current: Option<usize>,
+    /// Column currently loaded: a combination index, or the combination
+    /// count for unlocked (all-zero weights, matching the heuristic's
+    /// "later FUs unlocked").
+    col: usize,
 }
 
 /// Incremental scorer for locked-input combination sweeps: assign each
@@ -124,22 +102,24 @@ struct Slot {
 /// the same configuration — proven by this module's unit properties and the
 /// `lockbind-check` mutation suite.
 ///
-/// Each subproblem is solved by a DP over subsets of its class's `L`
-/// locked slots in `O(R · L · 2^L)` for `R` live ops. `L` is small
-/// wherever a sweep runs: every caller enumerates `C(n, m)^L`
-/// configurations, and the grid locks 1–3 FUs per class.
+/// Construction precomputes `Σ rows × (|combos| + 1)` weights. A
+/// subproblem with one or two locked slots is solved in closed form in
+/// `O(R)` / `O(R²)` for `R` live ops; with `L ≥ 3` by a DP over subsets of
+/// the slots in `O(R · L · 2^L)`. `L` is small wherever a sweep runs:
+/// every caller enumerates `C(n, m)^L` configurations, and the grid locks
+/// 1–3 FUs per class.
 pub struct ErrorSweep {
     subs: Vec<Sub>,
     slots: Vec<Slot>,
-    /// Per combination index, the candidate-set bitmask.
-    masks: Vec<Vec<u64>>,
-    /// DP table reused by every solve, `2^L` entries for the largest `L`.
+    /// Number of combinations; also the index of the all-zero column.
+    unlocked: usize,
+    /// DP table reused by every DP solve, `2^L` entries for the largest `L`.
     dp: Vec<u64>,
 }
 
 impl ErrorSweep {
-    /// Builds the sweep context: one weight table per live `(cycle, class)`
-    /// subproblem, initially all-zero (fully unlocked). `combos` lists
+    /// Builds the sweep context: one column table per live `(cycle, class)`
+    /// subproblem, every slot initially unlocked. `combos` lists
     /// candidate-index combinations exactly as produced by
     /// [`combinations`](crate::combinations).
     ///
@@ -151,6 +131,9 @@ impl ErrorSweep {
     ///   a class than allocated FUs — the same infeasibility
     ///   [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) reports,
     ///   checked on every cycle, including those the sweep then drops.
+    ///
+    /// # Panics
+    /// Panics when a combination indexes past `candidates`.
     pub fn new(
         dfg: &Dfg,
         schedule: &Schedule,
@@ -160,6 +143,7 @@ impl ErrorSweep {
         candidates: &[Minterm],
         combos: &[Vec<usize>],
     ) -> Result<Self, CoreError> {
+        let unlocked = combos.len();
         let mut slots = Vec::with_capacity(locked_fus.len());
         for (i, &fu) in locked_fus.iter().enumerate() {
             if fu.index >= alloc.count(fu.class) {
@@ -175,37 +159,28 @@ impl ErrorSweep {
             slots.push(Slot {
                 class: fu.class,
                 local,
-                current: None,
+                col: unlocked,
             });
         }
-        let words = candidates.len().div_ceil(64).max(1);
-        let masks: Vec<Vec<u64>> = combos
-            .iter()
-            .map(|combo| {
-                let mut mask = vec![0u64; words];
-                for &i in combo {
-                    assert!(i < candidates.len(), "combo index {i} out of range");
-                    mask[i / 64] |= 1 << (i % 64);
-                }
-                mask
-            })
-            .collect();
+        for &i in combos.iter().flatten() {
+            assert!(i < candidates.len(), "combo index {i} out of range");
+        }
 
         let mut subs = Vec::new();
         for t in 0..schedule.num_cycles() {
             for class in FuClass::ALL {
                 let ops = schedule.class_ops_in_cycle(dfg, class, t);
-                let cols = alloc.count(class);
+                let fus = alloc.count(class);
                 if ops.is_empty() {
                     continue;
                 }
-                if cols == 0 {
+                if fus == 0 {
                     return Err(MatchingError::NoColumns.into());
                 }
-                if ops.len() > cols {
+                if ops.len() > fus {
                     return Err(MatchingError::MoreRowsThanCols {
                         rows: ops.len(),
-                        cols,
+                        cols: fus,
                     }
                     .into());
                 }
@@ -213,29 +188,41 @@ impl ErrorSweep {
                 if locked == 0 {
                     continue;
                 }
-                let rows: Vec<CandRow> = ops
+                // Per live op, its count for every candidate.
+                let counts: Vec<Vec<u64>> = ops
                     .iter()
-                    .filter_map(|&op| CandRow::live(profile, op, candidates, words))
+                    .map(|&op| candidates.iter().map(|&c| profile.count(op, c)).collect())
+                    .filter(|row: &Vec<u64>| row.iter().any(|&ct| ct > 0))
                     .collect();
-                if rows.is_empty() {
+                if counts.is_empty() {
                     continue;
                 }
+                let rows = counts.len();
+                let mut cols = Vec::with_capacity((unlocked + 1) * rows);
+                for combo in combos {
+                    cols.extend(
+                        counts
+                            .iter()
+                            .map(|row| combo.iter().map(|&i| row[i]).sum::<u64>()),
+                    );
+                }
+                cols.resize((unlocked + 1) * rows, 0);
                 subs.push(Sub {
                     class,
-                    locked,
-                    weights: vec![0; locked * rows.len()],
                     rows,
+                    cols,
+                    sel: vec![unlocked; locked],
                     // The all-zero table's optimum is 0 — no solve needed
-                    // until a weight moves.
+                    // until a column moves.
                     total: Some(0),
                 });
             }
         }
-        let max_locked = subs.iter().map(|s| s.locked).max().unwrap_or(0);
+        let max_locked = subs.iter().map(|s| s.sel.len()).max().unwrap_or(0);
         Ok(ErrorSweep {
             subs,
             slots,
-            masks,
+            unlocked,
             dp: vec![0; 1 << max_locked],
         })
     }
@@ -245,79 +232,88 @@ impl ErrorSweep {
         self.slots.len()
     }
 
-    /// Loads combination `combo` into slot `slot`, rewriting that slot's
-    /// weights in every subproblem of its FU's class. A no-op when the slot
-    /// already holds `combo`; a subproblem's cached optimum survives when
-    /// none of its weights changed value.
+    /// Loads combination `combo` into slot `slot`, pointing that slot at
+    /// `combo`'s column in every subproblem of its FU's class. A no-op when
+    /// the slot already holds `combo`; a subproblem's cached optimum
+    /// survives when its old and new columns are equal.
     ///
     /// # Panics
     /// Panics on out-of-range `slot` or `combo`.
     pub fn set_slot(&mut self, slot: usize, combo: usize) {
-        assert!(combo < self.masks.len(), "combo {combo} out of range");
-        let slot = &mut self.slots[slot];
-        if slot.current == Some(combo) {
-            return;
-        }
-        slot.current = Some(combo);
-        let mask = &self.masks[combo];
-        load_slot(&mut self.subs, slot.class, slot.local, |row| {
-            row.weight(mask)
-        });
+        assert!(combo < self.unlocked, "combo {combo} out of range");
+        self.load(slot, combo);
     }
 
-    /// Unlocks slot `slot` (all-zero weights), the heuristic's "not yet
+    /// Unlocks slot `slot` (the all-zero column), the heuristic's "not yet
     /// fixed" state. A no-op when already unlocked.
     ///
     /// # Panics
     /// Panics on out-of-range `slot`.
     pub fn clear_slot(&mut self, slot: usize) {
+        self.load(slot, self.unlocked);
+    }
+
+    fn load(&mut self, slot: usize, col: usize) {
         let slot = &mut self.slots[slot];
-        if slot.current.take().is_some() {
-            load_slot(&mut self.subs, slot.class, slot.local, |_| 0);
+        if slot.col == col {
+            return;
+        }
+        slot.col = col;
+        for sub in self.subs.iter_mut().filter(|s| s.class == slot.class) {
+            let old = std::mem::replace(&mut sub.sel[slot.local], col);
+            if sub.col(old) != sub.col(col) {
+                sub.total = None;
+            }
         }
     }
 
     /// The exact Eqn. 2 error score of the current configuration: the sum
     /// of per-subproblem max-weight totals, re-solving only the subproblems
-    /// whose weights moved since the last score.
+    /// whose columns moved since the last score.
     pub fn solve_errors(&mut self) -> u64 {
         let dp = &mut self.dp;
         self.subs
             .iter_mut()
-            .map(|sub| {
-                *sub.total.get_or_insert_with(|| {
-                    best_partial_matching(&sub.weights, sub.rows.len(), sub.locked, dp)
-                })
+            .map(|sub| match sub.total {
+                Some(total) => total,
+                None => *sub.total.insert(sub.solve(dp)),
             })
             .sum()
     }
 }
 
-/// Rewrites the `local`-th locked slot's weights in every subproblem of
-/// `class`, dropping a subproblem's cached optimum only when a value moved.
-fn load_slot(subs: &mut [Sub], class: FuClass, local: usize, weight: impl Fn(&CandRow) -> u64) {
-    for sub in subs.iter_mut().filter(|s| s.class == class) {
-        let n = sub.rows.len();
-        for (w, row) in sub.weights[local * n..(local + 1) * n]
-            .iter_mut()
-            .zip(&sub.rows)
-        {
-            let new = weight(row);
-            if *w != new {
-                *w = new;
-                sub.total = None;
+/// One locked slot: its best live op.
+fn max_column(x: &[u64]) -> u64 {
+    x.iter().copied().max().unwrap_or(0)
+}
+
+/// Two locked slots with columns `x` and `y`: the best pair of distinct
+/// ops, or the better single edge when only one op is live. Exact because
+/// weights are non-negative, so with two or more ops both slots can always
+/// be matched without losing weight.
+fn best_pair(x: &[u64], y: &[u64]) -> u64 {
+    if x.len() == 1 {
+        return x[0].max(y[0]);
+    }
+    let mut best = 0;
+    for (i, &xi) in x.iter().enumerate() {
+        for (j, &yj) in y.iter().enumerate() {
+            if i != j {
+                best = best.max(xi + yj);
             }
         }
     }
+    best
 }
 
-/// Max-weight partial matching of `rows` rows against `slots` slots, where
-/// `w[s * rows + r]` is row `r`'s weight on slot `s`: a DP over subsets of
-/// slots taking the rows one at a time, each row taking at most one slot.
-/// After row `r`, `dp[S]` is the best total of rows `0..=r` using only
-/// slots in `S`. `dp` needs at least `2^slots` entries.
-fn best_partial_matching(w: &[u64], rows: usize, slots: usize, dp: &mut [u64]) -> u64 {
-    let full = (1usize << slots) - 1;
+/// Max-weight partial matching of `rows` rows against the slots of `sel`,
+/// where slot `s` reads column `sel[s]` of the table `cols`, so row `r`'s
+/// weight on it is `cols[sel[s] * rows + r]`: a DP over subsets of slots
+/// taking the rows one at a time, each row taking at most one slot. After
+/// row `r`, `dp[S]` is the best total of rows `0..=r` using only slots in
+/// `S`. `dp` needs at least `2^sel.len()` entries.
+fn best_partial_matching(cols: &[u64], sel: &[usize], rows: usize, dp: &mut [u64]) -> u64 {
+    let full = (1usize << sel.len()) - 1;
     let dp = &mut dp[..=full];
     dp.fill(0);
     for r in 0..rows {
@@ -329,7 +325,7 @@ fn best_partial_matching(w: &[u64], rows: usize, slots: usize, dp: &mut [u64]) -
             while bits != 0 {
                 let s = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                best = best.max(dp[mask ^ (1 << s)] + w[s * rows + r]);
+                best = best.max(dp[mask ^ (1 << s)] + cols[sel[s] * rows + r]);
             }
             dp[mask] = best;
         }
@@ -347,12 +343,20 @@ mod tests {
     use proptest::prelude::*;
 
     fn setup(kernel: Kernel) -> (Dfg, Schedule, Allocation, OccurrenceProfile, Vec<Minterm>) {
+        setup_class(kernel, FuClass::Adder)
+    }
+
+    /// A kernel scheduled on 3 + 3 FUs, with the top 6 candidates of `class`.
+    fn setup_class(
+        kernel: Kernel,
+        class: FuClass,
+    ) -> (Dfg, Schedule, Allocation, OccurrenceProfile, Vec<Minterm>) {
         let b = kernel.benchmark(100, 17);
         let alloc = Allocation::new(3, 3);
         let sched = schedule_list(&b.dfg, &alloc).expect("schedulable");
         let profile = OccurrenceProfile::from_trace(&b.dfg, &b.trace).expect("profiled");
-        let adder_ops = b.dfg.ops_of_class(FuClass::Adder);
-        let candidates = profile.top_candidates_among(&adder_ops, 6);
+        let class_ops = b.dfg.ops_of_class(class);
+        let candidates = profile.top_candidates_among(&class_ops, 6);
         (b.dfg, sched, alloc, profile, candidates)
     }
 
@@ -384,20 +388,25 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Walks a random sequence of slot loads and clears (partially
-        /// locked states included) with 1–3 locked adders on any suite
-        /// kernel, checking the sweep against a cold bind after every step.
+        /// locked states included) with 1–3 locked adders or multipliers
+        /// and 1–3 inputs per FU on any suite kernel, checking the sweep
+        /// against a cold bind after every step. One, two and three locked
+        /// slots reach both closed forms and the DP.
         #[test]
         fn sweep_score_equals_legacy_bind_score(
             kernel in 0usize..11,
+            multiplier in any::<bool>(),
             locked in 1usize..=3,
             first in 0usize..3,
-            per_fu in 1usize..=2,
+            per_fu in 1usize..=3,
             steps in proptest::collection::vec((0usize..3, 0usize..64, 0u32..8), 1..24),
         ) {
-            let (dfg, sched, alloc, profile, candidates) = setup(Kernel::ALL[kernel]);
+            let class = if multiplier { FuClass::Multiplier } else { FuClass::Adder };
+            let (dfg, sched, alloc, profile, candidates) =
+                setup_class(Kernel::ALL[kernel], class);
             prop_assume!(candidates.len() >= per_fu);
             let fus: Vec<FuId> = (0..locked)
-                .map(|i| FuId::new(FuClass::Adder, (first + i) % 3))
+                .map(|i| FuId::new(class, (first + i) % 3))
                 .collect();
             let combos = combinations(candidates.len(), per_fu);
             let mut sweep =
@@ -450,9 +459,34 @@ mod tests {
             for &c in &locked {
                 w.extend(live.iter().map(|&r| weight(r, c)));
             }
+            let identity: Vec<usize> = (0..locked.len()).collect();
             let mut dp = vec![0; 1 << locked.len()];
-            let total = best_partial_matching(&w, live.len(), locked.len(), &mut dp);
+            let total = best_partial_matching(&w, &identity, live.len(), &mut dp);
             prop_assert_eq!(total as i64, cold.total);
+        }
+
+        /// The closed forms against the DP: on random non-negative
+        /// columns over 1–5 live rows (single-row and all-zero columns
+        /// included), one- and two-slot optima equal
+        /// `best_partial_matching`.
+        #[test]
+        fn closed_forms_equal_the_dp(
+            rows in 1usize..=5,
+            zero in 0u32..4,
+            cells in proptest::collection::vec((0u32..3, 0u64..1000), 10),
+        ) {
+            // `zero` blanks column x (1), column y (2) or both (3); a
+            // `sel` of 0 blanks one entry.
+            let entry = |c: usize, r: usize| {
+                let (sel, w) = cells[c * 5 + r];
+                if zero >> c & 1 == 1 || sel == 0 { 0 } else { w }
+            };
+            let x: Vec<u64> = (0..rows).map(|r| entry(0, r)).collect();
+            let y: Vec<u64> = (0..rows).map(|r| entry(1, r)).collect();
+            let xy: Vec<u64> = x.iter().chain(&y).copied().collect();
+            let mut dp = vec![0; 4];
+            prop_assert_eq!(max_column(&x), best_partial_matching(&xy, &[0], rows, &mut dp));
+            prop_assert_eq!(best_pair(&x, &y), best_partial_matching(&xy, &[0, 1], rows, &mut dp));
         }
     }
 
