@@ -618,6 +618,30 @@ mod tests {
             );
             assert!(r.vs_power >= 0.99, "{:?} vs_power {}", r.algo, r.vs_power);
         }
+
+        // On jctrans2 the per-|L| mean of vs_area over all algorithms never
+        // drops below 1, not even by the tolerance above.
+        let p = PreparedKernel::new(Kernel::Jctrans2, 40, 3);
+        let params = ExperimentParams {
+            num_candidates: 3,
+            max_locked_fus: 2,
+            max_locked_inputs: 1,
+            max_assignments: 20,
+            optimal_budget: 10,
+            seed: 1,
+        };
+        let records = run_error_experiment(&p, &params).expect("runs");
+        let mut by_fus = std::collections::BTreeMap::<usize, (f64, usize)>::new();
+        for r in &records {
+            let e = by_fus.entry(r.locked_fus).or_default();
+            e.0 += r.vs_area;
+            e.1 += 1;
+        }
+        assert!(!by_fus.is_empty());
+        for (fus, (sum, n)) in by_fus {
+            let mean = sum / n as f64;
+            assert!(mean >= 1.0 - 1e-9, "|L| = {fus}: mean vs_area {mean}");
+        }
     }
 
     #[test]

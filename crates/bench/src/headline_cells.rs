@@ -5,7 +5,7 @@
 //! grid must exercise every pipeline stage the profiler reports on:
 //! scheduling and binding (inside kernel preparation), matching (inside the
 //! binding algorithms), the locked-datapath simulation, and the SAT attack.
-//! The plain [`ErrorCell`](crate::ErrorCell) grid covers the first three;
+//! The plain [`ErrorCell`] grid covers the first three;
 //! this module adds [`ImpactCell`] (stage `locked-sim`) and [`SatCell`]
 //! (stage `sat-attack`) and wraps all three in one [`HeadlineCell`] job
 //! type so a single engine run covers the full pipeline.

@@ -9,7 +9,7 @@ use lockbind_hls::metrics::{register_count, switching};
 use lockbind_hls::{FuId, Minterm};
 use lockbind_resil::CancelToken;
 
-use crate::{ErrorRecord, PreparedKernel, SecurityAlgo};
+use crate::{PreparedKernel, SecurityAlgo};
 
 /// Overhead of one security-aware algorithm on one kernel, relative to the
 /// baselines (paper Fig. 6: averages +4.7 registers, +0.03 switching rate).
@@ -145,25 +145,6 @@ pub fn measure_overhead(
         .collect())
 }
 
-/// Convenience used by the `fig5`/`headline` binaries: slice records by a
-/// key function and average a metric within each slice.
-pub fn average_by<K: Ord + Clone, F: Fn(&ErrorRecord) -> K, G: Fn(&ErrorRecord) -> f64>(
-    records: &[ErrorRecord],
-    key: F,
-    metric: G,
-) -> Vec<(K, f64, usize)> {
-    let mut groups: std::collections::BTreeMap<K, (f64, usize)> = std::collections::BTreeMap::new();
-    for r in records {
-        let e = groups.entry(key(r)).or_insert((0.0, 0));
-        e.0 += metric(r);
-        e.1 += 1;
-    }
-    groups
-        .into_iter()
-        .map(|(k, (sum, n))| (k, sum / n as f64, n))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,29 +166,6 @@ mod tests {
                 r.register_increase
             );
             assert!(r.switching_increase >= -0.1);
-        }
-    }
-
-    #[test]
-    fn average_by_groups_correctly() {
-        let p = PreparedKernel::new(Kernel::Jctrans2, 40, 3);
-        let records = crate::run_error_experiment(
-            &p,
-            &crate::ExperimentParams {
-                num_candidates: 3,
-                max_locked_fus: 2,
-                max_locked_inputs: 1,
-                max_assignments: 20,
-                optimal_budget: 10,
-                seed: 1,
-            },
-        )
-        .expect("runs");
-        let by_fus = average_by(&records, |r| r.locked_fus, |r| r.vs_area);
-        assert!(!by_fus.is_empty());
-        for (_, avg, n) in by_fus {
-            assert!(avg >= 1.0 - 1e-9);
-            assert!(n > 0);
         }
     }
 }

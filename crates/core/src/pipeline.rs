@@ -19,21 +19,6 @@ pub struct LockedDesign {
     pub modules: Vec<(FuId, LockedNetlist)>,
 }
 
-impl LockedDesign {
-    /// Total key bits across all locked modules.
-    pub fn total_key_bits(&self) -> usize {
-        self.modules.iter().map(|(_, m)| m.key_bits()).sum()
-    }
-
-    /// Total gate count of the locked modules.
-    pub fn locked_gate_count(&self) -> usize {
-        self.modules
-            .iter()
-            .map(|(_, m)| m.netlist().gate_count())
-            .sum()
-    }
-}
-
 /// Converts an HLS minterm (packed `(a << width) | b`) into the netlist FU
 /// input-bus pattern (bus is `a` bits LSB-first, then `b` bits:
 /// `a | (b << width)`).

@@ -40,7 +40,11 @@
 //! matching that leaves a slot free never beats one that gives it another
 //! op, because weights are non-negative. Three or more slots go through
 //! the subset DP, which reads each slot's weights in place from its
-//! selected column.
+//! selected column. Sending one and two slots through the DP as well, with
+//! the closed forms deleted, cost perfbench `grid` on 10 alternating 30 s
+//! pairs (seeds 511–520, 2-core VM): median `tail_ms` 5.60 → 9.37 ms (+67%,
+//! parent IQR 0.48), `ops_per_s` 1,981 → 1,626 (IQR 220), `cpu_ms_per_op`
+//! 0.97 → 1.16 and `p50_ms` 0.63 → 0.72, so the closed forms stay.
 
 use lockbind_hls::{Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_matching::MatchingError;

@@ -6,7 +6,7 @@
 //! * [`Dfg`] — a data-flow graph of single-cycle operations over fixed-width
 //!   words, built with a small builder API ([`Dfg::input`], [`Dfg::op`], ...),
 //! * [`Schedule`] — a cycle assignment for every operation; produced by
-//!   [`schedule_asap`], [`schedule_alap`] or the resource-constrained
+//!   [`schedule_asap`] or the resource-constrained
 //!   [`schedule_list`] (our stand-in for the paper's path-based scheduler),
 //! * [`Allocation`] — how many functional units of each [`FuClass`]
 //!   (adder/ALU vs multiplier) are available,
@@ -55,9 +55,7 @@ mod alloc;
 /// Binding types and the naive baseline binder.
 pub mod binding;
 mod dfg;
-pub mod dot;
 mod error;
-mod force_directed;
 pub mod metrics;
 mod profile;
 mod schedule;
@@ -69,8 +67,7 @@ pub use alloc::Allocation;
 pub use binding::{bind_naive, Binding};
 pub use dfg::{Dfg, OpId, OpKind, Operation, ValueRef};
 pub use error::HlsError;
-pub use force_directed::schedule_force_directed;
 pub use profile::{OccurrenceProfile, SwitchingProfile};
-pub use schedule::{schedule_alap, schedule_asap, schedule_list, Schedule};
+pub use schedule::{schedule_asap, schedule_list, Schedule};
 pub use trace::{Frame, Trace};
 pub use value::{FuClass, FuId, InputId, Minterm};

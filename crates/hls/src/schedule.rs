@@ -1,7 +1,7 @@
 //! Scheduling: assigning each DFG operation to a clock cycle.
 //!
 //! The paper treats the schedule as a given input produced by a path-based
-//! scheduler (\[24\] in the paper). We provide ASAP and ALAP schedules plus a
+//! scheduler (\[24\] in the paper). We provide an ASAP schedule plus a
 //! resource-constrained list scheduler with longest-path-to-sink priority —
 //! a standard stand-in that produces schedules of the same shape (documented
 //! substitution in DESIGN.md).
@@ -152,37 +152,6 @@ pub fn schedule_asap(dfg: &Dfg) -> Schedule {
     }
 }
 
-/// As-late-as-possible schedule within `latency` cycles.
-///
-/// # Panics
-/// Panics if `latency` is smaller than the critical path length (the ASAP
-/// schedule depth).
-pub fn schedule_alap(dfg: &Dfg, latency: u32) -> Schedule {
-    let _span = obs::span!("hls.schedule.alap", ops = dfg.num_ops(), latency = latency);
-    obs::counter!("hls.schedules").inc();
-    let asap = schedule_asap(dfg);
-    assert!(
-        latency >= asap.num_cycles(),
-        "latency {latency} below critical path {}",
-        asap.num_cycles()
-    );
-    let mut cycle_of = vec![latency - 1; dfg.num_ops()];
-    for (id, _) in dfg.iter_ops().collect::<Vec<_>>().into_iter().rev() {
-        let consumers = dfg.consumers(id);
-        let c = consumers
-            .iter()
-            .map(|s| cycle_of[s.index()].saturating_sub(1))
-            .min()
-            .unwrap_or(latency - 1);
-        cycle_of[id.index()] = c;
-    }
-    let num_cycles = cycle_of.iter().max().map_or(0, |&m| m + 1);
-    Schedule {
-        cycle_of,
-        num_cycles,
-    }
-}
-
 /// Resource-constrained list scheduling with longest-path-to-sink priority.
 ///
 /// At each cycle, ready operations (all producers finished) are started in
@@ -289,27 +258,6 @@ mod tests {
         let s = schedule_asap(&d);
         assert_eq!(s.num_cycles(), 3);
         assert_eq!(s.ops_in_cycle(0).len(), 4);
-    }
-
-    #[test]
-    fn alap_pushes_ops_late() {
-        let d = tree();
-        let s = schedule_alap(&d, 5);
-        assert_eq!(s.num_cycles(), 5);
-        // The mul output must be in the last cycle.
-        let mul = d.ops_of_class(FuClass::Multiplier)[0];
-        assert_eq!(s.cycle(mul), 4);
-        // Validates by construction.
-        assert!(
-            Schedule::from_cycles(&d, (0..d.num_ops()).map(|i| s.cycle(OpId(i))).collect()).is_ok()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "critical path")]
-    fn alap_rejects_too_tight_latency() {
-        let d = tree();
-        let _ = schedule_alap(&d, 2);
     }
 
     #[test]

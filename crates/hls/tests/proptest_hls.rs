@@ -3,8 +3,8 @@
 //! conservation-consistent, and the register metrics respect their bounds.
 
 use lockbind_hls::{
-    bind_naive, metrics, schedule_asap, schedule_force_directed, schedule_list, Allocation, Dfg,
-    FuClass, OccurrenceProfile, OpKind, Schedule, Trace, ValueRef,
+    bind_naive, metrics, schedule_asap, schedule_list, Allocation, Dfg, FuClass, OccurrenceProfile,
+    OpKind, Schedule, Trace, ValueRef,
 };
 use proptest::prelude::*;
 
@@ -84,19 +84,6 @@ proptest! {
         }
         let cycles: Vec<u32> = dfg.op_ids().map(|id| s.cycle(id)).collect();
         prop_assert!(Schedule::from_cycles(&dfg, cycles).is_ok());
-    }
-
-    #[test]
-    fn force_directed_never_exceeds_asap_peak((dfg, _) in dfg_strategy(), slack in 0..4u32) {
-        let asap = schedule_asap(&dfg);
-        let fd = schedule_force_directed(&dfg, asap.num_cycles() + slack).expect("latency ok");
-        prop_assert!(fd.num_cycles() <= asap.num_cycles() + slack);
-        for class in FuClass::ALL {
-            prop_assert!(
-                fd.max_concurrency(&dfg, class) <= asap.max_concurrency(&dfg, class).max(1)
-                    || fd.max_concurrency(&dfg, class) <= dfg.ops_of_class(class).len()
-            );
-        }
     }
 
     #[test]

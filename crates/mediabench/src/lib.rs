@@ -35,10 +35,8 @@
 mod benchmark;
 mod gen;
 mod kernels;
-pub mod stats;
 pub mod synthetic;
 
 pub use benchmark::{Benchmark, SuiteStats};
 pub use kernels::Kernel;
-pub use stats::{trace_stats, TraceStats};
 pub use synthetic::{synthetic_benchmark, SkewParams};

@@ -34,25 +34,6 @@ pub fn ripple_carry_adder(nl: &mut Netlist, a: &[Signal], b: &[Signal]) -> Bus {
     out
 }
 
-/// Two's-complement subtractor (`a - b`, wrapping): `a + !b + 1`.
-pub fn ripple_carry_subtractor(nl: &mut Netlist, a: &[Signal], b: &[Signal]) -> Bus {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "subtractor operands must have equal width"
-    );
-    assert!(!a.is_empty(), "subtractor width must be positive");
-    let mut carry = nl.lit_true();
-    let mut out = Vec::with_capacity(a.len());
-    for i in 0..a.len() {
-        let nb = nl.not(b[i]);
-        let (s, c) = full_adder(nl, a[i], nb, carry);
-        out.push(s);
-        carry = c;
-    }
-    out
-}
-
 /// Shift-and-add array multiplier; returns the low `width` bits of `a * b`
 /// (wrapping), matching the HLS `Mul` semantics.
 pub fn array_multiplier(nl: &mut Netlist, a: &[Signal], b: &[Signal]) -> Bus {
@@ -93,35 +74,10 @@ pub fn equals_const(nl: &mut Netlist, bus: &[Signal], value: u64) -> Signal {
     acc.expect("non-empty bus")
 }
 
-/// Equality of two buses.
-pub fn equals(nl: &mut Netlist, a: &[Signal], b: &[Signal]) -> Signal {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "comparator operands must have equal width"
-    );
-    assert!(!a.is_empty(), "comparator width must be positive");
-    let mut acc: Option<Signal> = None;
-    for i in 0..a.len() {
-        let term = nl.xnor(a[i], b[i]);
-        acc = Some(match acc {
-            None => term,
-            Some(prev) => nl.and(prev, term),
-        });
-    }
-    acc.expect("non-empty bus")
-}
-
 /// Bitwise XOR of two buses.
 pub fn xor_bus(nl: &mut Netlist, a: &[Signal], b: &[Signal]) -> Bus {
     assert_eq!(a.len(), b.len(), "xor operands must have equal width");
     a.iter().zip(b).map(|(&x, &y)| nl.xor(x, y)).collect()
-}
-
-/// Bus-wide 2:1 mux: `sel ? t : f`.
-pub fn mux_bus(nl: &mut Netlist, sel: Signal, t: &[Signal], f: &[Signal]) -> Bus {
-    assert_eq!(t.len(), f.len(), "mux operands must have equal width");
-    t.iter().zip(f).map(|(&x, &y)| nl.mux(sel, x, y)).collect()
 }
 
 /// XOR a single control signal into every bit of a bus (the classic
@@ -145,18 +101,6 @@ pub fn adder_fu(width: u32) -> Netlist {
     let b = nl.add_inputs(width as usize);
     let sum = ripple_carry_adder(&mut nl, &a, &b);
     for s in sum {
-        nl.mark_output(s);
-    }
-    nl
-}
-
-/// A `width`-bit subtractor functional unit (`a - b`, wrapping).
-pub fn subtractor_fu(width: u32) -> Netlist {
-    let mut nl = Netlist::new(format!("sub{width}"));
-    let a = nl.add_inputs(width as usize);
-    let b = nl.add_inputs(width as usize);
-    let diff = ripple_carry_subtractor(&mut nl, &a, &b);
-    for s in diff {
         nl.mark_output(s);
     }
     nl
@@ -197,19 +141,6 @@ mod tests {
         for a in 0..16u64 {
             for b in 0..16u64 {
                 assert_eq!(nl.eval_words(&[a, b], 4, &[]), vec![(a + b) & 0xF]);
-            }
-        }
-    }
-
-    #[test]
-    fn subtractor_exhaustive_4bit() {
-        let nl = subtractor_fu(4);
-        for a in 0..16u64 {
-            for b in 0..16u64 {
-                assert_eq!(
-                    nl.eval_words(&[a, b], 4, &[]),
-                    vec![a.wrapping_sub(b) & 0xF]
-                );
             }
         }
     }
@@ -261,25 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn equals_buses() {
-        let mut nl = Netlist::new("eq2");
-        let a = nl.add_inputs(3);
-        let b = nl.add_inputs(3);
-        let e = equals(&mut nl, &a, &b);
-        nl.mark_output(e);
-        for x in 0..8u64 {
-            for y in 0..8u64 {
-                let bits: Vec<bool> = (0..3)
-                    .map(|i| (x >> i) & 1 == 1)
-                    .chain((0..3).map(|i| (y >> i) & 1 == 1))
-                    .collect();
-                let out = nl.eval(&bits, &[]).expect("ok");
-                assert_eq!(out[0], x == y);
-            }
-        }
-    }
-
-    #[test]
     fn conditional_invert_flips_all_bits() {
         let mut nl = Netlist::new("ci");
         let bus = nl.add_inputs(4);
@@ -295,24 +207,6 @@ mod tests {
         assert_eq!(pass, vec![true, false, true, false]);
         let inv = nl.eval(&[true, false, true, false, true], &[]).expect("ok");
         assert_eq!(inv, vec![false, true, false, true]);
-    }
-
-    #[test]
-    fn mux_bus_selects_sides() {
-        let mut nl = Netlist::new("mb");
-        let sel = nl.add_input();
-        let t = nl.add_inputs(2);
-        let f = nl.add_inputs(2);
-        let m = mux_bus(&mut nl, sel, &t, &f);
-        for s in m {
-            nl.mark_output(s);
-        }
-        let hi = nl.eval(&[true, true, false, false, true], &[]).expect("ok");
-        assert_eq!(hi, vec![true, false]);
-        let lo = nl
-            .eval(&[false, true, false, false, true], &[])
-            .expect("ok");
-        assert_eq!(lo, vec![false, true]);
     }
 
     #[test]

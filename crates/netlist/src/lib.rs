@@ -6,7 +6,7 @@
 //! * [`Netlist`] — an append-only (hence acyclic) gate graph with primary
 //!   inputs, key inputs, and outputs,
 //! * [`builders`] — structural arithmetic: ripple-carry adders, array
-//!   multipliers, comparators, muxes, and ready-made functional-unit modules
+//!   multipliers, constant comparators, and ready-made functional-unit modules
 //!   ([`builders::adder_fu`], [`builders::multiplier_fu`], ...),
 //! * 64-way bit-parallel simulation ([`Netlist::eval`] /
 //!   [`Netlist::eval_u64`]),
@@ -29,13 +29,11 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod arch;
 pub mod builders;
 pub mod cnf;
 pub mod dot;
 mod error;
 mod netlist;
-pub mod opt;
 
 pub use error::NetlistError;
 pub use netlist::{Gate, Netlist, Signal};

@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dimacs;
 mod heap;
 mod luby;
 mod solver;

@@ -155,7 +155,7 @@ pub struct SolverStats {
     pub watcher_visits: u64,
     /// Histogram of learnt-clause glue (LBD) at learn time: bucket `i`
     /// counts clauses with glue `i + 1`; the last bucket collects glue ≥
-    /// [`GLUE_HIST_BUCKETS`].
+    /// `glue_hist.len()`.
     pub glue_hist: [u64; GLUE_HIST_BUCKETS],
 }
 
@@ -334,7 +334,7 @@ impl Solver {
 
     /// Physical clause-arena slots, including deleted husks not yet
     /// compacted away. Bounded by garbage collection: stays within
-    /// [`Solver::GC_MIN_DELETED`] of [`Solver::num_clauses`].
+    /// `GC_MIN_DELETED` (64) slots of [`Solver::num_clauses`].
     pub fn arena_len(&self) -> usize {
         self.clauses.len()
     }

@@ -76,17 +76,14 @@ pub mod prelude {
         ApplicationImpact, DesignGoals, LockingSpec,
     };
     pub use lockbind_hls::{
-        bind_naive, metrics, schedule_alap, schedule_asap, schedule_force_directed, schedule_list,
-        Allocation, Binding, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, OpId, OpKind,
-        Schedule, SwitchingProfile, Trace, ValueRef,
+        bind_naive, metrics, schedule_asap, schedule_list, Allocation, Binding, Dfg, FuClass, FuId,
+        Minterm, OccurrenceProfile, OpId, OpKind, Schedule, SwitchingProfile, Trace, ValueRef,
     };
     pub use lockbind_locking::{
         expected_sat_iterations, lock_anti_sat, lock_compound, lock_critical_minterms,
         lock_permutation, lock_rll, lock_sfll_hd, LockedNetlist,
     };
-    pub use lockbind_mediabench::{
-        synthetic_benchmark, trace_stats, Benchmark, Kernel, SkewParams,
-    };
+    pub use lockbind_mediabench::{synthetic_benchmark, Benchmark, Kernel, SkewParams};
     pub use lockbind_netlist::{builders, Netlist};
     pub use lockbind_resil::CancelToken;
     pub use lockbind_sat::{SolveResult, Solver};
