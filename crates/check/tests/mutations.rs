@@ -273,6 +273,56 @@ proptest! {
         prop_assert_eq!(opt.errors, true_max, "codesign_optimal missed the optimum");
     }
 
+    /// Sweep exactness with two and three locked adders: every
+    /// configuration over the top four candidates, one or two inputs per
+    /// FU, scores as a cold obfuscation-aware binding of the same spec, so
+    /// both multi-slot closed forms run against the cold path, and
+    /// [`codesign_optimal`] must return the maximum.
+    #[test]
+    fn sweep_scores_every_multi_slot_configuration_exactly(
+        k in 0usize..11,
+        seed in 0u64..32,
+        locked in 2usize..=3,
+        per_fu in 1usize..=2,
+    ) {
+        let f = Fixture::new(k, seed);
+        let candidates = &f.candidates[..4.min(f.candidates.len())];
+        prop_assume!(candidates.len() > per_fu);
+        let fus: Vec<FuId> = (0..locked).map(|i| FuId::new(FuClass::Adder, i)).collect();
+        let combos = combinations(candidates.len(), per_fu);
+        let mut sweep = ErrorSweep::new(
+            &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, candidates, &combos,
+        ).expect("builds");
+        let mut true_max = 0u64;
+        for index in 0..combos.len().pow(locked as u32) {
+            // Slot `s` takes digit `s` of `index` in base `combos.len()`.
+            let picks: Vec<usize> = (0..locked)
+                .map(|s| index / combos.len().pow(s as u32) % combos.len())
+                .collect();
+            for (slot, &ci) in picks.iter().enumerate() {
+                sweep.set_slot(slot, ci);
+            }
+            let fast = sweep.solve_errors();
+            let entries = fus
+                .iter()
+                .zip(&picks)
+                .map(|(&fu, &ci)| (fu, combos[ci].iter().map(|&i| candidates[i]).collect()))
+                .collect();
+            let spec = LockingSpec::new(&f.alloc, entries).expect("valid spec");
+            let binding = bind_obfuscation_aware(
+                &f.dfg, &f.schedule, &f.alloc, &f.profile, &spec,
+            ).expect("feasible");
+            let exact = expected_application_errors(&binding, &f.profile, &spec);
+            prop_assert_eq!(fast, exact, "picks {:?}: sweep vs cold bind", picks);
+            true_max = true_max.max(exact);
+        }
+        let opt = codesign_optimal(
+            &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, per_fu, candidates,
+            &CancelToken::new(),
+        ).expect("searchable");
+        prop_assert_eq!(opt.errors, true_max, "codesign_optimal missed the optimum");
+    }
+
     /// Mutation: inflate one column potential of a cycle certificate. An
     /// inflated column potential is a forged optimality claim for the
     /// cycle's binding, and the `LB04xx` family must reject it (sign

@@ -34,20 +34,25 @@
 //! candidate). Ops with no candidate occurrence, and cycles of a class with
 //! no locked slot, always contribute 0 and are dropped at construction.
 //!
-//! **Closed forms.** With one locked slot the optimum is its column's
-//! maximum. With two it is `max_{i≠j} x_i + y_j` over the two columns, or
-//! `max(x_0, y_0)` when only one op is live: with two or more live ops a
-//! matching that leaves a slot free never beats one that gives it another
-//! op, because weights are non-negative. Three or more slots go through
-//! the subset DP, which reads each slot's weights in place from its
-//! selected column. Sending one and two slots through the DP as well, with
-//! the closed forms deleted, cost perfbench `grid` on 10 alternating 30 s
-//! pairs (seeds 511–520, 2-core VM): median `tail_ms` 5.60 → 9.37 ms (+67%,
-//! parent IQR 0.48), `ops_per_s` 1,981 → 1,626 (IQR 220), `cpu_ms_per_op`
-//! 0.97 → 1.16 and `p50_ms` 0.63 → 0.72, so the closed forms stay.
+//! **Closed forms.** Every subproblem the grid builds is small: each
+//! prepared kernel allocates 3 FUs per class, so at most 3 slots are locked
+//! and at most 3 ops are live. Each of those shapes is straight-line code,
+//! with every row or slot that can be matched matched, because weights are
+//! non-negative. One slot: its column's maximum. Two slots `x`, `y`:
+//! `max(x0, y0)` over one row, `max(x0 + y1, x1 + y0)` over two, and
+//! `max_i x_i + max_{j≠i} y_j` over three. Three slots `x`, `y`, `z`: the
+//! best slot for one row, the best of 6 pairs of distinct slots for two
+//! rows, the best of the 6 permutations for three. Any other shape needs a
+//! class with more than 3 FUs, so only library callers with a wider
+//! [`Allocation`] reach it; it goes to the cold [`max_weight_matching`] on
+//! the selected columns, padded with all-zero columns to `max(R, L)` so
+//! every row can be matched. These closed forms replaced a DP over subsets
+//! of the locked slots: on 10 alternating 30 s perfbench `grid` pairs
+//! (2-core VM) the median `ops_per_s` went 2,115 → 3,003 and `tail_ms`
+//! 5.70 → 4.40 ms. DESIGN §14.1 has each closed form measured on its own.
 
 use lockbind_hls::{Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule};
-use lockbind_matching::MatchingError;
+use lockbind_matching::{max_weight_matching, MatchingError, WeightMatrix};
 
 use crate::CoreError;
 
@@ -71,14 +76,28 @@ impl Sub {
         &self.cols[c * self.rows..(c + 1) * self.rows]
     }
 
-    /// The optimum over the current columns: closed form for one or two
-    /// locked slots, the subset DP beyond.
-    fn solve(&self, dp: &mut [u64]) -> u64 {
+    /// The optimum over the current columns: straight-line closed forms
+    /// for one locked slot, and for two or three over at most three live
+    /// rows; the cold Hungarian solver for any other shape.
+    fn solve(&self) -> u64 {
         match *self.sel.as_slice() {
             [a] => max_column(self.col(a)),
-            [a, b] => best_pair(self.col(a), self.col(b)),
-            _ => best_partial_matching(&self.cols, &self.sel, self.rows, dp),
+            [a, b] if self.rows <= 3 => best_pair(self.col(a), self.col(b)),
+            [a, b, c] if self.rows <= 3 => best_triple(self.col(a), self.col(b), self.col(c)),
+            _ => self.cold_total(),
         }
+    }
+
+    /// The optimum by [`max_weight_matching`] on an `R × max(R, L)` matrix:
+    /// the `L` selected columns, then all-zero columns so that every row
+    /// can be matched. Only reached with more than three FUs of a class.
+    fn cold_total(&self) -> u64 {
+        let weights = WeightMatrix::from_fn(self.rows, self.rows.max(self.sel.len()), |r, s| {
+            let w = self.sel.get(s).map_or(0, |&c| self.cols[c * self.rows + r]);
+            Some(i64::try_from(w).unwrap_or(i64::MAX))
+        });
+        let m = max_weight_matching(&weights).expect("R rows fit max(R, L) columns");
+        u64::try_from(m.total).expect("non-negative weights")
     }
 }
 
@@ -107,18 +126,17 @@ struct Slot {
 /// `lockbind-check` mutation suite.
 ///
 /// Construction precomputes `Σ rows × (|combos| + 1)` weights. A
-/// subproblem with one or two locked slots is solved in closed form in
-/// `O(R)` / `O(R²)` for `R` live ops; with `L ≥ 3` by a DP over subsets of
-/// the slots in `O(R · L · 2^L)`. `L` is small wherever a sweep runs:
-/// every caller enumerates `C(n, m)^L` configurations, and the grid locks
-/// 1–3 FUs per class.
+/// subproblem with at most 3 locked slots over at most 3 live ops, which is
+/// every subproblem of a 3 + 3 FU allocation, is solved in closed form with
+/// at most 9 additions; one locked slot over `R` live ops is an `O(R)`
+/// column maximum. Any other shape arises only with more than 3 FUs of a
+/// class and is solved cold by the Hungarian algorithm on an
+/// `R × max(R, L)` matrix, `O(R² · max(R, L))`.
 pub struct ErrorSweep {
     subs: Vec<Sub>,
     slots: Vec<Slot>,
     /// Number of combinations; also the index of the all-zero column.
     unlocked: usize,
-    /// DP table reused by every DP solve, `2^L` entries for the largest `L`.
-    dp: Vec<u64>,
 }
 
 impl ErrorSweep {
@@ -222,12 +240,10 @@ impl ErrorSweep {
                 });
             }
         }
-        let max_locked = subs.iter().map(|s| s.sel.len()).max().unwrap_or(0);
         Ok(ErrorSweep {
             subs,
             slots,
             unlocked,
-            dp: vec![0; 1 << max_locked],
         })
     }
 
@@ -275,12 +291,11 @@ impl ErrorSweep {
     /// of per-subproblem max-weight totals, re-solving only the subproblems
     /// whose columns moved since the last score.
     pub fn solve_errors(&mut self) -> u64 {
-        let dp = &mut self.dp;
         self.subs
             .iter_mut()
             .map(|sub| match sub.total {
                 Some(total) => total,
-                None => *sub.total.insert(sub.solve(dp)),
+                None => *sub.total.insert(sub.solve()),
             })
             .sum()
     }
@@ -291,50 +306,36 @@ fn max_column(x: &[u64]) -> u64 {
     x.iter().copied().max().unwrap_or(0)
 }
 
-/// Two locked slots with columns `x` and `y`: the best pair of distinct
-/// ops, or the better single edge when only one op is live. Exact because
-/// weights are non-negative, so with two or more ops both slots can always
-/// be matched without losing weight.
+/// Two locked slots with columns `x` and `y` over one to three live rows:
+/// the best pair of distinct rows, or the better single edge when only one
+/// row is live. Exact because weights are non-negative, so with two or
+/// more rows both slots can always be matched without losing weight.
 fn best_pair(x: &[u64], y: &[u64]) -> u64 {
-    if x.len() == 1 {
-        return x[0].max(y[0]);
-    }
-    let mut best = 0;
-    for (i, &xi) in x.iter().enumerate() {
-        for (j, &yj) in y.iter().enumerate() {
-            if i != j {
-                best = best.max(xi + yj);
-            }
+    match (x, y) {
+        (&[x0], &[y0]) => x0.max(y0),
+        (&[x0, x1], &[y0, y1]) => (x0 + y1).max(x1 + y0),
+        (&[x0, x1, x2], &[y0, y1, y2]) => {
+            (x0 + y1.max(y2)).max(x1 + y0.max(y2)).max(x2 + y0.max(y1))
         }
+        _ => unreachable!("best_pair takes 1-3 rows"),
     }
-    best
 }
 
-/// Max-weight partial matching of `rows` rows against the slots of `sel`,
-/// where slot `s` reads column `sel[s]` of the table `cols`, so row `r`'s
-/// weight on it is `cols[sel[s] * rows + r]`: a DP over subsets of slots
-/// taking the rows one at a time, each row taking at most one slot. After
-/// row `r`, `dp[S]` is the best total of rows `0..=r` using only slots in
-/// `S`. `dp` needs at least `2^sel.len()` entries.
-fn best_partial_matching(cols: &[u64], sel: &[usize], rows: usize, dp: &mut [u64]) -> u64 {
-    let full = (1usize << sel.len()) - 1;
-    let dp = &mut dp[..=full];
-    dp.fill(0);
-    for r in 0..rows {
-        // Descending: every `mask ^ bit` is smaller than `mask`, so it
-        // still holds the value before row `r`.
-        for mask in (1..=full).rev() {
-            let mut best = dp[mask];
-            let mut bits = mask;
-            while bits != 0 {
-                let s = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                best = best.max(dp[mask ^ (1 << s)] + cols[sel[s] * rows + r]);
-            }
-            dp[mask] = best;
+/// Three locked slots with columns `x`, `y` and `z` over one to three live
+/// rows: the best slot for one row, the best two distinct slots for two
+/// rows, the best permutation for three — every slot or row that can be
+/// matched is, because weights are non-negative.
+fn best_triple(x: &[u64], y: &[u64], z: &[u64]) -> u64 {
+    match (x, y, z) {
+        (&[x0], &[y0], &[z0]) => x0.max(y0).max(z0),
+        (&[x0, x1], &[y0, y1], &[z0, z1]) => {
+            (x0 + y1.max(z1)).max(y0 + x1.max(z1)).max(z0 + x1.max(y1))
         }
+        (&[x0, x1, x2], &[y0, y1, y2], &[z0, z1, z2]) => (x0 + (y1 + z2).max(z1 + y2))
+            .max(y0 + (x1 + z2).max(z1 + x2))
+            .max(z0 + (x1 + y2).max(y1 + x2)),
+        _ => unreachable!("best_triple takes 1-3 rows"),
     }
-    dp[full]
 }
 
 #[cfg(test)]
@@ -342,26 +343,39 @@ mod tests {
     use super::*;
     use crate::{bind_obfuscation_aware, combinations, expected_application_errors, LockingSpec};
     use lockbind_hls::schedule_list;
-    use lockbind_matching::{max_weight_matching, WeightMatrix};
     use lockbind_mediabench::Kernel;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
+    /// A kernel scheduled on 3 + 3 FUs, with the top 6 adder candidates.
     fn setup(kernel: Kernel) -> (Dfg, Schedule, Allocation, OccurrenceProfile, Vec<Minterm>) {
-        setup_class(kernel, FuClass::Adder)
+        setup_alloc(kernel, FuClass::Adder, Allocation::new(3, 3))
     }
 
-    /// A kernel scheduled on 3 + 3 FUs, with the top 6 candidates of `class`.
-    fn setup_class(
+    /// A kernel scheduled on `alloc`, with the top 6 candidates of `class`.
+    fn setup_alloc(
         kernel: Kernel,
         class: FuClass,
+        alloc: Allocation,
     ) -> (Dfg, Schedule, Allocation, OccurrenceProfile, Vec<Minterm>) {
         let b = kernel.benchmark(100, 17);
-        let alloc = Allocation::new(3, 3);
         let sched = schedule_list(&b.dfg, &alloc).expect("schedulable");
         let profile = OccurrenceProfile::from_trace(&b.dfg, &b.trace).expect("profiled");
         let class_ops = b.dfg.ops_of_class(class);
         let candidates = profile.top_candidates_among(&class_ops, 6);
         (b.dfg, sched, alloc, profile, candidates)
+    }
+
+    /// A subproblem over `columns` (each one weight per live row) whose
+    /// locked slots read the columns `sel`.
+    fn sub_over(columns: &[Vec<u64>], sel: Vec<usize>) -> Sub {
+        Sub {
+            class: FuClass::Adder,
+            rows: columns[0].len(),
+            cols: columns.concat(),
+            sel,
+            total: None,
+        }
     }
 
     /// The legacy score of one configuration: full obf-aware bind + Eqn. 2.
@@ -388,6 +402,54 @@ mod tests {
         expected_application_errors(&bind, profile, &spec)
     }
 
+    /// Locks `locked` FUs of `class` from index `first` (wrapping), then
+    /// walks `steps` of `(slot, pick, op)` — `op == 0` clears the slot,
+    /// anything else loads combination `pick` — checking the sweep against
+    /// a cold bind after every step.
+    fn check_walk(
+        kernel: Kernel,
+        class: FuClass,
+        alloc: Allocation,
+        locked: usize,
+        first: usize,
+        per_fu: usize,
+        steps: &[(usize, usize, u32)],
+    ) -> Result<(), TestCaseError> {
+        let (dfg, sched, alloc, profile, candidates) = setup_alloc(kernel, class, alloc);
+        prop_assume!(candidates.len() >= per_fu);
+        let fus: Vec<FuId> = (0..locked)
+            .map(|i| FuId::new(class, (first + i) % alloc.count(class)))
+            .collect();
+        let combos = combinations(candidates.len(), per_fu);
+        let mut sweep = ErrorSweep::new(&dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
+            .expect("builds");
+        let mut assign: Vec<Option<usize>> = vec![None; fus.len()];
+        for (step, &(slot, pick, op)) in steps.iter().enumerate() {
+            let slot = slot % fus.len();
+            if op == 0 {
+                sweep.clear_slot(slot);
+                assign[slot] = None;
+            } else {
+                let ci = pick % combos.len();
+                sweep.set_slot(slot, ci);
+                assign[slot] = Some(ci);
+            }
+            let fast = sweep.solve_errors();
+            let slow = legacy_score(
+                &dfg,
+                &sched,
+                &alloc,
+                &profile,
+                &fus,
+                &combos,
+                &candidates,
+                &assign,
+            );
+            prop_assert_eq!(fast, slow, "step {}: assign {:?}", step, assign);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -395,7 +457,7 @@ mod tests {
         /// locked states included) with 1–3 locked adders or multipliers
         /// and 1–3 inputs per FU on any suite kernel, checking the sweep
         /// against a cold bind after every step. One, two and three locked
-        /// slots reach both closed forms and the DP.
+        /// slots reach every closed form.
         #[test]
         fn sweep_score_equals_legacy_bind_score(
             kernel in 0usize..11,
@@ -406,39 +468,31 @@ mod tests {
             steps in proptest::collection::vec((0usize..3, 0usize..64, 0u32..8), 1..24),
         ) {
             let class = if multiplier { FuClass::Multiplier } else { FuClass::Adder };
-            let (dfg, sched, alloc, profile, candidates) =
-                setup_class(Kernel::ALL[kernel], class);
-            prop_assume!(candidates.len() >= per_fu);
-            let fus: Vec<FuId> = (0..locked)
-                .map(|i| FuId::new(class, (first + i) % 3))
-                .collect();
-            let combos = combinations(candidates.len(), per_fu);
-            let mut sweep =
-                ErrorSweep::new(&dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
-                    .expect("builds");
-            let mut assign: Vec<Option<usize>> = vec![None; fus.len()];
-            for (step, &(slot, pick, op)) in steps.iter().enumerate() {
-                let slot = slot % fus.len();
-                if op == 0 {
-                    sweep.clear_slot(slot);
-                    assign[slot] = None;
-                } else {
-                    let ci = pick % combos.len();
-                    sweep.set_slot(slot, ci);
-                    assign[slot] = Some(ci);
-                }
-                let fast = sweep.solve_errors();
-                let slow = legacy_score(
-                    &dfg, &sched, &alloc, &profile, &fus, &combos, &candidates, &assign,
-                );
-                prop_assert_eq!(fast, slow, "step {}: assign {:?}", step, assign);
-            }
+            let alloc = Allocation::new(3, 3);
+            check_walk(Kernel::ALL[kernel], class, alloc, locked, first, per_fu, &steps)?;
+        }
+
+        /// The same walk with 5 + 5 FUs: up to 4 locked slots over up to 5
+        /// live ops per cycle reach the cold fallback as well as every
+        /// closed form.
+        #[test]
+        fn wide_allocation_sweep_equals_legacy_bind_score(
+            kernel in 0usize..11,
+            multiplier in any::<bool>(),
+            locked in 1usize..=4,
+            first in 0usize..5,
+            per_fu in 1usize..=2,
+            steps in proptest::collection::vec((0usize..4, 0usize..64, 0u32..8), 1..16),
+        ) {
+            let class = if multiplier { FuClass::Multiplier } else { FuClass::Adder };
+            let alloc = Allocation::new(5, 5);
+            check_walk(Kernel::ALL[kernel], class, alloc, locked, first, per_fu, &steps)?;
         }
 
         /// The kernel against the cold Hungarian solver: on a random
         /// non-negative matrix whose unlocked columns are all-zero, the
-        /// partial matching of the locked columns against the live rows
-        /// (rows with a non-zero locked weight) has the full optimum.
+        /// subproblem of the locked columns over the live rows (rows with
+        /// a non-zero locked weight) has the full optimum.
         #[test]
         fn kernel_equals_cold_matching_total(
             cols in 1usize..=5,
@@ -459,38 +513,56 @@ mod tests {
             let live: Vec<usize> = (0..rows)
                 .filter(|&r| locked.iter().any(|&c| weight(r, c) > 0))
                 .collect();
-            let mut w = Vec::new();
-            for &c in &locked {
-                w.extend(live.iter().map(|&r| weight(r, c)));
+            // The sweep builds no subproblem without a locked slot or a
+            // live row; such a cycle contributes 0.
+            if locked.is_empty() || live.is_empty() {
+                prop_assert_eq!(cold.total, 0);
+            } else {
+                let columns: Vec<Vec<u64>> = locked
+                    .iter()
+                    .map(|&c| live.iter().map(|&r| weight(r, c)).collect())
+                    .collect();
+                let sub = sub_over(&columns, (0..locked.len()).collect());
+                prop_assert_eq!(sub.solve() as i64, cold.total);
             }
-            let identity: Vec<usize> = (0..locked.len()).collect();
-            let mut dp = vec![0; 1 << locked.len()];
-            let total = best_partial_matching(&w, &identity, live.len(), &mut dp);
-            prop_assert_eq!(total as i64, cold.total);
         }
 
-        /// The closed forms against the DP: on random non-negative
-        /// columns over 1–5 live rows (single-row and all-zero columns
-        /// included), one- and two-slot optima equal
-        /// `best_partial_matching`.
+        /// `Sub::solve` against the cold Hungarian solver on every shape
+        /// up to 5 slots over 5 rows: each slot reads one of 5 random
+        /// columns or the all-zero column, repeats included (two slots
+        /// holding one combination), with zero entries and all-zero
+        /// columns. The closed forms cover 1, 2 and 3 slots over up to 3
+        /// rows (1 slot over any); the rest is the cold fallback.
         #[test]
-        fn closed_forms_equal_the_dp(
+        fn solve_equals_cold_matching(
             rows in 1usize..=5,
-            zero in 0u32..4,
-            cells in proptest::collection::vec((0u32..3, 0u64..1000), 10),
+            picks in proptest::collection::vec(0usize..6, 1..=5),
+            zero in 0u32..32,
+            cells in proptest::collection::vec((0u32..3, 0u64..1000), 25),
         ) {
-            // `zero` blanks column x (1), column y (2) or both (3); a
-            // `sel` of 0 blanks one entry.
-            let entry = |c: usize, r: usize| {
-                let (sel, w) = cells[c * 5 + r];
-                if zero >> c & 1 == 1 || sel == 0 { 0 } else { w }
-            };
-            let x: Vec<u64> = (0..rows).map(|r| entry(0, r)).collect();
-            let y: Vec<u64> = (0..rows).map(|r| entry(1, r)).collect();
-            let xy: Vec<u64> = x.iter().chain(&y).copied().collect();
-            let mut dp = vec![0; 4];
-            prop_assert_eq!(max_column(&x), best_partial_matching(&xy, &[0], rows, &mut dp));
-            prop_assert_eq!(best_pair(&x, &y), best_partial_matching(&xy, &[0, 1], rows, &mut dp));
+            // Bit `c` of `zero` blanks column `c`; a `sel` of 0 blanks one
+            // entry; column 5 is the sweep's all-zero "unlocked" column.
+            let mut columns: Vec<Vec<u64>> = (0..5)
+                .map(|c| {
+                    (0..rows)
+                        .map(|r| {
+                            let (sel, w) = cells[c * 5 + r];
+                            if zero >> c & 1 == 1 || sel == 0 { 0 } else { w }
+                        })
+                        .collect()
+                })
+                .collect();
+            columns.push(vec![0; rows]);
+            // Padded with a zero column per slot, independent of the
+            // fallback's own `max(R, L)` width.
+            let reference = max_weight_matching(&WeightMatrix::from_fn(
+                rows,
+                rows + picks.len(),
+                |r, s| Some(picks.get(s).map_or(0, |&c| columns[c][r]) as i64),
+            ))
+            .expect("rows <= cols");
+            let sub = sub_over(&columns, picks.clone());
+            prop_assert_eq!(sub.solve() as i64, reference.total, "picks {:?}", picks);
         }
     }
 

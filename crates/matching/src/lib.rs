@@ -25,9 +25,10 @@
 //! Every solve here is cold. The co-design sweeps in `lockbind-core`
 //! (`ErrorSweep`) score millions of locking configurations without this
 //! crate: their Eqn. 3 matrices are zero outside the few locked columns, so
-//! a small exact kernel over those columns replaces the full assignment
-//! problem, and its differential properties use [`max_weight_matching`] as
-//! the reference.
+//! with at most 3 FUs per class, closed forms over at most 3 locked columns
+//! and 3 ops replace the full assignment problem. Wider allocations call
+//! [`max_weight_matching`] on the locked columns padded with zero columns,
+//! and the sweep's differential properties check every shape against it.
 //!
 //! # Example
 //!
