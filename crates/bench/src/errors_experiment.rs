@@ -17,8 +17,7 @@
 //!   combinations (the paper does not state its convention).
 
 use lockbind_core::{
-    bind_area_aware, bind_power_aware, codesign_heuristic, codesign_optimal, combinations,
-    CoreError, ErrorSweep, LockingSpec,
+    codesign_heuristic, codesign_optimal, combinations, CoreError, ErrorSweep, LockingSpec,
 };
 use lockbind_hls::{Binding, FuClass, FuId, Minterm, OccurrenceProfile};
 use lockbind_obs as obs;
@@ -113,9 +112,10 @@ fn ratio(sec: u64, base: u64) -> f64 {
 /// Locking-independent per-(kernel, class) context: the candidate locked
 /// inputs plus the area-/power-aware baseline bindings.
 ///
-/// Building it is the expensive, *shared* part of every cell of a class —
-/// under the execution engine it is built once per (kernel, class) and
-/// memoized in the artifact cache.
+/// Building it is the shared part of every cell of a class — under the
+/// execution engine it is built once per (kernel, class) and memoized in
+/// the artifact cache. The baselines come from
+/// [`PreparedKernel::baselines`], so a kernel's classes share one pair.
 #[derive(Debug, Clone)]
 pub struct ClassContext {
     /// The FU class this context covers.
@@ -143,13 +143,7 @@ impl ClassContext {
         if candidates.is_empty() {
             return Ok(None);
         }
-        let area = bind_area_aware(&prepared.dfg, &prepared.schedule, &prepared.alloc)?;
-        let power = bind_power_aware(
-            &prepared.dfg,
-            &prepared.schedule,
-            &prepared.alloc,
-            &prepared.switching,
-        )?;
+        let (area, power) = prepared.baselines()?.clone();
         Ok(Some(ClassContext {
             class,
             candidates,

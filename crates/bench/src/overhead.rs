@@ -1,10 +1,7 @@
 //! The Fig. 6 overhead experiment: register count and switching rate of
 //! security-aware binding vs the area-/power-aware baselines.
 
-use lockbind_core::{
-    bind_area_aware, bind_obfuscation_aware, bind_power_aware, codesign_heuristic, CoreError,
-    LockingSpec,
-};
+use lockbind_core::{bind_obfuscation_aware, codesign_heuristic, CoreError, LockingSpec};
 use lockbind_hls::metrics::{register_count, switching};
 use lockbind_hls::{FuId, Minterm};
 use lockbind_resil::CancelToken;
@@ -41,17 +38,11 @@ pub fn measure_overhead(
     prepared: &PreparedKernel,
     num_candidates: usize,
 ) -> Result<Vec<OverheadRecord>, CoreError> {
-    let area = bind_area_aware(&prepared.dfg, &prepared.schedule, &prepared.alloc)?;
-    let power = bind_power_aware(
-        &prepared.dfg,
-        &prepared.schedule,
-        &prepared.alloc,
-        &prepared.switching,
-    )?;
-    let base_regs = register_count(&prepared.dfg, &prepared.schedule, &area, &prepared.alloc);
+    let (area, power) = prepared.baselines()?;
+    let base_regs = register_count(&prepared.dfg, &prepared.schedule, area, &prepared.alloc);
     let base_sw = switching(
         &prepared.schedule,
-        &power,
+        power,
         &prepared.alloc,
         &prepared.switching,
     )

@@ -1,8 +1,12 @@
 //! One-time preparation of a kernel: schedule, allocation, profiles,
 //! candidate locked inputs.
 
+use std::sync::OnceLock;
+
+use lockbind_core::{bind_area_aware, bind_power_aware, CoreError};
 use lockbind_hls::{
-    schedule_list, Allocation, Dfg, FuClass, Minterm, OccurrenceProfile, Schedule, SwitchingProfile,
+    schedule_list, Allocation, Binding, Dfg, FuClass, Minterm, OccurrenceProfile, Schedule,
+    SwitchingProfile,
 };
 use lockbind_mediabench::{Benchmark, Kernel};
 
@@ -22,6 +26,9 @@ pub struct PreparedKernel {
     pub profile: OccurrenceProfile,
     /// Pairwise switching profile over the same workload.
     pub switching: SwitchingProfile,
+    /// The area- and power-aware baseline bindings, built on first use by
+    /// [`PreparedKernel::baselines`].
+    baselines: OnceLock<Result<(Binding, Binding), CoreError>>,
 }
 
 impl PreparedKernel {
@@ -51,7 +58,28 @@ impl PreparedKernel {
             alloc,
             profile,
             switching,
+            baselines: OnceLock::new(),
         }
+    }
+
+    /// The area-aware and power-aware baseline bindings. They depend on
+    /// the kernel only (not on the FU class or the lock), so they are
+    /// built once, on first use, and shared by every caller. The cached
+    /// pair reflects `dfg`, `schedule`, `alloc` and `switching` as they
+    /// were at that first call, so change none of them afterwards.
+    ///
+    /// # Errors
+    /// Propagates baseline binding errors from `lockbind-core`.
+    pub fn baselines(&self) -> Result<&(Binding, Binding), CoreError> {
+        self.baselines
+            .get_or_init(|| {
+                let area = bind_area_aware(&self.dfg, &self.schedule, &self.alloc)?;
+                let power =
+                    bind_power_aware(&self.dfg, &self.schedule, &self.alloc, &self.switching)?;
+                Ok((area, power))
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Prepares every kernel of the suite.

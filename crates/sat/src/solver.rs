@@ -12,10 +12,20 @@
 //!   literal-block-distance; glue ≤ [`Solver::CORE_GLUE`] clauses are kept
 //!   forever, mid-tier clauses survive while they keep participating in
 //!   conflicts, and the local tier is halved on a conflict-count schedule.
-//! * **Clause-arena garbage collection**: deleted clauses are physically
-//!   compacted out of the arena and every cref in the watch lists and
-//!   reason array is remapped ([`SolverStats::gc_runs`]), so long
+//! * **One flat clause arena**: every clause is a four-word header
+//!   (literal count, flags and glue, `f64` activity bits) followed by its
+//!   literals in a single `Vec<u32>`, and a clause reference is the
+//!   header's offset. Propagation reads a clause from one contiguous run
+//!   of words, with no per-clause allocation.
+//! * **Clause-arena garbage collection**: deleted clauses are compacted
+//!   out into a fresh arena, in order, and every cref in the watch lists
+//!   and reason array is remapped ([`SolverStats::gc_runs`]), so long
 //!   incremental runs no longer accumulate husks.
+//! * **Cheap full-trail decisions**: once every variable is assigned,
+//!   `pick_branch_var` clears the VSIDS heap in one pass rather
+//!   than popping (and sifting) each assigned variable out of it; heap
+//!   sifts move a hole instead of swapping. Neither changes a decision:
+//!   the heap ends empty either way and ties break as before.
 //! * **Glue-aware restarts** layered on the Luby sequence: a short-window
 //!   LBD average that degrades past the long-run average forces an early
 //!   restart, and an unusually deep trail postpones one (both purely
@@ -61,8 +71,30 @@ impl Lit {
 /// blocker is the clause's only other literal, so propagation resolves the
 /// watcher (satisfied, unit, or conflicting) without ever dereferencing the
 /// clause. Binary clauses are never deleted, so the tag also skips the
-/// husk check. Caps the arena at 2^31 clauses, far above reachable sizes.
+/// husk check. Caps the arena at 2^31 words, far above reachable sizes.
 const BINARY_TAG: u32 = 1 << 31;
+
+/// Words in front of each clause's literals in the solver's clause arena:
+///
+/// | word | content |
+/// |---|---|
+/// | 0 | literal count |
+/// | 1 | flags ([`LEARNT`], [`USED`], [`DELETED`]) and glue `<< GLUE_SHIFT` |
+/// | 2, 3 | activity, `f64` bits, low word first |
+///
+/// A clause reference (cref) is the offset of word 0. Clauses are appended
+/// and compaction keeps their order, so cref order is insertion order.
+const HEADER: usize = 4;
+/// Learnt (not a problem clause).
+const LEARNT: u32 = 1;
+/// Participated in a conflict since the last database reduction
+/// (mid-tier retention bit).
+const USED: u32 = 2;
+/// Deleted by a reduction; a husk until the next garbage collection.
+const DELETED: u32 = 4;
+/// Glue (literal-block distance at learn time, only ever lowered
+/// afterwards) sits above the flag bits.
+const GLUE_SHIFT: u32 = 3;
 
 /// A watch-list entry: the clause plus a cached *blocker* literal from it.
 /// If the blocker is already true the clause is satisfied and propagation
@@ -72,19 +104,6 @@ struct Watcher {
     /// Clause index, with [`BINARY_TAG`] set for two-literal clauses.
     cref: u32,
     blocker: Lit,
-}
-
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    /// Literal-block distance at learn time, only ever lowered afterwards.
-    glue: u32,
-    /// Participated in a conflict since the last database reduction
-    /// (mid-tier retention bit).
-    used: bool,
-    activity: f64,
-    deleted: bool,
 }
 
 /// Literal-indexed assignment values: the array holds one byte per
@@ -104,6 +123,25 @@ fn lit_val(assign: &[u8], l: Lit) -> Option<bool> {
         VAL_FALSE => Some(false),
         _ => None,
     }
+}
+
+/// Distinct decision levels among `lits`, via the level-indexed stamp
+/// array (`stamp` must be fresh): O(literals), no clearing pass.
+fn count_levels(
+    level: &[u32],
+    level_stamp: &mut [u64],
+    stamp: u64,
+    lits: impl Iterator<Item = Lit>,
+) -> u32 {
+    let mut lbd = 0u32;
+    for l in lits {
+        let lvl = level[l.var() as usize] as usize;
+        if level_stamp[lvl] != stamp {
+            level_stamp[lvl] = stamp;
+            lbd += 1;
+        }
+    }
+    lbd
 }
 
 /// Result of a [`Solver::solve`] call.
@@ -173,8 +211,12 @@ impl SolverStats {
 
 /// A CDCL SAT solver. See the [crate docs](crate) for an example.
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// Physically deleted-but-not-yet-compacted clauses in `clauses`.
+    /// Every clause, header and literals, back to back (layout at
+    /// [`HEADER`]).
+    arena: Vec<u32>,
+    /// Clauses in `arena`, deleted husks included.
+    arena_slots: usize,
+    /// Deleted-but-not-yet-compacted clauses in `arena`.
     deleted_count: usize,
     /// `watches[lit.index()]`: watchers of clauses in which `lit` is watched.
     watches: Vec<Vec<Watcher>>,
@@ -259,7 +301,8 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            arena_slots: 0,
             deleted_count: 0,
             watches: Vec::new(),
             assign: Vec::new(),
@@ -329,14 +372,14 @@ impl Solver {
 
     /// Live (non-deleted) clauses in the database, problem and learnt.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len() - self.deleted_count
+        self.arena_slots - self.deleted_count
     }
 
     /// Physical clause-arena slots, including deleted husks not yet
     /// compacted away. Bounded by garbage collection: stays within
     /// `GC_MIN_DELETED` (64) slots of [`Solver::num_clauses`].
     pub fn arena_len(&self) -> usize {
-        self.clauses.len()
+        self.arena_slots
     }
 
     /// Enables or disables learnt-database reduction and arena garbage
@@ -418,7 +461,7 @@ impl Solver {
 
     fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, glue: u32) -> u32 {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as u32;
+        let cref = self.arena.len() as u32;
         debug_assert!(cref & BINARY_TAG == 0, "clause arena overflow");
         let tagged = if lits.len() == 2 {
             cref | BINARY_TAG
@@ -433,14 +476,11 @@ impl Solver {
             cref: tagged,
             blocker: lits[0],
         });
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            glue,
-            used: learnt,
-            activity: 0.0,
-            deleted: false,
-        });
+        let flags = if learnt { LEARNT | USED } else { 0 };
+        self.arena
+            .extend([lits.len() as u32, flags | (glue << GLUE_SHIFT), 0, 0]);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.arena_slots += 1;
         if learnt {
             self.stats.learnt_clauses += 1;
             let bucket = (glue.clamp(1, GLUE_HIST_BUCKETS as u32) - 1) as usize;
@@ -511,38 +551,34 @@ impl Solver {
                     continue;
                 }
                 let cref = w.cref as usize;
-                if self.clauses[cref].deleted {
+                if self.arena[cref + 1] & DELETED != 0 {
                     ws.swap_remove(i);
                     continue;
                 }
+                let start = cref + HEADER;
+                let end = start + self.arena[cref] as usize;
+                let lits = &mut self.arena[start..end];
                 // Make sure the false literal is at position 1.
-                {
-                    let c = &mut self.clauses[cref];
-                    if c.lits[0] == not_p {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], not_p);
+                if lits[0] == not_p.0 {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref].lits[0];
+                debug_assert_eq!(lits[1], not_p.0);
+                let first = Lit(lits[0]);
                 if first != w.blocker && lit_val(&self.assign, first) == Some(true) {
                     ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                {
-                    let c = &mut self.clauses[cref];
-                    for k in 2..c.lits.len() {
-                        if lit_val(&self.assign, c.lits[k]) != Some(false) {
-                            c.lits.swap(1, k);
-                            let new_watch = c.lits[1];
-                            self.watches[new_watch.index()].push(Watcher {
-                                cref: w.cref,
-                                blocker: first,
-                            });
-                            ws.swap_remove(i);
-                            continue 'watchers;
-                        }
+                for k in 2..lits.len() {
+                    if lit_val(&self.assign, Lit(lits[k])) != Some(false) {
+                        lits.swap(1, k);
+                        self.watches[lits[1] as usize].push(Watcher {
+                            cref: w.cref,
+                            blocker: first,
+                        });
+                        ws.swap_remove(i);
+                        continue 'watchers;
                     }
                 }
                 // Clause is unit or conflicting.
@@ -576,48 +612,77 @@ impl Solver {
         self.order.decrease_key(v, &self.activity);
     }
 
+    fn clause_len(&self, cref: u32) -> usize {
+        self.arena[cref as usize] as usize
+    }
+
+    fn clause_flags(&self, cref: u32) -> u32 {
+        self.arena[cref as usize + 1]
+    }
+
+    fn clause_lits(&self, cref: u32) -> &[u32] {
+        let start = cref as usize + HEADER;
+        &self.arena[start..start + self.clause_len(cref)]
+    }
+
+    fn clause_activity(&self, cref: u32) -> f64 {
+        let c = cref as usize;
+        f64::from_bits(u64::from(self.arena[c + 2]) | u64::from(self.arena[c + 3]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, cref: u32, activity: f64) {
+        let c = cref as usize;
+        let bits = activity.to_bits();
+        self.arena[c + 2] = bits as u32;
+        self.arena[c + 3] = (bits >> 32) as u32;
+    }
+
+    /// Every cref in the arena, deleted husks included, in cref order.
+    fn crefs(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut c = 0usize;
+        std::iter::from_fn(move || {
+            let cref = c;
+            c += HEADER + *self.arena.get(cref)? as usize;
+            Some(cref as u32)
+        })
+    }
+
     fn bump_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
+        let activity = self.clause_activity(cref) + self.cla_inc;
+        self.set_clause_activity(cref, activity);
+        if activity > 1e20 {
+            let crefs: Vec<u32> = self.crefs().collect();
+            for c in crefs {
+                self.set_clause_activity(c, self.clause_activity(c) * 1e-20);
             }
             self.cla_inc *= 1e-20;
         }
     }
 
-    /// Literal-block distance of a clause under the current assignment:
-    /// the number of distinct decision levels among its literals.
+    /// Literal-block distance of a stored clause under the current
+    /// assignment: the number of distinct decision levels among its
+    /// literals.
     fn clause_lbd(&mut self, cref: u32) -> u32 {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let mut lbd = 0u32;
-        let lits = &self.clauses[cref as usize].lits;
-        for &l in lits {
-            let lvl = self.level[l.var() as usize] as usize;
-            if self.level_stamp[lvl] != stamp {
-                self.level_stamp[lvl] = stamp;
-                lbd += 1;
-            }
-        }
-        lbd
+        let start = cref as usize + HEADER;
+        let lits = &self.arena[start..start + self.arena[cref as usize] as usize];
+        count_levels(
+            &self.level,
+            &mut self.level_stamp,
+            self.stamp,
+            lits.iter().map(|&l| Lit(l)),
+        )
     }
 
-    /// LBD of the freshly minimized learnt clause (same stamp trick, but
-    /// over a literal slice instead of a stored clause).
+    /// LBD of the freshly minimized learnt clause.
     fn lits_lbd(&mut self, lits: &[Lit]) -> u32 {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let mut lbd = 0u32;
-        for &l in lits {
-            let lvl = self.level[l.var() as usize] as usize;
-            if self.level_stamp[lvl] != stamp {
-                self.level_stamp[lvl] = stamp;
-                lbd += 1;
-            }
-        }
-        lbd
+        count_levels(
+            &self.level,
+            &mut self.level_stamp,
+            self.stamp,
+            lits.iter().copied(),
+        )
     }
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
@@ -633,20 +698,19 @@ impl Solver {
             self.bump_clause(confl);
             // Glue maintenance: a learnt clause participating in a conflict
             // is "used" this reduction round, and its LBD can only improve.
-            if self.clauses[confl as usize].learnt {
+            let flags = self.clause_flags(confl);
+            if flags & LEARNT != 0 {
                 let lbd = self.clause_lbd(confl);
-                let c = &mut self.clauses[confl as usize];
-                c.used = true;
-                if lbd < c.glue {
-                    c.glue = lbd;
-                }
+                let glue = (flags >> GLUE_SHIFT).min(lbd);
+                self.arena[confl as usize + 1] =
+                    (flags & ((1 << GLUE_SHIFT) - 1)) | USED | (glue << GLUE_SHIFT);
             }
             // Skip the literal this clause propagated (if any) by identity,
             // not position: binary clauses enqueue their blocker literal
             // without normalizing it to position 0.
-            let len = self.clauses[confl as usize].lits.len();
-            for idx in 0..len {
-                let q = self.clauses[confl as usize].lits[idx];
+            let start = confl as usize + HEADER;
+            for idx in start..start + self.clause_len(confl) {
+                let q = Lit(self.arena[idx]);
                 if p == Some(q) {
                     continue;
                 }
@@ -724,7 +788,8 @@ impl Solver {
         let not_l = l.negated();
         match self.reason[l.var() as usize] {
             None => false,
-            Some(cref) => self.clauses[cref as usize].lits.iter().all(|&q| {
+            Some(cref) => self.clause_lits(cref).iter().all(|&q| {
+                let q = Lit(q);
                 q == not_l || self.seen[q.var() as usize] || self.level[q.var() as usize] == 0
             }),
         }
@@ -749,7 +814,15 @@ impl Solver {
         self.qhead = self.qhead.min(self.trail.len());
     }
 
+    /// Pops the most active unassigned variable. Once every variable is on
+    /// the trail the heap holds only assigned ones, so it is cleared in one
+    /// pass instead of popped (and sifted) one entry at a time: the same
+    /// empty heap, hence the same later pushes and pop order.
     fn pick_branch_var(&mut self) -> Option<u32> {
+        if self.trail.len() == self.level.len() {
+            self.order.clear();
+            return None;
+        }
         while let Some(v) = self.order.pop(&self.activity) {
             if self.assign[(v * 2) as usize] == VAL_UNDEF {
                 return Some(v);
@@ -762,11 +835,10 @@ impl Solver {
     /// locked clauses must never be deleted (conflict analysis walks
     /// `reason` crefs).
     fn is_locked(&self, cref: u32) -> bool {
-        let c = &self.clauses[cref as usize];
-        !c.deleted
-            && !c.lits.is_empty()
-            && self.reason[c.lits[0].var() as usize] == Some(cref)
-            && self.lit_value(c.lits[0]) == Some(true)
+        let first = Lit(self.clause_lits(cref)[0]);
+        self.clause_flags(cref) & DELETED == 0
+            && self.reason[first.var() as usize] == Some(cref)
+            && self.lit_value(first) == Some(true)
     }
 
     /// Three-tier learnt-database reduction:
@@ -782,18 +854,23 @@ impl Solver {
     fn reduce_db(&mut self) {
         self.stats.reduces += 1;
         let mut victims: Vec<u32> = Vec::new();
-        for cref in 0..self.clauses.len() as u32 {
-            let c = &self.clauses[cref as usize];
-            if !c.learnt || c.deleted || c.lits.len() <= 2 || c.glue <= Self::CORE_GLUE {
+        let crefs: Vec<u32> = self.crefs().collect();
+        for cref in crefs {
+            let flags = self.clause_flags(cref);
+            let glue = flags >> GLUE_SHIFT;
+            if flags & (LEARNT | DELETED) != LEARNT
+                || self.clause_len(cref) <= 2
+                || glue <= Self::CORE_GLUE
+            {
                 continue;
             }
             if self.is_locked(cref) {
                 continue;
             }
-            if c.glue <= Self::MID_GLUE && c.used {
+            if glue <= Self::MID_GLUE && flags & USED != 0 {
                 // Mid-tier clause that earned its keep: clear the bit and
                 // give it another round.
-                self.clauses[cref as usize].used = false;
+                self.arena[cref as usize + 1] &= !USED;
                 continue;
             }
             victims.push(cref);
@@ -802,13 +879,14 @@ impl Solver {
         // are non-negative, so the bit pattern orders them totally and the
         // sort stays deterministic; cref breaks exact ties.
         victims.sort_by_key(|&cref| {
-            let c = &self.clauses[cref as usize];
-            (std::cmp::Reverse(c.glue), c.activity.to_bits(), cref)
+            (
+                std::cmp::Reverse(self.clause_flags(cref) >> GLUE_SHIFT),
+                self.clause_activity(cref).to_bits(),
+                cref,
+            )
         });
         for &cref in &victims[..victims.len() / 2] {
-            let c = &mut self.clauses[cref as usize];
-            c.deleted = true;
-            c.lits = Vec::new();
+            self.arena[cref as usize + 1] |= DELETED;
             self.deleted_count += 1;
             self.stats.learnt_clauses = self.stats.learnt_clauses.saturating_sub(1);
         }
@@ -836,15 +914,25 @@ impl Solver {
         if self.deleted_count == 0 {
             return;
         }
-        let mut remap: Vec<u32> = vec![u32::MAX; self.clauses.len()];
-        let mut next = 0u32;
-        for (i, c) in self.clauses.iter().enumerate() {
-            if !c.deleted {
-                remap[i] = next;
-                next += 1;
+        // Copy the live clauses, in order, into a fresh arena, and leave in
+        // word 0 of each old clause its new cref (`u32::MAX` if deleted).
+        let crefs: Vec<usize> = self.crefs().map(|c| c as usize).collect();
+        let live_words: usize = crefs
+            .iter()
+            .filter(|&&c| self.arena[c + 1] & DELETED == 0)
+            .map(|&c| HEADER + self.arena[c] as usize)
+            .sum();
+        let mut remap = std::mem::replace(&mut self.arena, Vec::with_capacity(live_words));
+        for c in crefs {
+            if remap[c + 1] & DELETED == 0 {
+                let moved_to = self.arena.len() as u32;
+                self.arena
+                    .extend_from_slice(&remap[c..c + HEADER + remap[c] as usize]);
+                remap[c] = moved_to;
+            } else {
+                remap[c] = u32::MAX;
             }
         }
-        self.clauses.retain(|c| !c.deleted);
         for ws in &mut self.watches {
             ws.retain_mut(|w| {
                 let tag = w.cref & BINARY_TAG;
@@ -864,63 +952,84 @@ impl Solver {
                 *cref = mapped;
             }
         }
+        self.arena_slots -= self.deleted_count;
         self.deleted_count = 0;
         self.stats.gc_runs += 1;
     }
 
-    /// Panics if any internal invariant is broken: a trail literal whose
-    /// reason cref is out of range, deleted, or does not start with that
-    /// literal; a watcher whose cref is out of range or (for live clauses)
-    /// whose watched literal is not in the clause's first two positions; or
-    /// stat counters out of sync with the database. Used by the invariant
-    /// test suite after forced reductions/GC; cheap enough for debugging
-    /// sessions, not meant for production hot paths.
+    /// Panics if any internal invariant is broken: a clause header that
+    /// overruns the arena or holds fewer than two literals; a trail literal
+    /// whose reason cref is not a clause start, is deleted, or does not
+    /// start with that literal; a watcher whose cref is not a clause start
+    /// or (for live clauses) whose watched literal is not in the clause's
+    /// first two positions; or slot and stat counters out of sync with the
+    /// headers. Used by the invariant test suite after forced
+    /// reductions/GC; cheap enough for debugging sessions, not meant for
+    /// production hot paths.
     pub fn check_integrity(&self) {
-        let deleted = self.clauses.iter().filter(|c| c.deleted).count();
+        let mut is_cref = vec![false; self.arena.len()];
+        let (mut slots, mut deleted, mut learnt) = (0, 0, 0u64);
+        for cref in self.crefs() {
+            assert!(
+                cref as usize + HEADER + self.clause_len(cref) <= self.arena.len(),
+                "clause header overruns the arena"
+            );
+            assert!(
+                self.clause_len(cref) >= 2,
+                "clause shorter than two literals"
+            );
+            is_cref[cref as usize] = true;
+            slots += 1;
+            let flags = self.clause_flags(cref);
+            if flags & DELETED != 0 {
+                deleted += 1;
+            } else if flags & LEARNT != 0 {
+                learnt += 1;
+            }
+        }
+        assert_eq!(slots, self.arena_slots, "arena_slots out of sync");
         assert_eq!(deleted, self.deleted_count, "deleted_count out of sync");
-        let learnt = self
-            .clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted)
-            .count();
         assert_eq!(
-            learnt as u64, self.stats.learnt_clauses,
+            learnt, self.stats.learnt_clauses,
             "learnt_clauses stat out of sync"
         );
+        let live = |cref: u32, what: &str| {
+            assert!(
+                is_cref.get(cref as usize).copied().unwrap_or(false),
+                "{what} cref is not a clause start"
+            );
+            self.clause_flags(cref) & DELETED == 0
+        };
         for &l in &self.trail {
             assert_eq!(self.lit_value(l), Some(true), "trail literal not true");
             if let Some(cref) = self.reason[l.var() as usize] {
-                let c = self
-                    .clauses
-                    .get(cref as usize)
-                    .expect("reason cref out of range");
-                assert!(!c.deleted, "reason clause deleted");
+                assert!(live(cref, "reason"), "reason clause deleted");
                 // Binary clauses propagate either literal; longer clauses
                 // keep the propagated literal in watch position 0.
-                if c.lits.len() == 2 {
+                let lits = self.clause_lits(cref);
+                if lits.len() == 2 {
                     assert!(
-                        c.lits.contains(&l),
+                        lits.contains(&l.0),
                         "binary reason clause does not contain its literal"
                     );
                 } else {
-                    assert_eq!(c.lits[0], l, "reason clause does not assert its literal");
+                    assert_eq!(lits[0], l.0, "reason clause does not assert its literal");
                 }
             }
         }
         for (idx, ws) in self.watches.iter().enumerate() {
             for w in ws {
-                let c = self
-                    .clauses
-                    .get((w.cref & !BINARY_TAG) as usize)
-                    .expect("watcher cref out of range");
+                let cref = w.cref & !BINARY_TAG;
+                let is_live = live(cref, "watcher");
+                let lits = self.clause_lits(cref);
                 assert_eq!(
                     w.cref & BINARY_TAG != 0,
-                    !c.deleted && c.lits.len() == 2,
+                    is_live && lits.len() == 2,
                     "binary tag out of sync with clause length"
                 );
-                if !c.deleted {
+                if is_live {
                     assert!(
-                        c.lits[0].index() == idx || c.lits[1].index() == idx,
+                        lits[0] as usize == idx || lits[1] as usize == idx,
                         "watched literal not in the clause's watch positions"
                     );
                 }
@@ -1501,7 +1610,7 @@ mod tests {
         s.check_integrity();
         for &l in &s.trail {
             if let Some(cref) = s.reason[l.var() as usize] {
-                assert!(!s.clauses[cref as usize].deleted, "reason deleted");
+                assert_eq!(s.clause_flags(cref) & DELETED, 0, "reason deleted");
             }
         }
     }
@@ -1562,9 +1671,9 @@ mod tests {
         let _ = s.solve();
         assert!(s.stats().reduces >= 1);
         let cores = s
-            .clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted && c.glue <= Solver::CORE_GLUE)
+            .crefs()
+            .map(|c| s.clause_flags(c))
+            .filter(|&f| f & (LEARNT | DELETED) == LEARNT && f >> GLUE_SHIFT <= Solver::CORE_GLUE)
             .count();
         // The instance is hard enough to have produced core-glue clauses,
         // and reductions must have kept all of them.
