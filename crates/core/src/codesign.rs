@@ -9,15 +9,29 @@
 //!
 //! Both searches score configurations through an incremental
 //! [`ErrorSweep`] rather than a cold binding solve per configuration. The
-//! optimal search walks the `C(|C|, m)^{|L|}` product in *Gray-code order*
-//! (Knuth 7.2.1.1 Algorithm H), so exactly one FU's combination — hence one
-//! slot's weights per cycle — changes per step, and scores every
-//! configuration exactly (`codesign.combos_evaluated` gains the full
-//! product once per search). The selected configuration is *identical* to
-//! the legacy first-maximum scan: ties are broken by each configuration's
-//! rank in the legacy mixed-radix iteration order. A final cold
-//! [`bind_obfuscation_aware`] solve on the winner reproduces the byte-exact
-//! legacy binding and spec.
+//! optimal search is a depth-first branch-and-bound over the locked slots:
+//!
+//! * **Multisets.** Locked FUs of one class are interchangeable in every
+//!   per-cycle matching, so the score depends only on the multiset of
+//!   combinations per class. A slot takes no smaller combination than the
+//!   previous slot of its class.
+//! * **Bound.** A slot not yet fixed reads the sweep's envelope column
+//!   (each op's maximum over every combination), so a partial assignment
+//!   scores an upper bound on all its completions. The last slot is
+//!   bounded without a solve per child: its unlocked score plus the
+//!   combination's gain ([`ErrorSweep::combination_gains`]).
+//! * **Order and pruning.** Children are visited in descending bound,
+//!   ties by combination index, and a child is pruned only when its bound
+//!   is *below* the incumbent, so every maximum is scored.
+//!
+//! Every score (bound or leaf) counts once in `codesign.combos_evaluated`
+//! and polls the cancel token once. The selected configuration is
+//! *identical* to the legacy first-maximum scan over the
+//! `C(|C|, m)^{|L|}` product: a maximum multiset stands for its
+//! lowest-rank ordering in the legacy mixed-radix order (each class's
+//! largest combinations on its lowest slots), and ties keep the lower
+//! rank. A final cold [`bind_obfuscation_aware`] solve on the winner
+//! reproduces the byte-exact legacy binding and spec.
 
 use lockbind_hls::{Allocation, Binding, Dfg, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_obs as obs;
@@ -28,7 +42,7 @@ use crate::{
     LockingSpec,
 };
 
-/// Guard on the exhaustive search size (binding evaluations).
+/// Guard on the configuration space, `C(|C|, m)^{|L|}` orderings.
 const OPTIMAL_SEARCH_LIMIT: u128 = 3_000_000;
 
 /// Result of a co-design run: the binding, the chosen locking spec, and its
@@ -80,19 +94,21 @@ fn validate(
     Ok(())
 }
 
-/// Exhaustive optimal co-design: evaluates obfuscation-aware binding for
-/// every combination assignment of candidate locked inputs to locked FUs and
-/// returns the best (Sec. V-B claims this maximizes Eqn. 2 exactly).
+/// Exact optimal co-design: the combination assignment of candidate
+/// locked inputs to locked FUs whose obfuscation-aware binding maximizes
+/// Eqn. 2 (Sec. V-B), found by branch-and-bound over combination
+/// multisets (see the module docs). Ties go to the assignment the
+/// exhaustive mixed-radix scan meets first.
 ///
-/// `cancel` is polled once per combination assignment; batch callers pass
-/// `&CancelToken::new()`, which never fires.
+/// `cancel` is polled once per scored bound or configuration; batch
+/// callers pass `&CancelToken::new()`, which never fires.
 ///
 /// # Errors
 ///
 /// Everything [`bind_obfuscation_aware`] can return, plus
 /// [`CoreError::NotEnoughCandidates`], [`CoreError::Interrupted`] when the
-/// token fires mid-search and, when the search would exceed ~3M binding
-/// evaluations, [`CoreError::SearchSpaceTooLarge`] (use
+/// token fires mid-search and, when the space holds more than 3M
+/// configurations, [`CoreError::SearchSpaceTooLarge`] (use
 /// [`codesign_heuristic`] instead).
 #[allow(clippy::too_many_arguments)]
 pub fn codesign_optimal(
@@ -122,75 +138,49 @@ pub fn codesign_optimal(
         });
     }
 
-    let l = locked_fus.len();
-    let r = combos.len();
     let mut sweep = ErrorSweep::new(
         dfg, schedule, alloc, profile, locked_fus, candidates, &combos,
     )?;
+    let l = locked_fus.len();
     for k in 0..l {
-        sweep.set_slot(k, 0);
+        sweep.relax_slot(k);
     }
-    // `rank` is the configuration's index in the legacy mixed-radix scan
-    // (digit 0 fastest). The legacy loop kept the *first* maximum, i.e. the
-    // lowest-rank argmax — tracking rank lets the Gray-order walk select
-    // the identical winner. `evaluations <= OPTIMAL_SEARCH_LIMIT`, so rank
-    // and the power table fit comfortably in u64.
-    let mut pow = vec![1u64; l];
-    for i in 1..l {
-        pow[i] = pow[i - 1] * r as u64;
+    // A slot takes no smaller combination than the previous slot of its
+    // class, so the search visits multisets, not orderings.
+    let mut prev = Vec::with_capacity(l);
+    let mut mirror = Vec::with_capacity(l);
+    for (k, fu) in locked_fus.iter().enumerate() {
+        let class: Vec<usize> = (0..l)
+            .filter(|&j| locked_fus[j].class == fu.class)
+            .collect();
+        let at = class
+            .iter()
+            .position(|&j| j == k)
+            .expect("k is of its class");
+        prev.push(at.checked_sub(1).map(|i| class[i]));
+        mirror.push(class[class.len() - 1 - at]);
     }
-    // Knuth 7.2.1.1 Algorithm H: loopless reflected mixed-radix Gray code.
-    // Exactly one digit changes per visit, so each step updates one sweep
-    // slot (one matrix column per affected cycle).
-    let mut a = vec![0usize; l];
-    let mut o = vec![1i8; l];
-    let mut f: Vec<usize> = (0..=l).collect();
-    let mut rank = 0u64;
-    // (errors, legacy rank, digits) of the incumbent.
-    let mut best: Option<(u64, u64, Vec<usize>)> = None;
-    let mut evaluated = 0u64;
-    loop {
-        if cancel.is_cancelled() {
-            obs::counter!("codesign.combos_evaluated").add(evaluated);
-            return Err(CoreError::Interrupted {
-                stage: "codesign.optimal",
-            });
-        }
-        let errors = sweep.solve_errors();
-        evaluated += 1;
-        if best
-            .as_ref()
-            .is_none_or(|&(be, br, _)| errors > be || (errors == be && rank < br))
-        {
-            best = Some((errors, rank, a.clone()));
-        }
-        if r == 1 {
-            break; // single combination per slot: one configuration total
-        }
-        let j = f[0];
-        f[0] = 0;
-        if j == l {
-            break;
-        }
-        if o[j] > 0 {
-            a[j] += 1;
-            rank += pow[j];
-        } else {
-            a[j] -= 1;
-            rank -= pow[j];
-        }
-        sweep.set_slot(j, a[j]);
-        if a[j] == 0 || a[j] == r - 1 {
-            o[j] = -o[j];
-            f[j] = f[j + 1];
-            f[j + 1] = j + 1;
-        }
-    }
-    obs::counter!("codesign.combos_evaluated").add(evaluated);
+    let gains = l
+        .checked_sub(1)
+        .map_or_else(Vec::new, |last| sweep.combination_gains(last));
+    let mut search = Search {
+        sweep,
+        cancel,
+        radix: combos.len(),
+        prev,
+        mirror,
+        gains,
+        path: vec![0; l],
+        best: None,
+        evaluated: 0,
+    };
+    let searched = search.visit(0);
+    obs::counter!("codesign.combos_evaluated").add(search.evaluated);
+    searched?;
 
     // Re-solve the winner cold: reproduces the legacy binding byte-exactly
     // and double-checks the sweep's score against realized Eqn. 2 errors.
-    let (sweep_errors, _, digits) = best.expect("at least one combination evaluated");
+    let (sweep_errors, _, digits) = search.best.expect("at least one leaf scored");
     let entries: Vec<(FuId, Vec<Minterm>)> = locked_fus
         .iter()
         .zip(&digits)
@@ -208,6 +198,113 @@ pub fn codesign_optimal(
         spec,
         errors,
     })
+}
+
+/// The optimal search's state: a depth-first branch-and-bound over the
+/// locked slots in order, each slot taking a combination no smaller than
+/// the previous slot of its class.
+struct Search<'a> {
+    /// Slots before the current depth hold the path, later ones the
+    /// envelope.
+    sweep: ErrorSweep,
+    cancel: &'a CancelToken,
+    /// Number of combinations: the legacy scan's digit radix.
+    radix: usize,
+    /// Per slot, the previous slot of the same class.
+    prev: Vec<Option<usize>>,
+    /// Per slot, the slot at the mirrored position among its class's
+    /// slots: the path is nondecreasing within a class, so slot `k` of
+    /// the lowest-rank ordering takes `path[mirror[k]]`.
+    mirror: Vec<usize>,
+    /// Per combination, the last slot's leaf gain
+    /// ([`ErrorSweep::combination_gains`]).
+    gains: Vec<u64>,
+    /// The combination of each slot above the current depth.
+    path: Vec<usize>,
+    /// The incumbent: (errors, legacy rank, digits).
+    best: Option<(u64, u64, Vec<usize>)>,
+    evaluated: u64,
+}
+
+impl Search<'_> {
+    /// Scores the sweep's current columns: one evaluation, one poll.
+    fn score(&mut self) -> Result<u64, CoreError> {
+        if self.cancel.is_cancelled() {
+            return Err(CoreError::Interrupted {
+                stage: "codesign.optimal",
+            });
+        }
+        self.evaluated += 1;
+        Ok(self.sweep.solve_errors())
+    }
+
+    /// Whether `score` is below the incumbent's errors.
+    fn below_incumbent(&self, score: u64) -> bool {
+        self.best
+            .as_ref()
+            .is_some_and(|&(errors, ..)| score < errors)
+    }
+
+    /// Scores the leaf below depth `k`, or branches on slot `k` with every
+    /// later slot reading the envelope. The children are visited in
+    /// descending bound (ties by combination); a child whose bound is
+    /// below the incumbent is pruned with all that follow it. Ties are
+    /// never pruned, so every maximum is scored.
+    fn visit(&mut self, k: usize) -> Result<(), CoreError> {
+        if k == self.path.len() {
+            let errors = self.score()?;
+            self.offer(errors);
+            return Ok(());
+        }
+        let lo = self.prev[k].map_or(0, |j| self.path[j]);
+        let mut children = Vec::with_capacity(self.radix - lo);
+        if k + 1 == self.path.len() {
+            // Loading one column raises each subproblem by at most that
+            // column's largest weight, so one score bounds every leaf.
+            self.sweep.clear_slot(k);
+            let unlocked = self.score()?;
+            children.extend((lo..self.radix).map(|c| (unlocked + self.gains[c], c)));
+        } else {
+            for c in lo..self.radix {
+                self.sweep.set_slot(k, c);
+                children.push((self.score()?, c));
+            }
+        }
+        children.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (bound, c) in children {
+            if self.below_incumbent(bound) {
+                break;
+            }
+            self.sweep.set_slot(k, c);
+            self.path[k] = c;
+            self.visit(k + 1)?;
+        }
+        self.sweep.relax_slot(k);
+        Ok(())
+    }
+
+    /// Offers the path's multiset scored `errors`. It stands for every
+    /// ordering of its combinations among same-class slots; the legacy
+    /// scan met the lowest-rank one first, the one that puts each class's
+    /// largest combinations on its lowest slots (digit 0 is the least
+    /// significant). Ties keep the lower rank.
+    fn offer(&mut self, errors: u64) {
+        if self.below_incumbent(errors) {
+            return;
+        }
+        let digits = self.mirror.iter().map(|&j| self.path[j]);
+        let rank = digits
+            .clone()
+            .rev()
+            .fold(0, |rank, d| rank * self.radix as u64 + d as u64);
+        if self
+            .best
+            .as_ref()
+            .is_none_or(|&(be, br, _)| errors > be || rank < br)
+        {
+            self.best = Some((errors, rank, digits.collect()));
+        }
+    }
 }
 
 /// The paper's P-time co-design heuristic (Sec. V-A): locked FUs are
@@ -390,7 +487,7 @@ mod tests {
 
     /// The legacy exhaustive scan, reproduced verbatim: mixed-radix counter
     /// (digit 0 fastest), one cold binding solve per configuration, first
-    /// maximum kept. The Gray-order search must select the identical
+    /// maximum kept. The branch-and-bound must select the identical
     /// configuration.
     fn optimal_reference(
         dfg: &Dfg,
@@ -438,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn pruned_gray_search_matches_legacy_scan_exactly() {
+    fn branch_and_bound_matches_legacy_scan_exactly() {
         let never = CancelToken::new();
         for kernel in [Kernel::Fir, Kernel::Jdmerge1, Kernel::Motion2] {
             let (dfg, sched, alloc, profile, candidates) = setup(kernel);

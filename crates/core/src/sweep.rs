@@ -12,8 +12,10 @@
 //! * per *live* `(cycle, class)` subproblem, a column table: for each
 //!   combination `c` and live op `r`, the Eqn. 3 weight `w(r, c)` at
 //!   `cols[c * rows + r]`, plus one all-zero column standing for
-//!   "unlocked". The weights depend only on (op, combination), so they are
-//!   computed once at construction and loading a slot is an index change;
+//!   "unlocked" and one *envelope* column holding each op's maximum over
+//!   every combination (the optimal search's bound). The weights depend
+//!   only on (op, combination), so they are computed once at construction
+//!   and loading a slot is an index change;
 //! * per subproblem, the column each of the class's locked slots reads;
 //! * a cached per-subproblem optimum, so scoring a configuration only
 //!   re-solves the subproblems whose columns actually moved.
@@ -63,7 +65,8 @@ struct Sub {
     /// Number of live ops.
     rows: usize,
     /// `cols[c * rows + r]`: Eqn. 3 weight of live row `r` under
-    /// combination `c`; the last column is all-zero ("unlocked").
+    /// combination `c`, then an all-zero column ("unlocked"), then the
+    /// envelope: each row's maximum over every combination.
     cols: Vec<u64>,
     /// Per locked slot of `class` (by position), the column it reads.
     sel: Vec<usize>,
@@ -125,7 +128,7 @@ struct Slot {
 /// the same configuration — proven by this module's unit properties and the
 /// `lockbind-check` mutation suite.
 ///
-/// Construction precomputes `Σ rows × (|combos| + 1)` weights. A
+/// Construction precomputes `Σ rows × (|combos| + 2)` weights. A
 /// subproblem with at most 3 locked slots over at most 3 live ops, which is
 /// every subproblem of a 3 + 3 FU allocation, is solved in closed form with
 /// at most 9 additions; one locked slot over `R` live ops is an `O(R)`
@@ -229,6 +232,10 @@ impl ErrorSweep {
                     );
                 }
                 cols.resize((unlocked + 1) * rows, 0);
+                let envelope: Vec<u64> = (0..rows)
+                    .map(|r| (0..unlocked).map(|c| cols[c * rows + r]).max().unwrap_or(0))
+                    .collect();
+                cols.extend(envelope);
                 subs.push(Sub {
                     class,
                     rows,
@@ -271,6 +278,36 @@ impl ErrorSweep {
     /// Panics on out-of-range `slot`.
     pub fn clear_slot(&mut self, slot: usize) {
         self.load(slot, self.unlocked);
+    }
+
+    /// Points slot `slot` at the envelope column, each live op's maximum
+    /// weight over every combination. A matching only grows when its
+    /// weights do, so the score then bounds every combination the slot
+    /// could take: the co-design search's admissible bound.
+    ///
+    /// # Panics
+    /// Panics on out-of-range `slot`.
+    pub(crate) fn relax_slot(&mut self, slot: usize) {
+        self.load(slot, self.unlocked + 1);
+    }
+
+    /// Per combination `c`, the sum over the subproblems of slot `slot`'s
+    /// class of column `c`'s largest weight. Loading `c` into the slot
+    /// while it is unlocked raises each subproblem's optimum by at most
+    /// that column's largest weight, so the unlocked score plus this gain
+    /// bounds the loaded score.
+    ///
+    /// # Panics
+    /// Panics on out-of-range `slot`.
+    pub(crate) fn combination_gains(&self, slot: usize) -> Vec<u64> {
+        let class = self.slots[slot].class;
+        let mut gains = vec![0; self.unlocked];
+        for sub in self.subs.iter().filter(|s| s.class == class) {
+            for (c, gain) in gains.iter_mut().enumerate() {
+                *gain += max_column(sub.col(c));
+            }
+        }
+        gains
     }
 
     fn load(&mut self, slot: usize, col: usize) {
@@ -563,6 +600,141 @@ mod tests {
             .expect("rows <= cols");
             let sub = sub_over(&columns, picks.clone());
             prop_assert_eq!(sub.solve() as i64, reference.total, "picks {:?}", picks);
+        }
+    }
+
+    /// A kernel scheduled on 3 + 3 FUs with `adders` locked adders and
+    /// `multipliers` locked multipliers, over the top 4 candidates of each
+    /// class, and its sweep at `per_fu` inputs per FU.
+    fn mixed_sweep(
+        kernel: Kernel,
+        adders: usize,
+        multipliers: usize,
+        per_fu: usize,
+    ) -> (ErrorSweep, Vec<FuId>, usize) {
+        let b = kernel.benchmark(100, 17);
+        let alloc = Allocation::new(3, 3);
+        let sched = schedule_list(&b.dfg, &alloc).expect("schedulable");
+        let profile = OccurrenceProfile::from_trace(&b.dfg, &b.trace).expect("profiled");
+        let mut candidates = Vec::new();
+        for class in FuClass::ALL {
+            candidates.extend(profile.top_candidates_among(&b.dfg.ops_of_class(class), 4));
+        }
+        let fus: Vec<FuId> = (0..adders)
+            .map(|i| FuId::new(FuClass::Adder, i))
+            .chain((0..multipliers).map(|i| FuId::new(FuClass::Multiplier, i)))
+            .collect();
+        let combos = combinations(candidates.len(), per_fu);
+        let sweep = ErrorSweep::new(&b.dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
+            .expect("builds");
+        (sweep, fus, combos.len())
+    }
+
+    /// Permutation `index` of a list of at most 3 items: a rotation, then
+    /// a reversal; the 6 indices of 3 items give all 6 orders.
+    fn permuted(items: &[usize], index: usize) -> Vec<usize> {
+        let mut out = items.to_vec();
+        if !out.is_empty() {
+            out.rotate_left(index % items.len());
+            if index / items.len() % 2 == 1 {
+                out.reverse();
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Locked slots of one class are interchangeable: permuting the
+        /// combinations among the adder slots and among the multiplier
+        /// slots leaves the score unchanged. The optimal search visits
+        /// multisets on this property.
+        #[test]
+        fn permuting_same_class_slots_keeps_the_score(
+            kernel in 0usize..11,
+            adders in 1usize..=3,
+            multipliers in 0usize..=3,
+            per_fu in 1usize..=2,
+            picks in proptest::collection::vec(0usize..64, 6),
+            orders in (0usize..6, 0usize..6),
+        ) {
+            let (mut sweep, fus, r) = mixed_sweep(Kernel::ALL[kernel], adders, multipliers, per_fu);
+            let assign: Vec<usize> = picks[..fus.len()].iter().map(|p| p % r).collect();
+            for (k, &c) in assign.iter().enumerate() {
+                sweep.set_slot(k, c);
+            }
+            let score = sweep.solve_errors();
+            let mut moved = assign.clone();
+            for (class, order) in [(FuClass::Adder, orders.0), (FuClass::Multiplier, orders.1)] {
+                let slots: Vec<usize> = (0..fus.len()).filter(|&k| fus[k].class == class).collect();
+                for (&k, &from) in slots.iter().zip(&permuted(&slots, order)) {
+                    moved[k] = assign[from];
+                }
+            }
+            for (k, &c) in moved.iter().enumerate() {
+                sweep.set_slot(k, c);
+            }
+            prop_assert_eq!(sweep.solve_errors(), score, "{:?} -> {:?}", assign, moved);
+        }
+
+        /// The search's bounds are admissible. With any set of slots on
+        /// the envelope, the score is at least that of the configuration
+        /// with those slots loaded; and loading a combination into an
+        /// unlocked slot raises the score by at most its gain, by exactly
+        /// its gain when no other slot of the class is locked.
+        #[test]
+        fn envelope_and_gains_bound_the_loaded_score(
+            kernel in 0usize..11,
+            adders in 1usize..=3,
+            multipliers in 0usize..=3,
+            per_fu in 1usize..=2,
+            picks in proptest::collection::vec(0usize..64, 6),
+            relax_and_slot in (0u32..64, 0usize..6),
+        ) {
+            let (relaxed, slot) = relax_and_slot;
+            let (mut sweep, fus, r) = mixed_sweep(Kernel::ALL[kernel], adders, multipliers, per_fu);
+            let assign: Vec<usize> = picks[..fus.len()].iter().map(|p| p % r).collect();
+            for (k, &c) in assign.iter().enumerate() {
+                sweep.set_slot(k, c);
+            }
+            let loaded = sweep.solve_errors();
+            for k in (0..fus.len()).filter(|k| relaxed >> k & 1 == 1) {
+                sweep.relax_slot(k);
+            }
+            let bound = sweep.solve_errors();
+            prop_assert!(bound >= loaded, "envelope {} < loaded {}", bound, loaded);
+
+            for (k, &c) in assign.iter().enumerate() {
+                sweep.set_slot(k, c);
+            }
+            let slot = slot % fus.len();
+            sweep.clear_slot(slot);
+            let unlocked = sweep.solve_errors();
+            let gains = sweep.combination_gains(slot);
+            let alone = fus.iter().filter(|f| f.class == fus[slot].class).count() == 1;
+            for (c, &gain) in gains.iter().enumerate() {
+                sweep.set_slot(slot, c);
+                let score = sweep.solve_errors();
+                prop_assert!(score <= unlocked + gain, "combination {}", c);
+                if alone {
+                    prop_assert_eq!(score, unlocked + gain, "combination {}", c);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_holds_each_rows_maximum() {
+        for kernel in Kernel::ALL {
+            let (sweep, _, r) = mixed_sweep(kernel, 3, 3, 2);
+            assert!(!sweep.subs.is_empty(), "{kernel:?}");
+            for sub in &sweep.subs {
+                for row in 0..sub.rows {
+                    let max = (0..r).map(|c| sub.col(c)[row]).max();
+                    assert_eq!(Some(sub.col(r + 1)[row]), max, "{kernel:?} row {row}");
+                }
+            }
         }
     }
 

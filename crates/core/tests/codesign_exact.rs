@@ -1,0 +1,206 @@
+//! The optimal co-design search against an exhaustive mixed-radix scan:
+//! same errors, spec and binding on every configuration the headline smoke
+//! grid runs it on, on locks that mix adders and multipliers, and on
+//! candidate lists with duplicated minterms, where most maxima tie and
+//! only the legacy tie-break (the lowest-rank ordering) picks the winner.
+
+use lockbind_core::{
+    bind_obfuscation_aware, codesign_optimal, combinations, expected_application_errors,
+    CoDesignOutcome, ErrorSweep, LockingSpec,
+};
+use lockbind_hls::{
+    schedule_list, Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule,
+};
+use lockbind_mediabench::Kernel;
+use lockbind_resil::CancelToken;
+
+/// The smoke grid's exact-search budget (`ExperimentParams::optimal_budget`).
+const BUDGET: usize = 20_000;
+
+/// A suite kernel as the smoke grid prepares it: 60 frames of seed 5,
+/// scheduled on 3 adders and 3 multipliers (none for a multiply-free
+/// kernel).
+struct Prepared {
+    dfg: Dfg,
+    schedule: Schedule,
+    alloc: Allocation,
+    profile: OccurrenceProfile,
+}
+
+impl Prepared {
+    fn new(kernel: Kernel) -> Self {
+        let b = kernel.benchmark(60, 5);
+        let (_, muls) = b.dfg.op_mix();
+        let alloc = Allocation::new(3, if muls > 0 { 3 } else { 0 });
+        let schedule = schedule_list(&b.dfg, &alloc).expect("schedulable");
+        let profile = OccurrenceProfile::from_trace(&b.dfg, &b.trace).expect("profiled");
+        Prepared {
+            dfg: b.dfg,
+            schedule,
+            alloc,
+            profile,
+        }
+    }
+
+    fn candidates(&self, class: FuClass, k: usize) -> Vec<Minterm> {
+        self.profile
+            .top_candidates_among(&self.dfg.ops_of_class(class), k)
+    }
+
+    /// The legacy exhaustive scan: every assignment in mixed-radix order
+    /// (digit 0, the first locked FU, fastest), scored by the sweep, the
+    /// first maximum kept, and the winner bound cold.
+    fn scan(&self, fus: &[FuId], per_fu: usize, candidates: &[Minterm]) -> CoDesignOutcome {
+        let combos = combinations(candidates.len(), per_fu);
+        let mut sweep = ErrorSweep::new(
+            &self.dfg,
+            &self.schedule,
+            &self.alloc,
+            &self.profile,
+            fus,
+            candidates,
+            &combos,
+        )
+        .expect("builds");
+        let mut digits = vec![0; fus.len()];
+        let mut best: Option<(u64, Vec<usize>)> = None;
+        loop {
+            for (k, &c) in digits.iter().enumerate() {
+                sweep.set_slot(k, c);
+            }
+            let errors = sweep.solve_errors();
+            if best.as_ref().is_none_or(|(e, _)| errors > *e) {
+                best = Some((errors, digits.clone()));
+            }
+            let Some(k) = digits.iter().position(|&d| d + 1 < combos.len()) else {
+                break;
+            };
+            digits[k] += 1;
+            digits[..k].fill(0);
+        }
+        let (errors, digits) = best.expect("one assignment at least");
+        let entries = fus
+            .iter()
+            .zip(&digits)
+            .map(|(&fu, &c)| (fu, combos[c].iter().map(|&i| candidates[i]).collect()))
+            .collect();
+        let spec = LockingSpec::new(&self.alloc, entries).expect("valid");
+        let binding =
+            bind_obfuscation_aware(&self.dfg, &self.schedule, &self.alloc, &self.profile, &spec)
+                .expect("feasible");
+        assert_eq!(
+            expected_application_errors(&binding, &self.profile, &spec),
+            errors
+        );
+        CoDesignOutcome {
+            binding,
+            spec,
+            errors,
+        }
+    }
+
+    /// Runs the search and the scan, and requires the same outcome.
+    fn check(&self, what: &str, fus: &[FuId], per_fu: usize, candidates: &[Minterm]) {
+        let fast = codesign_optimal(
+            &self.dfg,
+            &self.schedule,
+            &self.alloc,
+            &self.profile,
+            fus,
+            per_fu,
+            candidates,
+            &CancelToken::new(),
+        )
+        .expect("searchable");
+        let slow = self.scan(fus, per_fu, candidates);
+        assert_eq!(fast.errors, slow.errors, "{what}");
+        assert_eq!(fast.spec, slow.spec, "{what}");
+        assert_eq!(fast.binding, slow.binding, "{what}");
+    }
+}
+
+fn in_budget(candidates: usize, per_fu: usize, locked: usize) -> bool {
+    (combinations(candidates, per_fu).len() as u128).pow(locked as u32) <= BUDGET as u128
+}
+
+#[test]
+fn matches_the_scan_on_every_in_budget_smoke_cell() {
+    let mut cells = 0;
+    for kernel in Kernel::ALL {
+        let p = Prepared::new(kernel);
+        for class in FuClass::ALL {
+            let candidates = p.candidates(class, 10);
+            if candidates.is_empty() {
+                continue;
+            }
+            for locked in 1..=p.alloc.count(class).min(3) {
+                for per_fu in 1..=candidates.len().min(3) {
+                    if !in_budget(candidates.len(), per_fu, locked) {
+                        continue;
+                    }
+                    let fus: Vec<FuId> = (0..locked).map(|i| FuId::new(class, i)).collect();
+                    let what = format!("{kernel:?} {class:?} L{locked} m{per_fu}");
+                    p.check(&what, &fus, per_fu, &candidates);
+                    cells += 1;
+                }
+            }
+        }
+    }
+    // 21 kernel classes (ecb_enc4 has no multipliers) × 7 in-budget shapes.
+    assert_eq!(cells, 147);
+}
+
+#[test]
+fn matches_the_scan_when_classes_mix() {
+    let adder = |i| FuId::new(FuClass::Adder, i);
+    let multiplier = |i| FuId::new(FuClass::Multiplier, i);
+    let locks = [
+        vec![adder(0), multiplier(0)],
+        vec![multiplier(1), adder(2), multiplier(0)],
+        vec![adder(1), multiplier(2), adder(0)],
+    ];
+    for kernel in [Kernel::Dct, Kernel::Fir, Kernel::Motion2, Kernel::Jdmerge1] {
+        let p = Prepared::new(kernel);
+        let mut candidates = p.candidates(FuClass::Adder, 4);
+        candidates.extend(p.candidates(FuClass::Multiplier, 4));
+        for fus in &locks {
+            for per_fu in 1..=2 {
+                if in_budget(candidates.len(), per_fu, fus.len()) {
+                    p.check(
+                        &format!("{kernel:?} {fus:?} m{per_fu}"),
+                        fus,
+                        per_fu,
+                        &candidates,
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn matches_the_scan_when_duplicated_candidates_tie() {
+    for kernel in [Kernel::Fir, Kernel::Motion3, Kernel::Fft, Kernel::Noisest2] {
+        let p = Prepared::new(kernel);
+        for class in FuClass::ALL {
+            let top = p.candidates(class, 3);
+            if top.len() < 3 {
+                continue;
+            }
+            // Each minterm twice, in two layouts: its copy adjacent, and
+            // the whole list repeated.
+            let adjacent: Vec<Minterm> = top.iter().flat_map(|&m| [m, m]).collect();
+            let repeated: Vec<Minterm> = top.iter().chain(&top).copied().collect();
+            for candidates in [adjacent, repeated] {
+                for locked in 2..=3 {
+                    let fus: Vec<FuId> = (0..locked).map(|i| FuId::new(class, i)).collect();
+                    for per_fu in 1..=2 {
+                        let what =
+                            format!("{kernel:?} {class:?} {candidates:?} L{locked} m{per_fu}");
+                        p.check(&what, &fus, per_fu, &candidates);
+                    }
+                }
+            }
+        }
+    }
+}

@@ -333,11 +333,11 @@ fn connections_over_the_cap_are_shed_with_a_distinct_code() {
 
 #[test]
 fn deadline_during_a_cacheable_build_is_neither_shared_nor_persisted() {
-    // Ten candidates let the exact co-design search score all
-    // C(10, 3)^3 = 1,728,000 configurations: 0.25-0.4 s of polled work in
-    // a release build and about 2.5 s in a debug build (2-core VM), at
-    // least 6x the leader's 40 ms deadline, so it always fires mid-build.
-    const WORK: &str = r#""kind":"error_rate","params":{"kernel":"motion2","frames":60,"locked_fus":3,"locked_inputs":3,"num_candidates":10,"max_assignments":20000,"optimal_budget":2000000}"#;
+    // The SAT attack on a width-5 Anti-SAT lock needs all 2^10 = 1,024
+    // DIPs and polls the token on each: 135-180 ms per request in a
+    // release build (six fresh-daemon runs, 2-core VM), at least 6x the
+    // leader's 20 ms deadline, so it always fires mid-build.
+    const WORK: &str = r#""kind":"sat_attack","params":{"scheme":"anti-sat","width":5}"#;
     let work = |id: u64, extra: &str| {
         lockbind_obs::json::parse(format!(r#"{{"id":{id},{extra}{WORK}}}"#).as_bytes())
             .expect("valid request JSON")
@@ -364,7 +364,7 @@ fn deadline_during_a_cacheable_build_is_neither_shared_nor_persisted() {
     // while that build runs, coalesces onto it without a deadline.
     let mut leader = client_for(&handle);
     leader
-        .send(&work(1, r#""deadline_ms":40,"#))
+        .send(&work(1, r#""deadline_ms":20,"#))
         .expect("sends");
     std::thread::sleep(Duration::from_millis(10));
     let mut follower = client_for(&handle);
