@@ -84,8 +84,8 @@ pub struct ExperimentParams {
     /// Cap on enumerated combination assignments per configuration; beyond
     /// this a seeded subsample is drawn.
     pub max_assignments: usize,
-    /// Run the exhaustive optimal co-design when its search fits this many
-    /// binding evaluations.
+    /// Run the exact optimal co-design when its search space,
+    /// `C(|C|, m)^{|L|}` combination orderings, fits this budget.
     pub optimal_budget: u128,
     /// Subsampling seed.
     pub seed: u64,
@@ -221,7 +221,10 @@ pub fn run_error_cell_cancellable(
         return Ok(Vec::new());
     }
     let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
-    let inputs = CellInputs::build(prepared, ctx, params, &fus, locked_inputs);
+    let inputs = {
+        let _span = obs::span!("cell.inputs");
+        CellInputs::build(prepared, ctx, params, &fus, locked_inputs)
+    };
     let mut records = obf_aware_cell(prepared, ctx, &fus, locked_inputs, &inputs, cancel)?;
     records.extend(codesign_cell(
         prepared,
@@ -296,23 +299,24 @@ fn advance(counter: &mut [usize], radix: usize) -> bool {
     false
 }
 
-/// The combination assignments evaluated for a configuration: exhaustive
-/// when the cartesian product fits `max_assignments`, otherwise a seeded
+/// The combination assignments evaluated for a configuration, flat with
+/// stride `num_fus` (read with `chunks_exact(num_fus)`): exhaustive when
+/// the cartesian product fits `max_assignments`, otherwise a seeded
 /// subsample of that size.
 fn enumerate_assignments(
     params: &ExperimentParams,
     num_fus: usize,
     num_combos: usize,
     locked_inputs: usize,
-) -> Vec<Vec<usize>> {
+) -> Vec<usize> {
     let total: u128 = (num_combos as u128)
         .checked_pow(num_fus as u32)
         .unwrap_or(u128::MAX);
     if total <= params.max_assignments as u128 {
-        let mut all = Vec::with_capacity(total as usize);
+        let mut all = Vec::with_capacity(total as usize * num_fus);
         let mut counter = vec![0usize; num_fus];
         loop {
-            all.push(counter.clone());
+            all.extend_from_slice(&counter);
             if !advance(&mut counter, num_combos) {
                 break;
             }
@@ -320,12 +324,8 @@ fn enumerate_assignments(
         all
     } else {
         let mut state = params.seed ^ ((num_fus as u64) << 32) ^ locked_inputs as u64;
-        (0..params.max_assignments)
-            .map(|_| {
-                (0..num_fus)
-                    .map(|_| (splitmix64(&mut state) as usize) % num_combos)
-                    .collect()
-            })
+        (0..params.max_assignments * num_fus)
+            .map(|_| (splitmix64(&mut state) as usize) % num_combos)
             .collect()
     }
 }
@@ -364,7 +364,9 @@ fn baseline_tables(
 /// area- and power-aware bindings (read off [`baseline_tables`]).
 struct CellInputs {
     combos: Vec<Vec<usize>>,
-    assignments: Vec<Vec<usize>>,
+    /// Flat, one combination per locked FU per assignment
+    /// ([`enumerate_assignments`]).
+    assignments: Vec<usize>,
     base_area: Vec<u64>,
     base_power: Vec<u64>,
 }
@@ -382,7 +384,7 @@ impl CellInputs {
         let base = |binding: &Binding| -> Vec<u64> {
             let table = baseline_tables(&prepared.profile, binding, fus, &combos, &ctx.candidates);
             assignments
-                .iter()
+                .chunks_exact(fus.len())
                 .map(|assign| assign.iter().enumerate().map(|(k, &ci)| table[k][ci]).sum())
                 .collect()
         };
@@ -399,11 +401,10 @@ impl CellInputs {
 /// obf-aware binding, and compare against the baselines locked with the
 /// *same* assignment.
 ///
-/// Scoring goes through [`ErrorSweep`] — per assignment only the slots
-/// whose combination differs from the previous assignment load a new
-/// column, and the per-cycle optima are the exact
-/// errors a cold `bind_obfuscation_aware` + `expected_application_errors`
-/// pair would produce (the `lockbind-check` mutation suite pins this).
+/// Scoring goes through [`ErrorSweep::score`], one call per assignment:
+/// its per-cycle optima are the exact errors a cold
+/// `bind_obfuscation_aware` + `expected_application_errors` pair would
+/// produce (the `lockbind-check` mutation suite pins this).
 /// Baseline errors come from [`CellInputs`]. The f64 accumulation
 /// order is unchanged, so every emitted record is byte-identical to the
 /// legacy per-assignment binding loop.
@@ -415,10 +416,10 @@ fn obf_aware_cell(
     inputs: &CellInputs,
     cancel: &CancelToken,
 ) -> Result<Vec<ErrorRecord>, CoreError> {
-    let assignments = &inputs.assignments;
-    let _span = obs::span!("cell.obf_aware", assignments = assignments.len());
+    let n = inputs.assignments.len() / fus.len();
+    let _span = obs::span!("cell.obf_aware", assignments = n);
 
-    let mut sweep = ErrorSweep::new(
+    let sweep = ErrorSweep::new(
         &prepared.dfg,
         &prepared.schedule,
         &prepared.alloc,
@@ -431,17 +432,13 @@ fn obf_aware_cell(
     let mut sum_area = 0.0;
     let mut sum_power = 0.0;
     let mut sum_err = 0.0;
-    let n = assignments.len();
-    for (i, assign) in assignments.iter().enumerate() {
+    for (i, assign) in inputs.assignments.chunks_exact(fus.len()).enumerate() {
         if cancel.is_cancelled() {
             return Err(CoreError::Interrupted {
                 stage: "bench.obf_aware",
             });
         }
-        for (k, &ci) in assign.iter().enumerate() {
-            sweep.set_slot(k, ci);
-        }
-        let e_obf = sweep.solve_errors();
+        let e_obf = sweep.score(assign);
         sum_area += ratio(e_obf, inputs.base_area[i]);
         sum_power += ratio(e_obf, inputs.base_power[i]);
         sum_err += e_obf as f64;
@@ -479,7 +476,7 @@ fn codesign_cell(
     inputs: &CellInputs,
     cancel: &CancelToken,
 ) -> Result<Vec<ErrorRecord>, CoreError> {
-    let samples = inputs.assignments.len();
+    let samples = inputs.assignments.len() / fus.len();
     let _span = obs::span!("cell.codesign", assignments = samples);
     let mean_ratio = |errors: u64, bases: &[u64]| -> f64 {
         bases.iter().map(|&b| ratio(errors, b)).sum::<f64>() / bases.len() as f64
@@ -509,10 +506,10 @@ fn codesign_cell(
     )?;
     out.push(record(SecurityAlgo::CoDesignHeuristic, heur.errors));
 
-    let evaluations = (inputs.combos.len() as u128)
+    let orderings = (inputs.combos.len() as u128)
         .checked_pow(fus.len() as u32)
         .unwrap_or(u128::MAX);
-    if evaluations <= params.optimal_budget {
+    if orderings <= params.optimal_budget {
         let opt = codesign_optimal(
             &prepared.dfg,
             &prepared.schedule,
@@ -682,7 +679,7 @@ mod tests {
         let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
         let (mut sum_area, mut sum_power, mut sum_err) = (0.0, 0.0, 0.0);
         let (mut base_area, mut base_power) = (Vec::new(), Vec::new());
-        for assign in &assignments {
+        for assign in assignments.chunks_exact(fus.len()) {
             let entries: Vec<(FuId, Vec<Minterm>)> = fus
                 .iter()
                 .zip(assign)
@@ -700,7 +697,7 @@ mod tests {
             base_area.push(e_area);
             base_power.push(e_power);
         }
-        let n = assignments.len();
+        let n = assignments.len() / fus.len();
         let record = ErrorRecord {
             kernel: p.name.clone(),
             class: ctx.class,

@@ -248,13 +248,12 @@ proptest! {
         prop_assume!(f.candidates.len() >= 2);
         let fu = FuId::new(FuClass::Adder, 0);
         let combos = combinations(f.candidates.len(), 2);
-        let mut sweep = ErrorSweep::new(
+        let sweep = ErrorSweep::new(
             &f.dfg, &f.schedule, &f.alloc, &f.profile, &[fu], &f.candidates, &combos,
         ).expect("builds");
         let mut true_max = 0u64;
         for (ci, combo) in combos.iter().enumerate() {
-            sweep.set_slot(0, ci);
-            let fast = sweep.solve_errors();
+            let fast = sweep.score(&[ci]);
             let spec = LockingSpec::new(
                 &f.alloc,
                 vec![(fu, combo.iter().map(|&i| f.candidates[i]).collect())],
@@ -290,7 +289,7 @@ proptest! {
         prop_assume!(candidates.len() > per_fu);
         let fus: Vec<FuId> = (0..locked).map(|i| FuId::new(FuClass::Adder, i)).collect();
         let combos = combinations(candidates.len(), per_fu);
-        let mut sweep = ErrorSweep::new(
+        let sweep = ErrorSweep::new(
             &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, candidates, &combos,
         ).expect("builds");
         let mut true_max = 0u64;
@@ -299,10 +298,7 @@ proptest! {
             let picks: Vec<usize> = (0..locked)
                 .map(|s| index / combos.len().pow(s as u32) % combos.len())
                 .collect();
-            for (slot, &ci) in picks.iter().enumerate() {
-                sweep.set_slot(slot, ci);
-            }
-            let fast = sweep.solve_errors();
+            let fast = sweep.score(&picks);
             let entries = fus
                 .iter()
                 .zip(&picks)

@@ -7,9 +7,11 @@
 //! P-time sequential heuristic: fix one FU's locked inputs at a time,
 //! assuming the not-yet-fixed FUs are unlocked.
 //!
-//! Both searches score configurations through an incremental
-//! [`ErrorSweep`] rather than a cold binding solve per configuration. The
-//! optimal search is a depth-first branch-and-bound over the locked slots:
+//! Both searches score configurations with [`ErrorSweep::score`] rather
+//! than a cold binding solve per configuration. Each keeps the
+//! configuration as one column per locked slot, so fixing, clearing or
+//! relaxing a slot is one write. The optimal search is a depth-first
+//! branch-and-bound over the locked slots:
 //!
 //! * **Multisets.** Locked FUs of one class are interchangeable in every
 //!   per-cycle matching, so the score depends only on the multiset of
@@ -42,8 +44,9 @@ use crate::{
     LockingSpec,
 };
 
-/// Guard on the configuration space, `C(|C|, m)^{|L|}` orderings.
-const OPTIMAL_SEARCH_LIMIT: u128 = 3_000_000;
+/// Guard on the optimal search's configuration space, `C(|C|, m)^{|L|}`
+/// orderings. Serve's `optimal_budget` takes this as its upper bound.
+pub const OPTIMAL_SEARCH_LIMIT: u64 = 10_000_000;
 
 /// Result of a co-design run: the binding, the chosen locking spec, and its
 /// expected application errors (Eqn. 2).
@@ -107,9 +110,10 @@ fn validate(
 ///
 /// Everything [`bind_obfuscation_aware`] can return, plus
 /// [`CoreError::NotEnoughCandidates`], [`CoreError::Interrupted`] when the
-/// token fires mid-search and, when the space holds more than 3M
-/// configurations, [`CoreError::SearchSpaceTooLarge`] (use
-/// [`codesign_heuristic`] instead).
+/// token fires mid-search and, when the space holds more than
+/// [`OPTIMAL_SEARCH_LIMIT`] configurations,
+/// [`CoreError::SearchSpaceTooLarge`] (use [`codesign_heuristic`]
+/// instead).
 #[allow(clippy::too_many_arguments)]
 pub fn codesign_optimal(
     dfg: &Dfg,
@@ -128,23 +132,21 @@ pub fn codesign_optimal(
     );
     validate(dfg, alloc, locked_fus, inputs_per_fu, candidates)?;
     let combos = combinations(candidates.len(), inputs_per_fu);
-    let evaluations = (combos.len() as u128)
+    let configurations = (combos.len() as u128)
         .checked_pow(locked_fus.len() as u32)
         .unwrap_or(u128::MAX);
-    if evaluations > OPTIMAL_SEARCH_LIMIT {
+    let limit = u128::from(OPTIMAL_SEARCH_LIMIT);
+    if configurations > limit {
         return Err(CoreError::SearchSpaceTooLarge {
-            evaluations,
-            limit: OPTIMAL_SEARCH_LIMIT,
+            configurations,
+            limit,
         });
     }
 
-    let mut sweep = ErrorSweep::new(
+    let sweep = ErrorSweep::new(
         dfg, schedule, alloc, profile, locked_fus, candidates, &combos,
     )?;
     let l = locked_fus.len();
-    for k in 0..l {
-        sweep.relax_slot(k);
-    }
     // A slot takes no smaller combination than the previous slot of its
     // class, so the search visits multisets, not orderings.
     let mut prev = Vec::with_capacity(l);
@@ -164,13 +166,13 @@ pub fn codesign_optimal(
         .checked_sub(1)
         .map_or_else(Vec::new, |last| sweep.combination_gains(last));
     let mut search = Search {
+        cols: vec![sweep.envelope_column(); l],
         sweep,
         cancel,
         radix: combos.len(),
         prev,
         mirror,
         gains,
-        path: vec![0; l],
         best: None,
         evaluated: 0,
     };
@@ -181,6 +183,7 @@ pub fn codesign_optimal(
     // Re-solve the winner cold: reproduces the legacy binding byte-exactly
     // and double-checks the sweep's score against realized Eqn. 2 errors.
     let (sweep_errors, _, digits) = search.best.expect("at least one leaf scored");
+    let _span = obs::span!("codesign.rebind");
     let entries: Vec<(FuId, Vec<Minterm>)> = locked_fus
         .iter()
         .zip(&digits)
@@ -191,7 +194,7 @@ pub fn codesign_optimal(
     let errors = expected_application_errors(&binding, profile, &spec);
     debug_assert_eq!(
         errors, sweep_errors,
-        "incremental sweep score must equal realized Eqn. 2 errors"
+        "sweep score must equal realized Eqn. 2 errors"
     );
     Ok(CoDesignOutcome {
         binding,
@@ -204,9 +207,10 @@ pub fn codesign_optimal(
 /// locked slots in order, each slot taking a combination no smaller than
 /// the previous slot of its class.
 struct Search<'a> {
-    /// Slots before the current depth hold the path, later ones the
-    /// envelope.
     sweep: ErrorSweep,
+    /// Per slot, the column it reads: slots above the current depth hold
+    /// their combination, later ones the envelope.
+    cols: Vec<usize>,
     cancel: &'a CancelToken,
     /// Number of combinations: the legacy scan's digit radix.
     radix: usize,
@@ -219,15 +223,13 @@ struct Search<'a> {
     /// Per combination, the last slot's leaf gain
     /// ([`ErrorSweep::combination_gains`]).
     gains: Vec<u64>,
-    /// The combination of each slot above the current depth.
-    path: Vec<usize>,
     /// The incumbent: (errors, legacy rank, digits).
     best: Option<(u64, u64, Vec<usize>)>,
     evaluated: u64,
 }
 
 impl Search<'_> {
-    /// Scores the sweep's current columns: one evaluation, one poll.
+    /// Scores the current columns: one evaluation, one poll.
     fn score(&mut self) -> Result<u64, CoreError> {
         if self.cancel.is_cancelled() {
             return Err(CoreError::Interrupted {
@@ -235,7 +237,7 @@ impl Search<'_> {
             });
         }
         self.evaluated += 1;
-        Ok(self.sweep.solve_errors())
+        Ok(self.sweep.score(&self.cols))
     }
 
     /// Whether `score` is below the incumbent's errors.
@@ -251,22 +253,22 @@ impl Search<'_> {
     /// below the incumbent is pruned with all that follow it. Ties are
     /// never pruned, so every maximum is scored.
     fn visit(&mut self, k: usize) -> Result<(), CoreError> {
-        if k == self.path.len() {
+        if k == self.cols.len() {
             let errors = self.score()?;
             self.offer(errors);
             return Ok(());
         }
-        let lo = self.prev[k].map_or(0, |j| self.path[j]);
+        let lo = self.prev[k].map_or(0, |j| self.cols[j]);
         let mut children = Vec::with_capacity(self.radix - lo);
-        if k + 1 == self.path.len() {
+        if k + 1 == self.cols.len() {
             // Loading one column raises each subproblem by at most that
             // column's largest weight, so one score bounds every leaf.
-            self.sweep.clear_slot(k);
+            self.cols[k] = self.sweep.unlocked_column();
             let unlocked = self.score()?;
             children.extend((lo..self.radix).map(|c| (unlocked + self.gains[c], c)));
         } else {
             for c in lo..self.radix {
-                self.sweep.set_slot(k, c);
+                self.cols[k] = c;
                 children.push((self.score()?, c));
             }
         }
@@ -275,15 +277,14 @@ impl Search<'_> {
             if self.below_incumbent(bound) {
                 break;
             }
-            self.sweep.set_slot(k, c);
-            self.path[k] = c;
+            self.cols[k] = c;
             self.visit(k + 1)?;
         }
-        self.sweep.relax_slot(k);
+        self.cols[k] = self.sweep.envelope_column();
         Ok(())
     }
 
-    /// Offers the path's multiset scored `errors`. It stands for every
+    /// Offers the leaf's multiset scored `errors`. It stands for every
     /// ordering of its combinations among same-class slots; the legacy
     /// scan met the lowest-rank one first, the one that puts each class's
     /// largest combinations on its lowest slots (digit 0 is the least
@@ -292,7 +293,7 @@ impl Search<'_> {
         if self.below_incumbent(errors) {
             return;
         }
-        let digits = self.mirror.iter().map(|&j| self.path[j]);
+        let digits = self.mirror.iter().map(|&j| self.cols[j]);
         let rank = digits
             .clone()
             .rev()
@@ -341,12 +342,11 @@ pub fn codesign_heuristic(
     // One sweep serves every stage: slots before `k` hold their frozen
     // winners, slot `k` varies, slots after `k` stay unlocked (all-zero
     // columns — exactly the legacy "not-yet-fixed FUs absent from the
-    // spec"). Cached subproblem totals carry over between combinations
-    // *and* between stages.
-    let mut sweep = ErrorSweep::new(
+    // spec").
+    let sweep = ErrorSweep::new(
         dfg, schedule, alloc, profile, locked_fus, candidates, &combos,
     )?;
-    let mut winners: Vec<usize> = Vec::with_capacity(locked_fus.len());
+    let mut cols = vec![sweep.unlocked_column(); locked_fus.len()];
     let mut stage_best = 0u64;
     let mut evaluated = 0u64;
     for k in 0..locked_fus.len() {
@@ -358,8 +358,8 @@ pub fn codesign_heuristic(
                     stage: "codesign.heuristic",
                 });
             }
-            sweep.set_slot(k, ci);
-            let errors = sweep.solve_errors();
+            cols[k] = ci;
+            let errors = sweep.score(&cols);
             evaluated += 1;
             // Index order + strictly-greater replacement keeps the first
             // maximum.
@@ -368,15 +368,15 @@ pub fn codesign_heuristic(
             }
         }
         let (e, ci) = best.expect("combos non-empty");
-        sweep.set_slot(k, ci);
-        winners.push(ci);
+        cols[k] = ci;
         stage_best = e;
     }
     obs::counter!("codesign.combos_evaluated").add(evaluated);
 
+    let _span = obs::span!("codesign.rebind");
     let entries: Vec<(FuId, Vec<Minterm>)> = locked_fus
         .iter()
-        .zip(&winners)
+        .zip(&cols)
         .map(|(&fu, &ci)| (fu, combos[ci].iter().map(|&i| candidates[i]).collect()))
         .collect();
     let spec = LockingSpec::new(alloc, entries)?;

@@ -41,11 +41,13 @@ pub enum CoreError {
         /// Locked inputs requested per FU.
         requested: usize,
     },
-    /// The optimal co-design search space exceeds the configured guard.
+    /// An exact search's space exceeds its guard: the optimal co-design's
+    /// combination orderings, or the exhaustive binder's per-cycle
+    /// assignments.
     SearchSpaceTooLarge {
-        /// Number of binding evaluations the exhaustive search would need.
-        evaluations: u128,
-        /// The guard limit.
+        /// Number of configurations in the search space.
+        configurations: u128,
+        /// The guard limit on that number.
         limit: u128,
     },
     /// The methodology could not reach the requested application-error
@@ -84,9 +86,13 @@ impl fmt::Display for CoreError {
                 f,
                 "cannot choose {requested} locked inputs from {candidates} candidates"
             ),
-            CoreError::SearchSpaceTooLarge { evaluations, limit } => write!(
+            CoreError::SearchSpaceTooLarge {
+                configurations,
+                limit,
+            } => write!(
                 f,
-                "optimal co-design needs {evaluations} binding evaluations (limit {limit}); use codesign_heuristic"
+                "search space of {configurations} configurations exceeds the limit of {limit} \
+                 (for co-design, use codesign_heuristic)"
             ),
             CoreError::ErrorTargetUnreachable { best, target } => write!(
                 f,

@@ -51,7 +51,7 @@ pub fn bind_exhaustive(
             }
             if ops.len() > MAX_OPS_PER_CYCLE {
                 return Err(CoreError::SearchSpaceTooLarge {
-                    evaluations: (alloc.count(class) as u128).pow(ops.len() as u32),
+                    configurations: (alloc.count(class) as u128).pow(ops.len() as u32),
                     limit: (alloc.count(class) as u128).pow(MAX_OPS_PER_CYCLE as u32),
                 });
             }

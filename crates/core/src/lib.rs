@@ -69,7 +69,7 @@ pub use area_aware::bind_area_aware;
 /// `perfbench` harness imports it. Delete at the next benchmark change.
 #[doc(hidden)]
 pub use codesign::codesign_heuristic as codesign_heuristic_cancellable;
-pub use codesign::{codesign_heuristic, codesign_optimal, CoDesignOutcome};
+pub use codesign::{codesign_heuristic, codesign_optimal, CoDesignOutcome, OPTIMAL_SEARCH_LIMIT};
 pub use combinations::combinations;
 pub use cost::expected_application_errors;
 pub use error::CoreError;

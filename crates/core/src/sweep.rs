@@ -1,24 +1,23 @@
-//! Incremental Eqn. 2 error scoring across locked-input combinations.
+//! Eqn. 2 error scoring across locked-input combinations.
 //!
 //! Every co-design search (and the bench error-cell grids) scores thousands
-//! to millions of *adjacent* locking configurations: the locked FUs and the
-//! candidate list stay fixed while one FU's combination of locked minterms
-//! changes per step. The legacy path rebuilt a [`LockingSpec`], re-solved
-//! every per-cycle assignment problem cold, and re-walked the binding to sum
+//! to millions of locking configurations: the locked FUs and the candidate
+//! list stay fixed while the combination of locked minterms on each FU
+//! varies. The legacy path rebuilt a [`LockingSpec`], re-solved every
+//! per-cycle assignment problem cold, and re-walked the binding to sum
 //! errors — all to score one changed column per cycle.
 //!
-//! [`ErrorSweep`] scores a configuration from three pieces of state:
-//!
-//! * per *live* `(cycle, class)` subproblem, a column table: for each
-//!   combination `c` and live op `r`, the Eqn. 3 weight `w(r, c)` at
-//!   `cols[c * rows + r]`, plus one all-zero column standing for
-//!   "unlocked" and one *envelope* column holding each op's maximum over
-//!   every combination (the optimal search's bound). The weights depend
-//!   only on (op, combination), so they are computed once at construction
-//!   and loading a slot is an index change;
-//! * per subproblem, the column each of the class's locked slots reads;
-//! * a cached per-subproblem optimum, so scoring a configuration only
-//!   re-solves the subproblems whose columns actually moved.
+//! [`ErrorSweep`] is built once per such context and is read-only after
+//! that. Per *live* `(cycle, class)` subproblem it holds a column table:
+//! for each combination `c` and live op `r`, the Eqn. 3 weight `w(r, c)` at
+//! `cols[c * rows + r]`, plus one all-zero column standing for "unlocked"
+//! and one *envelope* column holding each op's maximum over every
+//! combination (the optimal search's bound). The weights depend only on
+//! (op, combination), so they are computed once at construction.
+//! [`ErrorSweep::score`] takes a configuration as one column index per
+//! locked slot and solves every subproblem over the columns its class's
+//! slots name; the caller keeps the configuration, so fixing, clearing or
+//! relaxing a slot is one write into its own vector.
 //!
 //! The scored value is *exactly* the legacy one: for any complete
 //! configuration, `Σ` per-cycle max-weight totals over the Eqn. 3 matrices
@@ -61,17 +60,12 @@ use crate::CoreError;
 /// One live `(cycle, class)` subproblem: the class has a locked slot and
 /// the cycle has at least one live op of the class.
 struct Sub {
-    class: FuClass,
     /// Number of live ops.
     rows: usize,
     /// `cols[c * rows + r]`: Eqn. 3 weight of live row `r` under
     /// combination `c`, then an all-zero column ("unlocked"), then the
     /// envelope: each row's maximum over every combination.
     cols: Vec<u64>,
-    /// Per locked slot of `class` (by position), the column it reads.
-    sel: Vec<usize>,
-    /// The subproblem's optimal total under the current columns, if solved.
-    total: Option<u64>,
 }
 
 impl Sub {
@@ -79,24 +73,26 @@ impl Sub {
         &self.cols[c * self.rows..(c + 1) * self.rows]
     }
 
-    /// The optimum over the current columns: straight-line closed forms
-    /// for one locked slot, and for two or three over at most three live
-    /// rows; the cold Hungarian solver for any other shape.
-    fn solve(&self) -> u64 {
-        match *self.sel.as_slice() {
-            [a] => max_column(self.col(a)),
-            [a, b] if self.rows <= 3 => best_pair(self.col(a), self.col(b)),
-            [a, b, c] if self.rows <= 3 => best_triple(self.col(a), self.col(b), self.col(c)),
-            _ => self.cold_total(),
+    /// The optimum when the class's locked `slots` read their columns in
+    /// `cols`: straight-line closed forms for one locked slot, and for two
+    /// or three over at most three live rows; the cold Hungarian solver
+    /// for any other shape.
+    fn solve(&self, cols: &[usize], slots: &[usize]) -> u64 {
+        let col = |k: usize| self.col(cols[k]);
+        match *slots {
+            [a] => max_column(col(a)),
+            [a, b] if self.rows <= 3 => best_pair(col(a), col(b)),
+            [a, b, c] if self.rows <= 3 => best_triple(col(a), col(b), col(c)),
+            _ => self.cold_total(cols, slots),
         }
     }
 
     /// The optimum by [`max_weight_matching`] on an `R × max(R, L)` matrix:
-    /// the `L` selected columns, then all-zero columns so that every row
-    /// can be matched. Only reached with more than three FUs of a class.
-    fn cold_total(&self) -> u64 {
-        let weights = WeightMatrix::from_fn(self.rows, self.rows.max(self.sel.len()), |r, s| {
-            let w = self.sel.get(s).map_or(0, |&c| self.cols[c * self.rows + r]);
+    /// the `L` slots' columns, then all-zero columns so that every row can
+    /// be matched. Only reached with more than three FUs of a class.
+    fn cold_total(&self, cols: &[usize], slots: &[usize]) -> u64 {
+        let weights = WeightMatrix::from_fn(self.rows, self.rows.max(slots.len()), |r, s| {
+            let w = slots.get(s).map_or(0, |&k| self.col(cols[k])[r]);
             Some(i64::try_from(w).unwrap_or(i64::MAX))
         });
         let m = max_weight_matching(&weights).expect("R rows fit max(R, L) columns");
@@ -104,26 +100,22 @@ impl Sub {
     }
 }
 
-/// One locked-FU slot of the sweep.
-struct Slot {
+/// The locked slots of one class and the class's live subproblems.
+struct ClassSubs {
     class: FuClass,
-    /// Position among the locked slots of `class`.
-    local: usize,
-    /// Column currently loaded: a combination index, or the combination
-    /// count for unlocked (all-zero weights, matching the heuristic's
-    /// "later FUs unlocked").
-    col: usize,
+    /// The class's slots, in slot order.
+    slots: Vec<usize>,
+    subs: Vec<Sub>,
 }
 
-/// Incremental scorer for locked-input combination sweeps: assign each
-/// locked-FU *slot* a combination out of a fixed list, then read the exact
-/// Eqn. 2 error score.
+/// Scorer for locked-input combination sweeps: assign each locked-FU
+/// *slot* a combination out of a fixed list, then read the exact Eqn. 2
+/// error score.
 ///
 /// Construct once per `(kernel, locked FUs, candidates, combination list)`
-/// context, then drive with [`set_slot`](Self::set_slot) /
-/// [`clear_slot`](Self::clear_slot). Scores are byte-exact equal to binding
-/// with [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) and
-/// evaluating
+/// context, then call [`score`](Self::score) on any number of
+/// configurations. Scores are byte-exact equal to binding with
+/// [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) and evaluating
 /// [`expected_application_errors`](crate::expected_application_errors) on
 /// the same configuration — proven by this module's unit properties and the
 /// `lockbind-check` mutation suite.
@@ -136,17 +128,18 @@ struct Slot {
 /// class and is solved cold by the Hungarian algorithm on an
 /// `R × max(R, L)` matrix, `O(R² · max(R, L))`.
 pub struct ErrorSweep {
-    subs: Vec<Sub>,
-    slots: Vec<Slot>,
+    /// One entry per class; a class without a locked slot has no
+    /// subproblems.
+    classes: Vec<ClassSubs>,
+    num_slots: usize,
     /// Number of combinations; also the index of the all-zero column.
     unlocked: usize,
 }
 
 impl ErrorSweep {
     /// Builds the sweep context: one column table per live `(cycle, class)`
-    /// subproblem, every slot initially unlocked. `combos` lists
-    /// candidate-index combinations exactly as produced by
-    /// [`combinations`](crate::combinations).
+    /// subproblem. `combos` lists candidate-index combinations exactly as
+    /// produced by [`combinations`](crate::combinations).
     ///
     /// # Errors
     ///
@@ -168,8 +161,6 @@ impl ErrorSweep {
         candidates: &[Minterm],
         combos: &[Vec<usize>],
     ) -> Result<Self, CoreError> {
-        let unlocked = combos.len();
-        let mut slots = Vec::with_capacity(locked_fus.len());
         for (i, &fu) in locked_fus.iter().enumerate() {
             if fu.index >= alloc.count(fu.class) {
                 return Err(CoreError::UnknownFu { fu: fu.to_string() });
@@ -177,25 +168,26 @@ impl ErrorSweep {
             if locked_fus[..i].contains(&fu) {
                 return Err(CoreError::DuplicateFu { fu: fu.to_string() });
             }
-            let local = locked_fus[..i]
-                .iter()
-                .filter(|f| f.class == fu.class)
-                .count();
-            slots.push(Slot {
-                class: fu.class,
-                local,
-                col: unlocked,
-            });
         }
         for &i in combos.iter().flatten() {
             assert!(i < candidates.len(), "combo index {i} out of range");
         }
+        let unlocked = combos.len();
+        let mut classes: Vec<ClassSubs> = FuClass::ALL
+            .into_iter()
+            .map(|class| ClassSubs {
+                class,
+                slots: (0..locked_fus.len())
+                    .filter(|&k| locked_fus[k].class == class)
+                    .collect(),
+                subs: Vec::new(),
+            })
+            .collect();
 
-        let mut subs = Vec::new();
         for t in 0..schedule.num_cycles() {
-            for class in FuClass::ALL {
-                let ops = schedule.class_ops_in_cycle(dfg, class, t);
-                let fus = alloc.count(class);
+            for group in &mut classes {
+                let ops = schedule.class_ops_in_cycle(dfg, group.class, t);
+                let fus = alloc.count(group.class);
                 if ops.is_empty() {
                     continue;
                 }
@@ -209,8 +201,7 @@ impl ErrorSweep {
                     }
                     .into());
                 }
-                let locked = locked_fus.iter().filter(|fu| fu.class == class).count();
-                if locked == 0 {
+                if group.slots.is_empty() {
                     continue;
                 }
                 // Per live op, its count for every candidate.
@@ -223,7 +214,7 @@ impl ErrorSweep {
                     continue;
                 }
                 let rows = counts.len();
-                let mut cols = Vec::with_capacity((unlocked + 1) * rows);
+                let mut cols = Vec::with_capacity((unlocked + 2) * rows);
                 for combo in combos {
                     cols.extend(
                         counts
@@ -236,59 +227,49 @@ impl ErrorSweep {
                     .map(|r| (0..unlocked).map(|c| cols[c * rows + r]).max().unwrap_or(0))
                     .collect();
                 cols.extend(envelope);
-                subs.push(Sub {
-                    class,
-                    rows,
-                    cols,
-                    sel: vec![unlocked; locked],
-                    // The all-zero table's optimum is 0 — no solve needed
-                    // until a column moves.
-                    total: Some(0),
-                });
+                group.subs.push(Sub { rows, cols });
             }
         }
         Ok(ErrorSweep {
-            subs,
-            slots,
+            classes,
+            num_slots: locked_fus.len(),
             unlocked,
         })
     }
 
-    /// Number of locked-FU slots.
+    /// Number of locked-FU slots: the length [`score`](Self::score) takes.
     pub fn num_slots(&self) -> usize {
-        self.slots.len()
+        self.num_slots
     }
 
-    /// Loads combination `combo` into slot `slot`, pointing that slot at
-    /// `combo`'s column in every subproblem of its FU's class. A no-op when
-    /// the slot already holds `combo`; a subproblem's cached optimum
-    /// survives when its old and new columns are equal.
-    ///
-    /// # Panics
-    /// Panics on out-of-range `slot` or `combo`.
-    pub fn set_slot(&mut self, slot: usize, combo: usize) {
-        assert!(combo < self.unlocked, "combo {combo} out of range");
-        self.load(slot, combo);
+    /// The all-zero column: a slot reading it is unlocked, the heuristic's
+    /// "not yet fixed". Its index is the number of combinations.
+    pub fn unlocked_column(&self) -> usize {
+        self.unlocked
     }
 
-    /// Unlocks slot `slot` (the all-zero column), the heuristic's "not yet
-    /// fixed" state. A no-op when already unlocked.
-    ///
-    /// # Panics
-    /// Panics on out-of-range `slot`.
-    pub fn clear_slot(&mut self, slot: usize) {
-        self.load(slot, self.unlocked);
+    /// The envelope column: each live op's maximum weight over every
+    /// combination. A matching only grows when its weights do, so a slot
+    /// reading it bounds every combination the slot could take: the
+    /// co-design search's admissible bound.
+    pub(crate) fn envelope_column(&self) -> usize {
+        self.unlocked + 1
     }
 
-    /// Points slot `slot` at the envelope column, each live op's maximum
-    /// weight over every combination. A matching only grows when its
-    /// weights do, so the score then bounds every combination the slot
-    /// could take: the co-design search's admissible bound.
+    /// The exact Eqn. 2 error score of the configuration whose slot `k`
+    /// reads column `cols[k]`: a combination index, the
+    /// [unlocked column](Self::unlocked_column), or the envelope. It is the
+    /// sum of the per-subproblem max-weight totals.
     ///
     /// # Panics
-    /// Panics on out-of-range `slot`.
-    pub(crate) fn relax_slot(&mut self, slot: usize) {
-        self.load(slot, self.unlocked + 1);
+    /// Panics unless `cols` holds one column per slot, each at most the
+    /// envelope's index.
+    pub fn score(&self, cols: &[usize]) -> u64 {
+        assert_eq!(cols.len(), self.num_slots, "one column per slot");
+        self.classes
+            .iter()
+            .flat_map(|group| group.subs.iter().map(|sub| sub.solve(cols, &group.slots)))
+            .sum()
     }
 
     /// Per combination `c`, the sum over the subproblems of slot `slot`'s
@@ -300,41 +281,18 @@ impl ErrorSweep {
     /// # Panics
     /// Panics on out-of-range `slot`.
     pub(crate) fn combination_gains(&self, slot: usize) -> Vec<u64> {
-        let class = self.slots[slot].class;
+        let group = self
+            .classes
+            .iter()
+            .find(|group| group.slots.contains(&slot))
+            .expect("slot out of range");
         let mut gains = vec![0; self.unlocked];
-        for sub in self.subs.iter().filter(|s| s.class == class) {
+        for sub in &group.subs {
             for (c, gain) in gains.iter_mut().enumerate() {
                 *gain += max_column(sub.col(c));
             }
         }
         gains
-    }
-
-    fn load(&mut self, slot: usize, col: usize) {
-        let slot = &mut self.slots[slot];
-        if slot.col == col {
-            return;
-        }
-        slot.col = col;
-        for sub in self.subs.iter_mut().filter(|s| s.class == slot.class) {
-            let old = std::mem::replace(&mut sub.sel[slot.local], col);
-            if sub.col(old) != sub.col(col) {
-                sub.total = None;
-            }
-        }
-    }
-
-    /// The exact Eqn. 2 error score of the current configuration: the sum
-    /// of per-subproblem max-weight totals, re-solving only the subproblems
-    /// whose columns moved since the last score.
-    pub fn solve_errors(&mut self) -> u64 {
-        self.subs
-            .iter_mut()
-            .map(|sub| match sub.total {
-                Some(total) => total,
-                None => *sub.total.insert(sub.solve()),
-            })
-            .sum()
     }
 }
 
@@ -403,15 +361,11 @@ mod tests {
         (b.dfg, sched, alloc, profile, candidates)
     }
 
-    /// A subproblem over `columns` (each one weight per live row) whose
-    /// locked slots read the columns `sel`.
-    fn sub_over(columns: &[Vec<u64>], sel: Vec<usize>) -> Sub {
+    /// A subproblem over `columns`, each one weight per live row.
+    fn sub_over(columns: &[Vec<u64>]) -> Sub {
         Sub {
-            class: FuClass::Adder,
             rows: columns[0].len(),
             cols: columns.concat(),
-            sel,
-            total: None,
         }
     }
 
@@ -440,9 +394,9 @@ mod tests {
     }
 
     /// Locks `locked` FUs of `class` from index `first` (wrapping), then
-    /// walks `steps` of `(slot, pick, op)` — `op == 0` clears the slot,
-    /// anything else loads combination `pick` — checking the sweep against
-    /// a cold bind after every step.
+    /// walks `steps` of `(slot, pick, op)` — `op == 0` unlocks the slot,
+    /// anything else gives it combination `pick` — checking the score of
+    /// each configuration on the way against a cold bind.
     fn check_walk(
         kernel: Kernel,
         class: FuClass,
@@ -458,20 +412,21 @@ mod tests {
             .map(|i| FuId::new(class, (first + i) % alloc.count(class)))
             .collect();
         let combos = combinations(candidates.len(), per_fu);
-        let mut sweep = ErrorSweep::new(&dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
+        let sweep = ErrorSweep::new(&dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
             .expect("builds");
+        let mut cols = vec![sweep.unlocked_column(); fus.len()];
         let mut assign: Vec<Option<usize>> = vec![None; fus.len()];
         for (step, &(slot, pick, op)) in steps.iter().enumerate() {
             let slot = slot % fus.len();
             if op == 0 {
-                sweep.clear_slot(slot);
+                cols[slot] = sweep.unlocked_column();
                 assign[slot] = None;
             } else {
                 let ci = pick % combos.len();
-                sweep.set_slot(slot, ci);
+                cols[slot] = ci;
                 assign[slot] = Some(ci);
             }
-            let fast = sweep.solve_errors();
+            let fast = sweep.score(&cols);
             let slow = legacy_score(
                 &dfg,
                 &sched,
@@ -492,7 +447,7 @@ mod tests {
 
         /// Walks a random sequence of slot loads and clears (partially
         /// locked states included) with 1–3 locked adders or multipliers
-        /// and 1–3 inputs per FU on any suite kernel, checking the sweep
+        /// and 1–3 inputs per FU on any suite kernel, checking the score
         /// against a cold bind after every step. One, two and three locked
         /// slots reach every closed form.
         #[test]
@@ -559,8 +514,8 @@ mod tests {
                     .iter()
                     .map(|&c| live.iter().map(|&r| weight(r, c)).collect())
                     .collect();
-                let sub = sub_over(&columns, (0..locked.len()).collect());
-                prop_assert_eq!(sub.solve() as i64, cold.total);
+                let slots: Vec<usize> = (0..locked.len()).collect();
+                prop_assert_eq!(sub_over(&columns).solve(&slots, &slots) as i64, cold.total);
             }
         }
 
@@ -598,36 +553,87 @@ mod tests {
                 |r, s| Some(picks.get(s).map_or(0, |&c| columns[c][r]) as i64),
             ))
             .expect("rows <= cols");
-            let sub = sub_over(&columns, picks.clone());
-            prop_assert_eq!(sub.solve() as i64, reference.total, "picks {:?}", picks);
+            let slots: Vec<usize> = (0..picks.len()).collect();
+            let solved = sub_over(&columns).solve(&picks, &slots);
+            prop_assert_eq!(solved as i64, reference.total, "picks {:?}", picks);
         }
     }
 
     /// A kernel scheduled on 3 + 3 FUs with `adders` locked adders and
     /// `multipliers` locked multipliers, over the top 4 candidates of each
     /// class, and its sweep at `per_fu` inputs per FU.
-    fn mixed_sweep(
-        kernel: Kernel,
-        adders: usize,
-        multipliers: usize,
-        per_fu: usize,
-    ) -> (ErrorSweep, Vec<FuId>, usize) {
-        let b = kernel.benchmark(100, 17);
-        let alloc = Allocation::new(3, 3);
-        let sched = schedule_list(&b.dfg, &alloc).expect("schedulable");
-        let profile = OccurrenceProfile::from_trace(&b.dfg, &b.trace).expect("profiled");
-        let mut candidates = Vec::new();
-        for class in FuClass::ALL {
-            candidates.extend(profile.top_candidates_among(&b.dfg.ops_of_class(class), 4));
+    struct Mixed {
+        dfg: Dfg,
+        sched: Schedule,
+        alloc: Allocation,
+        profile: OccurrenceProfile,
+        candidates: Vec<Minterm>,
+        combos: Vec<Vec<usize>>,
+        fus: Vec<FuId>,
+        sweep: ErrorSweep,
+    }
+
+    impl Mixed {
+        fn new(kernel: Kernel, adders: usize, multipliers: usize, per_fu: usize) -> Mixed {
+            let b = kernel.benchmark(100, 17);
+            let alloc = Allocation::new(3, 3);
+            let sched = schedule_list(&b.dfg, &alloc).expect("schedulable");
+            let profile = OccurrenceProfile::from_trace(&b.dfg, &b.trace).expect("profiled");
+            let mut candidates = Vec::new();
+            for class in FuClass::ALL {
+                candidates.extend(profile.top_candidates_among(&b.dfg.ops_of_class(class), 4));
+            }
+            let fus: Vec<FuId> = (0..adders)
+                .map(|i| FuId::new(FuClass::Adder, i))
+                .chain((0..multipliers).map(|i| FuId::new(FuClass::Multiplier, i)))
+                .collect();
+            let combos = combinations(candidates.len(), per_fu);
+            let sweep =
+                ErrorSweep::new(&b.dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
+                    .expect("builds");
+            Mixed {
+                dfg: b.dfg,
+                sched,
+                alloc,
+                profile,
+                candidates,
+                combos,
+                fus,
+                sweep,
+            }
         }
-        let fus: Vec<FuId> = (0..adders)
-            .map(|i| FuId::new(FuClass::Adder, i))
-            .chain((0..multipliers).map(|i| FuId::new(FuClass::Multiplier, i)))
-            .collect();
-        let combos = combinations(candidates.len(), per_fu);
-        let sweep = ErrorSweep::new(&b.dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
-            .expect("builds");
-        (sweep, fus, combos.len())
+
+        /// Each slot's column from a random pick: always a combination
+        /// when `locks`, otherwise the unlocked column or the envelope for
+        /// one pick in eight each.
+        fn columns(&self, picks: &[usize], locks: bool) -> Vec<usize> {
+            let r = self.combos.len();
+            let column = |p: usize| match p % 8 {
+                0 if !locks => self.sweep.unlocked_column(),
+                1 if !locks => self.sweep.envelope_column(),
+                _ => p / 8 % r,
+            };
+            picks[..self.fus.len()].iter().map(|&p| column(p)).collect()
+        }
+
+        /// A cold obfuscation-aware bind and Eqn. 2 of the configuration
+        /// `cols`, with unlocked slots left out of the spec.
+        fn cold_score(&self, cols: &[usize]) -> u64 {
+            let assign: Vec<Option<usize>> = cols
+                .iter()
+                .map(|&c| (c < self.combos.len()).then_some(c))
+                .collect();
+            legacy_score(
+                &self.dfg,
+                &self.sched,
+                &self.alloc,
+                &self.profile,
+                &self.fus,
+                &self.combos,
+                &self.candidates,
+                &assign,
+            )
+        }
     }
 
     /// Permutation `index` of a list of at most 3 items: a rotation, then
@@ -656,26 +662,54 @@ mod tests {
             adders in 1usize..=3,
             multipliers in 0usize..=3,
             per_fu in 1usize..=2,
-            picks in proptest::collection::vec(0usize..64, 6),
+            picks in proptest::collection::vec(0usize..512, 6),
             orders in (0usize..6, 0usize..6),
         ) {
-            let (mut sweep, fus, r) = mixed_sweep(Kernel::ALL[kernel], adders, multipliers, per_fu);
-            let assign: Vec<usize> = picks[..fus.len()].iter().map(|p| p % r).collect();
-            for (k, &c) in assign.iter().enumerate() {
-                sweep.set_slot(k, c);
-            }
-            let score = sweep.solve_errors();
+            let m = Mixed::new(Kernel::ALL[kernel], adders, multipliers, per_fu);
+            let assign = m.columns(&picks, true);
+            let score = m.sweep.score(&assign);
             let mut moved = assign.clone();
             for (class, order) in [(FuClass::Adder, orders.0), (FuClass::Multiplier, orders.1)] {
-                let slots: Vec<usize> = (0..fus.len()).filter(|&k| fus[k].class == class).collect();
+                let slots: Vec<usize> =
+                    (0..m.fus.len()).filter(|&k| m.fus[k].class == class).collect();
                 for (&k, &from) in slots.iter().zip(&permuted(&slots, order)) {
                     moved[k] = assign[from];
                 }
             }
-            for (k, &c) in moved.iter().enumerate() {
-                sweep.set_slot(k, c);
+            prop_assert_eq!(m.sweep.score(&moved), score, "{:?} -> {:?}", assign, moved);
+        }
+
+        /// `score` on locks mixing 1–3 adders with 1–3 multipliers, each
+        /// slot reading a random combination, the unlocked column or the
+        /// envelope. Without the envelope it equals a cold bind and Eqn. 2
+        /// of the partial spec; with it, it bounds every completion (each
+        /// envelope slot given a combination, four random completions per
+        /// case), each scored by a cold bind.
+        #[test]
+        fn score_equals_cold_bind_on_mixed_class_locks(
+            kernel in 0usize..11,
+            adders in 1usize..=3,
+            multipliers in 1usize..=3,
+            per_fu in 1usize..=2,
+            picks in proptest::collection::vec(0usize..512, 6),
+            fills in proptest::collection::vec(proptest::collection::vec(0usize..64, 6), 4),
+        ) {
+            let m = Mixed::new(Kernel::ALL[kernel], adders, multipliers, per_fu);
+            let cols = m.columns(&picks, false);
+            let score = m.sweep.score(&cols);
+            let envelope = m.sweep.envelope_column();
+            if !cols.contains(&envelope) {
+                prop_assert_eq!(score, m.cold_score(&cols), "columns {:?}", cols);
             }
-            prop_assert_eq!(sweep.solve_errors(), score, "{:?} -> {:?}", assign, moved);
+            for fill in &fills {
+                let completion: Vec<usize> = cols
+                    .iter()
+                    .zip(fill)
+                    .map(|(&c, f)| if c == envelope { f % m.combos.len() } else { c })
+                    .collect();
+                let exact = m.cold_score(&completion);
+                prop_assert!(score >= exact, "{:?} scores {} < {:?} at {}", cols, score, completion, exact);
+            }
         }
 
         /// The search's bounds are admissible. With any set of slots on
@@ -689,33 +723,29 @@ mod tests {
             adders in 1usize..=3,
             multipliers in 0usize..=3,
             per_fu in 1usize..=2,
-            picks in proptest::collection::vec(0usize..64, 6),
+            picks in proptest::collection::vec(0usize..512, 6),
             relax_and_slot in (0u32..64, 0usize..6),
         ) {
             let (relaxed, slot) = relax_and_slot;
-            let (mut sweep, fus, r) = mixed_sweep(Kernel::ALL[kernel], adders, multipliers, per_fu);
-            let assign: Vec<usize> = picks[..fus.len()].iter().map(|p| p % r).collect();
-            for (k, &c) in assign.iter().enumerate() {
-                sweep.set_slot(k, c);
+            let m = Mixed::new(Kernel::ALL[kernel], adders, multipliers, per_fu);
+            let assign = m.columns(&picks, true);
+            let loaded = m.sweep.score(&assign);
+            let mut cols = assign.clone();
+            for k in (0..m.fus.len()).filter(|k| relaxed >> k & 1 == 1) {
+                cols[k] = m.sweep.envelope_column();
             }
-            let loaded = sweep.solve_errors();
-            for k in (0..fus.len()).filter(|k| relaxed >> k & 1 == 1) {
-                sweep.relax_slot(k);
-            }
-            let bound = sweep.solve_errors();
+            let bound = m.sweep.score(&cols);
             prop_assert!(bound >= loaded, "envelope {} < loaded {}", bound, loaded);
 
-            for (k, &c) in assign.iter().enumerate() {
-                sweep.set_slot(k, c);
-            }
-            let slot = slot % fus.len();
-            sweep.clear_slot(slot);
-            let unlocked = sweep.solve_errors();
-            let gains = sweep.combination_gains(slot);
-            let alone = fus.iter().filter(|f| f.class == fus[slot].class).count() == 1;
+            let mut cols = assign;
+            let slot = slot % m.fus.len();
+            cols[slot] = m.sweep.unlocked_column();
+            let unlocked = m.sweep.score(&cols);
+            let gains = m.sweep.combination_gains(slot);
+            let alone = m.fus.iter().filter(|f| f.class == m.fus[slot].class).count() == 1;
             for (c, &gain) in gains.iter().enumerate() {
-                sweep.set_slot(slot, c);
-                let score = sweep.solve_errors();
+                cols[slot] = c;
+                let score = m.sweep.score(&cols);
                 prop_assert!(score <= unlocked + gain, "combination {}", c);
                 if alone {
                     prop_assert_eq!(score, unlocked + gain, "combination {}", c);
@@ -727,9 +757,11 @@ mod tests {
     #[test]
     fn envelope_holds_each_rows_maximum() {
         for kernel in Kernel::ALL {
-            let (sweep, _, r) = mixed_sweep(kernel, 3, 3, 2);
-            assert!(!sweep.subs.is_empty(), "{kernel:?}");
-            for sub in &sweep.subs {
+            let m = Mixed::new(kernel, 3, 3, 2);
+            let r = m.combos.len();
+            let subs: Vec<&Sub> = m.sweep.classes.iter().flat_map(|g| &g.subs).collect();
+            assert!(!subs.is_empty(), "{kernel:?}");
+            for sub in subs {
                 for row in 0..sub.rows {
                     let max = (0..r).map(|c| sub.col(c)[row]).max();
                     assert_eq!(Some(sub.col(r + 1)[row]), max, "{kernel:?} row {row}");

@@ -52,7 +52,7 @@ impl Prepared {
     /// first maximum kept, and the winner bound cold.
     fn scan(&self, fus: &[FuId], per_fu: usize, candidates: &[Minterm]) -> CoDesignOutcome {
         let combos = combinations(candidates.len(), per_fu);
-        let mut sweep = ErrorSweep::new(
+        let sweep = ErrorSweep::new(
             &self.dfg,
             &self.schedule,
             &self.alloc,
@@ -65,10 +65,7 @@ impl Prepared {
         let mut digits = vec![0; fus.len()];
         let mut best: Option<(u64, Vec<usize>)> = None;
         loop {
-            for (k, &c) in digits.iter().enumerate() {
-                sweep.set_slot(k, c);
-            }
-            let errors = sweep.solve_errors();
+            let errors = sweep.score(&digits);
             if best.as_ref().is_none_or(|(e, _)| errors > *e) {
                 best = Some((errors, digits.clone()));
             }

@@ -23,8 +23,9 @@
 //!   test-suite to validate the Hungarian solver on small instances.
 //!
 //! Every solve here is cold. The co-design sweeps in `lockbind-core`
-//! (`ErrorSweep`) score millions of locking configurations without this
-//! crate: their Eqn. 3 matrices are zero outside the few locked columns, so
+//! (`ErrorSweep::score`, one read-only call per configuration) score
+//! millions of locking configurations without this crate: their Eqn. 3
+//! matrices are zero outside the few locked columns, so
 //! with at most 3 FUs per class, closed forms over at most 3 locked columns
 //! and 3 ops replace the full assignment problem. Wider allocations call
 //! [`max_weight_matching`] on the locked columns padded with zero columns,

@@ -39,6 +39,7 @@
 //! byte-identical `result` objects, whether computed or coalesced.
 
 use lockbind_bench::headline_cells::SatScheme;
+use lockbind_core::OPTIMAL_SEARCH_LIMIT;
 use lockbind_engine::{fnv1a, CacheKey};
 use lockbind_hls::FuClass;
 use lockbind_mediabench::Kernel;
@@ -727,7 +728,14 @@ pub fn decode_request(doc: &Json, debug_kinds: bool) -> Result<RequestEnvelope, 
                 num_candidates: opt_ranged(p, params, "num_candidates", 1, 16, 8)? as usize,
                 max_assignments: opt_ranged(p, params, "max_assignments", 1, 100_000, 500)?
                     as usize,
-                optimal_budget: opt_ranged(p, params, "optimal_budget", 0, 10_000_000, 20_000)?,
+                optimal_budget: opt_ranged(
+                    p,
+                    params,
+                    "optimal_budget",
+                    0,
+                    OPTIMAL_SEARCH_LIMIT,
+                    20_000,
+                )?,
             })
         }
         "locked_sim" => {

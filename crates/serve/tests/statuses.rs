@@ -81,6 +81,49 @@ fn error_status_distinguishes_validation_and_execution() {
     assert_eq!(handle.drain_and_join().dropped, 0);
 }
 
+/// Every `optimal_budget` the protocol accepts is one the exact search
+/// runs: motion2 with 3 locked adders, 3 inputs each and 11 candidates
+/// has 165^3 = 4,492,125 orderings, inside the bound, and answers `ok`
+/// with an optimal record. One past the bound is a validation error.
+#[test]
+fn optimal_budget_within_its_bound_runs_the_exact_search() {
+    let handle = debug_server(1, 8, 8);
+    let mut client = client_for(&handle);
+    let outcome = client
+        .call(&request(
+            1,
+            "error_rate",
+            r#""params":{"kernel":"motion2","class":"adder","locked_fus":3,"locked_inputs":3,"num_candidates":11,"optimal_budget":5000000}"#,
+        ))
+        .expect("calls");
+    assert_eq!(
+        response_status(&outcome.response),
+        status::OK,
+        "{:?}",
+        outcome.response
+    );
+    let Some(Json::Array(records)) = result_field(&outcome.response, "records") else {
+        panic!("no records: {:?}", outcome.response);
+    };
+    assert!(
+        records
+            .iter()
+            .any(|r| r["algo"].as_str() == Some("codesign-opt")),
+        "no optimal record: {records:?}"
+    );
+    let over = lockbind_core::OPTIMAL_SEARCH_LIMIT + 1;
+    let outcome = client
+        .call(&request(
+            2,
+            "error_rate",
+            &format!(r#""params":{{"kernel":"motion2","optimal_budget":{over}}}"#),
+        ))
+        .expect("calls");
+    assert_eq!(response_status(&outcome.response), status::ERROR);
+    assert_eq!(response_error_code(&outcome.response), code::BAD_VALUE);
+    assert_eq!(handle.drain_and_join().dropped, 0);
+}
+
 #[test]
 fn deadline_exceeded_is_distinct_from_error() {
     let handle = debug_server(1, 8, 8);
