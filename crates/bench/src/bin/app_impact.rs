@@ -11,7 +11,7 @@
 
 use lockbind_bench::report::render_table;
 use lockbind_bench::PreparedKernel;
-use lockbind_core::{application_impact, bind_area_aware, codesign_heuristic};
+use lockbind_core::{application_impact, bind_area_aware};
 use lockbind_hls::{FuClass, FuId};
 use lockbind_mediabench::Kernel;
 use lockbind_resil::CancelToken;
@@ -37,17 +37,10 @@ fn main() {
         };
         let candidates = p.candidates(class, 10);
         let fus = [FuId::new(class, 0), FuId::new(class, 1)];
-        let design = codesign_heuristic(
-            &p.dfg,
-            &p.schedule,
-            &p.alloc,
-            &p.profile,
-            &fus,
-            2,
-            &candidates,
-            &CancelToken::new(),
-        )
-        .expect("feasible");
+        let design = p
+            .codesign_problem(&fus, 2, &candidates)
+            .and_then(|problem| problem.heuristic(&CancelToken::new()))
+            .expect("feasible");
         let area = bind_area_aware(&p.dfg, &p.schedule, &p.alloc).expect("feasible");
 
         let sec = application_impact(

@@ -23,8 +23,7 @@ use lockbind_bench::codec;
 use lockbind_bench::PreparedKernel;
 use lockbind_check::{audit_netlist, check_artifact, Artifact, AuditSummary, Report};
 use lockbind_core::{
-    bind_area_aware, bind_obfuscation_aware_certified, bind_power_aware, codesign_heuristic,
-    LockingSpec,
+    bind_area_aware, bind_obfuscation_aware_certified, bind_power_aware, LockingSpec,
 };
 use lockbind_hls::{binding::bind_naive, FuClass, FuId};
 use lockbind_locking::{
@@ -209,16 +208,10 @@ fn lint_kernels(frames: usize, seed: u64) -> ExitCode {
 
             // Co-design heuristic: its binding must equal the certified
             // rebind for its chosen spec (LB0406 otherwise).
-            let design = match codesign_heuristic(
-                &p.dfg,
-                &p.schedule,
-                &p.alloc,
-                &p.profile,
-                &[FuId::new(class, 0)],
-                2.min(candidates.len()),
-                &candidates,
-                &CancelToken::new(),
-            ) {
+            let design = match p
+                .codesign_problem(&[FuId::new(class, 0)], 2.min(candidates.len()), &candidates)
+                .and_then(|problem| problem.heuristic(&CancelToken::new()))
+            {
                 Ok(d) => d,
                 Err(e) => {
                     eprintln!("lockbind-check: {kernel:?}/{class}/codesign-heur: {e}");

@@ -16,9 +16,7 @@
 //!   baselines frequently achieve *zero* expected errors for unlucky
 //!   combinations (the paper does not state its convention).
 
-use lockbind_core::{
-    codesign_heuristic, codesign_optimal, combinations, CoreError, ErrorSweep, LockingSpec,
-};
+use lockbind_core::{CoDesignProblem, CoreError, LockingSpec};
 use lockbind_hls::{Binding, FuClass, FuId, Minterm, OccurrenceProfile};
 use lockbind_obs as obs;
 use lockbind_resil::{splitmix64, CancelToken};
@@ -221,20 +219,12 @@ pub fn run_error_cell_cancellable(
         return Ok(Vec::new());
     }
     let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
-    let inputs = {
+    let cell = {
         let _span = obs::span!("cell.inputs");
-        CellInputs::build(prepared, ctx, params, &fus, locked_inputs)
+        Cell::build(prepared, ctx, params, &fus, locked_inputs)?
     };
-    let mut records = obf_aware_cell(prepared, ctx, &fus, locked_inputs, &inputs, cancel)?;
-    records.extend(codesign_cell(
-        prepared,
-        params,
-        ctx,
-        &fus,
-        locked_inputs,
-        &inputs,
-        cancel,
-    )?);
+    let mut records = vec![cell.obf_aware(cancel)?];
+    records.extend(cell.codesign(params.optimal_budget, cancel)?);
     Ok(records)
 }
 
@@ -287,41 +277,25 @@ pub fn run_error_experiment(
     Ok(records)
 }
 
-/// Mixed-radix increment; returns false when the counter wraps around.
-fn advance(counter: &mut [usize], radix: usize) -> bool {
-    for digit in counter.iter_mut() {
-        *digit += 1;
-        if *digit < radix {
-            return true;
-        }
-        *digit = 0;
-    }
-    false
-}
-
 /// The combination assignments evaluated for a configuration, flat with
-/// stride `num_fus` (read with `chunks_exact(num_fus)`): exhaustive when
-/// the cartesian product fits `max_assignments`, otherwise a seeded
-/// subsample of that size.
+/// stride `|L|` (read with `chunks_exact(|L|)`): exhaustive when the
+/// problem's [configurations](CoDesignProblem::configurations) fit
+/// `max_assignments`, otherwise a seeded subsample of that size.
 fn enumerate_assignments(
     params: &ExperimentParams,
-    num_fus: usize,
-    num_combos: usize,
+    problem: &CoDesignProblem,
     locked_inputs: usize,
 ) -> Vec<usize> {
-    let total: u128 = (num_combos as u128)
-        .checked_pow(num_fus as u32)
-        .unwrap_or(u128::MAX);
+    let num_fus = problem.locked_fus().len();
+    let num_combos = problem.combinations().len();
+    let total = problem.configurations();
     if total <= params.max_assignments as u128 {
-        let mut all = Vec::with_capacity(total as usize * num_fus);
-        let mut counter = vec![0usize; num_fus];
-        loop {
-            all.extend_from_slice(&counter);
-            if !advance(&mut counter, num_combos) {
-                break;
-            }
-        }
-        all
+        // Every assignment in mixed-radix order, digit 0 (the first locked
+        // FU) fastest.
+        let digit = move |index: usize, k: u32| index / num_combos.pow(k) % num_combos;
+        (0..total as usize)
+            .flat_map(|index| (0..num_fus as u32).map(move |k| digit(index, k)))
+            .collect()
     } else {
         let mut state = params.seed ^ ((num_fus as u64) << 32) ^ locked_inputs as u64;
         (0..params.max_assignments * num_fus)
@@ -359,11 +333,15 @@ fn baseline_tables(
         .collect()
 }
 
-/// What both halves of an error cell share: the combination list, the
-/// evaluated assignments, and each assignment's baseline errors under the
-/// area- and power-aware bindings (read off [`baseline_tables`]).
-struct CellInputs {
-    combos: Vec<Vec<usize>>,
+/// One error cell's shared state: the co-design problem (its combinations
+/// and its one sweep), the evaluated assignments, and each assignment's
+/// baseline errors under the area- and power-aware bindings (read off
+/// [`baseline_tables`]). The obf-aware and co-design halves read it.
+struct Cell<'a> {
+    prepared: &'a PreparedKernel,
+    ctx: &'a ClassContext,
+    locked_inputs: usize,
+    problem: CoDesignProblem<'a>,
     /// Flat, one combination per locked FU per assignment
     /// ([`enumerate_assignments`]).
     assignments: Vec<usize>,
@@ -371,158 +349,116 @@ struct CellInputs {
     base_power: Vec<u64>,
 }
 
-impl CellInputs {
+impl<'a> Cell<'a> {
     fn build(
-        prepared: &PreparedKernel,
-        ctx: &ClassContext,
+        prepared: &'a PreparedKernel,
+        ctx: &'a ClassContext,
         params: &ExperimentParams,
-        fus: &[FuId],
+        fus: &'a [FuId],
         locked_inputs: usize,
-    ) -> CellInputs {
-        let combos = combinations(ctx.candidates.len(), locked_inputs);
-        let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
+    ) -> Result<Cell<'a>, CoreError> {
+        let problem = prepared.codesign_problem(fus, locked_inputs, &ctx.candidates)?;
+        let assignments = enumerate_assignments(params, &problem, locked_inputs);
         let base = |binding: &Binding| -> Vec<u64> {
-            let table = baseline_tables(&prepared.profile, binding, fus, &combos, &ctx.candidates);
+            let combos = problem.combinations();
+            let table = baseline_tables(&prepared.profile, binding, fus, combos, &ctx.candidates);
             assignments
                 .chunks_exact(fus.len())
                 .map(|assign| assign.iter().enumerate().map(|(k, &ci)| table[k][ci]).sum())
                 .collect()
         };
-        CellInputs {
+        Ok(Cell {
             base_area: base(&ctx.area),
             base_power: base(&ctx.power),
-            combos,
-            assignments,
-        }
-    }
-}
-
-/// Obfuscation-aware cell: score each combination assignment with
-/// obf-aware binding, and compare against the baselines locked with the
-/// *same* assignment.
-///
-/// Scoring goes through [`ErrorSweep::score`], one call per assignment:
-/// its per-cycle optima are the exact errors a cold
-/// `bind_obfuscation_aware` + `expected_application_errors` pair would
-/// produce (the `lockbind-check` mutation suite pins this).
-/// Baseline errors come from [`CellInputs`]. The f64 accumulation
-/// order is unchanged, so every emitted record is byte-identical to the
-/// legacy per-assignment binding loop.
-fn obf_aware_cell(
-    prepared: &PreparedKernel,
-    ctx: &ClassContext,
-    fus: &[FuId],
-    locked_inputs: usize,
-    inputs: &CellInputs,
-    cancel: &CancelToken,
-) -> Result<Vec<ErrorRecord>, CoreError> {
-    let n = inputs.assignments.len() / fus.len();
-    let _span = obs::span!("cell.obf_aware", assignments = n);
-
-    let sweep = ErrorSweep::new(
-        &prepared.dfg,
-        &prepared.schedule,
-        &prepared.alloc,
-        &prepared.profile,
-        fus,
-        &ctx.candidates,
-        &inputs.combos,
-    )?;
-
-    let mut sum_area = 0.0;
-    let mut sum_power = 0.0;
-    let mut sum_err = 0.0;
-    for (i, assign) in inputs.assignments.chunks_exact(fus.len()).enumerate() {
-        if cancel.is_cancelled() {
-            return Err(CoreError::Interrupted {
-                stage: "bench.obf_aware",
-            });
-        }
-        let e_obf = sweep.score(assign);
-        sum_area += ratio(e_obf, inputs.base_area[i]);
-        sum_power += ratio(e_obf, inputs.base_power[i]);
-        sum_err += e_obf as f64;
-    }
-
-    Ok(vec![ErrorRecord {
-        kernel: prepared.name.clone(),
-        class: ctx.class,
-        locked_fus: fus.len(),
-        locked_inputs,
-        algo: SecurityAlgo::ObfAware,
-        vs_area: sum_area / n as f64,
-        vs_power: sum_power / n as f64,
-        mean_errors: sum_err / n as f64,
-        samples: n,
-    }])
-}
-
-/// Co-design cell: heuristic always; optimal when the search fits the
-/// budget.
-///
-/// Ratio convention (matching the paper's Fig. 4 bottom, where co-design
-/// ratios are far above the obf-aware ones): the co-design error count is
-/// compared against the baseline bindings locked with *each enumerated
-/// candidate combination* of the same configuration, and the ratios are
-/// averaged — i.e. "how much better is letting the algorithm pick both the
-/// binding and the inputs than locking a same-shaped configuration after
-/// area/power-aware binding".
-fn codesign_cell(
-    prepared: &PreparedKernel,
-    params: &ExperimentParams,
-    ctx: &ClassContext,
-    fus: &[FuId],
-    locked_inputs: usize,
-    inputs: &CellInputs,
-    cancel: &CancelToken,
-) -> Result<Vec<ErrorRecord>, CoreError> {
-    let samples = inputs.assignments.len() / fus.len();
-    let _span = obs::span!("cell.codesign", assignments = samples);
-    let mean_ratio = |errors: u64, bases: &[u64]| -> f64 {
-        bases.iter().map(|&b| ratio(errors, b)).sum::<f64>() / bases.len() as f64
-    };
-    let record = |algo: SecurityAlgo, errors: u64| ErrorRecord {
-        kernel: prepared.name.clone(),
-        class: ctx.class,
-        locked_fus: fus.len(),
-        locked_inputs,
-        algo,
-        vs_area: mean_ratio(errors, &inputs.base_area),
-        vs_power: mean_ratio(errors, &inputs.base_power),
-        mean_errors: errors as f64,
-        samples,
-    };
-
-    let mut out = Vec::new();
-    let heur = codesign_heuristic(
-        &prepared.dfg,
-        &prepared.schedule,
-        &prepared.alloc,
-        &prepared.profile,
-        fus,
-        locked_inputs,
-        &ctx.candidates,
-        cancel,
-    )?;
-    out.push(record(SecurityAlgo::CoDesignHeuristic, heur.errors));
-
-    let orderings = (inputs.combos.len() as u128)
-        .checked_pow(fus.len() as u32)
-        .unwrap_or(u128::MAX);
-    if orderings <= params.optimal_budget {
-        let opt = codesign_optimal(
-            &prepared.dfg,
-            &prepared.schedule,
-            &prepared.alloc,
-            &prepared.profile,
-            fus,
+            prepared,
+            ctx,
             locked_inputs,
-            &ctx.candidates,
-            cancel,
-        )?;
-        out.push(record(SecurityAlgo::CoDesignOptimal, opt.errors));
+            problem,
+            assignments,
+        })
     }
-    Ok(out)
+
+    /// This cell's record of `algo`, over all its assignments.
+    fn record(&self, algo: SecurityAlgo, vs_area: f64, vs_power: f64, errors: f64) -> ErrorRecord {
+        ErrorRecord {
+            kernel: self.prepared.name.clone(),
+            class: self.ctx.class,
+            locked_fus: self.problem.locked_fus().len(),
+            locked_inputs: self.locked_inputs,
+            algo,
+            vs_area,
+            vs_power,
+            mean_errors: errors,
+            samples: self.base_area.len(),
+        }
+    }
+
+    /// Obfuscation-aware half: score each combination assignment with
+    /// obf-aware binding, and compare against the baselines locked with
+    /// the *same* assignment.
+    ///
+    /// Scoring goes through the problem's sweep, one
+    /// [`score`](lockbind_core::ErrorSweep::score) per assignment: its
+    /// per-cycle optima are the exact errors a cold
+    /// `bind_obfuscation_aware` + `expected_application_errors` pair would
+    /// produce (the `lockbind-check` mutation suite pins this). The f64
+    /// accumulation order is unchanged, so every emitted record is
+    /// byte-identical to the legacy per-assignment binding loop.
+    fn obf_aware(&self, cancel: &CancelToken) -> Result<ErrorRecord, CoreError> {
+        let n = self.base_area.len();
+        let _span = obs::span!("cell.obf_aware", assignments = n);
+        let num_fus = self.problem.locked_fus().len();
+        let mut sum_area = 0.0;
+        let mut sum_power = 0.0;
+        let mut sum_err = 0.0;
+        for (i, assign) in self.assignments.chunks_exact(num_fus).enumerate() {
+            if cancel.is_cancelled() {
+                return Err(CoreError::Interrupted {
+                    stage: "bench.obf_aware",
+                });
+            }
+            let e_obf = self.problem.sweep().score(assign);
+            sum_area += ratio(e_obf, self.base_area[i]);
+            sum_power += ratio(e_obf, self.base_power[i]);
+            sum_err += e_obf as f64;
+        }
+        let n = n as f64;
+        let algo = SecurityAlgo::ObfAware;
+        Ok(self.record(algo, sum_area / n, sum_power / n, sum_err / n))
+    }
+
+    /// Co-design half: the heuristic always; the exact search when the
+    /// problem's configurations fit `optimal_budget`.
+    ///
+    /// Ratio convention (matching the paper's Fig. 4 bottom, where co-design
+    /// ratios are far above the obf-aware ones): the co-design error count
+    /// is compared against the baseline bindings locked with *each
+    /// enumerated candidate combination* of the same configuration, and the
+    /// ratios are averaged — i.e. "how much better is letting the algorithm
+    /// pick both the binding and the inputs than locking a same-shaped
+    /// configuration after area/power-aware binding".
+    fn codesign(
+        &self,
+        optimal_budget: u128,
+        cancel: &CancelToken,
+    ) -> Result<Vec<ErrorRecord>, CoreError> {
+        let _span = obs::span!("cell.codesign", assignments = self.base_area.len());
+        let mean_ratio = |errors: u64, bases: &[u64]| -> f64 {
+            bases.iter().map(|&b| ratio(errors, b)).sum::<f64>() / bases.len() as f64
+        };
+        let record = |algo: SecurityAlgo, errors: u64| {
+            let vs_area = mean_ratio(errors, &self.base_area);
+            let vs_power = mean_ratio(errors, &self.base_power);
+            self.record(algo, vs_area, vs_power, errors as f64)
+        };
+        let heuristic = self.problem.heuristic(cancel)?;
+        let mut out = vec![record(SecurityAlgo::CoDesignHeuristic, heuristic.errors)];
+        if self.problem.configurations() <= optimal_budget {
+            let optimal = self.problem.optimal(cancel)?;
+            out.push(record(SecurityAlgo::CoDesignOptimal, optimal.errors));
+        }
+        Ok(out)
+    }
 }
 
 /// Geometric mean helper used by the report binaries (log-scale bars in the
@@ -675,8 +611,20 @@ mod tests {
     ) -> (ErrorRecord, Vec<u64>, Vec<u64>) {
         use lockbind_core::{bind_obfuscation_aware, expected_application_errors, LockingSpec};
         let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
-        let combos = combinations(ctx.candidates.len(), locked_inputs);
-        let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
+        let (dfg, schedule, alloc, profile) = (&p.dfg, &p.schedule, &p.alloc, &p.profile);
+        let candidates = &ctx.candidates;
+        let problem = CoDesignProblem::new(
+            dfg,
+            schedule,
+            alloc,
+            profile,
+            &fus,
+            locked_inputs,
+            candidates,
+        )
+        .expect("builds");
+        let combos = problem.combinations();
+        let assignments = enumerate_assignments(params, &problem, locked_inputs);
         let (mut sum_area, mut sum_power, mut sum_err) = (0.0, 0.0, 0.0);
         let (mut base_area, mut base_power) = (Vec::new(), Vec::new());
         for assign in assignments.chunks_exact(fus.len()) {

@@ -12,7 +12,7 @@
 
 use lockbind_attacks::{sat_attack, AttackConfig, AttackStop};
 use lockbind_core::locked_sim::{output_corruption, wrong_keys};
-use lockbind_core::{codesign_heuristic, realize_locked_modules};
+use lockbind_core::realize_locked_modules;
 use lockbind_engine::{failure_list, CellResult, Job, JobCtx};
 use lockbind_hls::{FuClass, FuId};
 use lockbind_locking::{
@@ -71,17 +71,10 @@ impl Job for ImpactCell {
             FuClass::Adder
         };
         let candidates = prepared.candidates(class, 8);
-        let design = codesign_heuristic(
-            &prepared.dfg,
-            &prepared.schedule,
-            &prepared.alloc,
-            &prepared.profile,
-            &[FuId::new(class, 0)],
-            2.min(candidates.len()),
-            &candidates,
-            &ctx.cancel,
-        )
-        .map_err(|e| e.to_string())?;
+        let design = prepared
+            .codesign_problem(&[FuId::new(class, 0)], 2.min(candidates.len()), &candidates)
+            .and_then(|problem| problem.heuristic(&ctx.cancel))
+            .map_err(|e| e.to_string())?;
         // `--check` mode: lint the co-designed lock end to end — the
         // certificate-assignment pass proves `design.binding` is the
         // certified Eqn. 3 optimum for `design.spec`.

@@ -1,7 +1,7 @@
 //! The Fig. 6 overhead experiment: register count and switching rate of
 //! security-aware binding vs the area-/power-aware baselines.
 
-use lockbind_core::{bind_obfuscation_aware, codesign_heuristic, CoreError, LockingSpec};
+use lockbind_core::{bind_obfuscation_aware, CoreError, LockingSpec};
 use lockbind_hls::metrics::{register_count, switching};
 use lockbind_hls::{FuId, Minterm};
 use lockbind_resil::CancelToken;
@@ -61,16 +61,9 @@ pub fn measure_overhead(
         for locked_fus in 1..=3usize.min(prepared.alloc.count(class)) {
             let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(class, i)).collect();
             for locked_inputs in 1..=3usize.min(candidates.len()) {
-                let heur = codesign_heuristic(
-                    &prepared.dfg,
-                    &prepared.schedule,
-                    &prepared.alloc,
-                    &prepared.profile,
-                    &fus,
-                    locked_inputs,
-                    &candidates,
-                    &CancelToken::new(),
-                )?;
+                let heur = prepared
+                    .codesign_problem(&fus, locked_inputs, &candidates)?
+                    .heuristic(&CancelToken::new())?;
 
                 // Representative fixed spec for obf-aware: the first
                 // candidate minterms per FU (a designer-specified set).

@@ -3,9 +3,9 @@
 
 use std::sync::OnceLock;
 
-use lockbind_core::{bind_area_aware, bind_power_aware, CoreError};
+use lockbind_core::{bind_area_aware, bind_power_aware, CoDesignProblem, CoreError};
 use lockbind_hls::{
-    schedule_list, Allocation, Binding, Dfg, FuClass, Minterm, OccurrenceProfile, Schedule,
+    schedule_list, Allocation, Binding, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule,
     SwitchingProfile,
 };
 use lockbind_mediabench::{Benchmark, Kernel};
@@ -95,6 +95,28 @@ impl PreparedKernel {
     pub fn candidates(&self, class: FuClass, k: usize) -> Vec<Minterm> {
         let ops = self.dfg.ops_of_class(class);
         self.profile.top_candidates_among(&ops, k)
+    }
+
+    /// The co-design problem of locking `locked_fus` on this kernel with
+    /// `inputs_per_fu` minterms each out of `candidates`.
+    ///
+    /// # Errors
+    /// As [`CoDesignProblem::new`].
+    pub fn codesign_problem<'a>(
+        &'a self,
+        locked_fus: &'a [FuId],
+        inputs_per_fu: usize,
+        candidates: &'a [Minterm],
+    ) -> Result<CoDesignProblem<'a>, CoreError> {
+        CoDesignProblem::new(
+            &self.dfg,
+            &self.schedule,
+            &self.alloc,
+            &self.profile,
+            locked_fus,
+            inputs_per_fu,
+            candidates,
+        )
     }
 
     /// FU classes with at least one operation (ecb_enc4 has no multiplies).

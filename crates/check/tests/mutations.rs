@@ -8,8 +8,8 @@
 
 use lockbind_check::{check_artifact, Artifact, Report};
 use lockbind_core::{
-    bind_obfuscation_aware, bind_obfuscation_aware_certified, codesign_optimal, combinations,
-    expected_application_errors, BindingCertificate, ErrorSweep, LockingSpec,
+    bind_obfuscation_aware, bind_obfuscation_aware_certified, expected_application_errors,
+    BindingCertificate, CoDesignProblem, LockingSpec,
 };
 use lockbind_hls::{
     schedule_list, Allocation, Binding, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, OpId,
@@ -241,19 +241,19 @@ proptest! {
     /// Sweep exactness: the co-design searches score every combination
     /// through the sweep alone. Each combination's sweep score must equal
     /// the realized Eqn. 2 errors of a cold obfuscation-aware binding of
-    /// the same spec, and [`codesign_optimal`] must return the maximum.
+    /// the same spec, and [`CoDesignProblem::optimal`] must return the maximum.
     #[test]
     fn sweep_scores_every_combination_exactly(k in 0usize..11, seed in 0u64..32) {
         let f = Fixture::new(k, seed);
         prop_assume!(f.candidates.len() >= 2);
         let fu = FuId::new(FuClass::Adder, 0);
-        let combos = combinations(f.candidates.len(), 2);
-        let sweep = ErrorSweep::new(
-            &f.dfg, &f.schedule, &f.alloc, &f.profile, &[fu], &f.candidates, &combos,
+        let fus = [fu];
+        let problem = CoDesignProblem::new(
+            &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, 2, &f.candidates,
         ).expect("builds");
         let mut true_max = 0u64;
-        for (ci, combo) in combos.iter().enumerate() {
-            let fast = sweep.score(&[ci]);
+        for (ci, combo) in problem.combinations().iter().enumerate() {
+            let fast = problem.sweep().score(&[ci]);
             let spec = LockingSpec::new(
                 &f.alloc,
                 vec![(fu, combo.iter().map(|&i| f.candidates[i]).collect())],
@@ -265,18 +265,15 @@ proptest! {
             prop_assert_eq!(fast, exact, "combo {}: sweep vs cold bind", ci);
             true_max = true_max.max(exact);
         }
-        let opt = codesign_optimal(
-            &f.dfg, &f.schedule, &f.alloc, &f.profile, &[fu], 2, &f.candidates,
-            &CancelToken::new(),
-        ).expect("searchable");
-        prop_assert_eq!(opt.errors, true_max, "codesign_optimal missed the optimum");
+        let opt = problem.optimal(&CancelToken::new()).expect("searchable");
+        prop_assert_eq!(opt.errors, true_max, "CoDesignProblem::optimal missed the optimum");
     }
 
     /// Sweep exactness with two and three locked adders: every
     /// configuration over the top four candidates, one or two inputs per
     /// FU, scores as a cold obfuscation-aware binding of the same spec, so
     /// both multi-slot closed forms run against the cold path, and
-    /// [`codesign_optimal`] must return the maximum.
+    /// [`CoDesignProblem::optimal`] must return the maximum.
     #[test]
     fn sweep_scores_every_multi_slot_configuration_exactly(
         k in 0usize..11,
@@ -288,17 +285,17 @@ proptest! {
         let candidates = &f.candidates[..4.min(f.candidates.len())];
         prop_assume!(candidates.len() > per_fu);
         let fus: Vec<FuId> = (0..locked).map(|i| FuId::new(FuClass::Adder, i)).collect();
-        let combos = combinations(candidates.len(), per_fu);
-        let sweep = ErrorSweep::new(
-            &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, candidates, &combos,
+        let problem = CoDesignProblem::new(
+            &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, per_fu, candidates,
         ).expect("builds");
+        let combos = problem.combinations();
         let mut true_max = 0u64;
         for index in 0..combos.len().pow(locked as u32) {
             // Slot `s` takes digit `s` of `index` in base `combos.len()`.
             let picks: Vec<usize> = (0..locked)
                 .map(|s| index / combos.len().pow(s as u32) % combos.len())
                 .collect();
-            let fast = sweep.score(&picks);
+            let fast = problem.sweep().score(&picks);
             let entries = fus
                 .iter()
                 .zip(&picks)
@@ -312,11 +309,8 @@ proptest! {
             prop_assert_eq!(fast, exact, "picks {:?}: sweep vs cold bind", picks);
             true_max = true_max.max(exact);
         }
-        let opt = codesign_optimal(
-            &f.dfg, &f.schedule, &f.alloc, &f.profile, &fus, per_fu, candidates,
-            &CancelToken::new(),
-        ).expect("searchable");
-        prop_assert_eq!(opt.errors, true_max, "codesign_optimal missed the optimum");
+        let opt = problem.optimal(&CancelToken::new()).expect("searchable");
+        prop_assert_eq!(opt.errors, true_max, "CoDesignProblem::optimal missed the optimum");
     }
 
     /// Mutation: inflate one column potential of a cycle certificate. An

@@ -2,10 +2,13 @@
 //!
 //! The locked-input identities are now free variables: each locked FU must
 //! secure `inputs_per_fu` minterms chosen from a designer-supplied candidate
-//! list `C`. [`codesign_optimal`] enumerates every `C(|C|, m)^{|L|}`
-//! assignment (exponential but exact); [`codesign_heuristic`] is the paper's
-//! P-time sequential heuristic: fix one FU's locked inputs at a time,
-//! assuming the not-yet-fixed FUs are unlocked.
+//! list `C`. A [`CoDesignProblem`] fixes these inputs, checks them once, and
+//! builds what every search over them shares: the `C(|C|, m)` combinations
+//! and one [`ErrorSweep`]. [`CoDesignProblem::optimal`] finds the exact
+//! optimum over every `C(|C|, m)^{|L|}` assignment;
+//! [`CoDesignProblem::heuristic`] is the paper's P-time sequential
+//! heuristic: fix one FU's locked inputs at a time, assuming the
+//! not-yet-fixed FUs are unlocked.
 //!
 //! Both searches score configurations with [`ErrorSweep::score`] rather
 //! than a cold binding solve per configuration. Each keeps the
@@ -21,7 +24,9 @@
 //!   (each op's maximum over every combination), so a partial assignment
 //!   scores an upper bound on all its completions. The last slot is
 //!   bounded without a solve per child: its unlocked score plus the
-//!   combination's gain ([`ErrorSweep::combination_gains`]).
+//!   combination's gain ([`ErrorSweep::combination_gains`]). Only the
+//!   unlocked score depends on the parent, so the last slot's children are
+//!   sorted by gain once per search.
 //! * **Order and pruning.** Children are visited in descending bound,
 //!   ties by combination index, and a child is pruned only when its bound
 //!   is *below* the incumbent, so every maximum is scored.
@@ -32,8 +37,10 @@
 //! `C(|C|, m)^{|L|}` product: a maximum multiset stands for its
 //! lowest-rank ordering in the legacy mixed-radix order (each class's
 //! largest combinations on its lowest slots), and ties keep the lower
-//! rank. A final cold [`bind_obfuscation_aware`] solve on the winner
-//! reproduces the byte-exact legacy binding and spec.
+//! rank. Either search ends with one cold [`bind_obfuscation_aware`] solve
+//! on its winner, which reproduces the byte-exact legacy binding and spec.
+
+use std::cmp::Reverse;
 
 use lockbind_hls::{Allocation, Binding, Dfg, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_obs as obs;
@@ -44,8 +51,9 @@ use crate::{
     LockingSpec,
 };
 
-/// Guard on the optimal search's configuration space, `C(|C|, m)^{|L|}`
-/// orderings. Serve's `optimal_budget` takes this as its upper bound.
+/// Guard on the optimal search's configuration space,
+/// [`CoDesignProblem::configurations`]. Serve's `optimal_budget` takes this
+/// as its upper bound.
 pub const OPTIMAL_SEARCH_LIMIT: u64 = 10_000_000;
 
 /// Result of a co-design run: the binding, the chosen locking spec, and its
@@ -60,62 +68,266 @@ pub struct CoDesignOutcome {
     pub errors: u64,
 }
 
-fn validate(
-    dfg: &Dfg,
-    alloc: &Allocation,
-    locked_fus: &[FuId],
-    inputs_per_fu: usize,
-    candidates: &[Minterm],
-) -> Result<(), CoreError> {
-    for (i, fu) in locked_fus.iter().enumerate() {
-        if fu.index >= alloc.count(fu.class) {
-            return Err(CoreError::UnknownFu { fu: fu.to_string() });
-        }
-        if locked_fus[..i].contains(fu) {
-            return Err(CoreError::DuplicateFu { fu: fu.to_string() });
-        }
-    }
-    if inputs_per_fu == 0 || inputs_per_fu > candidates.len() {
-        return Err(CoreError::NotEnoughCandidates {
-            candidates: candidates.len(),
-            requested: inputs_per_fu,
-        });
-    }
-    // A minterm packs two `width`-bit operands into `2*width` bits. A wider
-    // candidate can never occur on the target FU's inputs, so accepting it
-    // would silently lock nothing (zero weight everywhere) — reject up
-    // front instead of producing a vacuous lock.
-    let width = dfg.width();
-    for c in candidates {
-        if c.raw() >> (2 * width) != 0 {
-            return Err(CoreError::MintermWidthMismatch {
-                minterm: c.raw(),
-                width,
-            });
-        }
-    }
-    Ok(())
+/// One co-design problem: a scheduled, profiled kernel, its locked FUs, the
+/// candidate list and the inputs per FU, with the `C(|C|, m)` combinations
+/// and the one [`ErrorSweep`] that every search on it shares. A
+/// configuration is one column per locked slot; column `c` locks the
+/// slot's FU with the candidates `combinations()[c]`.
+pub struct CoDesignProblem<'a> {
+    dfg: &'a Dfg,
+    schedule: &'a Schedule,
+    alloc: &'a Allocation,
+    profile: &'a OccurrenceProfile,
+    locked_fus: &'a [FuId],
+    candidates: &'a [Minterm],
+    combos: Vec<Vec<usize>>,
+    sweep: ErrorSweep,
 }
 
-/// Exact optimal co-design: the combination assignment of candidate
-/// locked inputs to locked FUs whose obfuscation-aware binding maximizes
-/// Eqn. 2 (Sec. V-B), found by branch-and-bound over combination
-/// multisets (see the module docs). Ties go to the assignment the
-/// exhaustive mixed-radix scan meets first.
-///
-/// `cancel` is polled once per scored bound or configuration; batch
-/// callers pass `&CancelToken::new()`, which never fires.
-///
-/// # Errors
-///
-/// Everything [`bind_obfuscation_aware`] can return, plus
-/// [`CoreError::NotEnoughCandidates`], [`CoreError::Interrupted`] when the
-/// token fires mid-search and, when the space holds more than
-/// [`OPTIMAL_SEARCH_LIMIT`] configurations,
-/// [`CoreError::SearchSpaceTooLarge`] (use [`codesign_heuristic`]
-/// instead).
+impl<'a> CoDesignProblem<'a> {
+    /// Checks the inputs, then builds the combinations and the sweep.
+    ///
+    /// # Errors
+    /// The first that applies: [`CoreError::UnknownFu`] or
+    /// [`CoreError::DuplicateFu`] for `locked_fus`,
+    /// [`CoreError::NotEnoughCandidates`] unless
+    /// `1 <= inputs_per_fu <= candidates.len()`,
+    /// [`CoreError::MintermWidthMismatch`] for a candidate wider than the FU
+    /// inputs, and [`CoreError::Matching`] when a cycle has more ops of a
+    /// class than FUs (as [`bind_obfuscation_aware`] reports).
+    pub fn new(
+        dfg: &'a Dfg,
+        schedule: &'a Schedule,
+        alloc: &'a Allocation,
+        profile: &'a OccurrenceProfile,
+        locked_fus: &'a [FuId],
+        inputs_per_fu: usize,
+        candidates: &'a [Minterm],
+    ) -> Result<Self, CoreError> {
+        for (i, fu) in locked_fus.iter().enumerate() {
+            if fu.index >= alloc.count(fu.class) {
+                return Err(CoreError::UnknownFu { fu: fu.to_string() });
+            }
+            if locked_fus[..i].contains(fu) {
+                return Err(CoreError::DuplicateFu { fu: fu.to_string() });
+            }
+        }
+        if inputs_per_fu == 0 || inputs_per_fu > candidates.len() {
+            return Err(CoreError::NotEnoughCandidates {
+                candidates: candidates.len(),
+                requested: inputs_per_fu,
+            });
+        }
+        // A minterm packs two `width`-bit operands into `2*width` bits. A wider
+        // candidate can never occur on the target FU's inputs, so accepting it
+        // would silently lock nothing (zero weight everywhere) — reject up
+        // front instead of producing a vacuous lock.
+        let width = dfg.width();
+        for c in candidates {
+            if c.raw() >> (2 * width) != 0 {
+                return Err(CoreError::MintermWidthMismatch {
+                    minterm: c.raw(),
+                    width,
+                });
+            }
+        }
+        let combos = combinations(candidates.len(), inputs_per_fu);
+        let sweep = ErrorSweep::new(
+            dfg, schedule, alloc, profile, locked_fus, candidates, &combos,
+        )?;
+        Ok(CoDesignProblem {
+            dfg,
+            schedule,
+            alloc,
+            profile,
+            locked_fus,
+            candidates,
+            combos,
+            sweep,
+        })
+    }
+
+    /// The locked FUs, one slot each, in slot order.
+    pub fn locked_fus(&self) -> &'a [FuId] {
+        self.locked_fus
+    }
+
+    /// The candidate-index combinations, as produced by [`combinations`].
+    pub fn combinations(&self) -> &[Vec<usize>] {
+        &self.combos
+    }
+
+    /// The problem's sweep: the exact Eqn. 2 score of any configuration.
+    pub fn sweep(&self) -> &ErrorSweep {
+        &self.sweep
+    }
+
+    /// The number of assignments of a combination to every locked FU,
+    /// `C(|C|, m)^{|L|}` orderings, saturating at `u128::MAX`.
+    pub fn configurations(&self) -> u128 {
+        (self.combos.len() as u128)
+            .checked_pow(self.locked_fus.len() as u32)
+            .unwrap_or(u128::MAX)
+    }
+
+    /// Exact optimal co-design: the combination assignment of candidate
+    /// locked inputs to locked FUs whose obfuscation-aware binding
+    /// maximizes Eqn. 2 (Sec. V-B), found by branch-and-bound over
+    /// combination multisets (see the module docs). Ties go to the
+    /// assignment the exhaustive mixed-radix scan meets first.
+    ///
+    /// `cancel` is polled once per scored bound or configuration; batch
+    /// callers pass `&CancelToken::new()`, which never fires.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SearchSpaceTooLarge`] when
+    /// [`configurations`](Self::configurations) exceeds
+    /// [`OPTIMAL_SEARCH_LIMIT`] (use [`heuristic`](Self::heuristic)
+    /// instead), [`CoreError::Interrupted`] when the token fires
+    /// mid-search, and anything the final [`bind_obfuscation_aware`] can
+    /// return.
+    pub fn optimal(&self, cancel: &CancelToken) -> Result<CoDesignOutcome, CoreError> {
+        let _span = obs::span!(
+            "codesign.optimal",
+            locked_fus = self.locked_fus.len(),
+            candidates = self.candidates.len()
+        );
+        let configurations = self.configurations();
+        let limit = u128::from(OPTIMAL_SEARCH_LIMIT);
+        if configurations > limit {
+            return Err(CoreError::SearchSpaceTooLarge {
+                configurations,
+                limit,
+            });
+        }
+
+        let fus = self.locked_fus;
+        let l = fus.len();
+        // A slot takes no smaller combination than the previous slot of its
+        // class, so the search visits multisets, not orderings.
+        let mut prev = Vec::with_capacity(l);
+        let mut mirror = Vec::with_capacity(l);
+        for (k, fu) in fus.iter().enumerate() {
+            let class: Vec<usize> = (0..l).filter(|&j| fus[j].class == fu.class).collect();
+            let at = class
+                .iter()
+                .position(|&j| j == k)
+                .expect("k is of its class");
+            prev.push(at.checked_sub(1).map(|i| class[i]));
+            mirror.push(class[class.len() - 1 - at]);
+        }
+        let gains = l
+            .checked_sub(1)
+            .map_or_else(Vec::new, |last| self.sweep.combination_gains(last));
+        // A stable sort keeps equal gains in combination order.
+        let mut by_gain: Vec<usize> = (0..gains.len()).collect();
+        by_gain.sort_by_key(|&c| Reverse(gains[c]));
+        let mut search = Search {
+            cols: vec![self.sweep.envelope_column(); l],
+            sweep: &self.sweep,
+            cancel,
+            radix: self.combos.len(),
+            prev,
+            mirror,
+            gains,
+            by_gain,
+            best: None,
+            evaluated: 0,
+        };
+        let searched = search.visit(0);
+        obs::counter!("codesign.combos_evaluated").add(search.evaluated);
+        searched?;
+        let (_, _, digits) = search.best.expect("at least one leaf scored");
+        self.realize(&digits)
+    }
+
+    /// The paper's P-time co-design heuristic (Sec. V-A): locked FUs are
+    /// processed one at a time. For the FU under consideration every
+    /// combination is scored on the sweep, with earlier FUs' choices fixed
+    /// and later FUs unlocked; the first best combination is frozen, and
+    /// the process repeats. The result is the cold obfuscation-aware
+    /// binding of the complete spec.
+    ///
+    /// Costs `|L| · C(|C|, m)` sweep scores plus one cold re-bind:
+    /// polynomial time for bounded `m`. `cancel` is polled once per score.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Interrupted`] when the token fires mid-search, and
+    /// anything the final [`bind_obfuscation_aware`] can return.
+    pub fn heuristic(&self, cancel: &CancelToken) -> Result<CoDesignOutcome, CoreError> {
+        let _span = obs::span!(
+            "codesign.heuristic",
+            locked_fus = self.locked_fus.len(),
+            candidates = self.candidates.len()
+        );
+        // Slots before `k` hold their frozen winners, slot `k` varies, slots
+        // after `k` stay unlocked (the all-zero column — exactly the legacy
+        // "not-yet-fixed FUs absent from the spec").
+        let mut cols = vec![self.sweep.unlocked_column(); self.locked_fus.len()];
+        let mut evaluated = 0u64;
+        for k in 0..cols.len() {
+            let mut best: Option<(u64, usize)> = None;
+            for ci in 0..self.combos.len() {
+                if cancel.is_cancelled() {
+                    obs::counter!("codesign.combos_evaluated").add(evaluated);
+                    return Err(CoreError::Interrupted {
+                        stage: "codesign.heuristic",
+                    });
+                }
+                cols[k] = ci;
+                let errors = self.sweep.score(&cols);
+                evaluated += 1;
+                // Index order + strictly-greater replacement keeps the first
+                // maximum.
+                if best.is_none_or(|(e, _)| errors > e) {
+                    best = Some((errors, ci));
+                }
+            }
+            cols[k] = best.expect("combos non-empty").1;
+        }
+        obs::counter!("codesign.combos_evaluated").add(evaluated);
+        self.realize(&cols)
+    }
+
+    /// Solves the configuration `cols` cold: its [`LockingSpec`], the
+    /// [`bind_obfuscation_aware`] binding and Eqn. 2. This reproduces the
+    /// legacy binding byte-exactly and double-checks the sweep's score.
+    fn realize(&self, cols: &[usize]) -> Result<CoDesignOutcome, CoreError> {
+        let _span = obs::span!("codesign.rebind");
+        let entries: Vec<(FuId, Vec<Minterm>)> = self
+            .locked_fus
+            .iter()
+            .zip(cols)
+            .map(|(&fu, &ci)| {
+                let minterms = self.combos[ci].iter().map(|&i| self.candidates[i]);
+                (fu, minterms.collect())
+            })
+            .collect();
+        let spec = LockingSpec::new(self.alloc, entries)?;
+        let binding =
+            bind_obfuscation_aware(self.dfg, self.schedule, self.alloc, self.profile, &spec)?;
+        let errors = expected_application_errors(&binding, self.profile, &spec);
+        debug_assert_eq!(
+            errors,
+            self.sweep.score(cols),
+            "sweep score must equal realized Eqn. 2 errors"
+        );
+        Ok(CoDesignOutcome {
+            binding,
+            spec,
+            errors,
+        })
+    }
+}
+
+/// [`CoDesignProblem::heuristic`] in its old free-function form, kept only
+/// because the frozen `perfbench` harness calls it. Delete at the next
+/// benchmark change.
+#[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub fn codesign_optimal(
+pub fn codesign_heuristic_cancellable(
     dfg: &Dfg,
     schedule: &Schedule,
     alloc: &Allocation,
@@ -125,89 +337,23 @@ pub fn codesign_optimal(
     candidates: &[Minterm],
     cancel: &CancelToken,
 ) -> Result<CoDesignOutcome, CoreError> {
-    let _span = obs::span!(
-        "codesign.optimal",
-        locked_fus = locked_fus.len(),
-        candidates = candidates.len()
-    );
-    validate(dfg, alloc, locked_fus, inputs_per_fu, candidates)?;
-    let combos = combinations(candidates.len(), inputs_per_fu);
-    let configurations = (combos.len() as u128)
-        .checked_pow(locked_fus.len() as u32)
-        .unwrap_or(u128::MAX);
-    let limit = u128::from(OPTIMAL_SEARCH_LIMIT);
-    if configurations > limit {
-        return Err(CoreError::SearchSpaceTooLarge {
-            configurations,
-            limit,
-        });
-    }
-
-    let sweep = ErrorSweep::new(
-        dfg, schedule, alloc, profile, locked_fus, candidates, &combos,
-    )?;
-    let l = locked_fus.len();
-    // A slot takes no smaller combination than the previous slot of its
-    // class, so the search visits multisets, not orderings.
-    let mut prev = Vec::with_capacity(l);
-    let mut mirror = Vec::with_capacity(l);
-    for (k, fu) in locked_fus.iter().enumerate() {
-        let class: Vec<usize> = (0..l)
-            .filter(|&j| locked_fus[j].class == fu.class)
-            .collect();
-        let at = class
-            .iter()
-            .position(|&j| j == k)
-            .expect("k is of its class");
-        prev.push(at.checked_sub(1).map(|i| class[i]));
-        mirror.push(class[class.len() - 1 - at]);
-    }
-    let gains = l
-        .checked_sub(1)
-        .map_or_else(Vec::new, |last| sweep.combination_gains(last));
-    let mut search = Search {
-        cols: vec![sweep.envelope_column(); l],
-        sweep,
-        cancel,
-        radix: combos.len(),
-        prev,
-        mirror,
-        gains,
-        best: None,
-        evaluated: 0,
-    };
-    let searched = search.visit(0);
-    obs::counter!("codesign.combos_evaluated").add(search.evaluated);
-    searched?;
-
-    // Re-solve the winner cold: reproduces the legacy binding byte-exactly
-    // and double-checks the sweep's score against realized Eqn. 2 errors.
-    let (sweep_errors, _, digits) = search.best.expect("at least one leaf scored");
-    let _span = obs::span!("codesign.rebind");
-    let entries: Vec<(FuId, Vec<Minterm>)> = locked_fus
-        .iter()
-        .zip(&digits)
-        .map(|(&fu, &ci)| (fu, combos[ci].iter().map(|&i| candidates[i]).collect()))
-        .collect();
-    let spec = LockingSpec::new(alloc, entries)?;
-    let binding = bind_obfuscation_aware(dfg, schedule, alloc, profile, &spec)?;
-    let errors = expected_application_errors(&binding, profile, &spec);
-    debug_assert_eq!(
-        errors, sweep_errors,
-        "sweep score must equal realized Eqn. 2 errors"
-    );
-    Ok(CoDesignOutcome {
-        binding,
-        spec,
-        errors,
-    })
+    CoDesignProblem::new(
+        dfg,
+        schedule,
+        alloc,
+        profile,
+        locked_fus,
+        inputs_per_fu,
+        candidates,
+    )?
+    .heuristic(cancel)
 }
 
 /// The optimal search's state: a depth-first branch-and-bound over the
 /// locked slots in order, each slot taking a combination no smaller than
 /// the previous slot of its class.
 struct Search<'a> {
-    sweep: ErrorSweep,
+    sweep: &'a ErrorSweep,
     /// Per slot, the column it reads: slots above the current depth hold
     /// their combination, later ones the envelope.
     cols: Vec<usize>,
@@ -223,6 +369,9 @@ struct Search<'a> {
     /// Per combination, the last slot's leaf gain
     /// ([`ErrorSweep::combination_gains`]).
     gains: Vec<u64>,
+    /// The combinations by descending gain, ties by index: the order of
+    /// the last slot's children under every parent.
+    by_gain: Vec<usize>,
     /// The incumbent: (errors, legacy rank, digits).
     best: Option<(u64, u64, Vec<usize>)>,
     evaluated: u64,
@@ -259,26 +408,37 @@ impl Search<'_> {
             return Ok(());
         }
         let lo = self.prev[k].map_or(0, |j| self.cols[j]);
-        let mut children = Vec::with_capacity(self.radix - lo);
         if k + 1 == self.cols.len() {
             // Loading one column raises each subproblem by at most that
-            // column's largest weight, so one score bounds every leaf.
+            // column's largest weight, so one score bounds every leaf, and
+            // the leaves' bounds run in `by_gain` order.
             self.cols[k] = self.sweep.unlocked_column();
             let unlocked = self.score()?;
-            children.extend((lo..self.radix).map(|c| (unlocked + self.gains[c], c)));
+            for i in 0..self.by_gain.len() {
+                let c = self.by_gain[i];
+                if c < lo {
+                    continue;
+                }
+                if self.below_incumbent(unlocked + self.gains[c]) {
+                    break;
+                }
+                self.cols[k] = c;
+                self.visit(k + 1)?;
+            }
         } else {
+            let mut children = Vec::with_capacity(self.radix - lo);
             for c in lo..self.radix {
                 self.cols[k] = c;
                 children.push((self.score()?, c));
             }
-        }
-        children.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (bound, c) in children {
-            if self.below_incumbent(bound) {
-                break;
+            children.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            for (bound, c) in children {
+                if self.below_incumbent(bound) {
+                    break;
+                }
+                self.cols[k] = c;
+                self.visit(k + 1)?;
             }
-            self.cols[k] = c;
-            self.visit(k + 1)?;
         }
         self.cols[k] = self.sweep.envelope_column();
         Ok(())
@@ -308,92 +468,6 @@ impl Search<'_> {
     }
 }
 
-/// The paper's P-time co-design heuristic (Sec. V-A): locked FUs are
-/// processed one at a time; for the FU under consideration every candidate
-/// combination is evaluated with obfuscation-aware binding (earlier FUs'
-/// choices fixed, later FUs unlocked), the best combination is frozen, and
-/// the process repeats. A final obfuscation-aware binding over the complete
-/// spec produces the result.
-///
-/// Runs in `O(s |L| |N| |R| log |R|)` for bounded `|C|` — polynomial time.
-/// `cancel` is polled once per candidate combination.
-///
-/// # Errors
-/// Same as [`codesign_optimal`] minus the search-space guard.
-#[allow(clippy::too_many_arguments)]
-pub fn codesign_heuristic(
-    dfg: &Dfg,
-    schedule: &Schedule,
-    alloc: &Allocation,
-    profile: &OccurrenceProfile,
-    locked_fus: &[FuId],
-    inputs_per_fu: usize,
-    candidates: &[Minterm],
-    cancel: &CancelToken,
-) -> Result<CoDesignOutcome, CoreError> {
-    let _span = obs::span!(
-        "codesign.heuristic",
-        locked_fus = locked_fus.len(),
-        candidates = candidates.len()
-    );
-    validate(dfg, alloc, locked_fus, inputs_per_fu, candidates)?;
-    let combos = combinations(candidates.len(), inputs_per_fu);
-
-    // One sweep serves every stage: slots before `k` hold their frozen
-    // winners, slot `k` varies, slots after `k` stay unlocked (all-zero
-    // columns — exactly the legacy "not-yet-fixed FUs absent from the
-    // spec").
-    let sweep = ErrorSweep::new(
-        dfg, schedule, alloc, profile, locked_fus, candidates, &combos,
-    )?;
-    let mut cols = vec![sweep.unlocked_column(); locked_fus.len()];
-    let mut stage_best = 0u64;
-    let mut evaluated = 0u64;
-    for k in 0..locked_fus.len() {
-        let mut best: Option<(u64, usize)> = None;
-        for ci in 0..combos.len() {
-            if cancel.is_cancelled() {
-                obs::counter!("codesign.combos_evaluated").add(evaluated);
-                return Err(CoreError::Interrupted {
-                    stage: "codesign.heuristic",
-                });
-            }
-            cols[k] = ci;
-            let errors = sweep.score(&cols);
-            evaluated += 1;
-            // Index order + strictly-greater replacement keeps the first
-            // maximum.
-            if best.is_none_or(|(e, _)| errors > e) {
-                best = Some((errors, ci));
-            }
-        }
-        let (e, ci) = best.expect("combos non-empty");
-        cols[k] = ci;
-        stage_best = e;
-    }
-    obs::counter!("codesign.combos_evaluated").add(evaluated);
-
-    let _span = obs::span!("codesign.rebind");
-    let entries: Vec<(FuId, Vec<Minterm>)> = locked_fus
-        .iter()
-        .zip(&cols)
-        .map(|(&fu, &ci)| (fu, combos[ci].iter().map(|&i| candidates[i]).collect()))
-        .collect();
-    let spec = LockingSpec::new(alloc, entries)?;
-    let binding = bind_obfuscation_aware(dfg, schedule, alloc, profile, &spec)?;
-    let errors = expected_application_errors(&binding, profile, &spec);
-    debug_assert_eq!(
-        errors,
-        if locked_fus.is_empty() { 0 } else { stage_best },
-        "final-stage sweep score must equal realized Eqn. 2 errors"
-    );
-    Ok(CoDesignOutcome {
-        binding,
-        spec,
-        errors,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,20 +488,18 @@ mod tests {
     fn pre_cancelled_token_interrupts_both_searches() {
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Fir);
         let fus = [FuId::new(FuClass::Adder, 0)];
+        let problem =
+            CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let opt = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &token)
-            .unwrap_err();
         assert_eq!(
-            opt,
+            problem.optimal(&token).unwrap_err(),
             CoreError::Interrupted {
                 stage: "codesign.optimal"
             }
         );
-        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &token)
-            .unwrap_err();
         assert_eq!(
-            heu,
+            problem.heuristic(&token).unwrap_err(),
             CoreError::Interrupted {
                 stage: "codesign.heuristic"
             }
@@ -439,10 +511,10 @@ mod tests {
         let never = CancelToken::new();
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Fir);
         let fus = [FuId::new(FuClass::Adder, 0)];
-        let opt = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
-            .expect("searchable");
-        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
-            .expect("feasible");
+        let problem =
+            CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates).unwrap();
+        let opt = problem.optimal(&never).expect("searchable");
+        let heu = problem.heuristic(&never).expect("feasible");
         // Single FU: the heuristic IS the optimal search.
         assert_eq!(opt.errors, heu.errors);
         assert!(opt.errors > 0);
@@ -453,10 +525,10 @@ mod tests {
         let never = CancelToken::new();
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Jdmerge1);
         let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 1)];
-        let opt = codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
-            .expect("searchable");
-        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
-            .expect("feasible");
+        let problem =
+            CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates).unwrap();
+        let opt = problem.optimal(&never).expect("searchable");
+        let heu = problem.heuristic(&never).expect("feasible");
         assert!(heu.errors <= opt.errors);
         // Paper reports <0.5% degradation; allow 5% slack on our stand-ins.
         assert!(
@@ -472,7 +544,8 @@ mod tests {
         let never = CancelToken::new();
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Motion2);
         let fus = [FuId::new(FuClass::Adder, 1)];
-        let heu = codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates, &never)
+        let heu = CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates)
+            .and_then(|problem| problem.heuristic(&never))
             .expect("feasible");
         // Any fixed candidate choice bound with obf-aware binding is <= the
         // co-design result.
@@ -540,9 +613,9 @@ mod tests {
         for kernel in [Kernel::Fir, Kernel::Jdmerge1, Kernel::Motion2] {
             let (dfg, sched, alloc, profile, candidates) = setup(kernel);
             let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 2)];
-            let fast =
-                codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates, &never)
-                    .expect("searchable");
+            let fast = CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
+                .and_then(|problem| problem.optimal(&never))
+                .expect("searchable");
             let slow = optimal_reference(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates);
             assert_eq!(fast.errors, slow.errors, "{kernel:?}");
             // Same winner, not merely the same score: spec and binding must
@@ -554,23 +627,18 @@ mod tests {
 
     #[test]
     fn rejects_overwide_minterm_candidates() {
-        let never = CancelToken::new();
         // Regression: the heuristic used to accept candidates wider than the
         // kernel's 2*width-bit FU input space; they can never occur on any
         // FU's inputs, so every weight is zero and the "lock" is vacuous.
+        // The problem rejects them before either search can run.
         let (dfg, sched, alloc, profile, mut candidates) = setup(Kernel::Fir);
         assert_eq!(dfg.width(), 8);
         candidates.push(Minterm::pack(0x2a0, 0x11, 12)); // raw needs 22 bits > 16
         let fus = [FuId::new(FuClass::Adder, 0)];
-        for result in [
-            codesign_heuristic(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates, &never),
-            codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates, &never),
-        ] {
-            assert!(matches!(
-                result,
-                Err(CoreError::MintermWidthMismatch { width: 8, .. })
-            ));
-        }
+        assert!(matches!(
+            CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 1, &candidates),
+            Err(CoreError::MintermWidthMismatch { width: 8, .. })
+        ));
     }
 
     #[test]
@@ -584,47 +652,41 @@ mod tests {
             FuId::new(FuClass::Adder, 1),
             FuId::new(FuClass::Adder, 2),
         ];
-        let err =
-            codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 3, &many, &never).unwrap_err();
+        let problem = CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 3, &many).unwrap();
+        assert_eq!(problem.configurations(), 1140u128.pow(3));
+        let err = problem.optimal(&never).unwrap_err();
         assert!(matches!(err, CoreError::SearchSpaceTooLarge { .. }));
     }
 
     #[test]
     fn validation_errors() {
-        let never = CancelToken::new();
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Fir);
-        let bad_fu = [FuId::new(FuClass::Adder, 9)];
-        assert!(matches!(
-            codesign_heuristic(
+        let new = |fus: &[FuId], inputs_per_fu: usize| {
+            CoDesignProblem::new(
                 &dfg,
                 &sched,
                 &alloc,
                 &profile,
-                &bad_fu,
-                1,
+                fus,
+                inputs_per_fu,
                 &candidates,
-                &never
-            ),
-            Err(CoreError::UnknownFu { .. })
-        ));
+            )
+            .err()
+        };
+        let bad_fu = [FuId::new(FuClass::Adder, 9)];
+        assert!(matches!(new(&bad_fu, 1), Some(CoreError::UnknownFu { .. })));
         let dup = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 0)];
-        assert!(matches!(
-            codesign_heuristic(&dfg, &sched, &alloc, &profile, &dup, 1, &candidates, &never),
-            Err(CoreError::DuplicateFu { .. })
-        ));
+        assert!(matches!(new(&dup, 1), Some(CoreError::DuplicateFu { .. })));
         let fus = [FuId::new(FuClass::Adder, 0)];
         assert!(matches!(
-            codesign_heuristic(
-                &dfg,
-                &sched,
-                &alloc,
-                &profile,
-                &fus,
-                99,
-                &candidates,
-                &never
-            ),
-            Err(CoreError::NotEnoughCandidates { .. })
+            new(&fus, 99),
+            Some(CoreError::NotEnoughCandidates { .. })
         ));
+        // FU errors come first, then the candidate count.
+        assert!(matches!(
+            new(&bad_fu, 99),
+            Some(CoreError::UnknownFu { .. })
+        ));
+        assert!(matches!(new(&dup, 0), Some(CoreError::DuplicateFu { .. })));
     }
 }

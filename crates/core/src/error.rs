@@ -92,7 +92,7 @@ impl fmt::Display for CoreError {
             } => write!(
                 f,
                 "search space of {configurations} configurations exceeds the limit of {limit} \
-                 (for co-design, use codesign_heuristic)"
+                 (for co-design, use CoDesignProblem::heuristic)"
             ),
             CoreError::ErrorTargetUnreachable { best, target } => write!(
                 f,

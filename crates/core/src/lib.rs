@@ -14,9 +14,10 @@
 //! * [`bind_obfuscation_aware`] — Problem 1 (Sec. IV): locked inputs fixed,
 //!   bind each clock cycle with a max-weight bipartite matching (optimal,
 //!   P-time, Thms. 1–2).
-//! * [`codesign_optimal`] / [`codesign_heuristic`] — Problem 2 (Sec. V):
-//!   choose the locked inputs from a candidate list *and* the binding
-//!   (exhaustive optimal and the paper's P-time sequential heuristic).
+//! * [`CoDesignProblem`] — Problem 2 (Sec. V): choose the locked inputs
+//!   from a candidate list *and* the binding, with the exact optimum
+//!   ([`CoDesignProblem::optimal`]) or the paper's P-time sequential
+//!   heuristic ([`CoDesignProblem::heuristic`]).
 //! * [`bind_area_aware`] / [`bind_power_aware`] / [`bind_random`] — the
 //!   comparison binding algorithms (\[20\], \[19\]) used throughout the
 //!   evaluation.
@@ -65,11 +66,9 @@ mod sweep;
 
 pub use app_error::{application_impact, ApplicationImpact};
 pub use area_aware::bind_area_aware;
-/// Old name of [`codesign_heuristic`], kept only because the frozen
-/// `perfbench` harness imports it. Delete at the next benchmark change.
-#[doc(hidden)]
-pub use codesign::codesign_heuristic as codesign_heuristic_cancellable;
-pub use codesign::{codesign_heuristic, codesign_optimal, CoDesignOutcome, OPTIMAL_SEARCH_LIMIT};
+pub use codesign::{
+    codesign_heuristic_cancellable, CoDesignOutcome, CoDesignProblem, OPTIMAL_SEARCH_LIMIT,
+};
 pub use combinations::combinations;
 pub use cost::expected_application_errors;
 pub use error::CoreError;

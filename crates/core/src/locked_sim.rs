@@ -164,7 +164,7 @@ pub fn output_corruption(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{codesign_heuristic, realize_locked_modules};
+    use crate::{realize_locked_modules, CoDesignProblem};
     use lockbind_hls::{schedule_list, Allocation, FuClass, OccurrenceProfile};
     use lockbind_mediabench::Kernel;
     use lockbind_resil::CancelToken;
@@ -176,7 +176,7 @@ mod tests {
         let profile = OccurrenceProfile::from_trace(&bench.dfg, &bench.trace).expect("profiled");
         let candidates =
             profile.top_candidates_among(&bench.dfg.ops_of_class(FuClass::Multiplier), 8);
-        let design = codesign_heuristic(
+        let design = CoDesignProblem::new(
             &bench.dfg,
             &schedule,
             &alloc,
@@ -184,8 +184,8 @@ mod tests {
             &[FuId::new(FuClass::Multiplier, 0)],
             2,
             &candidates,
-            &CancelToken::new(),
         )
+        .and_then(|problem| problem.heuristic(&CancelToken::new()))
         .expect("feasible");
         let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");
         (bench.dfg, design.binding, modules, bench.trace)
@@ -232,7 +232,7 @@ mod tests {
         let profile = OccurrenceProfile::from_trace(&bench.dfg, &bench.trace).expect("profiled");
         let candidates =
             profile.top_candidates_among(&bench.dfg.ops_of_class(FuClass::Multiplier), 8);
-        let design = codesign_heuristic(
+        let design = CoDesignProblem::new(
             &bench.dfg,
             &schedule,
             &alloc,
@@ -240,8 +240,8 @@ mod tests {
             &[FuId::new(FuClass::Multiplier, 0)],
             2,
             &candidates,
-            &CancelToken::new(),
         )
+        .and_then(|problem| problem.heuristic(&CancelToken::new()))
         .expect("feasible");
         let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");
         let keys = wrong_keys(&modules, 1);

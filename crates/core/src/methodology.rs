@@ -15,7 +15,7 @@ use lockbind_hls::{Allocation, Dfg, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_locking::{epsilon_for_locked_inputs, expected_sat_iterations};
 use lockbind_resil::CancelToken;
 
-use crate::{codesign_heuristic, CoDesignOutcome, CoreError};
+use crate::{CoDesignOutcome, CoDesignProblem, CoreError};
 
 /// Designer goals for [`design_lock`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,7 +58,7 @@ pub struct MethodologyOutcome {
 ///
 /// [`CoreError::ErrorTargetUnreachable`] if even `max_inputs_per_fu` locked
 /// inputs per FU cannot reach the error target, plus anything
-/// [`codesign_heuristic`] can return.
+/// [`CoDesignProblem::new`] and [`CoDesignProblem::heuristic`] can return.
 pub fn design_lock(
     dfg: &Dfg,
     schedule: &Schedule,
@@ -71,7 +71,7 @@ pub fn design_lock(
     let input_bits = 2 * dfg.width();
     let mut best_errors = 0u64;
     for inputs_per_fu in 1..=goals.max_inputs_per_fu.min(candidates.len()) {
-        let design = codesign_heuristic(
+        let design = CoDesignProblem::new(
             dfg,
             schedule,
             alloc,
@@ -79,8 +79,8 @@ pub fn design_lock(
             locked_fus,
             inputs_per_fu,
             candidates,
-            &CancelToken::new(),
-        )?;
+        )?
+        .heuristic(&CancelToken::new())?;
         best_errors = best_errors.max(design.errors);
         if design.errors >= goals.min_application_errors {
             // Weakest-FU resilience: ε grows with the per-FU locked-input

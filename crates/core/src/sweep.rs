@@ -7,8 +7,9 @@
 //! per-cycle assignment problem cold, and re-walked the binding to sum
 //! errors — all to score one changed column per cycle.
 //!
-//! [`ErrorSweep`] is built once per such context and is read-only after
-//! that. Per *live* `(cycle, class)` subproblem it holds a column table:
+//! [`ErrorSweep`] is built once per
+//! [`CoDesignProblem`](crate::CoDesignProblem), the only place that builds
+//! one, and is read-only after that. Per *live* `(cycle, class)` subproblem it holds a column table:
 //! for each combination `c` and live op `r`, the Eqn. 3 weight `w(r, c)` at
 //! `cols[c * rows + r]`, plus one all-zero column standing for "unlocked"
 //! and one *envelope* column holding each op's maximum over every
@@ -54,6 +55,7 @@
 
 use lockbind_hls::{Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_matching::{max_weight_matching, MatchingError, WeightMatrix};
+use lockbind_obs as obs;
 
 use crate::CoreError;
 
@@ -112,9 +114,9 @@ struct ClassSubs {
 /// *slot* a combination out of a fixed list, then read the exact Eqn. 2
 /// error score.
 ///
-/// Construct once per `(kernel, locked FUs, candidates, combination list)`
-/// context, then call [`score`](Self::score) on any number of
-/// configurations. Scores are byte-exact equal to binding with
+/// Each [`CoDesignProblem`](crate::CoDesignProblem) builds one, reached
+/// through [`CoDesignProblem::sweep`](crate::CoDesignProblem::sweep); call
+/// [`score`](Self::score) on it for any number of configurations. Scores are byte-exact equal to binding with
 /// [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) and evaluating
 /// [`expected_application_errors`](crate::expected_application_errors) on
 /// the same configuration — proven by this module's unit properties and the
@@ -138,21 +140,21 @@ pub struct ErrorSweep {
 
 impl ErrorSweep {
     /// Builds the sweep context: one column table per live `(cycle, class)`
-    /// subproblem. `combos` lists candidate-index combinations exactly as
-    /// produced by [`combinations`](crate::combinations).
+    /// subproblem. `locked_fus` are checked by
+    /// [`CoDesignProblem::new`](crate::CoDesignProblem::new); `combos` lists
+    /// candidate-index combinations exactly as produced by
+    /// [`combinations`](crate::combinations). Counts one `sweep.builds`.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::UnknownFu`] / [`CoreError::DuplicateFu`] for invalid
-    ///   `locked_fus` (same checks as the co-design searches),
-    /// * [`CoreError::Matching`] when some cycle has more concurrent ops of
-    ///   a class than allocated FUs — the same infeasibility
-    ///   [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) reports,
-    ///   checked on every cycle, including those the sweep then drops.
+    /// [`CoreError::Matching`] when some cycle has more concurrent ops of a
+    /// class than allocated FUs — the same infeasibility
+    /// [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) reports,
+    /// checked on every cycle, including those the sweep then drops.
     ///
     /// # Panics
     /// Panics when a combination indexes past `candidates`.
-    pub fn new(
+    pub(crate) fn new(
         dfg: &Dfg,
         schedule: &Schedule,
         alloc: &Allocation,
@@ -161,14 +163,7 @@ impl ErrorSweep {
         candidates: &[Minterm],
         combos: &[Vec<usize>],
     ) -> Result<Self, CoreError> {
-        for (i, &fu) in locked_fus.iter().enumerate() {
-            if fu.index >= alloc.count(fu.class) {
-                return Err(CoreError::UnknownFu { fu: fu.to_string() });
-            }
-            if locked_fus[..i].contains(&fu) {
-                return Err(CoreError::DuplicateFu { fu: fu.to_string() });
-            }
-        }
+        obs::counter!("sweep.builds").inc();
         for &i in combos.iter().flatten() {
             assert!(i < candidates.len(), "combo index {i} out of range");
         }
@@ -235,11 +230,6 @@ impl ErrorSweep {
             num_slots: locked_fus.len(),
             unlocked,
         })
-    }
-
-    /// Number of locked-FU slots: the length [`score`](Self::score) takes.
-    pub fn num_slots(&self) -> usize {
-        self.num_slots
     }
 
     /// The all-zero column: a slot reading it is unlocked, the heuristic's
@@ -336,7 +326,10 @@ fn best_triple(x: &[u64], y: &[u64], z: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bind_obfuscation_aware, combinations, expected_application_errors, LockingSpec};
+    use crate::{
+        bind_obfuscation_aware, combinations, expected_application_errors, CoDesignProblem,
+        LockingSpec,
+    };
     use lockbind_hls::schedule_list;
     use lockbind_mediabench::Kernel;
     use proptest::prelude::*;
@@ -770,18 +763,18 @@ mod tests {
         }
     }
 
+    /// The problem checks the locked FUs before it builds a sweep.
     #[test]
     fn rejects_invalid_locked_fus() {
         let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Fir);
-        let combos = combinations(candidates.len(), 1);
         let bad = [FuId::new(FuClass::Adder, 9)];
         assert!(matches!(
-            ErrorSweep::new(&dfg, &sched, &alloc, &profile, &bad, &candidates, &combos),
+            CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &bad, 1, &candidates),
             Err(CoreError::UnknownFu { .. })
         ));
         let dup = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 0)];
         assert!(matches!(
-            ErrorSweep::new(&dfg, &sched, &alloc, &profile, &dup, &candidates, &combos),
+            CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &dup, 1, &candidates),
             Err(CoreError::DuplicateFu { .. })
         ));
     }
@@ -798,6 +791,10 @@ mod tests {
         let fus = [FuId::new(FuClass::Adder, 0)];
         assert!(matches!(
             ErrorSweep::new(&dfg, &sched, &tight, &profile, &fus, &candidates, &combos),
+            Err(CoreError::Matching(_))
+        ));
+        assert!(matches!(
+            CoDesignProblem::new(&dfg, &sched, &tight, &profile, &fus, 1, &candidates),
             Err(CoreError::Matching(_))
         ));
     }

@@ -7,8 +7,7 @@
 //! in the same process would bump it inside the window being measured.
 
 use lockbind_core::{
-    bind_obfuscation_aware, codesign_optimal, combinations, expected_application_errors,
-    LockingSpec,
+    bind_obfuscation_aware, combinations, expected_application_errors, CoDesignProblem, LockingSpec,
 };
 use lockbind_hls::{schedule_list, Allocation, FuClass, FuId, OccurrenceProfile};
 use lockbind_mediabench::Kernel;
@@ -28,17 +27,9 @@ fn search_evaluation_count_is_pinned() {
     let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 1)];
     let evaluated = obs::counter!("codesign.combos_evaluated");
     let e0 = evaluated.get();
-    let opt = codesign_optimal(
-        &b.dfg,
-        &sched,
-        &alloc,
-        &profile,
-        &fus,
-        2,
-        &candidates,
-        &never,
-    )
-    .expect("searchable");
+    let opt = CoDesignProblem::new(&b.dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
+        .and_then(|problem| problem.optimal(&never))
+        .expect("searchable");
     // 15 root bounds, then per first-slot combination not pruned one
     // unlocked score and the leaves its gains do not prune: 35 scores,
     // where the exhaustive scan scores all 225 configurations.

@@ -5,8 +5,8 @@
 //! only the legacy tie-break (the lowest-rank ordering) picks the winner.
 
 use lockbind_core::{
-    bind_obfuscation_aware, codesign_optimal, combinations, expected_application_errors,
-    CoDesignOutcome, ErrorSweep, LockingSpec,
+    bind_obfuscation_aware, combinations, expected_application_errors, CoDesignOutcome,
+    CoDesignProblem, LockingSpec,
 };
 use lockbind_hls::{
     schedule_list, Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule,
@@ -48,20 +48,14 @@ impl Prepared {
     }
 
     /// The legacy exhaustive scan: every assignment in mixed-radix order
-    /// (digit 0, the first locked FU, fastest), scored by the sweep, the
-    /// first maximum kept, and the winner bound cold.
-    fn scan(&self, fus: &[FuId], per_fu: usize, candidates: &[Minterm]) -> CoDesignOutcome {
-        let combos = combinations(candidates.len(), per_fu);
-        let sweep = ErrorSweep::new(
-            &self.dfg,
-            &self.schedule,
-            &self.alloc,
-            &self.profile,
-            fus,
-            candidates,
-            &combos,
-        )
-        .expect("builds");
+    /// (digit 0, the first locked FU, fastest), scored by the problem's
+    /// sweep, the first maximum kept, and the winner bound cold.
+    fn scan(&self, problem: &CoDesignProblem, candidates: &[Minterm]) -> CoDesignOutcome {
+        let (fus, combos, sweep) = (
+            problem.locked_fus(),
+            problem.combinations(),
+            problem.sweep(),
+        );
         let mut digits = vec![0; fus.len()];
         let mut best: Option<(u64, Vec<usize>)> = None;
         loop {
@@ -98,18 +92,12 @@ impl Prepared {
 
     /// Runs the search and the scan, and requires the same outcome.
     fn check(&self, what: &str, fus: &[FuId], per_fu: usize, candidates: &[Minterm]) {
-        let fast = codesign_optimal(
-            &self.dfg,
-            &self.schedule,
-            &self.alloc,
-            &self.profile,
-            fus,
-            per_fu,
-            candidates,
-            &CancelToken::new(),
-        )
-        .expect("searchable");
-        let slow = self.scan(fus, per_fu, candidates);
+        let (dfg, schedule, alloc, profile) =
+            (&self.dfg, &self.schedule, &self.alloc, &self.profile);
+        let problem = CoDesignProblem::new(dfg, schedule, alloc, profile, fus, per_fu, candidates)
+            .expect("builds");
+        let fast = problem.optimal(&CancelToken::new()).expect("searchable");
+        let slow = self.scan(&problem, candidates);
         assert_eq!(fast.errors, slow.errors, "{what}");
         assert_eq!(fast.spec, slow.spec, "{what}");
         assert_eq!(fast.binding, slow.binding, "{what}");

@@ -2,8 +2,7 @@
 //! random DFGs, traces, and locking configurations.
 
 use lockbind_core::{
-    bind_obfuscation_aware, bind_random, codesign_heuristic, expected_application_errors,
-    LockingSpec,
+    bind_obfuscation_aware, bind_random, expected_application_errors, CoDesignProblem, LockingSpec,
 };
 use lockbind_hls::{
     bind_naive, schedule_asap, Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, OpKind,
@@ -81,7 +80,8 @@ proptest! {
         prop_assume!(!candidates.is_empty());
         let fu = FuId::new(FuClass::Adder, 0);
 
-        let cd = codesign_heuristic(&dfg, &schedule, &alloc, &profile, &[fu], 1, &candidates, &CancelToken::new())
+        let cd = CoDesignProblem::new(&dfg, &schedule, &alloc, &profile, &[fu], 1, &candidates)
+            .and_then(|problem| problem.heuristic(&CancelToken::new()))
             .expect("feasible");
         let best_fixed = candidates
             .iter()

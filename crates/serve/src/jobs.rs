@@ -16,7 +16,7 @@ use lockbind_bench::errors_experiment::{ClassContext, ExperimentParams};
 use lockbind_bench::grid::{cached_class_context, cached_prepared, ErrorCell};
 use lockbind_bench::headline_cells::{ImpactCell, SatCell};
 use lockbind_bench::prepared::PreparedKernel;
-use lockbind_core::{bind_obfuscation_aware, codesign_heuristic, expected_application_errors};
+use lockbind_core::{bind_obfuscation_aware, expected_application_errors};
 use lockbind_engine::{Job, JobCtx};
 use lockbind_hls::{FuClass, FuId};
 use lockbind_mediabench::Kernel;
@@ -130,17 +130,10 @@ impl Job for ServeJob {
                     ));
                 }
                 let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(class, i)).collect();
-                let outcome = codesign_heuristic(
-                    &prepared.dfg,
-                    &prepared.schedule,
-                    &prepared.alloc,
-                    &prepared.profile,
-                    &fus,
-                    inputs_per_fu,
-                    &candidates,
-                    &ctx.cancel,
-                )
-                .map_err(|e| e.to_string())?;
+                let outcome = prepared
+                    .codesign_problem(&fus, inputs_per_fu, &candidates)
+                    .and_then(|problem| problem.heuristic(&ctx.cancel))
+                    .map_err(|e| e.to_string())?;
                 let locked: Vec<Json> = outcome
                     .spec
                     .iter()

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Co-design a single locked multiplier with 2 locked inputs.
     let candidates = profile.top_candidates_among(&dfg.ops_of_class(FuClass::Multiplier), 8);
-    let design = codesign_heuristic(
+    let design = CoDesignProblem::new(
         &dfg,
         &schedule,
         &alloc,
@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[FuId::new(FuClass::Multiplier, 0)],
         2,
         &candidates,
-        &CancelToken::new(),
-    )?;
+    )?
+    .heuristic(&CancelToken::new())?;
     println!(
         "co-design chose {} with {} expected error injections over 500 frames",
         design.spec, design.errors

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obf = bind_obfuscation_aware(&bench.dfg, &schedule, &alloc, &profile, &fixed)?;
 
     // Problem 2: co-design chooses the best 2 of the 10 candidates.
-    let codesign = codesign_heuristic(
+    let codesign = CoDesignProblem::new(
         &bench.dfg,
         &schedule,
         &alloc,
@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[locked_fu],
         2,
         &candidates,
-        &CancelToken::new(),
-    )?;
+    )?
+    .heuristic(&CancelToken::new())?;
 
     let e = |binding: &Binding, spec: &LockingSpec| {
         expected_application_errors(binding, &profile, spec)

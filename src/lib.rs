@@ -36,13 +36,15 @@
 //! let schedule = schedule_list(&bench.dfg, &alloc)?;
 //! let profile = OccurrenceProfile::from_trace(&bench.dfg, &bench.trace)?;
 //!
-//! // 3. Co-design the binding and the locked inputs for one locked adder.
-//! //    The last argument is a cancel token; this one never fires.
+//! // 3. Co-design the binding and the locked inputs for one locked adder:
+//! //    one problem, then a search on it. The search takes a cancel token;
+//! //    this one never fires.
 //! let candidates = profile.top_candidates_among(
 //!     &bench.dfg.ops_of_class(FuClass::Adder), 10);
 //! let fus = [FuId::new(FuClass::Adder, 0)];
-//! let design = codesign_heuristic(
-//!     &bench.dfg, &schedule, &alloc, &profile, &fus, 2, &candidates, &CancelToken::new())?;
+//! let problem = CoDesignProblem::new(
+//!     &bench.dfg, &schedule, &alloc, &profile, &fus, 2, &candidates)?;
+//! let design = problem.heuristic(&CancelToken::new())?;
 //! assert!(design.errors > 0);
 //!
 //! // 4. Realize the locked adder as a gate-level netlist.
@@ -71,9 +73,9 @@ pub mod prelude {
     };
     pub use lockbind_core::{
         application_impact, bind_area_aware, bind_exhaustive, bind_obfuscation_aware,
-        bind_power_aware, bind_random, codesign_heuristic, codesign_optimal, design_lock,
-        expected_application_errors, locked_sim, minterm_to_pattern, realize_locked_modules,
-        ApplicationImpact, DesignGoals, LockingSpec,
+        bind_power_aware, bind_random, design_lock, expected_application_errors, locked_sim,
+        minterm_to_pattern, realize_locked_modules, ApplicationImpact, CoDesignProblem,
+        DesignGoals, LockingSpec,
     };
     pub use lockbind_hls::{
         bind_naive, metrics, schedule_asap, schedule_list, Allocation, Binding, Dfg, FuClass, FuId,

@@ -102,17 +102,9 @@ fn codesign_dominates_obf_aware_with_any_fixed_choice() {
         };
         let candidates = profile.top_candidates_among(&dfg.ops_of_class(class), 5);
         let fus = [FuId::new(class, 0), FuId::new(class, 1)];
-        let cd = codesign_heuristic(
-            &dfg,
-            &schedule,
-            &alloc,
-            &profile,
-            &fus,
-            1,
-            &candidates,
-            &never,
-        )
-        .expect("feasible");
+        let cd = CoDesignProblem::new(&dfg, &schedule, &alloc, &profile, &fus, 1, &candidates)
+            .and_then(|problem| problem.heuristic(&never))
+            .expect("feasible");
         for &c0 in &candidates {
             for &c1 in &candidates {
                 let spec = LockingSpec::new(&alloc, vec![(fus[0], vec![c0]), (fus[1], vec![c1])])
@@ -144,28 +136,10 @@ fn optimal_codesign_beats_heuristic_nowhere_by_much() {
             FuId::new(FuClass::Multiplier, 0),
             FuId::new(FuClass::Multiplier, 1),
         ];
-        let opt = codesign_optimal(
-            &dfg,
-            &schedule,
-            &alloc,
-            &profile,
-            &fus,
-            2,
-            &candidates,
-            &never,
-        )
-        .expect("tractable");
-        let heur = codesign_heuristic(
-            &dfg,
-            &schedule,
-            &alloc,
-            &profile,
-            &fus,
-            2,
-            &candidates,
-            &never,
-        )
-        .expect("feasible");
+        let problem = CoDesignProblem::new(&dfg, &schedule, &alloc, &profile, &fus, 2, &candidates)
+            .expect("feasible");
+        let opt = problem.optimal(&never).expect("tractable");
+        let heur = problem.heuristic(&never).expect("feasible");
         assert!(heur.errors <= opt.errors);
         total_opt += opt.errors as f64;
         total_heur += heur.errors as f64;

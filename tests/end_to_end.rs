@@ -40,7 +40,7 @@ fn cost_function_matches_trace_replay_on_every_kernel() {
             FuClass::Adder
         };
         let candidates = profile.top_candidates_among(&bench.dfg.ops_of_class(class), 5);
-        let design = codesign_heuristic(
+        let design = CoDesignProblem::new(
             &bench.dfg,
             &schedule,
             &alloc,
@@ -48,8 +48,8 @@ fn cost_function_matches_trace_replay_on_every_kernel() {
             &[FuId::new(class, 0)],
             2.min(candidates.len()),
             &candidates,
-            &CancelToken::new(),
         )
+        .and_then(|problem| problem.heuristic(&CancelToken::new()))
         .expect("feasible");
 
         let replay =
@@ -68,7 +68,7 @@ fn realized_modules_corrupt_exactly_the_locked_minterms() {
     let schedule = schedule_list(&bench.dfg, &alloc).expect("schedulable");
     let profile = OccurrenceProfile::from_trace(&bench.dfg, &bench.trace).expect("profiled");
     let candidates = profile.top_candidates_among(&bench.dfg.ops_of_class(FuClass::Multiplier), 6);
-    let design = codesign_heuristic(
+    let design = CoDesignProblem::new(
         &bench.dfg,
         &schedule,
         &alloc,
@@ -76,8 +76,8 @@ fn realized_modules_corrupt_exactly_the_locked_minterms() {
         &[FuId::new(FuClass::Multiplier, 0)],
         2,
         &candidates,
-        &CancelToken::new(),
     )
+    .and_then(|problem| problem.heuristic(&CancelToken::new()))
     .expect("feasible");
 
     let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");
@@ -112,7 +112,7 @@ fn locked_module_behaves_like_fu_on_workload_values() {
     let schedule = schedule_list(&bench.dfg, &alloc).expect("schedulable");
     let profile = OccurrenceProfile::from_trace(&bench.dfg, &bench.trace).expect("profiled");
     let candidates = profile.top_candidates_among(&bench.dfg.ops_of_class(FuClass::Multiplier), 4);
-    let design = codesign_heuristic(
+    let design = CoDesignProblem::new(
         &bench.dfg,
         &schedule,
         &alloc,
@@ -120,8 +120,8 @@ fn locked_module_behaves_like_fu_on_workload_values() {
         &[FuId::new(FuClass::Multiplier, 0)],
         1,
         &candidates,
-        &CancelToken::new(),
     )
+    .and_then(|problem| problem.heuristic(&CancelToken::new()))
     .expect("feasible");
     let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");
     let (fu, locked) = &modules[0];

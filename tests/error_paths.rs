@@ -132,7 +132,8 @@ fn codesign_guard_message_suggests_heuristic() {
         FuId::new(FuClass::Adder, 1),
         FuId::new(FuClass::Adder, 2),
     ];
-    let err =
-        codesign_optimal(&bench.dfg, &sched, &alloc, &profile, &fus, 3, &many, &never).unwrap_err();
-    assert!(err.to_string().contains("codesign_heuristic"));
+    let err = CoDesignProblem::new(&bench.dfg, &sched, &alloc, &profile, &fus, 3, &many)
+        .and_then(|problem| problem.optimal(&never))
+        .unwrap_err();
+    assert!(err.to_string().contains("use CoDesignProblem::heuristic"));
 }

@@ -125,8 +125,9 @@ fn codesign_locks_y_for_17_errors() {
     let never = CancelToken::new();
     let (d, s, alloc, k, ops) = setup();
     let fu1 = FuId::new(FuClass::Adder, 0);
-    let out =
-        codesign_heuristic(&d, &s, &alloc, &k, &[fu1], 1, &[x(), y()], &never).expect("feasible");
+    let (fus, candidates) = ([fu1], [x(), y()]);
+    let problem = CoDesignProblem::new(&d, &s, &alloc, &k, &fus, 1, &candidates).expect("feasible");
+    let out = problem.heuristic(&never).expect("feasible");
     assert_eq!(out.errors, 17, "the paper's co-design result");
     assert_eq!(
         out.spec.minterms_of(fu1),
@@ -138,8 +139,7 @@ fn codesign_locks_y_for_17_errors() {
     assert_eq!(out.binding.fu(ops[3]), fu1);
 
     // And the optimal search agrees (2 candidates, 1 FU: trivially small).
-    let opt =
-        codesign_optimal(&d, &s, &alloc, &k, &[fu1], 1, &[x(), y()], &never).expect("searchable");
+    let opt = problem.optimal(&never).expect("searchable");
     assert_eq!(opt.errors, 17);
 }
 
