@@ -294,7 +294,6 @@ pub fn sat_attack(locked: &LockedNetlist, config: &AttackConfig) -> SatAttackOut
     let n = nl.num_inputs();
     let kb = nl.num_keys();
     let _span = obs::span!("attack.sat", inputs = n, key_bits = kb);
-    let _timer = obs::timer!("attack.sat");
     obs::counter!("sat.attacks").inc();
     assert!(n <= 63, "sat attack DIP packing supports at most 63 inputs");
 

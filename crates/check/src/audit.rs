@@ -72,7 +72,7 @@ pub const AUDIT_PASSES: &[Pass] = &[
 /// `audit.warnings` plus one dynamic `audit.code.LBxxxx` counter per
 /// distinct code, so audit outcomes surface in run metrics.
 pub fn audit_netlist(netlist: &Netlist) -> Report {
-    let _timer = obs::timer_sampled!("audit.netlist", 2);
+    let _span = obs::span!("audit.netlist");
     obs::counter!("audit.netlists").inc();
     let artifact = Artifact::new().with_netlist(netlist);
     let mut report = Report::new();

@@ -57,7 +57,6 @@ pub fn application_impact(
     trace: &Trace,
 ) -> Result<ApplicationImpact, CoreError> {
     let _span = obs::span!("app_impact", frames = trace.len());
-    let _timer = obs::timer!("app_impact");
     let mut total = 0u64;
     let mut affected = 0u64;
     let mut max_per_frame = 0u64;

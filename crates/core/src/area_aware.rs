@@ -24,7 +24,7 @@ pub fn bind_area_aware(
     alloc: &Allocation,
 ) -> Result<Binding, CoreError> {
     obs::counter!("bind.area.calls").inc();
-    let _timer = obs::timer!("bind.area");
+    let _span = obs::span!("bind.area");
     let lifetimes = value_lifetimes(dfg, schedule);
     let num_cycles = schedule.num_cycles();
 

@@ -44,10 +44,10 @@ pub fn expected_application_errors(
     profile: &OccurrenceProfile,
     spec: &LockingSpec,
 ) -> u64 {
-    // Called once per candidate combination in the co-design loops; hot
-    // enough that the timer samples 1/16 calls while the counter stays exact.
+    // Scores finished bindings only; per-combination scoring goes through
+    // `ErrorSweep`, so this is one span per call.
     obs::counter!("app_errors.evals").inc();
-    let _timer = obs::timer_sampled!("app_errors.eval", 4);
+    let _span = obs::span!("app_errors.eval");
     spec.iter()
         .map(|(fu, minterms)| {
             binding

@@ -140,7 +140,6 @@ pub fn output_corruption(
         frames = trace.len(),
         modules = modules.len()
     );
-    let _timer = obs::timer!("locked_sim.output_corruption");
     obs::counter!("locked_sim.evals").inc();
     obs::counter!("locked_sim.frames").add(trace.len() as u64);
     let mut frames_corrupted = 0u64;

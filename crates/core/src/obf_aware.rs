@@ -90,13 +90,10 @@ pub fn bind_obfuscation_aware(
     profile: &OccurrenceProfile,
     spec: &LockingSpec,
 ) -> Result<Binding, CoreError> {
-    // Called once per candidate combination inside the co-design loops —
-    // hundreds of thousands of times per sweep. That is far too hot for a
-    // span (spans are stage-granularity), so this uses the exact counter +
-    // sampled-timer layer; `cell.obf_aware` / `cell.codesign` spans bracket
-    // the callers.
+    // Per-combination scoring goes through `ErrorSweep`, so a full bind
+    // runs only a few hundred times per headline sweep: one span each.
     obs::counter!("bind.obf_aware.calls").inc();
-    let _timer = obs::timer_sampled!("bind.obf_aware", 4);
+    let _span = obs::span!("bind.obf_aware");
     for fu in spec.locked_fus() {
         if fu.index >= alloc.count(fu.class) {
             return Err(CoreError::UnknownFu { fu: fu.to_string() });
@@ -143,7 +140,7 @@ pub fn bind_obfuscation_aware_certified(
     spec: &LockingSpec,
 ) -> Result<(Binding, BindingCertificate), CoreError> {
     obs::counter!("bind.obf_aware.certified_calls").inc();
-    let _timer = obs::timer_sampled!("bind.obf_aware.certified", 4);
+    let _span = obs::span!("bind.obf_aware.certified");
     for fu in spec.locked_fus() {
         if fu.index >= alloc.count(fu.class) {
             return Err(CoreError::UnknownFu { fu: fu.to_string() });

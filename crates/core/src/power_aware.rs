@@ -29,7 +29,7 @@ pub fn bind_power_aware(
     switching: &SwitchingProfile,
 ) -> Result<Binding, CoreError> {
     obs::counter!("bind.power.calls").inc();
-    let _timer = obs::timer!("bind.power");
+    let _span = obs::span!("bind.power");
     let mut last_on: HashMap<FuId, OpId> = HashMap::new();
     let mut fu_of = vec![FuId::new(FuClass::Adder, 0); dfg.num_ops()];
     for t in 0..schedule.num_cycles() {

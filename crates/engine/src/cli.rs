@@ -239,20 +239,15 @@ impl EngineArgs {
         }
     }
 
-    /// Starts an observability session for this invocation: when `--trace`
-    /// or `--profile` was given, enables span collection and timers and
+    /// Starts an observability session for this invocation: installs the
+    /// span collector when `--trace` or `--profile` was given, and
     /// snapshots the metrics registry. Call **before** creating the engine
     /// and [`ObsSession::end_run`] after the last run; the session may span
     /// several `Engine::run` calls (e.g. `ablation`). The session keeps the
     /// `--json` path as it is now, so set a binary's default path first.
     pub fn obs_session(&self) -> ObsSession {
         let enabled = self.trace.is_some() || self.profile;
-        let collector = if enabled {
-            obs::set_profiling(true);
-            Some(obs::install_collector())
-        } else {
-            None
-        };
+        let collector = enabled.then(obs::install_collector);
         ObsSession {
             json: self.json.clone(),
             trace: self.trace.clone(),

@@ -28,6 +28,9 @@
 //! bucket layout (`lockbind_obs::hist`): each histogram is an object of
 //! its non-empty buckets, `{"upper": count}`, replacing the old
 //! `bounds`/`counts` arrays; all other fields are unchanged.
+//! Version 8 dropped the `timers` member of the `obs` object: spans are
+//! the one way to time a scope, and they are exported by `--trace` /
+//! `--profile`, not in the metrics JSON; all other fields are unchanged.
 
 use std::time::Duration;
 
@@ -37,7 +40,7 @@ use crate::cache::CacheStats;
 use lockbind_obs::Json;
 
 /// JSON schema version written by [`RunMetrics::to_json`].
-pub const METRICS_SCHEMA_VERSION: u64 = 7;
+pub const METRICS_SCHEMA_VERSION: u64 = 8;
 
 /// Request aggregates recorded by the serve daemon on the obs registry,
 /// one counter per terminal response status plus the coalescing count.
@@ -285,7 +288,7 @@ pub struct RunMetrics {
     /// Per-cell timings, in cell order (executed cells only).
     pub cells: Vec<CellTiming>,
     /// Observability-registry activity during this run (counters, gauges,
-    /// histograms, timers).
+    /// histograms).
     pub obs: MetricsSnapshot,
     /// Serve-daemon request aggregates from the run's `serve.*` counters
     /// (all zeros for batch runs).
@@ -504,7 +507,8 @@ mod tests {
         assert!(!summary.contains("skipped"), "{summary}");
         assert!(summary.contains("1 check-failed"), "{summary}");
         let json = metrics.to_json().render();
-        assert!(json.contains("\"schema_version\":7"));
+        assert!(json.contains("\"schema_version\":8"));
+        assert!(!json.contains("timers"), "v8 has no timer section: {json}");
         assert!(json.contains("\"cells_check_failed\":1"));
         assert!(json.contains("\"check_codes\":{\"LB0304\":2}"));
         assert!(json.contains("\"root_seed\":2021"));

@@ -142,7 +142,7 @@ impl fmt::Display for Binding {
 /// operations of a class than allocated units.
 pub fn bind_naive(dfg: &Dfg, schedule: &Schedule, alloc: &Allocation) -> Result<Binding, HlsError> {
     obs::counter!("hls.bind_naive.calls").inc();
-    let _timer = obs::timer!("hls.bind_naive");
+    let _span = obs::span!("hls.bind_naive");
     let mut fu_of = vec![FuId::new(FuClass::Adder, 0); dfg.num_ops()];
     for t in 0..schedule.num_cycles() {
         for class in FuClass::ALL {

@@ -2,18 +2,16 @@
 //! metrics registry, and exporters — hand-rolled, zero dependencies (the
 //! build environment has no registry access, like `compat/`).
 //!
-//! Three layers, by cost:
+//! Two tiers, by cost:
 //!
 //! * **Counters / gauges / histograms** ([`registry`], [`hist`]) — always
 //!   on. A relaxed atomic add on a handle cached in a `OnceLock`, cheap
 //!   enough for release builds and innermost loops (`matching.augment_paths`,
 //!   `sat.queries`, `codesign.combos_evaluated`, `cache.{hit,miss}`).
-//! * **Timers** ([`timing`]) — accumulating per-function wall clocks,
-//!   optionally sampling 1-in-2^k calls on hot leaves. Gated behind
-//!   [`set_profiling`]; a no-op load when off.
-//! * **Spans** ([`trace`]) — RAII guards with thread-local nesting, cell
-//!   tagging, and monotonic timestamps, delivered to a pluggable sink.
-//!   Enabled by installing a sink; a no-op load when off.
+//! * **Spans** ([`trace`]) — the one way to time a scope: RAII guards with
+//!   thread-local nesting, cell tagging, and monotonic timestamps,
+//!   delivered to a pluggable sink. Enabled by installing a sink; a no-op
+//!   load when off.
 //!
 //! Exporters: [`chrome::write_chrome_trace`] writes a
 //! chrome://tracing-compatible `trace.json`, [`profile::render_profile`]
@@ -29,7 +27,7 @@
 //!
 //! Metrics must record **deterministic work counts** — quantities that are
 //! identical at any worker count — never durations or scheduling facts.
-//! Wall time belongs in timers and spans, which are excluded from
+//! Wall time belongs in spans, which never reach the registry or
 //! [`MetricsSnapshot::render_deterministic`].
 //!
 //! [`Job::stage`]: https://docs.rs/lockbind-engine
@@ -40,7 +38,6 @@
 //! use lockbind_obs as obs;
 //!
 //! let collector = obs::trace::install_collector();
-//! obs::set_profiling(true);
 //!
 //! {
 //!     let _span = obs::span!("bind_cycle", cycle = 3u64);
@@ -51,7 +48,6 @@
 //! assert_eq!(spans[0].name, "bind_cycle");
 //! assert!(obs::Registry::global().snapshot().counters["matching.solves"] >= 1);
 //! obs::trace::set_sink(None);
-//! obs::set_profiling(false);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,7 +58,6 @@ pub mod hist;
 pub mod json;
 pub mod profile;
 pub mod registry;
-pub mod timing;
 pub mod trace;
 
 pub use chrome::{chrome_trace, write_chrome_trace};
@@ -70,7 +65,6 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use profile::render_profile;
 pub use registry::{Counter, Gauge, MetricsSnapshot, Registry};
-pub use timing::{profiling_enabled, set_profiling, Timer, TimerGuard, TimerStats};
 pub use trace::{
     install_collector, tracing_enabled, ArgValue, CellScope, CollectingSink, SpanGuard, SpanRecord,
     SpanSink,
@@ -103,30 +97,6 @@ macro_rules! histogram {
     ($name:expr) => {{
         static HANDLE: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
         HANDLE.get_or_init(|| $crate::Registry::global().histogram($name))
-    }};
-}
-
-/// Starts a timed call on the named global timer, returning the RAII
-/// guard: `let _t = obs::timer!("hls.schedule.list");`.
-#[macro_export]
-macro_rules! timer {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::Timer> = ::std::sync::OnceLock::new();
-        HANDLE
-            .get_or_init(|| $crate::Registry::global().timer($name))
-            .start()
-    }};
-}
-
-/// Like [`timer!`], but wall-clocks only every `2^LOG2`-th call — for hot
-/// leaves: `let _t = obs::timer_sampled!("matching.solve", 4);`.
-#[macro_export]
-macro_rules! timer_sampled {
-    ($name:expr, $log2:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::Timer> = ::std::sync::OnceLock::new();
-        HANDLE
-            .get_or_init(|| $crate::Registry::global().timer_sampled($name, $log2))
-            .start()
     }};
 }
 

@@ -1,8 +1,8 @@
 //! Plain-text per-stage profile table.
 //!
-//! Aggregates closed spans by name, merges in the accumulating timers, and
-//! renders a "where does the time go" table plus the counter / gauge /
-//! histogram sections of a metrics snapshot. Totals are summed across
+//! Aggregates closed spans by name and renders a "where does the time go"
+//! table plus the counter / gauge / histogram sections of a metrics
+//! snapshot. Totals are summed across
 //! workers, so a stage's `%wall` can exceed 100% on a parallel run —
 //! that's the parallel speedup, not an accounting error.
 
@@ -26,42 +26,20 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-struct Row {
-    name: String,
-    calls: u64,
-    total_ns: u64,
-    estimated: bool,
-}
-
 /// Renders the profile: a per-stage table over `spans` (aggregated by span
-/// name) and the timers, followed by the counters, gauges, and histograms
-/// of `snapshot`. `wall` is the end-to-end wall time the `%wall` column is
-/// relative to.
+/// name), followed by the counters, gauges, and histograms of `snapshot`.
+/// `wall` is the end-to-end wall time the `%wall` column is relative to.
 pub fn render_profile(spans: &[SpanRecord], snapshot: &MetricsSnapshot, wall: Duration) -> String {
-    let mut rows: BTreeMap<String, Row> = BTreeMap::new();
+    // (calls, total ns) per span name.
+    let mut by_name: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for span in spans.iter().filter(|s| !s.instant) {
-        let row = rows.entry(span.name.to_string()).or_insert_with(|| Row {
-            name: span.name.to_string(),
-            calls: 0,
-            total_ns: 0,
-            estimated: false,
-        });
-        row.calls += 1;
-        row.total_ns += span.dur_ns;
+        let (calls, total_ns) = by_name.entry(span.name).or_default();
+        *calls += 1;
+        *total_ns += span.dur_ns;
     }
-    for (name, stats) in &snapshot.timers {
-        // A name instrumented as both a span and a timer would double
-        // count; the workspace convention is one mechanism per site, and
-        // the span aggregate wins if both exist.
-        rows.entry(name.clone()).or_insert_with(|| Row {
-            name: name.clone(),
-            calls: stats.calls,
-            total_ns: stats.estimated_total_ns(),
-            estimated: stats.is_sampled(),
-        });
-    }
-    let mut rows: Vec<Row> = rows.into_values().collect();
-    rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
+    // Slowest first; the stable sort keeps ties in name order.
+    let mut rows: Vec<(&str, (u64, u64))> = by_name.into_iter().collect();
+    rows.sort_by_key(|&(_, (_, total_ns))| std::cmp::Reverse(total_ns));
 
     let wall_ns = wall.as_nanos().max(1) as f64;
     let mut out = String::new();
@@ -73,22 +51,21 @@ pub fn render_profile(spans: &[SpanRecord], snapshot: &MetricsSnapshot, wall: Du
         "{:<28} {:>10} {:>12} {:>12} {:>8}\n",
         "stage", "calls", "total", "mean", "%wall"
     ));
-    for row in &rows {
-        let mean = row.total_ns.checked_div(row.calls).unwrap_or(0);
-        let marker = if row.estimated { "~" } else { "" };
+    for &(name, (calls, total_ns)) in &rows {
+        let mean = total_ns.checked_div(calls).unwrap_or(0);
         out.push_str(&format!(
             "{:<28} {:>10} {:>12} {:>12} {:>7.1}%\n",
-            row.name,
-            row.calls,
-            format!("{marker}{}", fmt_ns(row.total_ns)),
+            name,
+            calls,
+            fmt_ns(total_ns),
             fmt_ns(mean),
-            row.total_ns as f64 / wall_ns * 100.0,
+            total_ns as f64 / wall_ns * 100.0,
         ));
     }
     if rows.is_empty() {
-        out.push_str("(no spans or timers recorded)\n");
+        out.push_str("(no spans recorded)\n");
     }
-    out.push_str("(totals sum across workers; ~ marks sampled estimates)\n");
+    out.push_str("(totals sum across workers)\n");
 
     if !snapshot.counters.is_empty() {
         out.push_str("\n── counters ──\n");
@@ -137,7 +114,7 @@ mod tests {
     }
 
     #[test]
-    fn table_merges_spans_and_timers_sorted_by_total() {
+    fn table_aggregates_spans_sorted_by_total() {
         let reg = Registry::new();
         reg.counter("sat.queries").add(12);
         reg.histogram("conflicts").record(3);
@@ -160,7 +137,7 @@ mod tests {
     #[test]
     fn empty_profile_says_so() {
         let table = render_profile(&[], &MetricsSnapshot::default(), Duration::from_secs(1));
-        assert!(table.contains("no spans or timers"), "{table}");
+        assert!(table.contains("no spans recorded"), "{table}");
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Global metrics registry: counters, gauges, log-linear histograms
-//! ([`crate::hist`]), and accumulating timers.
+//! Global metrics registry: counters, gauges, and log-linear histograms
+//! ([`crate::hist`]).
 //!
-//! Counters, gauges, and histograms are **always on**: recording is a
-//! relaxed atomic add on a pre-resolved handle (see the [`counter!`],
-//! [`gauge!`], and [`histogram!`] macros, which cache the registry lookup in
-//! a `OnceLock`), cheap enough to leave enabled in release builds. Timers
-//! are wall-clock samplers and are gated behind the profiling flag
-//! ([`crate::timing::set_profiling`]).
+//! Every metric is **always on**: recording is a relaxed atomic add on a
+//! pre-resolved handle (see the [`counter!`], [`gauge!`], and
+//! [`histogram!`] macros, which cache the registry lookup in a
+//! `OnceLock`), cheap enough to leave enabled in release builds. Wall time
+//! is the span tracer's business ([`crate::trace`]), never the registry's.
 //!
 //! Determinism contract: every counter/gauge/histogram in the workspace
 //! records *work counts* (matchings solved, SAT queries issued, combos
@@ -25,7 +24,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::json::Json;
-use crate::timing::{Timer, TimerStats};
 
 /// A monotonically increasing counter (relaxed atomic).
 #[derive(Clone, Debug, Default)]
@@ -69,19 +67,17 @@ impl Gauge {
 }
 
 /// A named collection of metrics. Most code uses [`Registry::global`] via
-/// the [`counter!`]/[`gauge!`]/[`histogram!`]/[`timer!`] macros; tests can
-/// build private registries.
+/// the [`counter!`]/[`gauge!`]/[`histogram!`] macros; tests can build
+/// private registries.
 ///
 /// [`counter!`]: crate::counter
 /// [`gauge!`]: crate::gauge
 /// [`histogram!`]: crate::histogram
-/// [`timer!`]: crate::timer
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    timers: Mutex<BTreeMap<String, Timer>>,
 }
 
 impl Registry {
@@ -126,25 +122,6 @@ impl Registry {
             .clone()
     }
 
-    /// Returns (registering on first use) the timer `name`, timing every
-    /// call when profiling is enabled.
-    pub fn timer(&self, name: &str) -> Timer {
-        self.timer_sampled(name, 0)
-    }
-
-    /// Returns (registering on first use) the timer `name`, wall-clocking
-    /// only every `2^sample_log2`-th call (for hot leaves where two
-    /// `Instant::now` reads per call would be measurable); `sample_log2`
-    /// applies only on first registration.
-    pub fn timer_sampled(&self, name: &str, sample_log2: u32) -> Timer {
-        self.timers
-            .lock()
-            .expect("registry poisoned")
-            .entry(name.to_string())
-            .or_insert_with(|| Timer::new(sample_log2))
-            .clone()
-    }
-
     /// A point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -169,13 +146,6 @@ impl Registry {
                 .iter()
                 .map(|(name, h)| (name.clone(), h.snapshot()))
                 .collect(),
-            timers: self
-                .timers
-                .lock()
-                .expect("registry poisoned")
-                .iter()
-                .map(|(name, t)| (name.clone(), t.stats()))
-                .collect(),
         }
     }
 }
@@ -192,8 +162,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Histogram buckets by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Timer accumulators by name.
-    pub timers: BTreeMap<String, TimerStats>,
 }
 
 impl MetricsSnapshot {
@@ -221,19 +189,10 @@ impl MetricsSnapshot {
                 (d.count() > 0).then(|| (name.clone(), d))
             })
             .collect();
-        let timers = self
-            .timers
-            .iter()
-            .filter_map(|(name, t)| {
-                let d = t.delta_from(earlier.timers.get(name).copied().unwrap_or_default());
-                (d.calls > 0).then(|| (name.clone(), d))
-            })
-            .collect();
         MetricsSnapshot {
             counters,
             gauges: self.gauges.clone(),
             histograms,
-            timers,
         }
     }
 
@@ -253,17 +212,13 @@ impl MetricsSnapshot {
 
     /// `true` when the snapshot records no activity at all.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.timers.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// A canonical text rendering of every **work count** in the snapshot:
-    /// counters, gauges, histogram buckets (the non-empty ones, as
-    /// `upper:count`), and timer *call* counts — never nanoseconds.
-    /// Byte-identical across worker counts for a deterministic workload;
-    /// this is what the determinism tests compare.
+    /// counters, gauges, and histogram buckets (the non-empty ones, as
+    /// `upper:count`). Byte-identical across worker counts for a
+    /// deterministic workload; this is what the determinism tests compare.
     pub fn render_deterministic(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
@@ -276,14 +231,11 @@ impl MetricsSnapshot {
             let buckets: Vec<String> = h.buckets().map(|(u, c)| format!("{u}:{c}")).collect();
             out.push_str(&format!("histogram {name} [{}]\n", buckets.join(",")));
         }
-        for (name, t) in &self.timers {
-            out.push_str(&format!("timer {name} calls={}\n", t.calls));
-        }
         out
     }
 
-    /// The snapshot as a JSON tree (includes timing data). Histograms
-    /// render as objects of their non-empty buckets, `{"upper": count}`.
+    /// The snapshot as a JSON tree. Histograms render as objects of their
+    /// non-empty buckets, `{"upper": count}`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
@@ -303,20 +255,6 @@ impl MetricsSnapshot {
                 Json::obj(self.histograms.iter().map(|(k, h)| {
                     let buckets = h.buckets().map(|(u, c)| (u.to_string(), Json::from(c)));
                     (k.clone(), Json::obj(buckets))
-                })),
-            ),
-            (
-                "timers",
-                Json::obj(self.timers.iter().map(|(k, t)| {
-                    (
-                        k.clone(),
-                        Json::obj([
-                            ("calls", Json::from(t.calls)),
-                            ("sampled", Json::from(t.sampled)),
-                            ("sampled_ns", Json::from(t.sampled_ns)),
-                            ("est_total_ns", Json::from(t.estimated_total_ns())),
-                        ]),
-                    )
                 })),
             ),
         ])
@@ -405,6 +343,5 @@ mod tests {
         let json = reg.snapshot().to_json().render();
         assert!(json.contains("\"c\":3"), "{json}");
         assert!(json.contains("\"h\":{\"1\":1}"), "{json}");
-        assert!(json.contains("\"timers\":{}"), "{json}");
     }
 }

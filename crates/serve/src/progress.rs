@@ -4,10 +4,14 @@
 //! (`prepare.kernel`, `codesign.heuristic`, ...), each tagged with the
 //! cell id of the enclosing [`CellScope`]. The server runs every
 //! request under a unique cell id, so progress streaming is pure
-//! routing: a process-global [`ProgressRouter`] installed as the span
-//! sink forwards each closed span to the subscriber registered for its
-//! cell id, if any. Requests without `progress: true` have no
-//! subscriber and cost one map lookup per span.
+//! routing: a process-global [`ProgressRouter`] forwards each closed span
+//! to the subscriber registered for its cell id, if any.
+//!
+//! The router is the global span sink only while it has a subscriber.
+//! With no `progress: true` request in flight, opening a span in the
+//! daemon is one relaxed load, as in any untraced run; while one is in
+//! flight, concurrent requests record their spans too and each costs one
+//! map lookup that finds no subscriber.
 //!
 //! Progress frames carry the span *name* and a per-request ordinal, not
 //! durations — a deterministic job therefore emits a deterministic
@@ -33,6 +37,9 @@ struct Subscriber {
 #[derive(Default)]
 pub struct ProgressRouter {
     subscribers: Mutex<HashMap<u64, Arc<Subscriber>>>,
+    /// Whether the router installs itself as the global span sink while
+    /// it has a subscriber (only [`ProgressRouter::global`] does).
+    owns_sink: bool,
 }
 
 /// Monotonic request-sequence source: unique cell ids across every
@@ -47,27 +54,32 @@ pub fn next_request_seq() -> u64 {
 static ROUTER: OnceLock<Arc<ProgressRouter>> = OnceLock::new();
 
 impl ProgressRouter {
-    /// The process-global router, installed as the global span sink on
-    /// first use.
+    /// The process-global router, the global span sink while it has a
+    /// subscriber.
     pub fn global() -> &'static Arc<ProgressRouter> {
         ROUTER.get_or_init(|| {
-            let router = Arc::new(ProgressRouter::default());
-            set_sink(Some(Arc::clone(&router) as Arc<dyn SpanSink>));
-            router
+            Arc::new(ProgressRouter {
+                owns_sink: true,
+                ..ProgressRouter::default()
+            })
         })
     }
 
     /// Registers `callback` for spans of request `seq`. Returns a guard
     /// that unregisters on drop (also covering panic unwinds).
-    pub fn subscribe(&self, seq: u64, callback: ProgressFn) -> ProgressGuard<'_> {
+    pub fn subscribe(self: &Arc<Self>, seq: u64, callback: ProgressFn) -> ProgressGuard<'_> {
         let subscriber = Arc::new(Subscriber {
             ordinal: AtomicU64::new(0),
             callback,
         });
-        self.subscribers
-            .lock()
-            .expect("progress router poisoned")
-            .insert(seq, subscriber);
+        let mut map = self.subscribers.lock().expect("progress router poisoned");
+        map.insert(seq, subscriber);
+        // The sink changes under the map lock, so it is installed exactly
+        // while the map is non-empty. `record` never holds the sink lock
+        // while it takes the map lock, so the order cannot deadlock.
+        if self.owns_sink && map.len() == 1 {
+            set_sink(Some(Arc::clone(self) as Arc<dyn SpanSink>));
+        }
         ProgressGuard { router: self, seq }
     }
 }
@@ -96,11 +108,15 @@ pub struct ProgressGuard<'a> {
 
 impl Drop for ProgressGuard<'_> {
     fn drop(&mut self) {
-        self.router
+        let mut map = self
+            .router
             .subscribers
             .lock()
-            .expect("progress router poisoned")
-            .remove(&self.seq);
+            .expect("progress router poisoned");
+        map.remove(&self.seq);
+        if self.router.owns_sink && map.is_empty() {
+            set_sink(None);
+        }
     }
 }
 
@@ -126,7 +142,7 @@ mod tests {
     fn routes_by_cell_and_unsubscribes_on_drop() {
         // A private router instance: the global one would install itself
         // as the process-wide span sink, which other tests don't expect.
-        let router = ProgressRouter::default();
+        let router = Arc::new(ProgressRouter::default());
         let seen = Arc::new(Mutex::new(Vec::new()));
         {
             let sink = Arc::clone(&seen);

@@ -427,8 +427,6 @@ fn durable_persist(shared: &Shared, work: &Work, body: &WorkBody) {
 /// # Errors
 /// Propagates bind errors.
 pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
-    // Force the progress router into place before any request runs.
-    let _ = ProgressRouter::global();
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;

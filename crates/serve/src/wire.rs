@@ -181,15 +181,19 @@ pub fn read_frame(
     }
 }
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) and flushes. The frame goes
+/// out in one write, so an unbuffered `TcpStream` with `TCP_NODELAY`
+/// sends it as one segment rather than a 4-byte one plus the payload.
 ///
 /// # Errors
 /// Propagates I/O errors; payloads beyond `u32::MAX` are rejected.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 

@@ -291,10 +291,24 @@ fn progress_frames_stream_span_names() {
         .iter()
         .filter_map(|doc| doc["span"].as_str().map(str::to_string))
         .collect();
-    assert!(
-        spans.iter().any(|s| s == "prepare.kernel"),
-        "expected a prepare.kernel progress frame, got {spans:?}"
-    );
+    // One frame per closed span of the request, in close order: the
+    // stage spans plus every call-site span (each of the three bindings
+    // solves one matching per control step and FU class in use).
+    let solves = |n: usize| std::iter::repeat_n("matching.solve", n);
+    let expected: Vec<&str> = ["hls.schedule.list", "prepare.kernel"]
+        .into_iter()
+        .chain(solves(10))
+        .chain(["bind.area"])
+        .chain(solves(10))
+        .chain(["bind.power", "prepare.class_context"])
+        .chain(solves(10))
+        .chain(["bind.obf_aware"])
+        .chain(["app_errors.eval"; 3])
+        .chain(["bind"])
+        .collect();
+    assert_eq!(spans, expected);
+    // The router is the span sink only while the request subscribed.
+    assert!(!lockbind_obs::tracing_enabled());
     assert_eq!(handle.drain_and_join().dropped, 0);
 }
 

@@ -39,7 +39,7 @@ pub mod slo;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -180,7 +180,11 @@ struct TenantTelemetry {
     ok: AtomicU64,
     errors: AtomicU64,
     shed: AtomicU64,
-    inflight: AtomicU64,
+    /// Admits minus responses. The server admits a request to the workers
+    /// before it calls [`Telemetry::on_admit`], so a fast worker's
+    /// response can land first and drive this briefly negative; it is read
+    /// as `max(0, v)`.
+    inflight: AtomicI64,
     window_requests: WindowedCounter,
     window_shed: WindowedCounter,
 }
@@ -200,7 +204,7 @@ impl TenantTelemetry {
             ok: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
+            inflight: AtomicI64::new(0),
             window_requests: WindowedCounter::new(cfg.epoch_slots),
             window_shed: WindowedCounter::new(cfg.epoch_slots),
         }
@@ -323,10 +327,7 @@ impl Telemetry {
         } else {
             t.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let prev = t.inflight.load(Ordering::Relaxed);
-        if prev > 0 {
-            t.inflight.fetch_sub(1, Ordering::Relaxed);
-        }
+        t.inflight.fetch_sub(1, Ordering::Relaxed);
         t.latency_window.record(latency_us);
         t.latency_total.record(latency_us);
         t.slo.record(t.slo.classify(ok, latency_us));
@@ -414,7 +415,7 @@ impl Telemetry {
                 ok: t.ok.load(Ordering::Relaxed),
                 errors: t.errors.load(Ordering::Relaxed),
                 shed: t.shed.load(Ordering::Relaxed),
-                inflight: t.inflight.load(Ordering::Relaxed),
+                inflight: t.inflight.load(Ordering::Relaxed).max(0) as u64,
                 window_requests: t.window_requests.sum(),
                 window_shed: t.window_shed.sum(),
                 latency_window: t.latency_window.snapshot(),
@@ -636,6 +637,17 @@ mod tests {
         assert_eq!(lat.count, 100);
         assert!(lat.p50 >= 100 && lat.p50 <= 210, "p50 {}", lat.p50);
         assert!(lat.p999 >= lat.p50);
+    }
+
+    #[test]
+    fn response_before_admit_leaves_nothing_inflight() {
+        // A worker may answer before the server records the admission.
+        let t = Telemetry::new(fast_cfg());
+        t.on_response(1, "alpha", true, 50);
+        assert_eq!(t.snapshot().tenants[0].inflight, 0, "never reads negative");
+        t.on_admit(1, "alpha");
+        let alpha = &t.snapshot().tenants[0];
+        assert_eq!((alpha.requests, alpha.ok, alpha.inflight), (1, 1, 0));
     }
 
     #[test]

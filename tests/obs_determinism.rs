@@ -1,19 +1,31 @@
 //! Observability determinism: the metrics registry must record *work*, not
 //! *scheduling*, so a traced run at 1 worker and at 4 workers reports
-//! byte-identical deterministic metric totals. The grid mixes error cells
-//! (matching and co-design counters) with SAT-attack cells, so the
-//! registry's histograms (`sat.glue`, `sat.conflicts_per_dip`) are
-//! rendered and compared too.
+//! byte-identical deterministic metric totals and the same number of spans
+//! of each name. The grid mixes error cells (matching and co-design
+//! counters) with SAT-attack cells, so the registry's histograms
+//! (`sat.glue`, `sat.conflicts_per_dip`) are rendered and compared too.
 //!
 //! This test lives alone in its own test binary: it compares deltas of the
-//! process-global registry, and concurrent tests in the same process would
-//! bleed counters into the windows being compared.
+//! process-global registry and drains the process-global span sink, and
+//! concurrent tests in the same process would bleed counters and spans into
+//! the windows being compared.
+
+use std::collections::BTreeMap;
 
 use lockbind_bench::{error_grid, ExperimentParams, HeadlineCell, SatCell, SatScheme};
 use lockbind_engine::{Engine, EngineConfig};
 use lockbind_mediabench::Kernel;
+use lockbind_obs as obs;
 
-fn run_grid(threads: usize) -> String {
+/// One traced run of the grid: the deterministic metric render, the
+/// run's counters, and the number of closed spans of each name.
+struct Run {
+    render: String,
+    counters: BTreeMap<String, u64>,
+    spans: BTreeMap<&'static str, u64>,
+}
+
+fn run_grid(threads: usize) -> Run {
     let engine = Engine::new(EngineConfig {
         threads,
         root_seed: 2021,
@@ -38,32 +50,60 @@ fn run_grid(threads: usize) -> String {
             .into_iter()
             .map(|scheme| HeadlineCell::Sat(SatCell { scheme, width: 3 })),
     );
+    let collector = obs::install_collector();
     let report = engine.run(&cells);
+    obs::trace::set_sink(None);
     assert_eq!(report.metrics.cells_ok, cells.len(), "no cell may fail");
-    report.metrics.obs.render_deterministic()
+    let mut spans = BTreeMap::new();
+    for span in collector.drain_sorted() {
+        *spans.entry(span.name).or_insert(0) += 1;
+    }
+    Run {
+        render: report.metrics.obs.render_deterministic(),
+        counters: report.metrics.obs.counters,
+        spans,
+    }
 }
 
 #[test]
 fn metric_totals_are_identical_across_worker_counts() {
-    // Timers on: their *call counts* are part of the deterministic render
-    // (durations are not) and must also be scheduling-independent.
-    lockbind_obs::set_profiling(true);
-
     let serial = run_grid(1);
+    let render = &serial.render;
     assert!(
-        serial.contains("counter matching.solves"),
-        "expected matching counters in:\n{serial}"
+        render.contains("counter matching.solves"),
+        "expected matching counters in:\n{render}"
     );
-    assert!(serial.contains("counter cache.miss"));
+    assert!(render.contains("counter cache.miss"));
     for hist in ["histogram sat.glue ", "histogram sat.conflicts_per_dip "] {
-        assert!(serial.contains(hist), "expected {hist:?} in:\n{serial}");
+        assert!(render.contains(hist), "expected {hist:?} in:\n{render}");
+    }
+
+    // Each hot call site opens exactly one span per call its counter
+    // counts, so a lost or doubled span shows up here.
+    for (span, counter) in [
+        ("matching.solve", "matching.solves"),
+        ("bind.obf_aware", "bind.obf_aware.calls"),
+        ("app_errors.eval", "app_errors.evals"),
+        ("attack.sat", "sat.attacks"),
+    ] {
+        let calls = serial.counters.get(counter).copied().unwrap_or(0);
+        assert!(calls > 0, "the grid never reached {counter}");
+        assert_eq!(
+            serial.spans.get(span).copied().unwrap_or(0),
+            calls,
+            "{span} spans vs the {counter} counter"
+        );
     }
 
     for threads in [4, 7] {
         let parallel = run_grid(threads);
         assert_eq!(
-            serial, parallel,
+            serial.render, parallel.render,
             "deterministic metric totals diverged at {threads} workers"
+        );
+        assert_eq!(
+            serial.spans, parallel.spans,
+            "per-name span counts diverged at {threads} workers"
         );
     }
 }
