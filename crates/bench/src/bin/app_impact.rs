@@ -39,7 +39,7 @@ fn main() {
         let fus = [FuId::new(class, 0), FuId::new(class, 1)];
         let design = p
             .codesign_problem(&fus, 2, &candidates)
-            .and_then(|problem| problem.heuristic(&CancelToken::new()))
+            .and_then(|problem| problem.realize(&problem.heuristic(&CancelToken::new())?))
             .expect("feasible");
         let area = bind_area_aware(&p.dfg, &p.schedule, &p.alloc).expect("feasible");
 

@@ -210,7 +210,7 @@ fn lint_kernels(frames: usize, seed: u64) -> ExitCode {
             // rebind for its chosen spec (LB0406 otherwise).
             let design = match p
                 .codesign_problem(&[FuId::new(class, 0)], 2.min(candidates.len()), &candidates)
-                .and_then(|problem| problem.heuristic(&CancelToken::new()))
+                .and_then(|problem| problem.realize(&problem.heuristic(&CancelToken::new())?))
             {
                 Ok(d) => d,
                 Err(e) => {

@@ -428,7 +428,8 @@ impl<'a> Cell<'a> {
     }
 
     /// Co-design half: the heuristic always; the exact search when the
-    /// problem's configurations fit `optimal_budget`.
+    /// problem's configurations fit `optimal_budget`. Each record reads
+    /// its search's sweep score; no choice is bound.
     ///
     /// Ratio convention (matching the paper's Fig. 4 bottom, where co-design
     /// ratios are far above the obf-aware ones): the co-design error count
@@ -452,10 +453,10 @@ impl<'a> Cell<'a> {
             self.record(algo, vs_area, vs_power, errors as f64)
         };
         let heuristic = self.problem.heuristic(cancel)?;
-        let mut out = vec![record(SecurityAlgo::CoDesignHeuristic, heuristic.errors)];
+        let mut out = vec![record(SecurityAlgo::CoDesignHeuristic, heuristic.errors())];
         if self.problem.configurations() <= optimal_budget {
             let optimal = self.problem.optimal(cancel)?;
-            out.push(record(SecurityAlgo::CoDesignOptimal, optimal.errors));
+            out.push(record(SecurityAlgo::CoDesignOptimal, optimal.errors()));
         }
         Ok(out)
     }

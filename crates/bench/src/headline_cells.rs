@@ -73,7 +73,7 @@ impl Job for ImpactCell {
         let candidates = prepared.candidates(class, 8);
         let design = prepared
             .codesign_problem(&[FuId::new(class, 0)], 2.min(candidates.len()), &candidates)
-            .and_then(|problem| problem.heuristic(&ctx.cancel))
+            .and_then(|problem| problem.realize(&problem.heuristic(&ctx.cancel)?))
             .map_err(|e| e.to_string())?;
         // `--check` mode: lint the co-designed lock end to end — the
         // certificate-assignment pass proves `design.binding` is the

@@ -61,9 +61,8 @@ pub fn measure_overhead(
         for locked_fus in 1..=3usize.min(prepared.alloc.count(class)) {
             let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(class, i)).collect();
             for locked_inputs in 1..=3usize.min(candidates.len()) {
-                let heur = prepared
-                    .codesign_problem(&fus, locked_inputs, &candidates)?
-                    .heuristic(&CancelToken::new())?;
+                let problem = prepared.codesign_problem(&fus, locked_inputs, &candidates)?;
+                let heur = problem.realize(&problem.heuristic(&CancelToken::new())?)?;
 
                 // Representative fixed spec for obf-aware: the first
                 // candidate minterms per FU (a designer-specified set).

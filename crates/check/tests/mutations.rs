@@ -266,7 +266,7 @@ proptest! {
             true_max = true_max.max(exact);
         }
         let opt = problem.optimal(&CancelToken::new()).expect("searchable");
-        prop_assert_eq!(opt.errors, true_max, "CoDesignProblem::optimal missed the optimum");
+        prop_assert_eq!(opt.errors(), true_max, "CoDesignProblem::optimal missed the optimum");
     }
 
     /// Sweep exactness with two and three locked adders: every
@@ -310,7 +310,7 @@ proptest! {
             true_max = true_max.max(exact);
         }
         let opt = problem.optimal(&CancelToken::new()).expect("searchable");
-        prop_assert_eq!(opt.errors, true_max, "CoDesignProblem::optimal missed the optimum");
+        prop_assert_eq!(opt.errors(), true_max, "CoDesignProblem::optimal missed the optimum");
     }
 
     /// Mutation: inflate one column potential of a cycle certificate. An

@@ -37,8 +37,13 @@
 //! `C(|C|, m)^{|L|}` product: a maximum multiset stands for its
 //! lowest-rank ordering in the legacy mixed-radix order (each class's
 //! largest combinations on its lowest slots), and ties keep the lower
-//! rank. Either search ends with one cold [`bind_obfuscation_aware`] solve
-//! on its winner, which reproduces the byte-exact legacy binding and spec.
+//! rank.
+//!
+//! Either search returns a [`CoDesignChoice`]: the winner's columns and the
+//! score the sweep gave it, with no binding solve. A caller that needs the
+//! binding and the spec calls [`CoDesignProblem::realize`], one cold
+//! [`bind_obfuscation_aware`] solve that reproduces the byte-exact legacy
+//! binding and spec.
 
 use std::cmp::Reverse;
 
@@ -66,6 +71,29 @@ pub struct CoDesignOutcome {
     pub spec: LockingSpec,
     /// Expected application errors of (binding, spec) over the workload.
     pub errors: u64,
+}
+
+/// A search's winner: one combination per locked slot and the Eqn. 2
+/// errors the sweep scored for it. Only the searches make one;
+/// [`CoDesignProblem::realize`] turns it into a binding and a spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CoDesignChoice {
+    columns: Vec<usize>,
+    errors: u64,
+}
+
+impl CoDesignChoice {
+    /// Per locked slot, the index of its combination in
+    /// [`CoDesignProblem::combinations`].
+    pub fn columns(&self) -> &[usize] {
+        &self.columns
+    }
+
+    /// Expected application errors (Eqn. 2) of the choice, as the sweep
+    /// scored it: what [`CoDesignProblem::realize`] computes cold.
+    pub fn errors(&self) -> u64 {
+        self.errors
+    }
 }
 
 /// One co-design problem: a scheduled, profiled kernel, its locked FUs, the
@@ -184,10 +212,9 @@ impl<'a> CoDesignProblem<'a> {
     /// [`CoreError::SearchSpaceTooLarge`] when
     /// [`configurations`](Self::configurations) exceeds
     /// [`OPTIMAL_SEARCH_LIMIT`] (use [`heuristic`](Self::heuristic)
-    /// instead), [`CoreError::Interrupted`] when the token fires
-    /// mid-search, and anything the final [`bind_obfuscation_aware`] can
-    /// return.
-    pub fn optimal(&self, cancel: &CancelToken) -> Result<CoDesignOutcome, CoreError> {
+    /// instead) and [`CoreError::Interrupted`] when the token fires
+    /// mid-search.
+    pub fn optimal(&self, cancel: &CancelToken) -> Result<CoDesignChoice, CoreError> {
         let _span = obs::span!(
             "codesign.optimal",
             locked_fus = self.locked_fus.len(),
@@ -238,25 +265,24 @@ impl<'a> CoDesignProblem<'a> {
         let searched = search.visit(0);
         obs::counter!("codesign.combos_evaluated").add(search.evaluated);
         searched?;
-        let (_, _, digits) = search.best.expect("at least one leaf scored");
-        self.realize(&digits)
+        let (errors, _, columns) = search.best.expect("at least one leaf scored");
+        Ok(CoDesignChoice { columns, errors })
     }
 
     /// The paper's P-time co-design heuristic (Sec. V-A): locked FUs are
     /// processed one at a time. For the FU under consideration every
     /// combination is scored on the sweep, with earlier FUs' choices fixed
     /// and later FUs unlocked; the first best combination is frozen, and
-    /// the process repeats. The result is the cold obfuscation-aware
-    /// binding of the complete spec.
+    /// the process repeats. The choice's errors are the last slot's best
+    /// score, the sweep's score of the complete spec.
     ///
-    /// Costs `|L| · C(|C|, m)` sweep scores plus one cold re-bind:
-    /// polynomial time for bounded `m`. `cancel` is polled once per score.
+    /// Costs `|L| · C(|C|, m)` sweep scores: polynomial time for bounded
+    /// `m`. `cancel` is polled once per score.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Interrupted`] when the token fires mid-search, and
-    /// anything the final [`bind_obfuscation_aware`] can return.
-    pub fn heuristic(&self, cancel: &CancelToken) -> Result<CoDesignOutcome, CoreError> {
+    /// [`CoreError::Interrupted`] when the token fires mid-search.
+    pub fn heuristic(&self, cancel: &CancelToken) -> Result<CoDesignChoice, CoreError> {
         let _span = obs::span!(
             "codesign.heuristic",
             locked_fus = self.locked_fus.len(),
@@ -267,6 +293,7 @@ impl<'a> CoDesignProblem<'a> {
         // "not-yet-fixed FUs absent from the spec").
         let mut cols = vec![self.sweep.unlocked_column(); self.locked_fus.len()];
         let mut evaluated = 0u64;
+        let mut last_best = None;
         for k in 0..cols.len() {
             let mut best: Option<(u64, usize)> = None;
             for ci in 0..self.combos.len() {
@@ -285,21 +312,37 @@ impl<'a> CoDesignProblem<'a> {
                     best = Some((errors, ci));
                 }
             }
-            cols[k] = best.expect("combos non-empty").1;
+            let (errors, ci) = best.expect("combos non-empty");
+            cols[k] = ci;
+            last_best = Some(errors);
         }
         obs::counter!("codesign.combos_evaluated").add(evaluated);
-        self.realize(&cols)
+        // With no locked FU the spec is empty; score it.
+        let errors = last_best.unwrap_or_else(|| self.sweep.score(&cols));
+        Ok(CoDesignChoice {
+            columns: cols,
+            errors,
+        })
     }
 
-    /// Solves the configuration `cols` cold: its [`LockingSpec`], the
+    /// Solves a search's choice cold: its [`LockingSpec`], the
     /// [`bind_obfuscation_aware`] binding and Eqn. 2. This reproduces the
-    /// legacy binding byte-exactly and double-checks the sweep's score.
-    fn realize(&self, cols: &[usize]) -> Result<CoDesignOutcome, CoreError> {
+    /// legacy binding byte-exactly; debug builds also check that Eqn. 2
+    /// equals the choice's sweep score. `choice` must come from a search on
+    /// this problem.
+    ///
+    /// # Errors
+    /// Anything [`LockingSpec::new`] and [`bind_obfuscation_aware`] can
+    /// return.
+    ///
+    /// # Panics
+    /// Panics on a column past [`combinations`](Self::combinations).
+    pub fn realize(&self, choice: &CoDesignChoice) -> Result<CoDesignOutcome, CoreError> {
         let _span = obs::span!("codesign.rebind");
         let entries: Vec<(FuId, Vec<Minterm>)> = self
             .locked_fus
             .iter()
-            .zip(cols)
+            .zip(&choice.columns)
             .map(|(&fu, &ci)| {
                 let minterms = self.combos[ci].iter().map(|&i| self.candidates[i]);
                 (fu, minterms.collect())
@@ -310,8 +353,7 @@ impl<'a> CoDesignProblem<'a> {
             bind_obfuscation_aware(self.dfg, self.schedule, self.alloc, self.profile, &spec)?;
         let errors = expected_application_errors(&binding, self.profile, &spec);
         debug_assert_eq!(
-            errors,
-            self.sweep.score(cols),
+            errors, choice.errors,
             "sweep score must equal realized Eqn. 2 errors"
         );
         Ok(CoDesignOutcome {
@@ -322,9 +364,9 @@ impl<'a> CoDesignProblem<'a> {
     }
 }
 
-/// [`CoDesignProblem::heuristic`] in its old free-function form, kept only
-/// because the frozen `perfbench` harness calls it. Delete at the next
-/// benchmark change.
+/// [`CoDesignProblem::heuristic`] and [`CoDesignProblem::realize`] in
+/// their old free-function form, kept only because the frozen `perfbench`
+/// harness calls it. Delete at the next benchmark change.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn codesign_heuristic_cancellable(
@@ -337,7 +379,7 @@ pub fn codesign_heuristic_cancellable(
     candidates: &[Minterm],
     cancel: &CancelToken,
 ) -> Result<CoDesignOutcome, CoreError> {
-    CoDesignProblem::new(
+    let problem = CoDesignProblem::new(
         dfg,
         schedule,
         alloc,
@@ -345,8 +387,8 @@ pub fn codesign_heuristic_cancellable(
         locked_fus,
         inputs_per_fu,
         candidates,
-    )?
-    .heuristic(cancel)
+    )?;
+    problem.realize(&problem.heuristic(cancel)?)
 }
 
 /// The optimal search's state: a depth-first branch-and-bound over the
@@ -516,8 +558,8 @@ mod tests {
         let opt = problem.optimal(&never).expect("searchable");
         let heu = problem.heuristic(&never).expect("feasible");
         // Single FU: the heuristic IS the optimal search.
-        assert_eq!(opt.errors, heu.errors);
-        assert!(opt.errors > 0);
+        assert_eq!(opt.errors(), heu.errors());
+        assert!(opt.errors() > 0);
     }
 
     #[test]
@@ -529,13 +571,13 @@ mod tests {
             CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates).unwrap();
         let opt = problem.optimal(&never).expect("searchable");
         let heu = problem.heuristic(&never).expect("feasible");
-        assert!(heu.errors <= opt.errors);
+        assert!(heu.errors() <= opt.errors());
         // Paper reports <0.5% degradation; allow 5% slack on our stand-ins.
         assert!(
-            heu.errors as f64 >= 0.95 * opt.errors as f64,
+            heu.errors() as f64 >= 0.95 * opt.errors() as f64,
             "heuristic {} vs optimal {}",
-            heu.errors,
-            opt.errors
+            heu.errors(),
+            opt.errors()
         );
     }
 
@@ -554,7 +596,7 @@ mod tests {
             let bind =
                 bind_obfuscation_aware(&dfg, &sched, &alloc, &profile, &spec).expect("feasible");
             let e = expected_application_errors(&bind, &profile, &spec);
-            assert!(e <= heu.errors);
+            assert!(e <= heu.errors());
         }
     }
 
@@ -614,7 +656,7 @@ mod tests {
             let (dfg, sched, alloc, profile, candidates) = setup(kernel);
             let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 2)];
             let fast = CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
-                .and_then(|problem| problem.optimal(&never))
+                .and_then(|problem| problem.realize(&problem.optimal(&never)?))
                 .expect("searchable");
             let slow = optimal_reference(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates);
             assert_eq!(fast.errors, slow.errors, "{kernel:?}");

@@ -67,7 +67,8 @@ mod sweep;
 pub use app_error::{application_impact, ApplicationImpact};
 pub use area_aware::bind_area_aware;
 pub use codesign::{
-    codesign_heuristic_cancellable, CoDesignOutcome, CoDesignProblem, OPTIMAL_SEARCH_LIMIT,
+    codesign_heuristic_cancellable, CoDesignChoice, CoDesignOutcome, CoDesignProblem,
+    OPTIMAL_SEARCH_LIMIT,
 };
 pub use combinations::combinations;
 pub use cost::expected_application_errors;

@@ -58,7 +58,8 @@ pub struct MethodologyOutcome {
 ///
 /// [`CoreError::ErrorTargetUnreachable`] if even `max_inputs_per_fu` locked
 /// inputs per FU cannot reach the error target, plus anything
-/// [`CoDesignProblem::new`] and [`CoDesignProblem::heuristic`] can return.
+/// [`CoDesignProblem::new`], [`CoDesignProblem::heuristic`] and
+/// [`CoDesignProblem::realize`] can return.
 pub fn design_lock(
     dfg: &Dfg,
     schedule: &Schedule,
@@ -71,7 +72,7 @@ pub fn design_lock(
     let input_bits = 2 * dfg.width();
     let mut best_errors = 0u64;
     for inputs_per_fu in 1..=goals.max_inputs_per_fu.min(candidates.len()) {
-        let design = CoDesignProblem::new(
+        let problem = CoDesignProblem::new(
             dfg,
             schedule,
             alloc,
@@ -79,10 +80,10 @@ pub fn design_lock(
             locked_fus,
             inputs_per_fu,
             candidates,
-        )?
-        .heuristic(&CancelToken::new())?;
-        best_errors = best_errors.max(design.errors);
-        if design.errors >= goals.min_application_errors {
+        )?;
+        let choice = problem.heuristic(&CancelToken::new())?;
+        best_errors = best_errors.max(choice.errors());
+        if choice.errors() >= goals.min_application_errors {
             // Weakest-FU resilience: ε grows with the per-FU locked-input
             // count; with identical counts per FU all FUs tie.
             let key_bits = (inputs_per_fu as u32) * input_bits;
@@ -95,7 +96,7 @@ pub fn design_lock(
             let sat_iterations = expected_sat_iterations(key_bits.min(1023), 1, eps);
             return Ok(MethodologyOutcome {
                 needs_exponential_scheme: sat_iterations < goals.min_sat_iterations,
-                design,
+                design: problem.realize(&choice)?,
                 inputs_per_fu,
                 sat_iterations,
             });

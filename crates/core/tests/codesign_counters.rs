@@ -28,7 +28,7 @@ fn search_evaluation_count_is_pinned() {
     let evaluated = obs::counter!("codesign.combos_evaluated");
     let e0 = evaluated.get();
     let opt = CoDesignProblem::new(&b.dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
-        .and_then(|problem| problem.optimal(&never))
+        .and_then(|problem| problem.realize(&problem.optimal(&never)?))
         .expect("searchable");
     // 15 root bounds, then per first-slot combination not pruned one
     // unlocked score and the leaves its gains do not prune: 35 scores,

@@ -3,6 +3,8 @@
 //! grid runs it on, on locks that mix adders and multipliers, and on
 //! candidate lists with duplicated minterms, where most maxima tie and
 //! only the legacy tie-break (the lowest-rank ordering) picks the winner.
+//! Both searches' reported scores are also held to their winners' cold
+//! re-bind on every smoke configuration.
 
 use lockbind_core::{
     bind_obfuscation_aware, combinations, expected_application_errors, CoDesignOutcome,
@@ -96,7 +98,9 @@ impl Prepared {
             (&self.dfg, &self.schedule, &self.alloc, &self.profile);
         let problem = CoDesignProblem::new(dfg, schedule, alloc, profile, fus, per_fu, candidates)
             .expect("builds");
-        let fast = problem.optimal(&CancelToken::new()).expect("searchable");
+        let fast = problem
+            .realize(&problem.optimal(&CancelToken::new()).expect("searchable"))
+            .expect("realizable");
         let slow = self.scan(&problem, candidates);
         assert_eq!(fast.errors, slow.errors, "{what}");
         assert_eq!(fast.spec, slow.spec, "{what}");
@@ -133,6 +137,53 @@ fn matches_the_scan_on_every_in_budget_smoke_cell() {
     }
     // 21 kernel classes (ecb_enc4 has no multipliers) × 7 in-budget shapes.
     assert_eq!(cells, 147);
+}
+
+/// The error cell reads a search's errors without binding its choice, so
+/// each search's score must equal Eqn. 2 of the cold re-bind: the
+/// heuristic on every smoke configuration, the optimal search where the
+/// grid runs it.
+#[test]
+fn search_scores_equal_a_cold_rebind_on_every_smoke_cell() {
+    let never = CancelToken::new();
+    let (mut heuristics, mut optimals) = (0, 0);
+    for kernel in Kernel::ALL {
+        let p = Prepared::new(kernel);
+        for class in FuClass::ALL {
+            let candidates = p.candidates(class, 10);
+            if candidates.is_empty() {
+                continue;
+            }
+            for locked in 1..=p.alloc.count(class).min(3) {
+                for per_fu in 1..=candidates.len().min(3) {
+                    let fus: Vec<FuId> = (0..locked).map(|i| FuId::new(class, i)).collect();
+                    let what = format!("{kernel:?} {class:?} L{locked} m{per_fu}");
+                    let problem = CoDesignProblem::new(
+                        &p.dfg,
+                        &p.schedule,
+                        &p.alloc,
+                        &p.profile,
+                        &fus,
+                        per_fu,
+                        &candidates,
+                    )
+                    .expect("builds");
+                    let mut searches = vec![problem.heuristic(&never).expect("runs")];
+                    heuristics += 1;
+                    if in_budget(candidates.len(), per_fu, locked) {
+                        searches.push(problem.optimal(&never).expect("searchable"));
+                        optimals += 1;
+                    }
+                    for choice in searches {
+                        let realized = problem.realize(&choice).expect("realizable");
+                        assert_eq!(choice.errors(), realized.errors, "{what}");
+                    }
+                }
+            }
+        }
+    }
+    // 21 kernel classes × 9 shapes, 7 of them in the exact search's budget.
+    assert_eq!((heuristics, optimals), (189, 147));
 }
 
 #[test]

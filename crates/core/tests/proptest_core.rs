@@ -93,7 +93,7 @@ proptest! {
             })
             .max()
             .expect("candidates non-empty");
-        prop_assert_eq!(cd.errors, best_fixed);
+        prop_assert_eq!(cd.errors(), best_fixed);
     }
 
     #[test]

@@ -102,7 +102,7 @@ fn solve(
     weights: &WeightMatrix,
     maximize: bool,
 ) -> Result<(Matching, DualCertificate), MatchingError> {
-    // A few thousand calls per headline sweep (4,310 at `60 5`), so one
+    // A few hundred calls per headline sweep (390 at `60 5`), so one
     // span per call stays affordable when tracing is on.
     obs::counter!("matching.solves").inc();
     let _span = obs::span!("matching.solve");

@@ -132,7 +132,7 @@ impl Job for ServeJob {
                 let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(class, i)).collect();
                 let outcome = prepared
                     .codesign_problem(&fus, inputs_per_fu, &candidates)
-                    .and_then(|problem| problem.heuristic(&ctx.cancel))
+                    .and_then(|problem| problem.realize(&problem.heuristic(&ctx.cancel)?))
                     .map_err(|e| e.to_string())?;
                 let locked: Vec<Json> = outcome
                     .spec

@@ -40,16 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Co-design a single locked multiplier with 2 locked inputs.
     let candidates = profile.top_candidates_among(&dfg.ops_of_class(FuClass::Multiplier), 8);
-    let design = CoDesignProblem::new(
-        &dfg,
-        &schedule,
-        &alloc,
-        &profile,
-        &[FuId::new(FuClass::Multiplier, 0)],
-        2,
-        &candidates,
-    )?
-    .heuristic(&CancelToken::new())?;
+    let fus = [FuId::new(FuClass::Multiplier, 0)];
+    let problem = CoDesignProblem::new(&dfg, &schedule, &alloc, &profile, &fus, 2, &candidates)?;
+    let design = problem.realize(&problem.heuristic(&CancelToken::new())?)?;
     println!(
         "co-design chose {} with {} expected error injections over 500 frames",
         design.spec, design.errors

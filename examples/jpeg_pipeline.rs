@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|i| FuId::new(FuClass::Multiplier, i))
             .collect();
         for inputs in 1..=3usize {
-            let design = CoDesignProblem::new(
+            let problem = CoDesignProblem::new(
                 &bench.dfg,
                 &schedule,
                 &alloc,
@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &fus,
                 inputs,
                 &candidates,
-            )?
-            .heuristic(&CancelToken::new())?;
+            )?;
+            let design = problem.realize(&problem.heuristic(&CancelToken::new())?)?;
             let e_area = expected_application_errors(&area, &profile, &design.spec);
             let e_power = expected_application_errors(&power, &profile, &design.spec);
             println!(
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Overhead of the strongest configuration vs the baselines (Fig. 6 view).
     let fus: Vec<FuId> = (0..3).map(|i| FuId::new(FuClass::Multiplier, i)).collect();
-    let best = CoDesignProblem::new(
+    let problem = CoDesignProblem::new(
         &bench.dfg,
         &schedule,
         &alloc,
@@ -75,8 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &fus,
         3,
         &candidates,
-    )?
-    .heuristic(&CancelToken::new())?;
+    )?;
+    let best = problem.realize(&problem.heuristic(&CancelToken::new())?)?;
     let regs_sec = metrics::register_count(&bench.dfg, &schedule, &best.binding, &alloc);
     let regs_area = metrics::register_count(&bench.dfg, &schedule, &area, &alloc);
     let sw_sec = metrics::switching(&schedule, &best.binding, &alloc, &switching).rate;

@@ -31,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // chosen from the 10 most common multiplier-input minterms.
     let mul_ops = bench.dfg.ops_of_class(FuClass::Multiplier);
     let candidates = profile.top_candidates_among(&mul_ops, 10);
-    let locked_fu = FuId::new(FuClass::Multiplier, 0);
+    let locked_fus = [FuId::new(FuClass::Multiplier, 0)];
+    let locked_fu = locked_fus[0];
 
     // Security-oblivious baselines.
     let area = bind_area_aware(&bench.dfg, &schedule, &alloc)?;
@@ -42,16 +43,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obf = bind_obfuscation_aware(&bench.dfg, &schedule, &alloc, &profile, &fixed)?;
 
     // Problem 2: co-design chooses the best 2 of the 10 candidates.
-    let codesign = CoDesignProblem::new(
+    let problem = CoDesignProblem::new(
         &bench.dfg,
         &schedule,
         &alloc,
         &profile,
-        &[locked_fu],
+        &locked_fus,
         2,
         &candidates,
-    )?
-    .heuristic(&CancelToken::new())?;
+    )?;
+    let codesign = problem.realize(&problem.heuristic(&CancelToken::new())?)?;
 
     let e = |binding: &Binding, spec: &LockingSpec| {
         expected_application_errors(binding, &profile, spec)

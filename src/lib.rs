@@ -37,14 +37,14 @@
 //! let profile = OccurrenceProfile::from_trace(&bench.dfg, &bench.trace)?;
 //!
 //! // 3. Co-design the binding and the locked inputs for one locked adder:
-//! //    one problem, then a search on it. The search takes a cancel token;
-//! //    this one never fires.
+//! //    one problem, then a search on it. The search takes a cancel token
+//! //    (this one never fires) and returns its choice; `realize` binds it.
 //! let candidates = profile.top_candidates_among(
 //!     &bench.dfg.ops_of_class(FuClass::Adder), 10);
 //! let fus = [FuId::new(FuClass::Adder, 0)];
 //! let problem = CoDesignProblem::new(
 //!     &bench.dfg, &schedule, &alloc, &profile, &fus, 2, &candidates)?;
-//! let design = problem.heuristic(&CancelToken::new())?;
+//! let design = problem.realize(&problem.heuristic(&CancelToken::new())?)?;
 //! assert!(design.errors > 0);
 //!
 //! // 4. Realize the locked adder as a gate-level netlist.

@@ -113,9 +113,9 @@ fn codesign_dominates_obf_aware_with_any_fixed_choice() {
                     .expect("feasible");
                 let e = expected_application_errors(&obf, &profile, &spec);
                 assert!(
-                    cd.errors >= e,
+                    cd.errors() >= e,
                     "{kernel}: co-design ({}) lost to fixed ({c0}, {c1}) = {e}",
-                    cd.errors
+                    cd.errors()
                 );
             }
         }
@@ -140,9 +140,9 @@ fn optimal_codesign_beats_heuristic_nowhere_by_much() {
             .expect("feasible");
         let opt = problem.optimal(&never).expect("tractable");
         let heur = problem.heuristic(&never).expect("feasible");
-        assert!(heur.errors <= opt.errors);
-        total_opt += opt.errors as f64;
-        total_heur += heur.errors as f64;
+        assert!(heur.errors() <= opt.errors());
+        total_opt += opt.errors() as f64;
+        total_heur += heur.errors() as f64;
     }
     assert!(
         total_heur >= 0.93 * total_opt,

@@ -49,7 +49,7 @@ fn cost_function_matches_trace_replay_on_every_kernel() {
             2.min(candidates.len()),
             &candidates,
         )
-        .and_then(|problem| problem.heuristic(&CancelToken::new()))
+        .and_then(|problem| problem.realize(&problem.heuristic(&CancelToken::new())?))
         .expect("feasible");
 
         let replay =
@@ -77,7 +77,7 @@ fn realized_modules_corrupt_exactly_the_locked_minterms() {
         2,
         &candidates,
     )
-    .and_then(|problem| problem.heuristic(&CancelToken::new()))
+    .and_then(|problem| problem.realize(&problem.heuristic(&CancelToken::new())?))
     .expect("feasible");
 
     let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");
@@ -121,7 +121,7 @@ fn locked_module_behaves_like_fu_on_workload_values() {
         1,
         &candidates,
     )
-    .and_then(|problem| problem.heuristic(&CancelToken::new()))
+    .and_then(|problem| problem.realize(&problem.heuristic(&CancelToken::new())?))
     .expect("feasible");
     let modules = realize_locked_modules(&design.spec, bench.dfg.width()).expect("lockable");
     let (fu, locked) = &modules[0];

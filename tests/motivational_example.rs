@@ -127,7 +127,9 @@ fn codesign_locks_y_for_17_errors() {
     let fu1 = FuId::new(FuClass::Adder, 0);
     let (fus, candidates) = ([fu1], [x(), y()]);
     let problem = CoDesignProblem::new(&d, &s, &alloc, &k, &fus, 1, &candidates).expect("feasible");
-    let out = problem.heuristic(&never).expect("feasible");
+    let out = problem
+        .realize(&problem.heuristic(&never).expect("feasible"))
+        .expect("feasible");
     assert_eq!(out.errors, 17, "the paper's co-design result");
     assert_eq!(
         out.spec.minterms_of(fu1),
@@ -140,7 +142,7 @@ fn codesign_locks_y_for_17_errors() {
 
     // And the optimal search agrees (2 candidates, 1 FU: trivially small).
     let opt = problem.optimal(&never).expect("searchable");
-    assert_eq!(opt.errors, 17);
+    assert_eq!(opt.errors(), 17);
 }
 
 #[test]

@@ -2,8 +2,10 @@
 //! *scheduling*, so a traced run at 1 worker and at 4 workers reports
 //! byte-identical deterministic metric totals and the same number of spans
 //! of each name. The grid mixes error cells (matching and co-design
-//! counters) with SAT-attack cells, so the registry's histograms
-//! (`sat.glue`, `sat.conflicts_per_dip`) are rendered and compared too.
+//! counters), locked-simulation cells (the only obfuscation-aware binds:
+//! error cells score on the sweep) and SAT-attack cells, so the registry's
+//! histograms (`sat.glue`, `sat.conflicts_per_dip`) are rendered and
+//! compared too.
 //!
 //! This test lives alone in its own test binary: it compares deltas of the
 //! process-global registry and drains the process-global span sink, and
@@ -12,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use lockbind_bench::{error_grid, ExperimentParams, HeadlineCell, SatCell, SatScheme};
+use lockbind_bench::{error_grid, ExperimentParams, HeadlineCell, ImpactCell, SatCell, SatScheme};
 use lockbind_engine::{Engine, EngineConfig};
 use lockbind_mediabench::Kernel;
 use lockbind_obs as obs;
@@ -41,10 +43,18 @@ fn run_grid(threads: usize) -> Run {
         optimal_budget: 50,
         seed: 7,
     };
-    let mut cells: Vec<HeadlineCell> = error_grid(&[Kernel::Fir, Kernel::EcbEnc4], 60, 3, &params)
+    let kernels = [Kernel::Fir, Kernel::EcbEnc4];
+    let mut cells: Vec<HeadlineCell> = error_grid(&kernels, 60, 3, &params)
         .into_iter()
         .map(HeadlineCell::Error)
         .collect();
+    cells.extend(kernels.into_iter().map(|kernel| {
+        HeadlineCell::Impact(ImpactCell {
+            kernel,
+            frames: 60,
+            seed: 3,
+        })
+    }));
     cells.extend(
         SatScheme::ALL
             .into_iter()
