@@ -29,7 +29,6 @@ fn main() {
     let mut rows = Vec::new();
     for kernel in Kernel::ALL {
         let p = PreparedKernel::new(kernel, frames, 2021);
-        let bench = kernel.benchmark(frames, 2021);
         let class = if p.alloc.count(FuClass::Multiplier) > 0 {
             FuClass::Multiplier
         } else {
@@ -43,16 +42,10 @@ fn main() {
             .expect("feasible");
         let area = bind_area_aware(&p.dfg, &p.schedule, &p.alloc).expect("feasible");
 
-        let sec = application_impact(
-            &p.dfg,
-            &p.schedule,
-            &design.binding,
-            &design.spec,
-            &bench.trace,
-        )
-        .expect("replay");
-        let base = application_impact(&p.dfg, &p.schedule, &area, &design.spec, &bench.trace)
+        let sec = application_impact(&p.dfg, &p.schedule, &design.binding, &design.spec, &p.trace)
             .expect("replay");
+        let base =
+            application_impact(&p.dfg, &p.schedule, &area, &design.spec, &p.trace).expect("replay");
 
         rows.push(vec![
             kernel.name().to_string(),

@@ -290,18 +290,34 @@ fn enumerate_assignments(
     let num_combos = problem.combinations().len();
     let total = problem.configurations();
     if total <= params.max_assignments as u128 {
-        // Every assignment in mixed-radix order, digit 0 (the first locked
-        // FU) fastest.
-        let digit = move |index: usize, k: u32| index / num_combos.pow(k) % num_combos;
-        (0..total as usize)
-            .flat_map(|index| (0..num_fus as u32).map(move |k| digit(index, k)))
-            .collect()
+        odometer(num_fus, num_combos, total as usize)
     } else {
         let mut state = params.seed ^ ((num_fus as u64) << 32) ^ locked_inputs as u64;
         (0..params.max_assignments * num_fus)
             .map(|_| (splitmix64(&mut state) as usize) % num_combos)
             .collect()
     }
+}
+
+/// The first `total` assignments of `radix` combinations to `digits`
+/// locked FUs in mixed-radix order, digit 0 (the first locked FU) fastest,
+/// flat with stride `digits`: digit `k` of assignment `index` is
+/// `index / radix^k % radix`, read off a counter that carries instead of
+/// dividing.
+fn odometer(digits: usize, radix: usize, total: usize) -> Vec<usize> {
+    let mut out = Vec::with_capacity(total * digits);
+    let mut counter = vec![0; digits];
+    for _ in 0..total {
+        out.extend_from_slice(&counter);
+        for digit in &mut counter {
+            *digit += 1;
+            if *digit < radix {
+                break;
+            }
+            *digit = 0;
+        }
+    }
+    out
 }
 
 /// Per-(slot, combination) Eqn. 2 error contribution of a *fixed* baseline
@@ -736,6 +752,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn odometer_equals_the_mixed_radix_digits() {
+        for digits in 1..=3usize {
+            for radix in 1..=12usize {
+                let total = radix.pow(digits as u32);
+                let want: Vec<usize> = (0..total)
+                    .flat_map(|index| (0..digits as u32).map(move |k| index / radix.pow(k) % radix))
+                    .collect();
+                assert_eq!(
+                    odometer(digits, radix, total),
+                    want,
+                    "|L| = {digits}, r = {radix}"
+                );
+            }
+        }
+    }
+
+    /// The subsampled branch's splitmix64 stream is pinned: 3 locked
+    /// adders of fir with 2 of 4 candidates each have `6^3 = 216`
+    /// configurations, past the cap of 60.
+    #[test]
+    fn sampled_assignments_are_pinned_for_a_fixed_seed() {
+        let p = PreparedKernel::new(Kernel::Fir, 80, 5);
+        let ctx = ClassContext::build(&p, FuClass::Adder, 4)
+            .expect("builds")
+            .expect("fir has adders");
+        let fus: Vec<FuId> = (0..3).map(|i| FuId::new(FuClass::Adder, i)).collect();
+        let problem = p
+            .codesign_problem(&fus, 2, &ctx.candidates)
+            .expect("builds");
+        assert_eq!(problem.configurations(), 216);
+        let sampled = enumerate_assignments(&small_params(), &problem, 2);
+        assert_eq!(sampled.len(), 60 * 3);
+        assert_eq!(sampled[..12], [0, 0, 3, 0, 5, 4, 3, 0, 2, 0, 1, 4]);
+        let weighted: usize = sampled.iter().enumerate().map(|(i, &d)| (i + 1) * d).sum();
+        assert_eq!(weighted, 43_273);
     }
 
     #[test]

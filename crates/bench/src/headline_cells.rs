@@ -64,7 +64,6 @@ impl Job for ImpactCell {
 
     fn run(&self, ctx: &mut JobCtx<'_>) -> Result<Self::Output, String> {
         let prepared = cached_prepared(ctx.cache, self.kernel, self.frames, self.seed);
-        let bench = self.kernel.benchmark(self.frames, self.seed);
         let class = if prepared.alloc.count(FuClass::Multiplier) > 0 {
             FuClass::Multiplier
         } else {
@@ -102,7 +101,7 @@ impl Job for ImpactCell {
             &design.binding,
             &modules,
             &keys,
-            &bench.trace,
+            &prepared.trace,
         )
         .map_err(|e| e.to_string())?;
         Ok(ImpactRecord {
@@ -291,18 +290,29 @@ impl Job for HeadlineCell {
     }
 }
 
-/// Builds the combined headline grid: the full error-ratio grid, one
-/// locked-simulation cell per kernel, and one SAT-attack cell per scheme.
+/// Builds the combined headline grid: one SAT-attack cell per scheme, the
+/// full error-ratio grid, then one locked-simulation cell per kernel.
+///
+/// The engine hands cells out in submission order, and a SAT-attack cell
+/// runs an order of magnitude longer than any other cell of the grid, so
+/// they go first: submitted last, they would leave every worker but one
+/// idle at the end of each sweep. [`collect_headline_records`] splits the
+/// results by kind, so the order changes no record list.
 pub fn headline_grid(
     kernels: &[Kernel],
     frames: usize,
     seed: u64,
     params: &ExperimentParams,
 ) -> Vec<HeadlineCell> {
-    let mut cells: Vec<HeadlineCell> = error_grid(kernels, frames, seed, params)
+    let mut cells: Vec<HeadlineCell> = SatScheme::ALL
         .into_iter()
-        .map(HeadlineCell::Error)
+        .map(|scheme| HeadlineCell::Sat(SatCell { scheme, width: 3 }))
         .collect();
+    cells.extend(
+        error_grid(kernels, frames, seed, params)
+            .into_iter()
+            .map(HeadlineCell::Error),
+    );
     cells.extend(kernels.iter().map(|&kernel| {
         HeadlineCell::Impact(ImpactCell {
             kernel,
@@ -310,11 +320,6 @@ pub fn headline_grid(
             seed,
         })
     }));
-    cells.extend(
-        SatScheme::ALL
-            .into_iter()
-            .map(|scheme| HeadlineCell::Sat(SatCell { scheme, width: 3 })),
-    );
     cells
 }
 
@@ -327,8 +332,9 @@ pub type HeadlineRecords = (
     Vec<(String, String)>,
 );
 
-/// Splits in-order combined-grid results back into per-stage record lists
-/// plus the run's [`failure_list`].
+/// Splits in-order combined-grid results back into per-stage record lists,
+/// each in the order its cells were submitted, plus the run's
+/// [`failure_list`].
 pub fn collect_headline_records(results: &[CellResult<HeadlineOutput>]) -> HeadlineRecords {
     let mut errors = Vec::new();
     let mut impacts = Vec::new();
@@ -366,6 +372,28 @@ mod tests {
         assert!(stages.contains("error-cell"));
         assert!(stages.contains("locked-sim"));
         assert!(stages.contains("sat-attack"));
+    }
+
+    #[test]
+    fn sat_cells_lead_and_the_order_changes_no_record() {
+        let cells = headline_grid(&[Kernel::Fir, Kernel::EcbEnc4], 40, 5, &small_params());
+        let sats = SatScheme::ALL.len();
+        let is_sat = |cell: &HeadlineCell| matches!(cell, HeadlineCell::Sat(_));
+        assert!(cells[..sats].iter().all(is_sat));
+        assert!(!cells[sats..].iter().any(is_sat));
+        // The order the grid used to submit: error, impact, then SAT cells.
+        let mut old = cells[sats..].to_vec();
+        old.extend_from_slice(&cells[..sats]);
+        let records = |cells: &[HeadlineCell]| {
+            let engine = Engine::new(EngineConfig {
+                threads: 2,
+                root_seed: 5,
+                progress: false,
+                ..EngineConfig::default()
+            });
+            format!("{:?}", collect_headline_records(&engine.run(cells).results))
+        };
+        assert_eq!(records(&cells), records(&old));
     }
 
     #[test]

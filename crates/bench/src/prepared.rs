@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use lockbind_core::{bind_area_aware, bind_power_aware, CoDesignProblem, CoreError};
 use lockbind_hls::{
     schedule_list, Allocation, Binding, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule,
-    SwitchingProfile,
+    SwitchingProfile, Trace,
 };
 use lockbind_mediabench::{Benchmark, Kernel};
 
@@ -26,6 +26,9 @@ pub struct PreparedKernel {
     pub profile: OccurrenceProfile,
     /// Pairwise switching profile over the same workload.
     pub switching: SwitchingProfile,
+    /// The typical workload both profiles were built from; the
+    /// locked-datapath replays read it.
+    pub trace: Trace,
     /// The area- and power-aware baseline bindings, built on first use by
     /// [`PreparedKernel::baselines`].
     baselines: OnceLock<Result<(Binding, Binding), CoreError>>,
@@ -58,6 +61,7 @@ impl PreparedKernel {
             alloc,
             profile,
             switching,
+            trace: bench.trace,
             baselines: OnceLock::new(),
         }
     }

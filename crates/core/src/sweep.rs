@@ -10,10 +10,10 @@
 //! [`ErrorSweep`] is built once per
 //! [`CoDesignProblem`](crate::CoDesignProblem), the only place that builds
 //! one, and is read-only after that. Per *live* `(cycle, class)` subproblem it holds a column table:
-//! for each combination `c` and live op `r`, the Eqn. 3 weight `w(r, c)` at
-//! `cols[c * rows + r]`, plus one all-zero column standing for "unlocked"
-//! and one *envelope* column holding each op's maximum over every
-//! combination (the optimal search's bound). The weights depend only on
+//! for each combination `c` and live op `r`, the Eqn. 3 weight `w(r, c)`,
+//! plus one all-zero column standing for "unlocked" and one *envelope*
+//! column holding each op's maximum over every combination (the optimal
+//! search's bound). The weights depend only on
 //! (op, combination), so they are computed once at construction.
 //! [`ErrorSweep::score`] takes a configuration as one column index per
 //! locked slot and solves every subproblem over the columns its class's
@@ -36,22 +36,22 @@
 //! candidate). Ops with no candidate occurrence, and cycles of a class with
 //! no locked slot, always contribute 0 and are dropped at construction.
 //!
-//! **Closed forms.** Every subproblem the grid builds is small: each
-//! prepared kernel allocates 3 FUs per class, so at most 3 slots are locked
-//! and at most 3 ops are live. Each of those shapes is straight-line code,
-//! with every row or slot that can be matched matched, because weights are
-//! non-negative. One slot: its column's maximum. Two slots `x`, `y`:
-//! `max(x0, y0)` over one row, `max(x0 + y1, x1 + y0)` over two, and
-//! `max_i x_i + max_{j≠i} y_j` over three. Three slots `x`, `y`, `z`: the
-//! best slot for one row, the best of 6 pairs of distinct slots for two
-//! rows, the best of the 6 permutations for three. Any other shape needs a
-//! class with more than 3 FUs, so only library callers with a wider
-//! [`Allocation`] reach it; it goes to the cold [`max_weight_matching`] on
-//! the selected columns, padded with all-zero columns to `max(R, L)` so
-//! every row can be matched. These closed forms replaced a DP over subsets
-//! of the locked slots: on 10 alternating 30 s perfbench `grid` pairs
-//! (2-core VM) the median `ops_per_s` went 2,115 → 3,003 and `tail_ms`
-//! 5.70 → 4.40 ms. DESIGN §14.1 has each closed form measured on its own.
+//! **Fixed 3-row columns.** Every subproblem the grid builds is small:
+//! each prepared kernel allocates 3 FUs per class, so at most 3 slots are
+//! locked and at most 3 ops are live. For a class of at most 3 FUs every
+//! live subproblem is padded with all-zero rows to exactly 3 rows, which is
+//! exact: weights are non-negative, so a zero row only lets a slot stay
+//! unmatched at weight 0. The class's table is column-major, one `[u64; 3]`
+//! per (column, subproblem), so [`ErrorSweep::score`] dispatches on the
+//! class's slot count once and then runs one straight-line 3-row closed
+//! form down the columns its slots name. One slot: the column's maximum.
+//! Two slots `x`, `y`: `max_i x_i + max_{j≠i} y_j`. Three slots `x`, `y`,
+//! `z`: the best of the 6 permutations. A class with more than 3 FUs, which
+//! only library callers with a wider [`Allocation`] build, keeps one
+//! unpadded table per subproblem: one slot takes its column's maximum, and
+//! any other shape goes to the cold [`max_weight_matching`] on the selected
+//! columns, padded with all-zero columns to `max(R, L)` so every row can be
+//! matched. DESIGN §14.1 has the proofs and the measurements.
 
 use lockbind_hls::{Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_matching::{max_weight_matching, MatchingError, WeightMatrix};
@@ -59,8 +59,8 @@ use lockbind_obs as obs;
 
 use crate::CoreError;
 
-/// One live `(cycle, class)` subproblem: the class has a locked slot and
-/// the cycle has at least one live op of the class.
+/// One live `(cycle, class)` subproblem, as built: the class has a locked
+/// slot and the cycle has at least one live op of the class.
 struct Sub {
     /// Number of live ops.
     rows: usize,
@@ -75,23 +75,19 @@ impl Sub {
         &self.cols[c * self.rows..(c + 1) * self.rows]
     }
 
-    /// The optimum when the class's locked `slots` read their columns in
-    /// `cols`: straight-line closed forms for one locked slot, and for two
-    /// or three over at most three live rows; the cold Hungarian solver
-    /// for any other shape.
+    /// The optimum of a class with more than 3 FUs when its locked `slots`
+    /// read their columns in `cols`: one slot takes its column's maximum,
+    /// and any other shape is solved cold.
     fn solve(&self, cols: &[usize], slots: &[usize]) -> u64 {
-        let col = |k: usize| self.col(cols[k]);
         match *slots {
-            [a] => max_column(col(a)),
-            [a, b] if self.rows <= 3 => best_pair(col(a), col(b)),
-            [a, b, c] if self.rows <= 3 => best_triple(col(a), col(b), col(c)),
+            [a] => max_column(self.col(cols[a])),
             _ => self.cold_total(cols, slots),
         }
     }
 
     /// The optimum by [`max_weight_matching`] on an `R × max(R, L)` matrix:
     /// the `L` slots' columns, then all-zero columns so that every row can
-    /// be matched. Only reached with more than three FUs of a class.
+    /// be matched.
     fn cold_total(&self, cols: &[usize], slots: &[usize]) -> u64 {
         let weights = WeightMatrix::from_fn(self.rows, self.rows.max(slots.len()), |r, s| {
             let w = slots.get(s).map_or(0, |&k| self.col(cols[k])[r]);
@@ -102,12 +98,79 @@ impl Sub {
     }
 }
 
+/// The column tables of one class's live subproblems.
+enum Table {
+    /// A class of at most 3 FUs: every subproblem padded with all-zero rows
+    /// to 3 rows, column-major, so `cols[c * subs + s]` is column `c` of
+    /// subproblem `s`.
+    Narrow { subs: usize, cols: Vec<[u64; 3]> },
+    /// A class of more than 3 FUs: one unpadded table per subproblem.
+    Wide(Vec<Sub>),
+}
+
+impl Table {
+    /// The table of a class of `fus` FUs whose subproblems each hold
+    /// `columns` columns.
+    fn new(fus: usize, subs: Vec<Sub>, columns: usize) -> Table {
+        if fus > 3 {
+            return Table::Wide(subs);
+        }
+        let n = subs.len();
+        let mut cols = vec![[0; 3]; columns * n];
+        for (s, sub) in subs.iter().enumerate() {
+            for c in 0..columns {
+                cols[c * n + s][..sub.rows].copy_from_slice(sub.col(c));
+            }
+        }
+        Table::Narrow { subs: n, cols }
+    }
+}
+
 /// The locked slots of one class and the class's live subproblems.
 struct ClassSubs {
-    class: FuClass,
     /// The class's slots, in slot order.
     slots: Vec<usize>,
-    subs: Vec<Sub>,
+    table: Table,
+}
+
+impl ClassSubs {
+    /// The class's share of the score: the sum of its subproblems' optima
+    /// when slot `k` reads column `cols[k]`.
+    fn score(&self, cols: &[usize]) -> u64 {
+        match &self.table {
+            Table::Narrow { subs, cols: table } => {
+                let col = |k: usize| &table[cols[k] * subs..][..*subs];
+                match *self.slots {
+                    [] => 0,
+                    [a] => col(a).iter().map(|x| max_column(x)).sum(),
+                    [a, b] => col(a)
+                        .iter()
+                        .zip(col(b))
+                        .map(|(x, y)| best_pair(x, y))
+                        .sum(),
+                    [a, b, c] => col(a)
+                        .iter()
+                        .zip(col(b))
+                        .zip(col(c))
+                        .map(|((x, y), z)| best_triple(x, y, z))
+                        .sum(),
+                    _ => unreachable!("a class of at most 3 FUs has at most 3 slots"),
+                }
+            }
+            Table::Wide(subs) => subs.iter().map(|sub| sub.solve(cols, &self.slots)).sum(),
+        }
+    }
+
+    /// Column `c`'s largest weight, summed over the class's subproblems.
+    fn column_max_sum(&self, c: usize) -> u64 {
+        match &self.table {
+            Table::Narrow { subs, cols } => cols[c * subs..][..*subs]
+                .iter()
+                .map(|x| max_column(x))
+                .sum(),
+            Table::Wide(subs) => subs.iter().map(|sub| max_column(sub.col(c))).sum(),
+        }
+    }
 }
 
 /// Scorer for locked-input combination sweeps: assign each locked-FU
@@ -122,13 +185,13 @@ struct ClassSubs {
 /// the same configuration — proven by this module's unit properties and the
 /// `lockbind-check` mutation suite.
 ///
-/// Construction precomputes `Σ rows × (|combos| + 2)` weights. A
-/// subproblem with at most 3 locked slots over at most 3 live ops, which is
-/// every subproblem of a 3 + 3 FU allocation, is solved in closed form with
-/// at most 9 additions; one locked slot over `R` live ops is an `O(R)`
-/// column maximum. Any other shape arises only with more than 3 FUs of a
-/// class and is solved cold by the Hungarian algorithm on an
-/// `R × max(R, L)` matrix, `O(R² · max(R, L))`.
+/// Construction precomputes `3 × (|combos| + 2)` weights per live
+/// subproblem of a class of at most 3 FUs, which is every subproblem of a
+/// 3 + 3 FU allocation; each is solved by a 3-row closed form of at most 9
+/// additions. A class of more than 3 FUs keeps `R × (|combos| + 2)`
+/// weights per subproblem over its `R` live ops: one locked slot is an
+/// `O(R)` column maximum, and `L` slots are solved cold by the Hungarian
+/// algorithm on an `R × max(R, L)` matrix, `O(R² · max(R, L))`.
 pub struct ErrorSweep {
     /// One entry per class; a class without a locked slot has no
     /// subproblems.
@@ -168,21 +231,20 @@ impl ErrorSweep {
             assert!(i < candidates.len(), "combo index {i} out of range");
         }
         let unlocked = combos.len();
-        let mut classes: Vec<ClassSubs> = FuClass::ALL
-            .into_iter()
-            .map(|class| ClassSubs {
-                class,
-                slots: (0..locked_fus.len())
+        let slots: Vec<Vec<usize>> = FuClass::ALL
+            .iter()
+            .map(|&class| {
+                (0..locked_fus.len())
                     .filter(|&k| locked_fus[k].class == class)
-                    .collect(),
-                subs: Vec::new(),
+                    .collect()
             })
             .collect();
+        let mut subs: Vec<Vec<Sub>> = FuClass::ALL.iter().map(|_| Vec::new()).collect();
 
         for t in 0..schedule.num_cycles() {
-            for group in &mut classes {
-                let ops = schedule.class_ops_in_cycle(dfg, group.class, t);
-                let fus = alloc.count(group.class);
+            for (i, &class) in FuClass::ALL.iter().enumerate() {
+                let ops = schedule.class_ops_in_cycle(dfg, class, t);
+                let fus = alloc.count(class);
                 if ops.is_empty() {
                     continue;
                 }
@@ -196,7 +258,7 @@ impl ErrorSweep {
                     }
                     .into());
                 }
-                if group.slots.is_empty() {
+                if slots[i].is_empty() {
                     continue;
                 }
                 // Per live op, its count for every candidate.
@@ -222,9 +284,18 @@ impl ErrorSweep {
                     .map(|r| (0..unlocked).map(|c| cols[c * rows + r]).max().unwrap_or(0))
                     .collect();
                 cols.extend(envelope);
-                group.subs.push(Sub { rows, cols });
+                subs[i].push(Sub { rows, cols });
             }
         }
+        let classes = FuClass::ALL
+            .into_iter()
+            .zip(slots)
+            .zip(subs)
+            .map(|((class, slots), subs)| ClassSubs {
+                slots,
+                table: Table::new(alloc.count(class), subs, unlocked + 2),
+            })
+            .collect();
         Ok(ErrorSweep {
             classes,
             num_slots: locked_fus.len(),
@@ -249,17 +320,14 @@ impl ErrorSweep {
     /// The exact Eqn. 2 error score of the configuration whose slot `k`
     /// reads column `cols[k]`: a combination index, the
     /// [unlocked column](Self::unlocked_column), or the envelope. It is the
-    /// sum of the per-subproblem max-weight totals.
+    /// sum of the per-subproblem max-weight totals, read class by class.
     ///
     /// # Panics
     /// Panics unless `cols` holds one column per slot, each at most the
     /// envelope's index.
     pub fn score(&self, cols: &[usize]) -> u64 {
         assert_eq!(cols.len(), self.num_slots, "one column per slot");
-        self.classes
-            .iter()
-            .flat_map(|group| group.subs.iter().map(|sub| sub.solve(cols, &group.slots)))
-            .sum()
+        self.classes.iter().map(|group| group.score(cols)).sum()
     }
 
     /// Per combination `c`, the sum over the subproblems of slot `slot`'s
@@ -276,13 +344,9 @@ impl ErrorSweep {
             .iter()
             .find(|group| group.slots.contains(&slot))
             .expect("slot out of range");
-        let mut gains = vec![0; self.unlocked];
-        for sub in &group.subs {
-            for (c, gain) in gains.iter_mut().enumerate() {
-                *gain += max_column(sub.col(c));
-            }
-        }
-        gains
+        (0..self.unlocked)
+            .map(|c| group.column_max_sum(c))
+            .collect()
     }
 }
 
@@ -291,36 +355,21 @@ fn max_column(x: &[u64]) -> u64 {
     x.iter().copied().max().unwrap_or(0)
 }
 
-/// Two locked slots with columns `x` and `y` over one to three live rows:
-/// the best pair of distinct rows, or the better single edge when only one
-/// row is live. Exact because weights are non-negative, so with two or
-/// more rows both slots can always be matched without losing weight.
-fn best_pair(x: &[u64], y: &[u64]) -> u64 {
-    match (x, y) {
-        (&[x0], &[y0]) => x0.max(y0),
-        (&[x0, x1], &[y0, y1]) => (x0 + y1).max(x1 + y0),
-        (&[x0, x1, x2], &[y0, y1, y2]) => {
-            (x0 + y1.max(y2)).max(x1 + y0.max(y2)).max(x2 + y0.max(y1))
-        }
-        _ => unreachable!("best_pair takes 1-3 rows"),
-    }
+/// Two locked slots with columns `x` and `y` over three rows: the best
+/// pair of distinct rows. Exact because weights are non-negative, so both
+/// slots can always be matched without losing weight.
+fn best_pair(x: &[u64; 3], y: &[u64; 3]) -> u64 {
+    let ([x0, x1, x2], [y0, y1, y2]) = (*x, *y);
+    (x0 + y1.max(y2)).max(x1 + y0.max(y2)).max(x2 + y0.max(y1))
 }
 
-/// Three locked slots with columns `x`, `y` and `z` over one to three live
-/// rows: the best slot for one row, the best two distinct slots for two
-/// rows, the best permutation for three — every slot or row that can be
-/// matched is, because weights are non-negative.
-fn best_triple(x: &[u64], y: &[u64], z: &[u64]) -> u64 {
-    match (x, y, z) {
-        (&[x0], &[y0], &[z0]) => x0.max(y0).max(z0),
-        (&[x0, x1], &[y0, y1], &[z0, z1]) => {
-            (x0 + y1.max(z1)).max(y0 + x1.max(z1)).max(z0 + x1.max(y1))
-        }
-        (&[x0, x1, x2], &[y0, y1, y2], &[z0, z1, z2]) => (x0 + (y1 + z2).max(z1 + y2))
-            .max(y0 + (x1 + z2).max(z1 + x2))
-            .max(z0 + (x1 + y2).max(y1 + x2)),
-        _ => unreachable!("best_triple takes 1-3 rows"),
-    }
+/// Three locked slots with columns `x`, `y` and `z` over three rows: the
+/// best of the 6 permutations.
+fn best_triple(x: &[u64; 3], y: &[u64; 3], z: &[u64; 3]) -> u64 {
+    let ([x0, x1, x2], [y0, y1, y2], [z0, z1, z2]) = (*x, *y, *z);
+    (x0 + (y1 + z2).max(z1 + y2))
+        .max(y0 + (x1 + z2).max(z1 + x2))
+        .max(z0 + (x1 + y2).max(y1 + x2))
 }
 
 #[cfg(test)]
@@ -354,11 +403,17 @@ mod tests {
         (b.dfg, sched, alloc, profile, candidates)
     }
 
-    /// A subproblem over `columns`, each one weight per live row.
-    fn sub_over(columns: &[Vec<u64>]) -> Sub {
-        Sub {
+    /// A class of `fus` FUs whose `slots` locked slots share one
+    /// subproblem over `columns`, each one weight per live row. With at
+    /// most 3 FUs its rows are padded to 3, as the sweep pads them.
+    fn sub_over(columns: &[Vec<u64>], fus: usize, slots: usize) -> ClassSubs {
+        let sub = Sub {
             rows: columns[0].len(),
             cols: columns.concat(),
+        };
+        ClassSubs {
+            slots: (0..slots).collect(),
+            table: Table::new(fus, vec![sub], columns.len()),
         }
     }
 
@@ -508,16 +563,18 @@ mod tests {
                     .map(|&c| live.iter().map(|&r| weight(r, c)).collect())
                     .collect();
                 let slots: Vec<usize> = (0..locked.len()).collect();
-                prop_assert_eq!(sub_over(&columns).solve(&slots, &slots) as i64, cold.total);
+                let class = sub_over(&columns, cols, slots.len());
+                prop_assert_eq!(class.score(&slots) as i64, cold.total);
             }
         }
 
-        /// `Sub::solve` against the cold Hungarian solver on every shape
+        /// A class's score against the cold Hungarian solver on every shape
         /// up to 5 slots over 5 rows: each slot reads one of 5 random
         /// columns or the all-zero column, repeats included (two slots
         /// holding one combination), with zero entries and all-zero
-        /// columns. The closed forms cover 1, 2 and 3 slots over up to 3
-        /// rows (1 slot over any); the rest is the cold fallback.
+        /// columns. The class has `max(R, L)` FUs, so shapes within 3 FUs
+        /// take the padded closed forms and the rest the wide path (1 slot
+        /// over any rows, or the cold fallback).
         #[test]
         fn solve_equals_cold_matching(
             rows in 1usize..=5,
@@ -546,9 +603,38 @@ mod tests {
                 |r, s| Some(picks.get(s).map_or(0, |&c| columns[c][r]) as i64),
             ))
             .expect("rows <= cols");
-            let slots: Vec<usize> = (0..picks.len()).collect();
-            let solved = sub_over(&columns).solve(&picks, &slots);
+            let solved = sub_over(&columns, rows.max(picks.len()), picks.len()).score(&picks);
             prop_assert_eq!(solved as i64, reference.total, "picks {:?}", picks);
+        }
+
+        /// The padding is exact: with 1–3 live rows and 1–3 slots of a
+        /// 3-FU class, each slot reading its own random column, the padded
+        /// 3-row score equals a cold matching on the unpadded rows, with
+        /// the class's unlocked FUs as all-zero columns.
+        #[test]
+        fn padded_three_row_score_equals_cold_matching(
+            rows in 1usize..=3,
+            slots in 1usize..=3,
+            cells in proptest::collection::vec((0u32..3, 0u64..1000), 9),
+        ) {
+            let columns: Vec<Vec<u64>> = (0..slots)
+                .map(|s| {
+                    (0..rows)
+                        .map(|r| match cells[s * 3 + r] {
+                            (0, _) => 0,
+                            (_, w) => w,
+                        })
+                        .collect()
+                })
+                .collect();
+            let cold = max_weight_matching(&WeightMatrix::from_fn(rows, 3, |r, s| {
+                Some(columns.get(s).map_or(0, |col| col[r]) as i64)
+            }))
+            .expect("rows <= 3");
+            let class = sub_over(&columns, 3, slots);
+            prop_assert!(matches!(class.table, Table::Narrow { .. }));
+            let picks: Vec<usize> = (0..slots).collect();
+            prop_assert_eq!(class.score(&picks) as i64, cold.total, "columns {:?}", columns);
         }
     }
 
@@ -752,14 +838,20 @@ mod tests {
         for kernel in Kernel::ALL {
             let m = Mixed::new(kernel, 3, 3, 2);
             let r = m.combos.len();
-            let subs: Vec<&Sub> = m.sweep.classes.iter().flat_map(|g| &g.subs).collect();
-            assert!(!subs.is_empty(), "{kernel:?}");
-            for sub in subs {
-                for row in 0..sub.rows {
-                    let max = (0..r).map(|c| sub.col(c)[row]).max();
-                    assert_eq!(Some(sub.col(r + 1)[row]), max, "{kernel:?} row {row}");
+            let mut live = 0;
+            for group in &m.sweep.classes {
+                let Table::Narrow { subs, cols } = &group.table else {
+                    panic!("3 + 3 FUs pad every subproblem");
+                };
+                live += subs;
+                for s in 0..*subs {
+                    for (row, &envelope) in cols[(r + 1) * subs + s].iter().enumerate() {
+                        let max = (0..r).map(|c| cols[c * subs + s][row]).max();
+                        assert_eq!(Some(envelope), max, "{kernel:?} row {row}");
+                    }
                 }
             }
+            assert!(live > 0, "{kernel:?}");
         }
     }
 

@@ -7,15 +7,42 @@
 //! the Fig.-6 switching-rate metric is computed from.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::dfg::Dfg;
 use crate::sim::execute_frame;
 use crate::{HlsError, Minterm, OpId, Trace};
 
+/// Hashes a minterm key with one rotate-xor-multiply per `u64`, as FxHash
+/// does. Keys are raw minterms below `2^(2·width)`, so SipHash's defence
+/// against chosen keys buys nothing here, and its cost showed on every
+/// profile lookup of the co-design sweeps.
+#[derive(Default, Clone, Copy)]
+struct MintermHasher(u64);
+
+impl Hasher for MintermHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Minterm → count, under [`MintermHasher`].
+type MintermCounts = HashMap<u64, u64, BuildHasherDefault<MintermHasher>>;
+
 /// The `K` matrix: per-operation minterm occurrence counts over a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccurrenceProfile {
-    per_op: Vec<HashMap<u64, u64>>,
+    per_op: Vec<MintermCounts>,
     width: u32,
     frames: usize,
 }
@@ -27,7 +54,7 @@ impl OccurrenceProfile {
     /// # Errors
     /// [`HlsError::FrameArityMismatch`] if any frame has the wrong arity.
     pub fn from_trace(dfg: &Dfg, trace: &Trace) -> Result<Self, HlsError> {
-        let mut per_op = vec![HashMap::new(); dfg.num_ops()];
+        let mut per_op = vec![MintermCounts::default(); dfg.num_ops()];
         for frame in trace {
             let acts = execute_frame(dfg, frame)?;
             for (op, act) in acts.iter().enumerate() {
@@ -84,7 +111,7 @@ impl OccurrenceProfile {
     /// common inputs for each DFG", Sec. VI), restricted to the operation set
     /// of one FU class since classes are bound separately.
     pub fn top_candidates_among(&self, ops: &[OpId], k: usize) -> Vec<Minterm> {
-        let mut agg: HashMap<u64, u64> = HashMap::new();
+        let mut agg = MintermCounts::default();
         for &op in ops {
             for (&raw, &c) in &self.per_op[op.index()] {
                 *agg.entry(raw).or_insert(0) += c;

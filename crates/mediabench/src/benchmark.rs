@@ -94,6 +94,77 @@ mod tests {
         );
     }
 
+    /// The profile's map lookups against a recount by linear scans over
+    /// the executed trace, on every minterm the trace applies anywhere and
+    /// one it never does.
+    #[test]
+    fn profile_lookups_equal_a_brute_force_recount() {
+        use lockbind_hls::sim::execute_frame;
+        use lockbind_hls::{Minterm, OccurrenceProfile};
+        let bench = Kernel::Fir.benchmark(60, 5);
+        let (dfg, width) = (&bench.dfg, bench.dfg.width());
+        let profile = OccurrenceProfile::from_trace(dfg, &bench.trace).expect("profiled");
+        // `applied[f][op]`: the raw minterm op `op` sees in frame `f`.
+        let applied: Vec<Vec<u64>> = bench
+            .trace
+            .iter()
+            .map(|frame| {
+                let acts = execute_frame(dfg, frame).expect("arity matches");
+                acts.iter().map(|a| a.minterm(width).raw()).collect()
+            })
+            .collect();
+        let recount = |ops: &[usize], raw: u64| -> u64 {
+            let hits = applied
+                .iter()
+                .flat_map(|f| ops.iter().map(move |&op| f[op]));
+            hits.filter(|&m| m == raw).count() as u64
+        };
+        let mut seen: Vec<u64> = applied.iter().flatten().copied().collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let unseen = (0..)
+            .find(|m| seen.binary_search(m).is_err())
+            .expect("a free minterm");
+        for (op, _) in dfg.iter_ops() {
+            let i = op.index();
+            for &raw in seen.iter().chain([&unseen]) {
+                assert_eq!(
+                    profile.count(op, Minterm::from_raw(raw)),
+                    recount(&[i], raw)
+                );
+            }
+            let mut want: Vec<(Minterm, u64)> = seen
+                .iter()
+                .map(|&raw| (Minterm::from_raw(raw), recount(&[i], raw)))
+                .filter(|&(_, c)| c > 0)
+                .collect();
+            want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.raw().cmp(&b.0.raw())));
+            assert_eq!(profile.minterms_of(op), want, "op {i}");
+        }
+        for class in FuClass::ALL {
+            let ops = dfg.ops_of_class(class);
+            let indices: Vec<usize> = ops.iter().map(|op| op.index()).collect();
+            let mut ranked: Vec<(u64, u64)> = seen
+                .iter()
+                .map(|&raw| (raw, recount(&indices, raw)))
+                .filter(|&(_, c)| c > 0)
+                .collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            for k in [1, 10, ranked.len() + 1] {
+                let want: Vec<Minterm> = ranked
+                    .iter()
+                    .take(k)
+                    .map(|&(raw, _)| Minterm::from_raw(raw))
+                    .collect();
+                assert_eq!(
+                    profile.top_candidates_among(&ops, k),
+                    want,
+                    "{class:?} top {k}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn classes_used_detects_multiplierless_kernels() {
         let ecb = Kernel::EcbEnc4.build_dfg();
