@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use lockbind_core::{bind_area_aware, bind_power_aware, CoDesignProblem, CoreError};
 use lockbind_hls::{
     schedule_list, Allocation, Binding, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule,
-    SwitchingProfile, Trace,
+    SwitchingProfile, Trace, TraceMinterms,
 };
 use lockbind_mediabench::{Benchmark, Kernel};
 
@@ -50,10 +50,9 @@ impl PreparedKernel {
         let (_, muls) = bench.dfg.op_mix();
         let alloc = Allocation::new(3, if muls > 0 { 3 } else { 0 });
         let schedule = schedule_list(&bench.dfg, &alloc).expect("kernels fit 3+3 FUs");
-        let profile =
-            OccurrenceProfile::from_trace(&bench.dfg, &bench.trace).expect("arity matches");
-        let switching =
-            SwitchingProfile::from_trace(&bench.dfg, &bench.trace).expect("arity matches");
+        let minterms = TraceMinterms::from_trace(&bench.dfg, &bench.trace).expect("arity matches");
+        let profile = OccurrenceProfile::from_minterms(&minterms);
+        let switching = SwitchingProfile::from_minterms(minterms);
         PreparedKernel {
             name: bench.dfg.name().to_string(),
             dfg: bench.dfg,

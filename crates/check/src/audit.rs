@@ -23,15 +23,13 @@
 //! output) are warnings: real schemes trip them *by design* — a
 //! point-function comparator is skewed, that is the point — so the audit
 //! is a scorecard, not a gate. [`AuditSummary`] condenses a report plus
-//! the netlist into the per-netlist structural leakage summary, and
-//! [`audit_dot`] paints findings onto the Graphviz export.
+//! the netlist into the per-netlist structural leakage summary.
 
 use std::collections::BTreeMap;
 
 use lockbind_netlist::analysis::{
     eval_tv, fanin_cone, fanout_cone, key_signals, signal_probabilities, KeyDependence, Tv,
 };
-use lockbind_netlist::dot::{to_dot_annotated, NodeAnnotation};
 use lockbind_netlist::{Gate, Netlist, Signal};
 use lockbind_obs as obs;
 use lockbind_obs::Json;
@@ -641,47 +639,6 @@ impl AuditSummary {
     }
 }
 
-/// Graphviz color for a finding, by code family.
-fn finding_color(code: Code) -> &'static str {
-    match code {
-        Code::KeyUnobservable | Code::RedundantKeyBit => "tomato",
-        Code::IsolatedKeyPath => "orange",
-        Code::KeyMixingLogic => "plum",
-        Code::HypothesisConstantNet | Code::VacuousKeyGate => "salmon",
-        Code::SkewedKeyNet => "gold",
-        Code::PointFunctionSignature => "darkorange",
-        Code::HardcodedComparator => "khaki",
-        _ => "lightblue",
-    }
-}
-
-/// Renders the netlist as annotated Graphviz DOT: every net named by an
-/// audit finding is filled with its owning code's color and carries the
-/// finding as a tooltip; key-input spans paint the key terminal, output
-/// spans paint the driving net. First finding per net wins.
-pub fn audit_dot(netlist: &Netlist, report: &Report) -> String {
-    let keys = key_signals(netlist);
-    let mut ann: BTreeMap<usize, NodeAnnotation> = BTreeMap::new();
-    for d in report.diagnostics() {
-        let net = match d.span {
-            Span::Net(i) => Some(i),
-            Span::KeyInput(k) => keys
-                .iter()
-                .find(|&&(ki, _)| ki == k)
-                .map(|&(_, s)| s.index()),
-            Span::Output(i) => netlist.outputs().get(i).map(|s| s.index()),
-            _ => None,
-        };
-        if let Some(i) = net {
-            ann.entry(i).or_insert_with(|| NodeAnnotation {
-                color: finding_color(d.code).to_string(),
-                tooltip: format!("{} {}", d.code, d.message),
-            });
-        }
-    }
-    to_dot_annotated(netlist, &ann)
-}
-
 /// Convenience: true when the report holds no error-severity audit
 /// finding (warnings are scorecard entries, not failures).
 pub fn audit_passed(report: &Report) -> bool {
@@ -706,30 +663,6 @@ mod tests {
         nl.mark_output(keyed);
         nl.add_key(); // orphaned
         nl
-    }
-
-    #[test]
-    fn audit_dot_paints_finding_nets_with_family_colors() {
-        let nl = weak_lock();
-        let report = audit_netlist(&nl);
-        assert!(!audit_passed(&report), "the orphaned key is an error");
-        let dot = audit_dot(&nl, &report);
-        // LB0701 paints the orphaned key terminal tomato; LB0704 paints
-        // the spliced XOR orange. Tooltips carry the owning code.
-        assert!(dot.contains("fillcolor=\"tomato\""), "{dot}");
-        assert!(dot.contains("fillcolor=\"orange\""), "{dot}");
-        assert!(dot.contains("LB0701"), "{dot}");
-        assert!(dot.contains("LB0704"), "{dot}");
-        // Unflagged nets stay unpainted.
-        assert!(dot.matches("fillcolor").count() < nl.num_nodes(), "{dot}");
-    }
-
-    #[test]
-    fn audit_dot_of_a_clean_netlist_is_the_plain_rendering() {
-        let nl = adder_fu(3);
-        let report = audit_netlist(&nl);
-        assert!(report.diagnostics().is_empty());
-        assert_eq!(audit_dot(&nl, &report), lockbind_netlist::dot::to_dot(&nl));
     }
 
     #[test]

@@ -56,9 +56,7 @@ mod diag;
 mod passes;
 
 pub use artifact::Artifact;
-pub use audit::{
-    audit_dot, audit_netlist, audit_passed, AuditSummary, AUDIT_PASSES, SKEW_THRESHOLD,
-};
+pub use audit::{audit_netlist, audit_passed, AuditSummary, AUDIT_PASSES, SKEW_THRESHOLD};
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use passes::{check_artifact, Pass, PASSES};
 

@@ -28,54 +28,84 @@ pub fn bind_area_aware(
     let lifetimes = value_lifetimes(dfg, schedule);
     let num_cycles = schedule.num_cycles();
 
-    // Per-FU list of lifetimes already committed.
-    let mut committed: std::collections::HashMap<FuId, Vec<(u32, u32)>> =
-        alloc.fu_ids().map(|fu| (fu, Vec::new())).collect();
-
-    // Max overlap of a lifetime set over all cycle boundaries.
-    let max_overlap = |set: &[(u32, u32)]| -> usize {
-        (1..=num_cycles)
-            .map(|t| {
-                set.iter()
-                    .filter(|&&(def, last)| def < t && t <= last)
-                    .count()
-            })
-            .max()
-            .unwrap_or(0)
-    };
+    // Per class, per FU: the registers its committed lifetimes occupy.
+    let mut banks: Vec<Vec<Bank>> = FuClass::ALL
+        .into_iter()
+        .map(|class| vec![Bank::new(num_cycles); alloc.count(class)])
+        .collect();
 
     let mut fu_of = vec![FuId::new(FuClass::Adder, 0); dfg.num_ops()];
     for t in 0..num_cycles {
-        for class in FuClass::ALL {
+        for (class_banks, class) in banks.iter_mut().zip(FuClass::ALL) {
             let ops = schedule.class_ops_in_cycle(dfg, class, t);
             if ops.is_empty() {
                 continue;
             }
-            let fus: Vec<FuId> = (0..alloc.count(class))
-                .map(|i| FuId::new(class, i))
-                .collect();
-            let weights = WeightMatrix::from_fn(ops.len(), fus.len(), |r, c| {
-                let set = &committed[&fus[c]];
-                let before = max_overlap(set).max(usize::from(!set.is_empty()));
-                let mut with = set.clone();
-                with.push(lifetimes[ops[r].index()]);
-                let after = max_overlap(&with).max(1);
-                let delta = after.saturating_sub(before) as i64;
+            let weights = WeightMatrix::from_fn(ops.len(), class_banks.len(), |r, c| {
+                let delta = class_banks[c].growth(lifetimes[ops[r].index()]) as i64;
                 // Large scale for the register delta; FU index as a
                 // deterministic tie-break.
-                Some(delta * 1024 + fus[c].index as i64)
+                Some(delta * 1024 + c as i64)
             });
             let matching = min_cost_matching(&weights)?;
             for (r, &c) in matching.row_to_col.iter().enumerate() {
-                fu_of[ops[r].index()] = fus[c];
-                committed
-                    .get_mut(&fus[c])
-                    .expect("all FUs present")
-                    .push(lifetimes[ops[r].index()]);
+                fu_of[ops[r].index()] = FuId::new(class, c);
+                class_banks[c].commit(lifetimes[ops[r].index()]);
             }
         }
     }
     Ok(Binding::from_assignment(dfg, schedule, alloc, fu_of)?)
+}
+
+/// The lifetimes committed to one FU, as the number live at each cycle
+/// boundary. A lifetime `(def, last)` is live at boundaries
+/// `t ∈ (def, last]`, counted over `1..=num_cycles` as in
+/// `lockbind_hls::metrics`.
+#[derive(Debug, Clone)]
+struct Bank {
+    /// `live[t]`: committed lifetimes live at boundary `t` (index 0 unused).
+    live: Vec<usize>,
+    /// `max(live)`.
+    peak: usize,
+    /// Whether any lifetime is committed.
+    any: bool,
+}
+
+impl Bank {
+    fn new(num_cycles: u32) -> Self {
+        Bank {
+            live: vec![0; num_cycles as usize + 1],
+            peak: 0,
+            any: false,
+        }
+    }
+
+    /// Boundaries `(def, last]` within `1..=num_cycles`.
+    fn span(&self, (def, last): (u32, u32)) -> std::ops::Range<usize> {
+        let end = (last as usize + 1).min(self.live.len());
+        (def as usize + 1).min(end)..end
+    }
+
+    /// Registers this FU's bank grows by if `lifetime` is committed to it:
+    /// the bank needs its peak overlap, and at least one register once any
+    /// value is produced on the FU.
+    fn growth(&self, lifetime: (u32, u32)) -> usize {
+        let before = self.peak.max(usize::from(self.any));
+        let peak_with = self.live[self.span(lifetime)]
+            .iter()
+            .map(|&n| n + 1)
+            .fold(self.peak, usize::max);
+        peak_with.max(1).saturating_sub(before)
+    }
+
+    fn commit(&mut self, lifetime: (u32, u32)) {
+        let span = self.span(lifetime);
+        for n in &mut self.live[span] {
+            *n += 1;
+            self.peak = self.peak.max(*n);
+        }
+        self.any = true;
+    }
 }
 
 #[cfg(test)]
@@ -83,7 +113,105 @@ mod tests {
     use super::*;
     use lockbind_hls::binding::bind_naive;
     use lockbind_hls::metrics::register_count;
-    use lockbind_hls::{schedule_asap, OpKind};
+    use lockbind_hls::{schedule_asap, schedule_list, OpId, OpKind, ValueRef};
+    use lockbind_mediabench::Kernel;
+    use proptest::prelude::*;
+
+    /// The binder as it was before the per-FU occupancy counts: each
+    /// weight clones the FU's committed lifetimes and rescans every cycle
+    /// boundary. Kept as the reference for [`bind_area_aware`].
+    fn bind_area_aware_rescan(dfg: &Dfg, schedule: &Schedule, alloc: &Allocation) -> Binding {
+        let lifetimes = value_lifetimes(dfg, schedule);
+        let num_cycles = schedule.num_cycles();
+        let mut committed: std::collections::HashMap<FuId, Vec<(u32, u32)>> =
+            alloc.fu_ids().map(|fu| (fu, Vec::new())).collect();
+        let max_overlap = |set: &[(u32, u32)]| -> usize {
+            (1..=num_cycles)
+                .map(|t| {
+                    set.iter()
+                        .filter(|&&(def, last)| def < t && t <= last)
+                        .count()
+                })
+                .max()
+                .unwrap_or(0)
+        };
+        let mut fu_of = vec![FuId::new(FuClass::Adder, 0); dfg.num_ops()];
+        for t in 0..num_cycles {
+            for class in FuClass::ALL {
+                let ops = schedule.class_ops_in_cycle(dfg, class, t);
+                if ops.is_empty() {
+                    continue;
+                }
+                let fus: Vec<FuId> = (0..alloc.count(class))
+                    .map(|i| FuId::new(class, i))
+                    .collect();
+                let weights = WeightMatrix::from_fn(ops.len(), fus.len(), |r, c| {
+                    let set = &committed[&fus[c]];
+                    let before = max_overlap(set).max(usize::from(!set.is_empty()));
+                    let mut with = set.clone();
+                    with.push(lifetimes[ops[r].index()]);
+                    let after = max_overlap(&with).max(1);
+                    let delta = after.saturating_sub(before) as i64;
+                    Some(delta * 1024 + fus[c].index as i64)
+                });
+                let matching = min_cost_matching(&weights).expect("feasible");
+                for (r, &c) in matching.row_to_col.iter().enumerate() {
+                    fu_of[ops[r].index()] = fus[c];
+                    committed
+                        .get_mut(&fus[c])
+                        .expect("all FUs present")
+                        .push(lifetimes[ops[r].index()]);
+                }
+            }
+        }
+        Binding::from_assignment(dfg, schedule, alloc, fu_of).expect("valid")
+    }
+
+    /// Random DFG over both classes: each op reads inputs, constants or
+    /// earlier ops, and some ops are outputs, so lifetimes vary in length
+    /// and some values are never read.
+    fn random_design() -> impl Strategy<Value = (Dfg, usize, usize)> {
+        (
+            1..4usize,
+            proptest::collection::vec((0..3u8, any::<u16>(), any::<u16>(), 0..4u8), 1..28),
+            1..4usize,
+            1..4usize,
+        )
+            .prop_map(|(inputs, ops, adders, muls)| {
+                let mut d = Dfg::new(6);
+                let ins: Vec<ValueRef> = (0..inputs).map(|i| d.input(format!("x{i}"))).collect();
+                let mut made: Vec<OpId> = Vec::new();
+                for (kind, lhs, rhs, output) in ops {
+                    let pick = |r: u16, made: &[OpId]| -> ValueRef {
+                        let r = usize::from(r);
+                        match r % 5 {
+                            0 => ValueRef::Const(r as u64 % 64),
+                            1 | 2 if !made.is_empty() => ValueRef::Op(made[r / 5 % made.len()]),
+                            _ => ins[r / 5 % ins.len()],
+                        }
+                    };
+                    let kind = [OpKind::Add, OpKind::Mul, OpKind::Sub][usize::from(kind)];
+                    let op = d.op(kind, pick(lhs, &made), pick(rhs, &made));
+                    if output == 0 {
+                        d.mark_output(op);
+                    }
+                    made.push(op);
+                }
+                (d, adders, muls)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn occupancy_counts_bind_like_the_rescan((dfg, adders, muls) in random_design()) {
+            let alloc = Allocation::new(adders, muls);
+            let schedule = schedule_list(&dfg, &alloc).expect("schedulable");
+            let bind = bind_area_aware(&dfg, &schedule, &alloc).expect("feasible");
+            prop_assert_eq!(bind, bind_area_aware_rescan(&dfg, &schedule, &alloc));
+        }
+    }
 
     /// DFG where register-oblivious binding wastes registers: two parallel
     /// chains, one with a long-lived value.
@@ -127,8 +255,6 @@ mod tests {
 
     #[test]
     fn works_on_all_mediabench_kernels() {
-        use lockbind_hls::schedule_list;
-        use lockbind_mediabench::Kernel;
         for k in Kernel::ALL {
             let dfg = k.build_dfg();
             let (_, muls) = dfg.op_mix();
@@ -137,6 +263,7 @@ mod tests {
             let bind = bind_area_aware(&dfg, &sched, &alloc).expect("feasible");
             // Validation happened inside from_assignment; basic sanity:
             assert_eq!(bind.as_slice().len(), dfg.num_ops());
+            assert_eq!(bind, bind_area_aware_rescan(&dfg, &sched, &alloc), "{k:?}");
         }
     }
 }

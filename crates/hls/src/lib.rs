@@ -14,6 +14,8 @@
 //!   with full validity checking,
 //! * [`sim`] — a trace-driven simulator executing the DFG over input
 //!   [`Trace`]s,
+//! * [`TraceMinterms`] — one execution of a workload trace: each
+//!   operation's operand minterm per frame, which both profiles read,
 //! * [`OccurrenceProfile`] — the paper's `K` matrix: how often each FU-input
 //!   minterm is applied to each operation during a typical workload,
 //! * [`SwitchingProfile`] and [`metrics`] — the register-count and
@@ -67,7 +69,7 @@ pub use alloc::Allocation;
 pub use binding::{bind_naive, Binding};
 pub use dfg::{Dfg, OpId, OpKind, Operation, ValueRef};
 pub use error::HlsError;
-pub use profile::{OccurrenceProfile, SwitchingProfile};
+pub use profile::{OccurrenceProfile, SwitchingProfile, TraceMinterms};
 pub use schedule::{schedule_asap, schedule_list, Schedule};
 pub use trace::{Frame, Trace};
 pub use value::{FuClass, FuId, InputId, Minterm};

@@ -1,13 +1,17 @@
 //! Workload profiles extracted from a typical input trace.
 //!
-//! [`OccurrenceProfile`] is the paper's `K` matrix (Sec. IV-A): `K[m, n]` is
-//! the number of times FU-input minterm `m` is applied to operation `n` over
-//! the trace. [`SwitchingProfile`] holds the pairwise expected operand
+//! [`TraceMinterms`] executes a trace once and keeps each operation's
+//! operand minterm per frame. Both profiles are built from it:
+//! [`OccurrenceProfile`] is the paper's `K` matrix (Sec. IV-A): `K[m, n]`
+//! is the number of times FU-input minterm `m` is applied to operation `n`
+//! over the trace. [`SwitchingProfile`] gives the pairwise expected operand
 //! Hamming distances that the power-aware baseline \[19\] minimizes and that
 //! the Fig.-6 switching-rate metric is computed from.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+
+use lockbind_obs as obs;
 
 use crate::dfg::Dfg;
 use crate::sim::execute_frame;
@@ -39,6 +43,48 @@ impl Hasher for MintermHasher {
 /// Minterm → count, under [`MintermHasher`].
 type MintermCounts = HashMap<u64, u64, BuildHasherDefault<MintermHasher>>;
 
+/// Each operation's operand minterm in every frame of a trace, op-major:
+/// one execution of the trace that both profiles are built from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceMinterms {
+    /// `raw[op * frames + f]` = raw minterm of `op`'s operands in frame `f`.
+    raw: Vec<u64>,
+    num_ops: usize,
+    width: u32,
+    frames: usize,
+}
+
+impl TraceMinterms {
+    /// Executes every frame of the trace once and records each operation's
+    /// operand-pair minterm. Each executed frame adds one to the
+    /// `hls.profile.frames` counter.
+    ///
+    /// # Errors
+    /// [`HlsError::FrameArityMismatch`] if any frame has the wrong arity.
+    pub fn from_trace(dfg: &Dfg, trace: &Trace) -> Result<Self, HlsError> {
+        let frames = trace.len();
+        let mut raw = vec![0u64; dfg.num_ops() * frames];
+        for (f, frame) in trace.iter().enumerate() {
+            let acts = execute_frame(dfg, frame)?;
+            obs::counter!("hls.profile.frames").inc();
+            for (op, act) in acts.iter().enumerate() {
+                raw[op * frames + f] = act.minterm(dfg.width()).raw();
+            }
+        }
+        Ok(TraceMinterms {
+            raw,
+            num_ops: dfg.num_ops(),
+            width: dfg.width(),
+            frames,
+        })
+    }
+
+    /// Raw minterms of `op`, in frame order.
+    fn of(&self, op: usize) -> &[u64] {
+        &self.raw[op * self.frames..(op + 1) * self.frames]
+    }
+}
+
 /// The `K` matrix: per-operation minterm occurrence counts over a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccurrenceProfile {
@@ -54,20 +100,26 @@ impl OccurrenceProfile {
     /// # Errors
     /// [`HlsError::FrameArityMismatch`] if any frame has the wrong arity.
     pub fn from_trace(dfg: &Dfg, trace: &Trace) -> Result<Self, HlsError> {
-        let mut per_op = vec![MintermCounts::default(); dfg.num_ops()];
-        for frame in trace {
-            let acts = execute_frame(dfg, frame)?;
-            for (op, act) in acts.iter().enumerate() {
-                *per_op[op]
-                    .entry(act.minterm(dfg.width()).raw())
-                    .or_insert(0) += 1;
-            }
-        }
-        Ok(OccurrenceProfile {
+        Ok(Self::from_minterms(&TraceMinterms::from_trace(dfg, trace)?))
+    }
+
+    /// Counts each operation's minterms from an executed trace, in frame
+    /// order.
+    pub fn from_minterms(minterms: &TraceMinterms) -> Self {
+        let per_op = (0..minterms.num_ops)
+            .map(|op| {
+                let mut counts = MintermCounts::default();
+                for &raw in minterms.of(op) {
+                    *counts.entry(raw).or_insert(0) += 1;
+                }
+                counts
+            })
+            .collect();
+        OccurrenceProfile {
             per_op,
-            width: dfg.width(),
-            frames: trace.len(),
-        })
+            width: minterms.width,
+            frames: minterms.frames,
+        }
     }
 
     /// `K[m, n]`: occurrences of minterm `m` at operation `n`.
@@ -111,15 +163,22 @@ impl OccurrenceProfile {
     /// common inputs for each DFG", Sec. VI), restricted to the operation set
     /// of one FU class since classes are bound separately.
     pub fn top_candidates_among(&self, ops: &[OpId], k: usize) -> Vec<Minterm> {
-        let mut agg = MintermCounts::default();
+        let distinct_bound = ops.iter().map(|op| self.per_op[op.index()].len()).sum();
+        let mut agg = MintermCounts::with_capacity_and_hasher(distinct_bound, Default::default());
         for &op in ops {
             for (&raw, &c) in &self.per_op[op.index()] {
                 *agg.entry(raw).or_insert(0) += c;
             }
         }
+        // Count descending, then minterm ascending: a total order, since
+        // minterms are distinct. Select the k best, then sort only those.
+        let order = |a: &(u64, u64), b: &(u64, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
         let mut v: Vec<(u64, u64)> = agg.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(k);
+        if k < v.len() {
+            v.select_nth_unstable_by(k, order);
+            v.truncate(k);
+        }
+        v.sort_unstable_by(order);
         v.into_iter()
             .map(|(raw, _)| Minterm::from_raw(raw))
             .collect()
@@ -135,78 +194,65 @@ impl OccurrenceProfile {
 /// Pairwise expected operand Hamming distances between operations, within a
 /// frame and across consecutive frames. Drives the power-aware binding
 /// baseline and the switching-rate overhead metric (Fig. 6 bottom).
+///
+/// The profile keeps the executed trace's minterms and computes each
+/// distance when it is read: building it is `O(frames x ops)`, each read
+/// `O(frames)`, and memory is one `u64` per op and frame, the order of the
+/// trace itself. Readers ask for few pairs (the power-aware baseline at
+/// most one per op and FU, the Fig.-6 metric `O(ops)`), far fewer than
+/// the `ops^2` a precomputed table would hold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchingProfile {
-    num_ops: usize,
-    /// `within[u * n + v]` = average `HD(minterm_u(f), minterm_v(f))`.
-    within: Vec<f64>,
-    /// `cross[u * n + v]` = average `HD(minterm_u(f), minterm_v(f + 1))`.
-    cross: Vec<f64>,
-    width: u32,
-    frames: usize,
+    minterms: TraceMinterms,
 }
 
 impl SwitchingProfile {
     /// Profiles pairwise operand Hamming distances over the trace.
     ///
-    /// Cost is `O(frames x ops^2)` — fine for the paper-scale DFGs (~30 ops).
-    ///
     /// # Errors
     /// [`HlsError::FrameArityMismatch`] if any frame has the wrong arity.
     pub fn from_trace(dfg: &Dfg, trace: &Trace) -> Result<Self, HlsError> {
-        let n = dfg.num_ops();
-        let mut within = vec![0u64; n * n];
-        let mut cross = vec![0u64; n * n];
-        let mut prev: Option<Vec<Minterm>> = None;
-        for frame in trace {
-            let acts = execute_frame(dfg, frame)?;
-            let ms: Vec<Minterm> = acts.iter().map(|a| a.minterm(dfg.width())).collect();
-            for u in 0..n {
-                for v in 0..n {
-                    within[u * n + v] += u64::from(ms[u].hamming_distance(ms[v]));
-                }
-            }
-            if let Some(p) = &prev {
-                for u in 0..n {
-                    for v in 0..n {
-                        cross[u * n + v] += u64::from(p[u].hamming_distance(ms[v]));
-                    }
-                }
-            }
-            prev = Some(ms);
-        }
-        let f = trace.len().max(1) as f64;
-        let fc = trace.len().saturating_sub(1).max(1) as f64;
-        Ok(SwitchingProfile {
-            num_ops: n,
-            within: within.into_iter().map(|x| x as f64 / f).collect(),
-            cross: cross.into_iter().map(|x| x as f64 / fc).collect(),
-            width: dfg.width(),
-            frames: trace.len(),
-        })
+        Ok(Self::from_minterms(TraceMinterms::from_trace(dfg, trace)?))
+    }
+
+    /// Wraps an executed trace.
+    pub fn from_minterms(minterms: TraceMinterms) -> Self {
+        SwitchingProfile { minterms }
     }
 
     /// Expected Hamming distance between the operand pairs of `u` and `v`
     /// evaluated in the *same* frame.
     pub fn within(&self, u: OpId, v: OpId) -> f64 {
-        self.within[u.index() * self.num_ops + v.index()]
+        let bits = differing_bits(self.minterms.of(u.index()), self.minterms.of(v.index()));
+        bits as f64 / self.frames().max(1) as f64
     }
 
     /// Expected Hamming distance between `u` in frame `f` and `v` in frame
     /// `f + 1`.
     pub fn cross(&self, u: OpId, v: OpId) -> f64 {
-        self.cross[u.index() * self.num_ops + v.index()]
+        let later = self.minterms.of(v.index()).get(1..).unwrap_or_default();
+        let bits = differing_bits(self.minterms.of(u.index()), later);
+        bits as f64 / self.frames().saturating_sub(1).max(1) as f64
     }
 
     /// Operand width.
     pub fn width(&self) -> u32 {
-        self.width
+        self.minterms.width
     }
 
     /// Frames profiled.
     pub fn frames(&self) -> usize {
-        self.frames
+        self.minterms.frames
     }
+}
+
+/// Total Hamming distance between two minterm streams, pairwise, over the
+/// shorter one.
+fn differing_bits(a: &[u64], b: &[u64]) -> u64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| u64::from((x ^ y).count_ones()))
+        .sum()
 }
 
 #[cfg(test)]
@@ -256,6 +302,36 @@ mod tests {
         assert_eq!(top.len(), 2);
         // (1,2)@x occurs 2x and (1,15)@y occurs 2x; (1,2) < (1,15) raw order.
         assert_eq!(top[0], Minterm::pack(1, 2, 4));
+    }
+
+    proptest::proptest! {
+        /// Selection against a full sort and truncate, on 2-bit operands
+        /// where many minterms tie on their count, for every `k` from 0
+        /// past the number of distinct minterms.
+        #[test]
+        fn top_candidates_equal_a_full_sort(
+            frames in proptest::collection::vec((0..4u64, 0..4u64), 0..40)
+        ) {
+            let mut d = Dfg::new(2);
+            let a = d.input("a");
+            let b = d.input("b");
+            let ops = [d.op(OpKind::Xor, a, b), d.op(OpKind::And, a, b)];
+            let trace = Trace::from_frames(frames.iter().map(|&(x, y)| vec![x, y]).collect());
+            let p = OccurrenceProfile::from_trace(&d, &trace).expect("profiled");
+            let mut agg = std::collections::BTreeMap::<u64, u64>::new();
+            for &op in &ops {
+                for (m, c) in p.minterms_of(op) {
+                    *agg.entry(m.raw()).or_insert(0) += c;
+                }
+            }
+            let mut ranked: Vec<(u64, u64)> = agg.into_iter().collect();
+            ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            for k in 0..=ranked.len() + 1 {
+                let want: Vec<Minterm> =
+                    ranked.iter().take(k).map(|&(raw, _)| Minterm::from_raw(raw)).collect();
+                proptest::prop_assert_eq!(p.top_candidates_among(&ops, k), want);
+            }
+        }
     }
 
     #[test]

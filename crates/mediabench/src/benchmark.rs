@@ -70,7 +70,7 @@ pub(crate) fn classes_used(dfg: &Dfg) -> Vec<lockbind_hls::FuClass> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockbind_hls::FuClass;
+    use lockbind_hls::{FuClass, Minterm};
 
     #[test]
     fn suite_shape_matches_paper_scale() {
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn profile_lookups_equal_a_brute_force_recount() {
         use lockbind_hls::sim::execute_frame;
-        use lockbind_hls::{Minterm, OccurrenceProfile};
+        use lockbind_hls::OccurrenceProfile;
         let bench = Kernel::Fir.benchmark(60, 5);
         let (dfg, width) = (&bench.dfg, bench.dfg.width());
         let profile = OccurrenceProfile::from_trace(dfg, &bench.trace).expect("profiled");
@@ -150,7 +150,7 @@ mod tests {
                 .filter(|&(_, c)| c > 0)
                 .collect();
             ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            for k in [1, 10, ranked.len() + 1] {
+            for k in [0, 1, 10, ranked.len(), ranked.len() + 1] {
                 let want: Vec<Minterm> = ranked
                     .iter()
                     .take(k)
@@ -161,6 +161,68 @@ mod tests {
                     want,
                     "{class:?} top {k}"
                 );
+            }
+        }
+    }
+
+    /// The switching profile's distances, computed when read, against
+    /// the pairwise tables it used to accumulate frame by frame, bit for
+    /// bit: on every suite kernel at 60 and 300 frames, and on its first
+    /// 0, 1 and 2 frames.
+    #[test]
+    fn switching_profile_distances_equal_the_pairwise_accumulation() {
+        use lockbind_hls::sim::execute_frame;
+        use lockbind_hls::{OpId, SwitchingProfile};
+        for kernel in Kernel::ALL {
+            let full = kernel.benchmark(300, 5).trace;
+            let traces = [
+                kernel.benchmark(60, 5).trace,
+                full.clone(),
+                Trace::new(),
+                full.iter().take(1).cloned().collect(),
+                full.iter().take(2).cloned().collect(),
+            ];
+            let dfg = kernel.build_dfg();
+            let ids: Vec<OpId> = dfg.op_ids().collect();
+            let n = ids.len();
+            for trace in &traces {
+                let (mut within, mut cross) = (vec![0u64; n * n], vec![0u64; n * n]);
+                let mut prev: Option<Vec<Minterm>> = None;
+                for frame in trace {
+                    let acts = execute_frame(&dfg, frame).expect("arity matches");
+                    let ms: Vec<Minterm> = acts.iter().map(|a| a.minterm(dfg.width())).collect();
+                    for u in 0..n {
+                        for v in 0..n {
+                            within[u * n + v] += u64::from(ms[u].hamming_distance(ms[v]));
+                            if let Some(p) = &prev {
+                                cross[u * n + v] += u64::from(p[u].hamming_distance(ms[v]));
+                            }
+                        }
+                    }
+                    prev = Some(ms);
+                }
+                let f = trace.len().max(1) as f64;
+                let fc = trace.len().saturating_sub(1).max(1) as f64;
+                let profile = SwitchingProfile::from_trace(&dfg, trace).expect("profiled");
+                for u in 0..n {
+                    for v in 0..n {
+                        let (ou, ov) = (ids[u], ids[v]);
+                        let want_within = within[u * n + v] as f64 / f;
+                        let want_cross = cross[u * n + v] as f64 / fc;
+                        assert_eq!(
+                            profile.within(ou, ov).to_bits(),
+                            want_within.to_bits(),
+                            "{kernel:?} {} frames within({u}, {v})",
+                            trace.len()
+                        );
+                        assert_eq!(
+                            profile.cross(ou, ov).to_bits(),
+                            want_cross.to_bits(),
+                            "{kernel:?} {} frames cross({u}, {v})",
+                            trace.len()
+                        );
+                    }
+                }
             }
         }
     }

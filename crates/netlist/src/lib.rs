@@ -31,7 +31,6 @@
 pub mod analysis;
 pub mod builders;
 pub mod cnf;
-pub mod dot;
 mod error;
 mod netlist;
 

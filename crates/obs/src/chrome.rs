@@ -10,77 +10,79 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use crate::json::Json;
+use crate::json::{write_escaped, write_f64};
 use crate::trace::SpanRecord;
 
 fn tid(span: &SpanRecord) -> u64 {
     span.cell.map_or(0, |c| c + 1)
 }
 
-/// Builds the trace document for `spans` (pre-sort with
+/// Renders the trace document for `spans` (pre-sort with
 /// [`crate::CollectingSink::drain_sorted`] for a stable event order).
-pub fn chrome_trace(spans: &[SpanRecord]) -> Json {
-    let mut events = Vec::with_capacity(spans.len() + 8);
-    events.push(Json::obj([
-        ("name", Json::from("process_name")),
-        ("ph", Json::from("M")),
-        ("pid", Json::from(1u64)),
-        ("tid", Json::from(0u64)),
-        ("args", Json::obj([("name", Json::from("lockbind"))])),
-    ]));
+///
+/// Events are written straight into one string, in the compact form
+/// [`crate::Json::render`] gives the same document: a trace holds
+/// thousands of spans, and a value tree would cost each one an
+/// allocation per key.
+pub fn chrome_trace(spans: &[SpanRecord]) -> String {
+    let mut out = String::with_capacity(128 + spans.len() * 160);
+    out.push_str(
+        r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"lockbind"}}"#,
+    );
     let mut tids: Vec<u64> = spans.iter().map(tid).collect();
     tids.sort_unstable();
     tids.dedup();
     for t in tids {
-        let label = if t == 0 {
-            "driver".to_string()
+        let _ = write!(
+            out,
+            r#",{{"name":"thread_name","ph":"M","pid":1,"tid":{t},"args":{{"name":"#
+        );
+        if t == 0 {
+            out.push_str(r#""driver"}}"#);
         } else {
-            format!("cell {}", t - 1)
-        };
-        events.push(Json::obj([
-            ("name", Json::from("thread_name")),
-            ("ph", Json::from("M")),
-            ("pid", Json::from(1u64)),
-            ("tid", Json::from(t)),
-            ("args", Json::obj([("name", Json::from(label))])),
-        ]));
+            let _ = write!(out, r#""cell {}"}}}}"#, t - 1);
+        }
     }
     for span in spans {
-        let mut args: Vec<(String, Json)> = Vec::with_capacity(span.args.len() + 1);
-        if let Some(worker) = span.worker {
-            args.push(("worker".to_string(), Json::from(worker)));
-        }
-        for (key, value) in &span.args {
-            args.push((key.to_string(), value.to_json()));
-        }
-        let mut event = vec![
-            ("name".to_string(), Json::from(span.name)),
-            ("cat".to_string(), Json::from("lockbind")),
-            (
-                "ph".to_string(),
-                Json::from(if span.instant { "i" } else { "X" }),
-            ),
-            ("ts".to_string(), Json::from(span.start_ns as f64 / 1000.0)),
-            ("pid".to_string(), Json::from(1u64)),
-            ("tid".to_string(), Json::from(tid(span))),
-        ];
-        if span.instant {
-            event.push(("s".to_string(), Json::from("t")));
+        out.push_str(r#",{"name":"#);
+        write_escaped(&mut out, span.name);
+        out.push_str(if span.instant {
+            r#","cat":"lockbind","ph":"i","ts":"#
         } else {
-            event.push(("dur".to_string(), Json::from(span.dur_ns as f64 / 1000.0)));
+            r#","cat":"lockbind","ph":"X","ts":"#
+        });
+        write_f64(&mut out, span.start_ns as f64 / 1000.0);
+        let _ = write!(out, r#","pid":1,"tid":{}"#, tid(span));
+        if span.instant {
+            out.push_str(r#","s":"t""#);
+        } else {
+            out.push_str(r#","dur":"#);
+            write_f64(&mut out, span.dur_ns as f64 / 1000.0);
         }
-        if !args.is_empty() {
-            event.push(("args".to_string(), Json::Object(args)));
+        if span.worker.is_some() || !span.args.is_empty() {
+            out.push_str(r#","args":{"#);
+            let mut sep = "";
+            if let Some(worker) = span.worker {
+                let _ = write!(out, r#""worker":{worker}"#);
+                sep = ",";
+            }
+            for (key, value) in &span.args {
+                out.push_str(sep);
+                write_escaped(&mut out, key);
+                out.push(':');
+                value.write_json(&mut out);
+                sep = ",";
+            }
+            out.push('}');
         }
-        events.push(Json::Object(event));
+        out.push('}');
     }
-    Json::obj([
-        ("traceEvents", Json::Array(events)),
-        ("displayTimeUnit", Json::from("ms")),
-    ])
+    out.push_str(r#"],"displayTimeUnit":"ms"}"#);
+    out
 }
 
 /// Renders and writes the trace to `path`, creating parent directories.
@@ -93,13 +95,84 @@ pub fn write_chrome_trace(path: &Path, spans: &[SpanRecord]) -> io::Result<()> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, chrome_trace(spans).render() + "\n")
+    std::fs::write(path, chrome_trace(spans) + "\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::trace::ArgValue;
+
+    /// The exporter as it was before it streamed: the document as a
+    /// [`Json`] tree, rendered. Kept as the byte reference.
+    fn chrome_trace_tree(spans: &[SpanRecord]) -> String {
+        let leaf = |value: &ArgValue| match value {
+            ArgValue::UInt(v) => Json::UInt(*v),
+            ArgValue::Int(v) => Json::Float(*v as f64),
+            ArgValue::Float(v) => Json::Float(*v),
+            ArgValue::Str(s) => Json::Str(s.clone()),
+            ArgValue::Bool(b) => Json::Bool(*b),
+        };
+        let mut events = vec![Json::obj([
+            ("name", Json::from("process_name")),
+            ("ph", Json::from("M")),
+            ("pid", Json::from(1u64)),
+            ("tid", Json::from(0u64)),
+            ("args", Json::obj([("name", Json::from("lockbind"))])),
+        ])];
+        let mut tids: Vec<u64> = spans.iter().map(tid).collect();
+        tids.sort_unstable();
+        tids.dedup();
+        for t in tids {
+            let label = if t == 0 {
+                "driver".to_string()
+            } else {
+                format!("cell {}", t - 1)
+            };
+            events.push(Json::obj([
+                ("name", Json::from("thread_name")),
+                ("ph", Json::from("M")),
+                ("pid", Json::from(1u64)),
+                ("tid", Json::from(t)),
+                ("args", Json::obj([("name", Json::from(label))])),
+            ]));
+        }
+        for span in spans {
+            let mut args: Vec<(String, Json)> = Vec::new();
+            if let Some(worker) = span.worker {
+                args.push(("worker".to_string(), Json::from(worker)));
+            }
+            for (key, value) in &span.args {
+                args.push((key.to_string(), leaf(value)));
+            }
+            let mut event = vec![
+                ("name".to_string(), Json::from(span.name)),
+                ("cat".to_string(), Json::from("lockbind")),
+                (
+                    "ph".to_string(),
+                    Json::from(if span.instant { "i" } else { "X" }),
+                ),
+                ("ts".to_string(), Json::from(span.start_ns as f64 / 1000.0)),
+                ("pid".to_string(), Json::from(1u64)),
+                ("tid".to_string(), Json::from(tid(span))),
+            ];
+            if span.instant {
+                event.push(("s".to_string(), Json::from("t")));
+            } else {
+                event.push(("dur".to_string(), Json::from(span.dur_ns as f64 / 1000.0)));
+            }
+            if !args.is_empty() {
+                event.push(("args".to_string(), Json::Object(args)));
+            }
+            events.push(Json::Object(event));
+        }
+        Json::obj([
+            ("traceEvents", Json::Array(events)),
+            ("displayTimeUnit", Json::from("ms")),
+        ])
+        .render()
+    }
 
     fn span(name: &'static str, cell: Option<u64>, instant: bool) -> SpanRecord {
         SpanRecord {
@@ -117,8 +190,7 @@ mod tests {
 
     #[test]
     fn events_carry_cell_tracks_and_microsecond_times() {
-        let doc = chrome_trace(&[span("work", Some(4), false), span("mark", None, true)]);
-        let text = doc.render();
+        let text = chrome_trace(&[span("work", Some(4), false), span("mark", None, true)]);
         assert!(text.starts_with("{\"traceEvents\":["), "{text}");
         // Complete event on the cell's track, µs timestamps.
         assert!(text.contains("\"name\":\"work\""), "{text}");
@@ -135,5 +207,38 @@ mod tests {
         // Span args and worker tag survive.
         assert!(text.contains("\"worker\":0"), "{text}");
         assert!(text.contains("\"k\":3"), "{text}");
+        crate::json::parse(text.as_bytes()).expect("valid JSON");
+    }
+
+    /// The streamed document against the rendered tree, byte for byte:
+    /// every argument kind (escapes, non-finite floats, negative ints),
+    /// spans with and without worker or arguments, and no spans at all.
+    #[test]
+    fn streamed_trace_equals_the_rendered_tree() {
+        let mut spans = vec![
+            span("work", Some(4), false),
+            span("mark", None, true),
+            span("cell.inputs", Some(0), false),
+        ];
+        spans[2].args = vec![
+            ("int", ArgValue::Int(-7)),
+            ("float", ArgValue::Float(0.1)),
+            ("nan", ArgValue::Float(f64::NAN)),
+            ("text", ArgValue::Str("say \"hi\"\\\n\u{1}é".to_string())),
+            ("yes", ArgValue::Bool(true)),
+            ("no", ArgValue::Bool(false)),
+            ("big", ArgValue::UInt(u64::MAX)),
+        ];
+        spans[2].start_ns = 123_456_789;
+        spans[2].dur_ns = 1;
+        let mut bare = span("bare", None, false);
+        bare.args.clear();
+        spans.push(bare);
+        let mut no_worker = span("kernel \"q\"", Some(11), false);
+        no_worker.worker = None;
+        spans.push(no_worker);
+        for set in [&spans[..], &spans[..1], &[]] {
+            assert_eq!(chrome_trace(set), chrome_trace_tree(set));
+        }
     }
 }

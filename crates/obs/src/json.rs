@@ -2,9 +2,11 @@
 //! [`Json`] value tree, a compact writer, and a strict parser.
 //!
 //! Every exporter writes through [`Json::render`]: the engine's
-//! run-metrics export, the chrome://tracing writer, the figure binaries,
-//! sweep checkpoints, and the serve daemon's responses. Every reader
-//! goes through [`parse`] and the [`Json::get`] / `as_*` accessors.
+//! run-metrics export, the figure binaries, sweep checkpoints, and the
+//! serve daemon's responses. The chrome://tracing writer streams its
+//! events instead, through the same string and number writers. Every
+//! reader goes through [`parse`] and the [`Json::get`] / `as_*`
+//! accessors.
 //!
 //! The parser is deliberately stricter than RFC 8259 allows a reader to
 //! be, because every deviation it tolerates becomes a request the serve
@@ -113,13 +115,7 @@ impl Json {
             Json::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Float(v) => write_f64(out, *v),
             Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
                 out.push('[');
@@ -147,7 +143,17 @@ impl Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Writes a JSON number; non-finite values render as `null`.
+pub(crate) fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Writes `s` as a quoted, escaped JSON string.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -14,9 +14,12 @@
 //! a sink ([`install_collector`] or [`set_sink`]) to start recording.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::json::{write_escaped, write_f64};
 
 static TRACING: AtomicBool = AtomicBool::new(false);
 
@@ -52,14 +55,17 @@ pub enum ArgValue {
 }
 
 impl ArgValue {
-    /// The value as a [`Json`](crate::Json) leaf.
-    pub fn to_json(&self) -> crate::Json {
+    /// Writes the value as a JSON leaf. A signed integer renders as a
+    /// number like a float.
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
-            ArgValue::UInt(v) => crate::Json::UInt(*v),
-            ArgValue::Int(v) => crate::Json::Float(*v as f64),
-            ArgValue::Float(v) => crate::Json::Float(*v),
-            ArgValue::Str(s) => crate::Json::Str(s.clone()),
-            ArgValue::Bool(b) => crate::Json::Bool(*b),
+            ArgValue::UInt(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::Int(v) => write_f64(out, *v as f64),
+            ArgValue::Float(v) => write_f64(out, *v),
+            ArgValue::Str(s) => write_escaped(out, s),
+            ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
 }
