@@ -16,8 +16,10 @@
 //!   baselines frequently achieve *zero* expected errors for unlucky
 //!   combinations (the paper does not state its convention).
 
-use lockbind_core::{CoDesignProblem, CoreError, LockingSpec};
-use lockbind_hls::{Binding, FuClass, FuId, Minterm, OccurrenceProfile};
+use std::sync::OnceLock;
+
+use lockbind_core::{ClassTable, CoDesignProblem, CoreError, LockingSpec};
+use lockbind_hls::{Binding, FuClass, FuId, Minterm};
 use lockbind_obs as obs;
 use lockbind_resil::{splitmix64, CancelToken};
 
@@ -114,6 +116,8 @@ fn ratio(sec: u64, base: u64) -> f64 {
 /// execution engine it is built once per (kernel, class) and memoized in
 /// the artifact cache. The baselines come from
 /// [`PreparedKernel::baselines`], so a kernel's classes share one pair.
+/// The class's Eqn. 3 candidate table is built later, by the first cell
+/// that reads it, and then shared by every cell of the class.
 #[derive(Debug, Clone)]
 pub struct ClassContext {
     /// The FU class this context covers.
@@ -124,6 +128,21 @@ pub struct ClassContext {
     pub area: Binding,
     /// Power-aware baseline binding (locking-independent).
     pub power: Binding,
+    /// The class's tables, built on first use by [`ClassContext::tables`].
+    tables: OnceLock<Result<ClassTables, CoreError>>,
+}
+
+/// What every error cell of a class reads and none of them changes: the
+/// class's [`ClassTable`] over the context's candidates, and each of the
+/// class's FUs' errors per candidate under the two baseline bindings.
+#[derive(Debug, Clone)]
+struct ClassTables {
+    table: ClassTable,
+    /// `baselines[j * |C| + i]`: the errors of FU `j` of the class locked
+    /// with candidate `i` alone, under the area- and the power-aware
+    /// binding. Eqn. 2 on a fixed binding is linear in the locked set, so
+    /// a lock's baseline errors are sums of these.
+    baselines: Vec<[u64; 2]>,
 }
 
 impl ClassContext {
@@ -147,7 +166,42 @@ impl ClassContext {
             candidates,
             area,
             power,
+            tables: OnceLock::new(),
         }))
+    }
+
+    /// The class's tables over `prepared`, the kernel this context was
+    /// built from. The first call builds them and every later call, from
+    /// any thread, reads the same ones. [`build`](Self::build) runs when the
+    /// engine fills its artifact cache, before any cell, so building them
+    /// there would move the work into set-up rather than remove it.
+    ///
+    /// # Errors
+    /// As [`ClassTable::new`].
+    fn tables(&self, prepared: &PreparedKernel) -> Result<&ClassTables, CoreError> {
+        self.tables
+            .get_or_init(|| {
+                let table = ClassTable::new(
+                    &prepared.dfg,
+                    &prepared.schedule,
+                    &prepared.alloc,
+                    &prepared.profile,
+                    self.class,
+                    &self.candidates,
+                )?;
+                let profile = &prepared.profile;
+                let mut baselines = Vec::new();
+                for j in 0..prepared.alloc.count(self.class) {
+                    let fu = FuId::new(self.class, j);
+                    let (area, power) = (self.area.ops_on(fu), self.power.ops_on(fu));
+                    baselines.extend(self.candidates.iter().map(|&m| {
+                        [&area, &power].map(|ops| ops.iter().map(|&op| profile.count(op, m)).sum())
+                    }));
+                }
+                Ok(ClassTables { table, baselines })
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// The fixed locking spec of a configuration: the first `locked_inputs`
@@ -220,12 +274,13 @@ pub fn run_error_cell_cancellable(
     }
     let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
     let cell = {
+        // The class's tables (on the class's first cell), the problem's
+        // sweep derived from them, and the cell's baseline entries.
         let _span = obs::span!("cell.inputs");
-        Cell::build(prepared, ctx, params, &fus, locked_inputs)?
+        Cell::build(prepared, ctx, &fus, locked_inputs)?
     };
-    let mut records = vec![cell.obf_aware(cancel)?];
-    records.extend(cell.codesign(params.optimal_budget, cancel)?);
-    Ok(records)
+    let searched = cell.codesign(params.optimal_budget, cancel)?;
+    cell.records(params, &searched, cancel)
 }
 
 /// [`run_error_cell_cancellable`] with a token that never fires, kept only
@@ -277,125 +332,143 @@ pub fn run_error_experiment(
     Ok(records)
 }
 
-/// The combination assignments evaluated for a configuration, flat with
-/// stride `|L|` (read with `chunks_exact(|L|)`): exhaustive when the
-/// problem's [configurations](CoDesignProblem::configurations) fit
-/// `max_assignments`, otherwise a seeded subsample of that size.
-fn enumerate_assignments(
-    params: &ExperimentParams,
-    problem: &CoDesignProblem,
-    locked_inputs: usize,
-) -> Vec<usize> {
-    let num_fus = problem.locked_fus().len();
-    let num_combos = problem.combinations().len();
-    let total = problem.configurations();
-    if total <= params.max_assignments as u128 {
-        odometer(num_fus, num_combos, total as usize)
-    } else {
-        let mut state = params.seed ^ ((num_fus as u64) << 32) ^ locked_inputs as u64;
-        (0..params.max_assignments * num_fus)
-            .map(|_| (splitmix64(&mut state) as usize) % num_combos)
-            .collect()
-    }
+/// The combination assignments a cell evaluates, one at a time:
+/// exhaustive when the problem's
+/// [configurations](CoDesignProblem::configurations) fit
+/// `max_assignments`, otherwise a seeded subsample of that size. Each is
+/// one combination per locked FU, generated in place, so no list of
+/// assignments is ever built.
+struct Assignments {
+    digits: Vec<usize>,
+    radix: usize,
+    /// Assignments still to come.
+    remaining: usize,
+    /// The subsample's splitmix64 state; `None` for the exhaustive walk.
+    sampled: Option<u64>,
+    started: bool,
 }
 
-/// The first `total` assignments of `radix` combinations to `digits`
-/// locked FUs in mixed-radix order, digit 0 (the first locked FU) fastest,
-/// flat with stride `digits`: digit `k` of assignment `index` is
-/// `index / radix^k % radix`, read off a counter that carries instead of
-/// dividing.
-fn odometer(digits: usize, radix: usize, total: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(total * digits);
-    let mut counter = vec![0; digits];
-    for _ in 0..total {
-        out.extend_from_slice(&counter);
-        for digit in &mut counter {
-            *digit += 1;
-            if *digit < radix {
-                break;
+impl Assignments {
+    fn new(params: &ExperimentParams, problem: &CoDesignProblem, locked_inputs: usize) -> Self {
+        let num_fus = problem.locked_fus().len();
+        let num_combos = problem.combinations().len();
+        let total = problem.configurations();
+        if total <= params.max_assignments as u128 {
+            Assignments::exhaustive(num_fus, num_combos, total as usize)
+        } else {
+            let state = params.seed ^ ((num_fus as u64) << 32) ^ locked_inputs as u64;
+            Assignments {
+                sampled: Some(state),
+                ..Assignments::exhaustive(num_fus, num_combos, params.max_assignments)
             }
-            *digit = 0;
         }
     }
-    out
-}
 
-/// Per-(slot, combination) Eqn. 2 error contribution of a *fixed* baseline
-/// binding: `table[k][ci]` is the errors that slot `k`'s FU contributes when
-/// locked with combination `ci`, so the baseline errors of any assignment
-/// are the sum of one table entry per slot. Each FU's count per candidate
-/// is summed over its ops once, and a combination's entry is the sum of its
-/// members' sums — the same u64 total (addition is order-independent) as
-/// `expected_application_errors(binding, ..)` on the assignment's spec.
-fn baseline_tables(
-    profile: &OccurrenceProfile,
-    binding: &Binding,
-    fus: &[FuId],
-    combos: &[Vec<usize>],
-    candidates: &[Minterm],
-) -> Vec<Vec<u64>> {
-    fus.iter()
-        .map(|&fu| {
-            let ops = binding.ops_on(fu);
-            let per_candidate: Vec<u64> = candidates
-                .iter()
-                .map(|&c| ops.iter().map(|&op| profile.count(op, c)).sum())
-                .collect();
-            combos
-                .iter()
-                .map(|combo| combo.iter().map(|&i| per_candidate[i]).sum())
-                .collect()
-        })
-        .collect()
+    /// The first `total` assignments of `radix` combinations to `digits`
+    /// locked FUs in mixed-radix order, digit 0 (the first locked FU)
+    /// fastest: digit `k` of assignment `index` is
+    /// `index / radix^k % radix`, read off a counter that carries instead
+    /// of dividing.
+    fn exhaustive(digits: usize, radix: usize, total: usize) -> Self {
+        Assignments {
+            digits: vec![0; digits],
+            radix,
+            remaining: total,
+            sampled: None,
+            started: false,
+        }
+    }
+
+    /// The number of assignments still to come: all of them before the
+    /// first [`advance`](Self::advance).
+    fn len(&self) -> usize {
+        self.remaining
+    }
+
+    /// The next assignment, or `None` after the last.
+    fn advance(&mut self) -> Option<&[usize]> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        match &mut self.sampled {
+            Some(state) => {
+                for digit in &mut self.digits {
+                    *digit = (splitmix64(state) as usize) % self.radix;
+                }
+            }
+            None if self.started => {
+                for digit in &mut self.digits {
+                    *digit += 1;
+                    if *digit < self.radix {
+                        break;
+                    }
+                    *digit = 0;
+                }
+            }
+            None => self.started = true,
+        }
+        Some(&self.digits)
+    }
 }
 
 /// One error cell's shared state: the co-design problem (its combinations
-/// and its one sweep), the evaluated assignments, and each assignment's
-/// baseline errors under the area- and power-aware bindings (read off
-/// [`baseline_tables`]). The obf-aware and co-design halves read it.
+/// and the sweep derived from the class table), and each (slot,
+/// combination)'s baseline errors. The co-design searches and the one
+/// streaming pass over the assignments read it.
 struct Cell<'a> {
     prepared: &'a PreparedKernel,
     ctx: &'a ClassContext,
     locked_inputs: usize,
     problem: CoDesignProblem<'a>,
-    /// Flat, one combination per locked FU per assignment
-    /// ([`enumerate_assignments`]).
-    assignments: Vec<usize>,
-    base_area: Vec<u64>,
-    base_power: Vec<u64>,
+    /// `base[k * |combos| + c]`: the errors slot `k`'s FU contributes
+    /// locked with combination `c`, under the area- and the power-aware
+    /// binding. An assignment's baseline errors are one entry per slot,
+    /// summed: the same `u64`s Eqn. 2 gives on the assignment's spec.
+    base: Vec<[u64; 2]>,
 }
 
 impl<'a> Cell<'a> {
     fn build(
         prepared: &'a PreparedKernel,
         ctx: &'a ClassContext,
-        params: &ExperimentParams,
         fus: &'a [FuId],
         locked_inputs: usize,
     ) -> Result<Cell<'a>, CoreError> {
-        let problem = prepared.codesign_problem(fus, locked_inputs, &ctx.candidates)?;
-        let assignments = enumerate_assignments(params, &problem, locked_inputs);
-        let base = |binding: &Binding| -> Vec<u64> {
-            let combos = problem.combinations();
-            let table = baseline_tables(&prepared.profile, binding, fus, combos, &ctx.candidates);
-            assignments
-                .chunks_exact(fus.len())
-                .map(|assign| assign.iter().enumerate().map(|(k, &ci)| table[k][ci]).sum())
-                .collect()
-        };
+        let tables = ctx.tables(prepared)?;
+        let problem = CoDesignProblem::with_table(
+            &prepared.dfg,
+            &prepared.schedule,
+            &prepared.alloc,
+            &prepared.profile,
+            &tables.table,
+            fus,
+            locked_inputs,
+        )?;
+        let n = ctx.candidates.len();
+        let mut base = Vec::with_capacity(fus.len() * problem.combinations().len());
+        for fu in fus {
+            let sums = &tables.baselines[fu.index * n..][..n];
+            base.extend(problem.combinations().iter().map(|combo| {
+                combo.iter().fold([0, 0], |[area, power], &i| {
+                    [area + sums[i][0], power + sums[i][1]]
+                })
+            }));
+        }
         Ok(Cell {
-            base_area: base(&ctx.area),
-            base_power: base(&ctx.power),
             prepared,
             ctx,
             locked_inputs,
             problem,
-            assignments,
+            base,
         })
     }
 
-    /// This cell's record of `algo`, over all its assignments.
-    fn record(&self, algo: SecurityAlgo, vs_area: f64, vs_power: f64, errors: f64) -> ErrorRecord {
+    /// This cell's record of `algo` over `samples` assignments.
+    fn record(
+        &self,
+        algo: SecurityAlgo,
+        [vs_area, vs_power]: [f64; 2],
+        errors: f64,
+        samples: usize,
+    ) -> ErrorRecord {
         ErrorRecord {
             kernel: self.prepared.name.clone(),
             class: self.ctx.class,
@@ -405,76 +478,91 @@ impl<'a> Cell<'a> {
             vs_area,
             vs_power,
             mean_errors: errors,
-            samples: self.base_area.len(),
+            samples,
         }
     }
 
-    /// Obfuscation-aware half: score each combination assignment with
-    /// obf-aware binding, and compare against the baselines locked with
-    /// the *same* assignment.
+    /// Co-design searches: the heuristic always; the exact search when the
+    /// problem's configurations fit `optimal_budget`. Each yields its
+    /// search's sweep score; no choice is bound.
+    fn codesign(
+        &self,
+        optimal_budget: u128,
+        cancel: &CancelToken,
+    ) -> Result<Vec<(SecurityAlgo, u64)>, CoreError> {
+        let _span = obs::span!("cell.codesign");
+        let heuristic = self.problem.heuristic(cancel)?;
+        let mut out = vec![(SecurityAlgo::CoDesignHeuristic, heuristic.errors())];
+        if self.problem.configurations() <= optimal_budget {
+            let optimal = self.problem.optimal(cancel)?;
+            out.push((SecurityAlgo::CoDesignOptimal, optimal.errors()));
+        }
+        Ok(out)
+    }
+
+    /// The cell's records in one pass over its assignments: the
+    /// obfuscation-aware record, then one per search in `searched`.
     ///
-    /// Scoring goes through the problem's sweep, one
-    /// [`score`](lockbind_core::ErrorSweep::score) per assignment: its
-    /// per-cycle optima are the exact errors a cold
+    /// Obfuscation-aware half: each assignment is scored on the problem's
+    /// sweep, one [`score`](lockbind_core::ErrorSweep::score) per
+    /// assignment, whose per-cycle optima are the exact errors a cold
     /// `bind_obfuscation_aware` + `expected_application_errors` pair would
-    /// produce (the `lockbind-check` mutation suite pins this). The f64
-    /// accumulation order is unchanged, so every emitted record is
-    /// byte-identical to the legacy per-assignment binding loop.
-    fn obf_aware(&self, cancel: &CancelToken) -> Result<ErrorRecord, CoreError> {
-        let n = self.base_area.len();
+    /// produce (the `lockbind-check` mutation suite pins this), and
+    /// compared against the baselines locked with the *same* assignment.
+    ///
+    /// Co-design half. Ratio convention (matching the paper's Fig. 4
+    /// bottom, where co-design ratios are far above the obf-aware ones):
+    /// the co-design error count is compared against the baseline bindings
+    /// locked with *each enumerated candidate combination* of the same
+    /// configuration, and the ratios are averaged — i.e. "how much better
+    /// is letting the algorithm pick both the binding and the inputs than
+    /// locking a same-shaped configuration after area/power-aware
+    /// binding".
+    ///
+    /// Every `f64` sum adds its terms in assignment order, so every record
+    /// is byte-identical to the legacy per-assignment binding loop and the
+    /// legacy mean over the materialised baseline lists.
+    fn records(
+        &self,
+        params: &ExperimentParams,
+        searched: &[(SecurityAlgo, u64)],
+        cancel: &CancelToken,
+    ) -> Result<Vec<ErrorRecord>, CoreError> {
+        let mut walk = Assignments::new(params, &self.problem, self.locked_inputs);
+        let n = walk.len();
         let _span = obs::span!("cell.obf_aware", assignments = n);
-        let num_fus = self.problem.locked_fus().len();
-        let mut sum_area = 0.0;
-        let mut sum_power = 0.0;
-        let mut sum_err = 0.0;
-        for (i, assign) in self.assignments.chunks_exact(num_fus).enumerate() {
+        let (sweep, radix) = (self.problem.sweep(), self.problem.combinations().len());
+        let (mut obf, mut sum_err) = ([0.0; 2], 0.0);
+        let mut sums = vec![[0.0; 2]; searched.len()];
+        while let Some(assign) = walk.advance() {
             if cancel.is_cancelled() {
                 return Err(CoreError::Interrupted {
                     stage: "bench.obf_aware",
                 });
             }
-            let e_obf = self.problem.sweep().score(assign);
-            sum_area += ratio(e_obf, self.base_area[i]);
-            sum_power += ratio(e_obf, self.base_power[i]);
+            let mut base = [0, 0];
+            for (k, &c) in assign.iter().enumerate() {
+                let [area, power] = self.base[k * radix + c];
+                base = [base[0] + area, base[1] + power];
+            }
+            let e_obf = sweep.score(assign);
+            for (sum, b) in obf.iter_mut().zip(base) {
+                *sum += ratio(e_obf, b);
+            }
             sum_err += e_obf as f64;
+            for (sum, &(_, errors)) in sums.iter_mut().zip(searched) {
+                for (s, b) in sum.iter_mut().zip(base) {
+                    *s += ratio(errors, b);
+                }
+            }
         }
-        let n = n as f64;
-        let algo = SecurityAlgo::ObfAware;
-        Ok(self.record(algo, sum_area / n, sum_power / n, sum_err / n))
-    }
-
-    /// Co-design half: the heuristic always; the exact search when the
-    /// problem's configurations fit `optimal_budget`. Each record reads
-    /// its search's sweep score; no choice is bound.
-    ///
-    /// Ratio convention (matching the paper's Fig. 4 bottom, where co-design
-    /// ratios are far above the obf-aware ones): the co-design error count
-    /// is compared against the baseline bindings locked with *each
-    /// enumerated candidate combination* of the same configuration, and the
-    /// ratios are averaged — i.e. "how much better is letting the algorithm
-    /// pick both the binding and the inputs than locking a same-shaped
-    /// configuration after area/power-aware binding".
-    fn codesign(
-        &self,
-        optimal_budget: u128,
-        cancel: &CancelToken,
-    ) -> Result<Vec<ErrorRecord>, CoreError> {
-        let _span = obs::span!("cell.codesign", assignments = self.base_area.len());
-        let mean_ratio = |errors: u64, bases: &[u64]| -> f64 {
-            bases.iter().map(|&b| ratio(errors, b)).sum::<f64>() / bases.len() as f64
-        };
-        let record = |algo: SecurityAlgo, errors: u64| {
-            let vs_area = mean_ratio(errors, &self.base_area);
-            let vs_power = mean_ratio(errors, &self.base_power);
-            self.record(algo, vs_area, vs_power, errors as f64)
-        };
-        let heuristic = self.problem.heuristic(cancel)?;
-        let mut out = vec![record(SecurityAlgo::CoDesignHeuristic, heuristic.errors())];
-        if self.problem.configurations() <= optimal_budget {
-            let optimal = self.problem.optimal(cancel)?;
-            out.push(record(SecurityAlgo::CoDesignOptimal, optimal.errors()));
+        let mean = |[area, power]: [f64; 2]| [area / n as f64, power / n as f64];
+        let mut records =
+            vec![self.record(SecurityAlgo::ObfAware, mean(obf), sum_err / n as f64, n)];
+        for (&sum, &(algo, errors)) in sums.iter().zip(searched) {
+            records.push(self.record(algo, mean(sum), errors as f64, n));
         }
-        Ok(out)
+        Ok(records)
     }
 }
 
@@ -498,7 +586,130 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockbind_hls::OccurrenceProfile;
     use lockbind_mediabench::Kernel;
+
+    /// Every assignment of `walk`, flat with stride `|L|`.
+    fn collect(mut walk: Assignments) -> Vec<usize> {
+        let mut out = Vec::new();
+        while let Some(assign) = walk.advance() {
+            out.extend_from_slice(assign);
+        }
+        out
+    }
+
+    /// The exhaustive walk's first `total` assignments, materialised.
+    fn odometer(digits: usize, radix: usize, total: usize) -> Vec<usize> {
+        collect(Assignments::exhaustive(digits, radix, total))
+    }
+
+    /// The assignments a cell of `problem` evaluates, materialised.
+    fn enumerate_assignments(
+        params: &ExperimentParams,
+        problem: &CoDesignProblem,
+        locked_inputs: usize,
+    ) -> Vec<usize> {
+        collect(Assignments::new(params, problem, locked_inputs))
+    }
+
+    /// Per-(slot, combination) Eqn. 2 errors of a fixed baseline binding,
+    /// recounted from the profile: `table[k][ci]` is the errors slot `k`'s
+    /// FU contributes locked with combination `ci`.
+    fn baseline_tables(
+        profile: &OccurrenceProfile,
+        binding: &Binding,
+        fus: &[FuId],
+        combos: &[Vec<usize>],
+        candidates: &[Minterm],
+    ) -> Vec<Vec<u64>> {
+        fus.iter()
+            .map(|&fu| {
+                let ops = binding.ops_on(fu);
+                combos
+                    .iter()
+                    .map(|combo| {
+                        combo
+                            .iter()
+                            .map(|&i| {
+                                ops.iter()
+                                    .map(|&op| profile.count(op, candidates[i]))
+                                    .sum::<u64>()
+                            })
+                            .sum()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The error cell as it was before streaming, materialised: a
+    /// co-design problem built from scratch, the assignment list, each
+    /// assignment's two baseline errors from recounted tables, the
+    /// obf-aware sums over the lists, and each search's mean ratio over
+    /// them. The streaming cell must reproduce its records bitwise.
+    fn materialised_cell(
+        p: &PreparedKernel,
+        params: &ExperimentParams,
+        ctx: &ClassContext,
+        locked_fus: usize,
+        locked_inputs: usize,
+    ) -> Vec<ErrorRecord> {
+        let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
+        let problem = p
+            .codesign_problem(&fus, locked_inputs, &ctx.candidates)
+            .expect("builds");
+        let assignments = enumerate_assignments(params, &problem, locked_inputs);
+        let combos = problem.combinations();
+        let base = |binding: &Binding| -> Vec<u64> {
+            let table = baseline_tables(&p.profile, binding, &fus, combos, &ctx.candidates);
+            assignments
+                .chunks_exact(fus.len())
+                .map(|assign| assign.iter().enumerate().map(|(k, &ci)| table[k][ci]).sum())
+                .collect()
+        };
+        let (base_area, base_power) = (base(&ctx.area), base(&ctx.power));
+        let n = base_area.len();
+        let record = |algo, vs_area, vs_power, mean_errors| ErrorRecord {
+            kernel: p.name.clone(),
+            class: ctx.class,
+            locked_fus,
+            locked_inputs,
+            algo,
+            vs_area,
+            vs_power,
+            mean_errors,
+            samples: n,
+        };
+        let (mut sum_area, mut sum_power, mut sum_err) = (0.0, 0.0, 0.0);
+        for (i, assign) in assignments.chunks_exact(fus.len()).enumerate() {
+            let e_obf = problem.sweep().score(assign);
+            sum_area += ratio(e_obf, base_area[i]);
+            sum_power += ratio(e_obf, base_power[i]);
+            sum_err += e_obf as f64;
+        }
+        let n_f = n as f64;
+        let mut out = vec![record(
+            SecurityAlgo::ObfAware,
+            sum_area / n_f,
+            sum_power / n_f,
+            sum_err / n_f,
+        )];
+        let never = CancelToken::new();
+        let mut searched = vec![(
+            SecurityAlgo::CoDesignHeuristic,
+            problem.heuristic(&never).expect("runs").errors(),
+        )];
+        if problem.configurations() <= params.optimal_budget {
+            let optimal = problem.optimal(&never).expect("runs").errors();
+            searched.push((SecurityAlgo::CoDesignOptimal, optimal));
+        }
+        for (algo, errors) in searched {
+            let vs_area = legacy_mean_ratio(errors, &base_area);
+            let vs_power = legacy_mean_ratio(errors, &base_power);
+            out.push(record(algo, vs_area, vs_power, errors as f64));
+        }
+        out
+    }
 
     fn small_params() -> ExperimentParams {
         ExperimentParams {
@@ -752,6 +963,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The streaming cell against [`materialised_cell`] on every
+    /// configuration of the smoke grid (`headline 60 5`: every kernel and
+    /// class, |L| and |M| in 1..=3), both the exhaustive walk and the
+    /// seeded subsample, bit for bit.
+    #[test]
+    fn streaming_cell_equals_the_materialised_cell_on_the_smoke_grid() {
+        let params = ExperimentParams::default();
+        let (mut exhaustive, mut sampled) = (0, 0);
+        for kernel in Kernel::ALL {
+            let p = PreparedKernel::new(kernel, 60, 5);
+            for class in p.classes() {
+                let Some(ctx) =
+                    ClassContext::build(&p, class, params.num_candidates).expect("builds")
+                else {
+                    continue;
+                };
+                for locked_fus in 1..=3 {
+                    for locked_inputs in 1..=3 {
+                        let fast = run_error_cell_cancellable(
+                            &p,
+                            &ctx,
+                            &params,
+                            locked_fus,
+                            locked_inputs,
+                            &CancelToken::new(),
+                        )
+                        .expect("runs");
+                        let slow = materialised_cell(&p, &params, &ctx, locked_fus, locked_inputs);
+                        assert_eq!(fast.len(), slow.len(), "{kernel:?} {class:?}");
+                        for (f, s) in fast.iter().zip(&slow) {
+                            let at = (kernel, class, locked_fus, locked_inputs, f.algo);
+                            assert_eq!(f.algo, s.algo, "{at:?}");
+                            assert_eq!(f.vs_area.to_bits(), s.vs_area.to_bits(), "{at:?}");
+                            assert_eq!(f.vs_power.to_bits(), s.vs_power.to_bits(), "{at:?}");
+                            assert_eq!(f.mean_errors.to_bits(), s.mean_errors.to_bits(), "{at:?}");
+                            assert_eq!(f.samples, s.samples, "{at:?}");
+                        }
+                        if fast[0].samples < params.max_assignments {
+                            exhaustive += 1;
+                        } else {
+                            sampled += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            exhaustive > 0 && sampled > 0,
+            "{exhaustive} exhaustive, {sampled} sampled"
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! One sweep per error cell: a cell that scores the obfuscation-aware
-//! assignments and runs both co-design searches builds one `ErrorSweep`.
+//! One class table per class, one sweep per error cell: the nine error
+//! cells of a (kernel, class) build the class's Eqn. 3 candidate table
+//! once, on the first cell, and each cell derives one `ErrorSweep` from it.
 //!
 //! This test lives alone in its own test binary: it diffs the
-//! process-global `sweep.builds` counter, and concurrent tests in the same
-//! process would bump it inside the window being measured.
+//! process-global `sweep.tables` and `sweep.builds` counters, and
+//! concurrent tests in the same process would bump them inside the window
+//! being measured.
 
 use lockbind_bench::{
     run_error_cell_cancellable, ClassContext, ExperimentParams, PreparedKernel, SecurityAlgo,
@@ -14,26 +16,34 @@ use lockbind_obs as obs;
 use lockbind_resil::CancelToken;
 
 #[test]
-fn an_error_cell_builds_one_sweep() {
+fn a_class_builds_one_table_and_each_cell_one_sweep() {
     let prepared = PreparedKernel::new(Kernel::Fir, 60, 5);
     let params = ExperimentParams::default();
+    let tables = obs::counter!("sweep.tables");
+    let builds = obs::counter!("sweep.builds");
+    let (t0, b0) = (tables.get(), builds.get());
     let ctx = ClassContext::build(&prepared, FuClass::Adder, params.num_candidates)
         .expect("builds")
         .expect("fir has adder candidates");
-    let builds = obs::counter!("sweep.builds");
-    let b0 = builds.get();
-    // Two locked adders, two inputs each: C(10, 2)^2 = 2025 orderings, in
-    // the exact search's budget.
-    let records = run_error_cell_cancellable(&prepared, &ctx, &params, 2, 2, &CancelToken::new())
-        .expect("runs");
-    let algos: Vec<SecurityAlgo> = records.iter().map(|r| r.algo).collect();
-    assert_eq!(
-        algos,
-        [
-            SecurityAlgo::ObfAware,
-            SecurityAlgo::CoDesignHeuristic,
-            SecurityAlgo::CoDesignOptimal
-        ]
-    );
-    assert_eq!(builds.get() - b0, 1, "sweeps built by one error cell");
+    assert_eq!(tables.get() - t0, 0, "the context builds no table");
+    let mut cells = 0;
+    for locked_fus in 1..=3 {
+        for locked_inputs in 1..=3 {
+            let records = run_error_cell_cancellable(
+                &prepared,
+                &ctx,
+                &params,
+                locked_fus,
+                locked_inputs,
+                &CancelToken::new(),
+            )
+            .expect("runs");
+            assert_eq!(records[0].algo, SecurityAlgo::ObfAware);
+            assert_eq!(records[1].algo, SecurityAlgo::CoDesignHeuristic);
+            cells += 1;
+            assert_eq!(tables.get() - t0, 1, "tables after {cells} cells");
+            assert_eq!(builds.get() - b0, cells, "sweeps after {cells} cells");
+        }
+    }
+    assert_eq!(cells, 9);
 }

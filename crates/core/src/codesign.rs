@@ -4,11 +4,14 @@
 //! secure `inputs_per_fu` minterms chosen from a designer-supplied candidate
 //! list `C`. A [`CoDesignProblem`] fixes these inputs, checks them once, and
 //! builds what every search over them shares: the `C(|C|, m)` combinations
-//! and one [`ErrorSweep`]. [`CoDesignProblem::optimal`] finds the exact
-//! optimum over every `C(|C|, m)^{|L|}` assignment;
-//! [`CoDesignProblem::heuristic`] is the paper's P-time sequential
-//! heuristic: fix one FU's locked inputs at a time, assuming the
-//! not-yet-fixed FUs are unlocked.
+//! and one [`ErrorSweep`], derived by summation from one [`ClassTable`] per
+//! locked class. [`CoDesignProblem::new`] builds its own tables;
+//! [`CoDesignProblem::with_table`] borrows one that many problems of a
+//! class share, and reads the candidates from it.
+//! [`CoDesignProblem::optimal`] finds the exact optimum over every
+//! `C(|C|, m)^{|L|}` assignment; [`CoDesignProblem::heuristic`] is the
+//! paper's P-time sequential heuristic: fix one FU's locked inputs at a
+//! time, assuming the not-yet-fixed FUs are unlocked.
 //!
 //! Both searches score configurations with [`ErrorSweep::score`] rather
 //! than a cold binding solve per configuration. Each keeps the
@@ -47,13 +50,14 @@
 
 use std::cmp::Reverse;
 
-use lockbind_hls::{Allocation, Binding, Dfg, FuId, Minterm, OccurrenceProfile, Schedule};
+use lockbind_hls::{Allocation, Binding, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_obs as obs;
 use lockbind_resil::CancelToken;
 
+use crate::sweep::walk_cycles;
 use crate::{
-    bind_obfuscation_aware, combinations, expected_application_errors, CoreError, ErrorSweep,
-    LockingSpec,
+    bind_obfuscation_aware, combinations, expected_application_errors, ClassTable, CoreError,
+    ErrorSweep, LockingSpec,
 };
 
 /// Guard on the optimal search's configuration space,
@@ -98,9 +102,9 @@ impl CoDesignChoice {
 
 /// One co-design problem: a scheduled, profiled kernel, its locked FUs, the
 /// candidate list and the inputs per FU, with the `C(|C|, m)` combinations
-/// and the one [`ErrorSweep`] that every search on it shares. A
-/// configuration is one column per locked slot; column `c` locks the
-/// slot's FU with the candidates `combinations()[c]`.
+/// and the one [`ErrorSweep`], derived from class tables, that every search
+/// on it shares. A configuration is one column per locked slot; column `c`
+/// locks the slot's FU with the candidates `combinations()[c]`.
 pub struct CoDesignProblem<'a> {
     dfg: &'a Dfg,
     schedule: &'a Schedule,
@@ -113,7 +117,11 @@ pub struct CoDesignProblem<'a> {
 }
 
 impl<'a> CoDesignProblem<'a> {
-    /// Checks the inputs, then builds the combinations and the sweep.
+    /// Checks the inputs, then builds one [`ClassTable`] over `candidates`
+    /// per class with a locked FU, and derives the combinations and the
+    /// sweep from them. The tables are dropped once the sweep is derived;
+    /// a caller with many problems of one class builds the table once and
+    /// calls [`with_table`](Self::with_table).
     ///
     /// # Errors
     /// The first that applies: [`CoreError::UnknownFu`] or
@@ -132,37 +140,66 @@ impl<'a> CoDesignProblem<'a> {
         inputs_per_fu: usize,
         candidates: &'a [Minterm],
     ) -> Result<Self, CoreError> {
-        for (i, fu) in locked_fus.iter().enumerate() {
-            if fu.index >= alloc.count(fu.class) {
-                return Err(CoreError::UnknownFu { fu: fu.to_string() });
-            }
-            if locked_fus[..i].contains(fu) {
-                return Err(CoreError::DuplicateFu { fu: fu.to_string() });
+        check_inputs(dfg, alloc, locked_fus, inputs_per_fu, candidates)?;
+        let mut tables = Vec::new();
+        for class in FuClass::ALL {
+            if locked_fus.iter().any(|fu| fu.class == class) {
+                tables.push(ClassTable::new(
+                    dfg, schedule, alloc, profile, class, candidates,
+                )?);
             }
         }
-        if inputs_per_fu == 0 || inputs_per_fu > candidates.len() {
-            return Err(CoreError::NotEnoughCandidates {
-                candidates: candidates.len(),
-                requested: inputs_per_fu,
-            });
-        }
-        // A minterm packs two `width`-bit operands into `2*width` bits. A wider
-        // candidate can never occur on the target FU's inputs, so accepting it
-        // would silently lock nothing (zero weight everywhere) — reject up
-        // front instead of producing a vacuous lock.
-        let width = dfg.width();
-        for c in candidates {
-            if c.raw() >> (2 * width) != 0 {
-                return Err(CoreError::MintermWidthMismatch {
-                    minterm: c.raw(),
-                    width,
-                });
-            }
+        if tables.is_empty() {
+            // No table runs the feasibility checks; run them alone.
+            walk_cycles(dfg, schedule, alloc, |_, _| {})?;
         }
         let combos = combinations(candidates.len(), inputs_per_fu);
-        let sweep = ErrorSweep::new(
-            dfg, schedule, alloc, profile, locked_fus, candidates, &combos,
-        )?;
+        let tables: Vec<&ClassTable> = tables.iter().collect();
+        let sweep = ErrorSweep::derive(&tables, locked_fus, &combos);
+        Ok(CoDesignProblem {
+            dfg,
+            schedule,
+            alloc,
+            profile,
+            locked_fus,
+            candidates,
+            combos,
+            sweep,
+        })
+    }
+
+    /// The problem of locking `locked_fus`, all of `table`'s class, with
+    /// `inputs_per_fu` of the table's candidates each: the sweep is derived
+    /// from `table` by summation, with no profile lookup. The candidates
+    /// are the table's, so the table is never read under another list.
+    /// `table` must come from the same `dfg`, `schedule`, `alloc` and
+    /// `profile`, which already passed its feasibility checks.
+    ///
+    /// # Errors
+    /// As [`new`](Self::new), except [`CoreError::Matching`], which only
+    /// the table's build can return.
+    ///
+    /// # Panics
+    /// Panics when a locked FU is not of the table's class.
+    pub fn with_table(
+        dfg: &'a Dfg,
+        schedule: &'a Schedule,
+        alloc: &'a Allocation,
+        profile: &'a OccurrenceProfile,
+        table: &'a ClassTable,
+        locked_fus: &'a [FuId],
+        inputs_per_fu: usize,
+    ) -> Result<Self, CoreError> {
+        let candidates = table.candidates();
+        check_inputs(dfg, alloc, locked_fus, inputs_per_fu, candidates)?;
+        assert!(
+            locked_fus.iter().all(|fu| fu.class == table.class()),
+            "a {:?} table locks only {:?} FUs",
+            table.class(),
+            table.class()
+        );
+        let combos = combinations(candidates.len(), inputs_per_fu);
+        let sweep = ErrorSweep::derive(&[table], locked_fus, &combos);
         Ok(CoDesignProblem {
             dfg,
             schedule,
@@ -364,6 +401,45 @@ impl<'a> CoDesignProblem<'a> {
     }
 }
 
+/// The input checks every [`CoDesignProblem`] constructor runs, in the
+/// order its errors are documented.
+fn check_inputs(
+    dfg: &Dfg,
+    alloc: &Allocation,
+    locked_fus: &[FuId],
+    inputs_per_fu: usize,
+    candidates: &[Minterm],
+) -> Result<(), CoreError> {
+    for (i, fu) in locked_fus.iter().enumerate() {
+        if fu.index >= alloc.count(fu.class) {
+            return Err(CoreError::UnknownFu { fu: fu.to_string() });
+        }
+        if locked_fus[..i].contains(fu) {
+            return Err(CoreError::DuplicateFu { fu: fu.to_string() });
+        }
+    }
+    if inputs_per_fu == 0 || inputs_per_fu > candidates.len() {
+        return Err(CoreError::NotEnoughCandidates {
+            candidates: candidates.len(),
+            requested: inputs_per_fu,
+        });
+    }
+    // A minterm packs two `width`-bit operands into `2*width` bits. A wider
+    // candidate can never occur on the target FU's inputs, so accepting it
+    // would silently lock nothing (zero weight everywhere) — reject up
+    // front instead of producing a vacuous lock.
+    let width = dfg.width();
+    for c in candidates {
+        if c.raw() >> (2 * width) != 0 {
+            return Err(CoreError::MintermWidthMismatch {
+                minterm: c.raw(),
+                width,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// [`CoDesignProblem::heuristic`] and [`CoDesignProblem::realize`] in
 /// their old free-function form, kept only because the frozen `perfbench`
 /// harness calls it. Delete at the next benchmark change.
@@ -513,7 +589,7 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockbind_hls::{schedule_list, FuClass};
+    use lockbind_hls::schedule_list;
     use lockbind_mediabench::Kernel;
 
     fn setup(kernel: Kernel) -> (Dfg, Schedule, Allocation, OccurrenceProfile, Vec<Minterm>) {
@@ -698,6 +774,48 @@ mod tests {
         assert_eq!(problem.configurations(), 1140u128.pow(3));
         let err = problem.optimal(&never).unwrap_err();
         assert!(matches!(err, CoreError::SearchSpaceTooLarge { .. }));
+    }
+
+    /// A problem on a borrowed class table equals the one `new` builds on
+    /// the table's candidates: the same combinations, the same searches'
+    /// choices, and the same realized spec and binding, which read the
+    /// candidates from the table.
+    #[test]
+    fn a_borrowed_table_gives_the_problem_new_builds() {
+        let never = CancelToken::new();
+        for kernel in [Kernel::Fir, Kernel::Motion2] {
+            let (dfg, sched, alloc, profile, candidates) = setup(kernel);
+            let table =
+                ClassTable::new(&dfg, &sched, &alloc, &profile, FuClass::Adder, &candidates)
+                    .expect("feasible");
+            assert_eq!(table.candidates(), candidates);
+            let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 2)];
+            let borrowed =
+                CoDesignProblem::with_table(&dfg, &sched, &alloc, &profile, &table, &fus, 2)
+                    .expect("valid");
+            let owned = CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates)
+                .expect("valid");
+            assert_eq!(borrowed.combinations(), owned.combinations());
+            for (a, b) in [
+                (borrowed.heuristic(&never), owned.heuristic(&never)),
+                (borrowed.optimal(&never), owned.optimal(&never)),
+            ] {
+                let (a, b) = (a.expect("runs"), b.expect("runs"));
+                assert_eq!(a, b, "{kernel:?}");
+                let (a, b) = (borrowed.realize(&a).unwrap(), owned.realize(&b).unwrap());
+                assert_eq!((a.spec, a.binding), (b.spec, b.binding), "{kernel:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "table locks only")]
+    fn a_table_locks_only_its_own_class() {
+        let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Fir);
+        let table = ClassTable::new(&dfg, &sched, &alloc, &profile, FuClass::Adder, &candidates)
+            .expect("feasible");
+        let fus = [FuId::new(FuClass::Multiplier, 0)];
+        let _ = CoDesignProblem::with_table(&dfg, &sched, &alloc, &profile, &table, &fus, 1);
     }
 
     #[test]

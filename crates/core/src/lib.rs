@@ -83,4 +83,4 @@ pub use pipeline::{minterm_to_pattern, realize_locked_modules, LockedDesign};
 pub use power_aware::bind_power_aware;
 pub use random_binding::bind_random;
 pub use spec::LockingSpec;
-pub use sweep::ErrorSweep;
+pub use sweep::{ClassTable, ErrorSweep};

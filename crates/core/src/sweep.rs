@@ -3,18 +3,28 @@
 //! Every co-design search (and the bench error-cell grids) scores thousands
 //! to millions of locking configurations: the locked FUs and the candidate
 //! list stay fixed while the combination of locked minterms on each FU
-//! varies. The legacy path rebuilt a [`LockingSpec`], re-solved every
-//! per-cycle assignment problem cold, and re-walked the binding to sum
-//! errors — all to score one changed column per cycle.
+//! varies. The legacy path rebuilt a [`LockingSpec`](crate::LockingSpec),
+//! re-solved every per-cycle assignment problem cold, and re-walked the
+//! binding to sum errors — all to score one changed column per cycle.
 //!
-//! [`ErrorSweep`] is built once per
-//! [`CoDesignProblem`](crate::CoDesignProblem), the only place that builds
-//! one, and is read-only after that. Per *live* `(cycle, class)` subproblem it holds a column table:
-//! for each combination `c` and live op `r`, the Eqn. 3 weight `w(r, c)`,
-//! plus one all-zero column standing for "unlocked" and one *envelope*
-//! column holding each op's maximum over every combination (the optimal
-//! search's bound). The weights depend only on
-//! (op, combination), so they are computed once at construction.
+//! Scoring rests on two tables, both read-only once built:
+//!
+//! * A [`ClassTable`] holds one FU class's live `(cycle)` subproblems over
+//!   one candidate list: for each candidate `i` and live op `r`, the
+//!   occurrence count `K[r, i]`. It is the only place that probes the
+//!   [`OccurrenceProfile`], and it depends on neither the locked FUs nor
+//!   the inputs per FU, so one table serves every co-design problem of its
+//!   class. Building it runs the binder's feasibility checks on every cycle
+//!   and counts one `sweep.tables`.
+//! * An [`ErrorSweep`] is derived per
+//!   [`CoDesignProblem`](crate::CoDesignProblem) from the tables of its
+//!   locked classes. Eqn. 3 is linear in the locked minterm set,
+//!   `w(r, M) = Σ_{i∈M} K[r, i]`, so each combination's column is the sum
+//!   of its members' candidate columns. After the combinations come one
+//!   all-zero column standing for "unlocked" and one *envelope* column
+//!   holding each op's maximum over every combination (the optimal search's
+//!   bound). Deriving counts one `sweep.builds`.
+//!
 //! [`ErrorSweep::score`] takes a configuration as one column index per
 //! locked slot and solves every subproblem over the columns its class's
 //! slots name; the caller keeps the configuration, so fixing, clearing or
@@ -34,45 +44,69 @@
 //! cycle's optimum is the max-weight *partial* matching between the locked
 //! slots and the live ops (those with a non-zero count for some
 //! candidate). Ops with no candidate occurrence, and cycles of a class with
-//! no locked slot, always contribute 0 and are dropped at construction.
+//! no locked slot, always contribute 0 and are dropped.
 //!
 //! **Fixed 3-row columns.** Every subproblem the grid builds is small:
 //! each prepared kernel allocates 3 FUs per class, so at most 3 slots are
 //! locked and at most 3 ops are live. For a class of at most 3 FUs every
 //! live subproblem is padded with all-zero rows to exactly 3 rows, which is
 //! exact: weights are non-negative, so a zero row only lets a slot stay
-//! unmatched at weight 0. The class's table is column-major, one `[u64; 3]`
-//! per (column, subproblem), so [`ErrorSweep::score`] dispatches on the
-//! class's slot count once and then runs one straight-line 3-row closed
-//! form down the columns its slots name. One slot: the column's maximum.
-//! Two slots `x`, `y`: `max_i x_i + max_{j≠i} y_j`. Three slots `x`, `y`,
-//! `z`: the best of the 6 permutations. A class with more than 3 FUs, which
-//! only library callers with a wider [`Allocation`] build, keeps one
-//! unpadded table per subproblem: one slot takes its column's maximum, and
-//! any other shape goes to the cold [`max_weight_matching`] on the selected
-//! columns, padded with all-zero columns to `max(R, L)` so every row can be
-//! matched. DESIGN §14.1 has the proofs and the measurements.
+//! unmatched at weight 0. Both tables are column-major, one `[u64; 3]` per
+//! (column, subproblem), so a combination's column is a few 3-wide
+//! additions and [`ErrorSweep::score`] dispatches on the class's slot count
+//! once and then runs one straight-line 3-row closed form down the columns
+//! its slots name. One slot: the column's maximum. Two slots `x`, `y`:
+//! `max_i x_i + max_{j≠i} y_j`. Three slots `x`, `y`, `z`: the best of the
+//! 6 permutations. A class with more than 3 FUs, which only library callers
+//! with a wider [`Allocation`] build, keeps one unpadded table per
+//! subproblem: one slot takes its column's maximum, and any other shape
+//! goes to the cold [`max_weight_matching`] on the selected columns, padded
+//! with all-zero columns to `max(R, L)` so every row can be matched.
+//! DESIGN §14.1–14.2 has the proofs and the measurements.
 
-use lockbind_hls::{Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, Schedule};
+use lockbind_hls::{Allocation, Dfg, FuClass, FuId, Minterm, OccurrenceProfile, OpId, Schedule};
 use lockbind_matching::{max_weight_matching, MatchingError, WeightMatrix};
 use lockbind_obs as obs;
 
 use crate::CoreError;
 
-/// One live `(cycle, class)` subproblem, as built: the class has a locked
-/// slot and the cycle has at least one live op of the class.
+/// One live subproblem, unpadded: `rows` live ops and `cols[c * rows + r]`,
+/// the weight of live row `r` in column `c`. In a [`ClassTable`] the
+/// columns are the candidates; in a sweep they are the combinations, then
+/// the all-zero column, then the envelope. A class of more than 3 FUs keeps
+/// its subproblems in this form; [`Table::new`] pads the others.
+#[derive(Debug, Clone)]
 struct Sub {
     /// Number of live ops.
     rows: usize,
-    /// `cols[c * rows + r]`: Eqn. 3 weight of live row `r` under
-    /// combination `c`, then an all-zero column ("unlocked"), then the
-    /// envelope: each row's maximum over every combination.
     cols: Vec<u64>,
 }
 
 impl Sub {
     fn col(&self, c: usize) -> &[u64] {
         &self.cols[c * self.rows..(c + 1) * self.rows]
+    }
+
+    /// The sweep's columns over `combos`: each combination's column the sum
+    /// of its members' candidate columns, then the all-zero column, then
+    /// each row's maximum over every combination.
+    fn derive(&self, combos: &[Vec<usize>]) -> Sub {
+        let rows = self.rows;
+        let mut cols = Vec::with_capacity((combos.len() + 2) * rows);
+        for combo in combos {
+            cols.extend((0..rows).map(|r| combo.iter().map(|&i| self.col(i)[r]).sum::<u64>()));
+        }
+        cols.resize((combos.len() + 1) * rows, 0);
+        let envelope: Vec<u64> = (0..rows)
+            .map(|r| {
+                (0..combos.len())
+                    .map(|c| cols[c * rows + r])
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        cols.extend(envelope);
+        Sub { rows, cols }
     }
 
     /// The optimum of a class with more than 3 FUs when its locked `slots`
@@ -99,6 +133,7 @@ impl Sub {
 }
 
 /// The column tables of one class's live subproblems.
+#[derive(Debug, Clone)]
 enum Table {
     /// A class of at most 3 FUs: every subproblem padded with all-zero rows
     /// to 3 rows, column-major, so `cols[c * subs + s]` is column `c` of
@@ -123,6 +158,158 @@ impl Table {
             }
         }
         Table::Narrow { subs: n, cols }
+    }
+
+    /// A sweep's table over `combos`, derived from a class table's
+    /// candidate columns: see [`Sub::derive`]. The narrow layout sums the
+    /// members' padded columns straight into the combination's column and
+    /// raises the envelope as it goes.
+    fn derive(&self, combos: &[Vec<usize>]) -> Table {
+        match self {
+            Table::Narrow { subs, cols } => Table::Narrow {
+                subs: *subs,
+                cols: derive_narrow(*subs, cols, combos),
+            },
+            Table::Wide(subs) => Table::Wide(subs.iter().map(|sub| sub.derive(combos)).collect()),
+        }
+    }
+}
+
+/// [`Table::derive`] on the padded layout of `n` subproblems: each
+/// combination's column is the 3-wide sum of its members' candidate
+/// columns, and the envelope rises with every column written.
+fn derive_narrow(n: usize, candidates: &[[u64; 3]], combos: &[Vec<usize>]) -> Vec<[u64; 3]> {
+    let mut out = vec![[0; 3]; (combos.len() + 2) * n];
+    let (body, tail) = out.split_at_mut(combos.len() * n);
+    let envelope = &mut tail[n..];
+    for (c, combo) in combos.iter().enumerate() {
+        let column = &mut body[c * n..][..n];
+        for &i in combo {
+            for (x, y) in column.iter_mut().zip(&candidates[i * n..][..n]) {
+                for row in 0..3 {
+                    x[row] += y[row];
+                }
+            }
+        }
+        for (e, x) in envelope.iter_mut().zip(column.iter()) {
+            for row in 0..3 {
+                e[row] = e[row].max(x[row]);
+            }
+        }
+    }
+    out
+}
+
+/// Walks every cycle and FU class with the feasibility checks of
+/// [`bind_obfuscation_aware`](crate::bind_obfuscation_aware), handing each
+/// cycle's non-empty op list of a class to `visit`.
+///
+/// # Errors
+/// [`CoreError::Matching`] when some cycle has more concurrent ops of a
+/// class than allocated FUs — the same infeasibility the binder reports.
+pub(crate) fn walk_cycles(
+    dfg: &Dfg,
+    schedule: &Schedule,
+    alloc: &Allocation,
+    mut visit: impl FnMut(FuClass, Vec<OpId>),
+) -> Result<(), CoreError> {
+    for t in 0..schedule.num_cycles() {
+        for class in FuClass::ALL {
+            let ops = schedule.class_ops_in_cycle(dfg, class, t);
+            let fus = alloc.count(class);
+            if ops.is_empty() {
+                continue;
+            }
+            if fus == 0 {
+                return Err(MatchingError::NoColumns.into());
+            }
+            if ops.len() > fus {
+                return Err(MatchingError::MoreRowsThanCols {
+                    rows: ops.len(),
+                    cols: fus,
+                }
+                .into());
+            }
+            visit(class, ops);
+        }
+    }
+    Ok(())
+}
+
+/// One FU class's Eqn. 3 candidate table: per live `(cycle)` subproblem of
+/// the class, each live op's occurrence count for every candidate of one
+/// list. Whether the class has more than 3 FUs (the padded or the unpadded
+/// layout) is fixed here, once per class.
+///
+/// A table depends on the scheduled, profiled kernel, the class and the
+/// candidate list only, so every [`CoDesignProblem`](crate::CoDesignProblem)
+/// of the class can derive its sweep from one table:
+/// [`CoDesignProblem::with_table`](crate::CoDesignProblem::with_table)
+/// borrows one and reads its candidates from it, and
+/// [`CoDesignProblem::new`](crate::CoDesignProblem::new) builds its own.
+#[derive(Debug, Clone)]
+pub struct ClassTable {
+    class: FuClass,
+    candidates: Vec<Minterm>,
+    counts: Table,
+}
+
+impl ClassTable {
+    /// Builds the table of `class` over `candidates`. Counts one
+    /// `sweep.tables`.
+    ///
+    /// # Errors
+    /// [`CoreError::Matching`] when some cycle has more concurrent ops of
+    /// any class than allocated FUs — the same infeasibility
+    /// [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) reports,
+    /// checked on every cycle and class, including those the table drops.
+    pub fn new(
+        dfg: &Dfg,
+        schedule: &Schedule,
+        alloc: &Allocation,
+        profile: &OccurrenceProfile,
+        class: FuClass,
+        candidates: &[Minterm],
+    ) -> Result<ClassTable, CoreError> {
+        let _span = obs::span!("sweep.table", candidates = candidates.len());
+        obs::counter!("sweep.tables").inc();
+        let mut subs = Vec::new();
+        walk_cycles(dfg, schedule, alloc, |c, ops| {
+            if c != class {
+                return;
+            }
+            // Per live op, its count for every candidate.
+            let counts: Vec<Vec<u64>> = ops
+                .iter()
+                .map(|&op| candidates.iter().map(|&m| profile.count(op, m)).collect())
+                .filter(|row: &Vec<u64>| row.iter().any(|&ct| ct > 0))
+                .collect();
+            if counts.is_empty() {
+                return;
+            }
+            let cols = (0..candidates.len())
+                .flat_map(|i| counts.iter().map(move |row| row[i]))
+                .collect();
+            subs.push(Sub {
+                rows: counts.len(),
+                cols,
+            });
+        })?;
+        Ok(ClassTable {
+            class,
+            candidates: candidates.to_vec(),
+            counts: Table::new(alloc.count(class), subs, candidates.len()),
+        })
+    }
+
+    /// The FU class the table covers.
+    pub fn class(&self) -> FuClass {
+        self.class
+    }
+
+    /// The candidate list the table counts, in column order.
+    pub fn candidates(&self) -> &[Minterm] {
+        &self.candidates
     }
 }
 
@@ -177,24 +364,26 @@ impl ClassSubs {
 /// *slot* a combination out of a fixed list, then read the exact Eqn. 2
 /// error score.
 ///
-/// Each [`CoDesignProblem`](crate::CoDesignProblem) builds one, reached
-/// through [`CoDesignProblem::sweep`](crate::CoDesignProblem::sweep); call
-/// [`score`](Self::score) on it for any number of configurations. Scores are byte-exact equal to binding with
+/// Each [`CoDesignProblem`](crate::CoDesignProblem) derives one from its
+/// [`ClassTable`]s, reached through
+/// [`CoDesignProblem::sweep`](crate::CoDesignProblem::sweep); call
+/// [`score`](Self::score) on it for any number of configurations. Scores
+/// are byte-exact equal to binding with
 /// [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) and evaluating
 /// [`expected_application_errors`](crate::expected_application_errors) on
 /// the same configuration — proven by this module's unit properties and the
 /// `lockbind-check` mutation suite.
 ///
-/// Construction precomputes `3 × (|combos| + 2)` weights per live
-/// subproblem of a class of at most 3 FUs, which is every subproblem of a
-/// 3 + 3 FU allocation; each is solved by a 3-row closed form of at most 9
-/// additions. A class of more than 3 FUs keeps `R × (|combos| + 2)`
-/// weights per subproblem over its `R` live ops: one locked slot is an
-/// `O(R)` column maximum, and `L` slots are solved cold by the Hungarian
-/// algorithm on an `R × max(R, L)` matrix, `O(R² · max(R, L))`.
+/// Deriving sums `3 × |combos| × m` weights per live subproblem of a class
+/// of at most 3 FUs (`m` inputs per FU), which is every subproblem of a
+/// 3 + 3 FU allocation, into `3 × (|combos| + 2)` weights; each score is a
+/// 3-row closed form of at most 9 additions. A class of more than 3 FUs
+/// keeps `R × (|combos| + 2)` weights per subproblem over its `R` live ops:
+/// one locked slot is an `O(R)` column maximum, and `L` slots are solved
+/// cold by the Hungarian algorithm on an `R × max(R, L)` matrix,
+/// `O(R² · max(R, L))`.
 pub struct ErrorSweep {
-    /// One entry per class; a class without a locked slot has no
-    /// subproblems.
+    /// One entry per class with a locked slot.
     classes: Vec<ClassSubs>,
     num_slots: usize,
     /// Number of combinations; also the index of the all-zero column.
@@ -202,105 +391,45 @@ pub struct ErrorSweep {
 }
 
 impl ErrorSweep {
-    /// Builds the sweep context: one column table per live `(cycle, class)`
-    /// subproblem. `locked_fus` are checked by
-    /// [`CoDesignProblem::new`](crate::CoDesignProblem::new); `combos` lists
-    /// candidate-index combinations exactly as produced by
-    /// [`combinations`](crate::combinations). Counts one `sweep.builds`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Matching`] when some cycle has more concurrent ops of a
-    /// class than allocated FUs — the same infeasibility
-    /// [`bind_obfuscation_aware`](crate::bind_obfuscation_aware) reports,
-    /// checked on every cycle, including those the sweep then drops.
+    /// Derives the sweep of `locked_fus` over `combos` (candidate-index
+    /// combinations as produced by [`combinations`](crate::combinations))
+    /// from `tables`, which hold one table of every locked FU's class, all
+    /// over the candidate list the combinations index. Counts one
+    /// `sweep.builds`.
     ///
     /// # Panics
-    /// Panics when a combination indexes past `candidates`.
-    pub(crate) fn new(
-        dfg: &Dfg,
-        schedule: &Schedule,
-        alloc: &Allocation,
-        profile: &OccurrenceProfile,
+    /// Panics when a locked FU's class has no table, or a combination
+    /// indexes past the candidates.
+    pub(crate) fn derive(
+        tables: &[&ClassTable],
         locked_fus: &[FuId],
-        candidates: &[Minterm],
         combos: &[Vec<usize>],
-    ) -> Result<Self, CoreError> {
+    ) -> ErrorSweep {
         obs::counter!("sweep.builds").inc();
-        for &i in combos.iter().flatten() {
-            assert!(i < candidates.len(), "combo index {i} out of range");
-        }
-        let unlocked = combos.len();
-        let slots: Vec<Vec<usize>> = FuClass::ALL
-            .iter()
-            .map(|&class| {
-                (0..locked_fus.len())
-                    .filter(|&k| locked_fus[k].class == class)
-                    .collect()
-            })
-            .collect();
-        let mut subs: Vec<Vec<Sub>> = FuClass::ALL.iter().map(|_| Vec::new()).collect();
-
-        for t in 0..schedule.num_cycles() {
-            for (i, &class) in FuClass::ALL.iter().enumerate() {
-                let ops = schedule.class_ops_in_cycle(dfg, class, t);
-                let fus = alloc.count(class);
-                if ops.is_empty() {
-                    continue;
-                }
-                if fus == 0 {
-                    return Err(MatchingError::NoColumns.into());
-                }
-                if ops.len() > fus {
-                    return Err(MatchingError::MoreRowsThanCols {
-                        rows: ops.len(),
-                        cols: fus,
-                    }
-                    .into());
-                }
-                if slots[i].is_empty() {
-                    continue;
-                }
-                // Per live op, its count for every candidate.
-                let counts: Vec<Vec<u64>> = ops
-                    .iter()
-                    .map(|&op| candidates.iter().map(|&c| profile.count(op, c)).collect())
-                    .filter(|row: &Vec<u64>| row.iter().any(|&ct| ct > 0))
-                    .collect();
-                if counts.is_empty() {
-                    continue;
-                }
-                let rows = counts.len();
-                let mut cols = Vec::with_capacity((unlocked + 2) * rows);
-                for combo in combos {
-                    cols.extend(
-                        counts
-                            .iter()
-                            .map(|row| combo.iter().map(|&i| row[i]).sum::<u64>()),
-                    );
-                }
-                cols.resize((unlocked + 1) * rows, 0);
-                let envelope: Vec<u64> = (0..rows)
-                    .map(|r| (0..unlocked).map(|c| cols[c * rows + r]).max().unwrap_or(0))
-                    .collect();
-                cols.extend(envelope);
-                subs[i].push(Sub { rows, cols });
-            }
-        }
         let classes = FuClass::ALL
             .into_iter()
-            .zip(slots)
-            .zip(subs)
-            .map(|((class, slots), subs)| ClassSubs {
-                slots,
-                table: Table::new(alloc.count(class), subs, unlocked + 2),
+            .filter_map(|class| {
+                let slots: Vec<usize> = (0..locked_fus.len())
+                    .filter(|&k| locked_fus[k].class == class)
+                    .collect();
+                if slots.is_empty() {
+                    return None;
+                }
+                let table = tables
+                    .iter()
+                    .find(|table| table.class == class)
+                    .expect("a table per locked class");
+                Some(ClassSubs {
+                    slots,
+                    table: table.counts.derive(combos),
+                })
             })
             .collect();
-        Ok(ErrorSweep {
+        ErrorSweep {
             classes,
             num_slots: locked_fus.len(),
-            unlocked,
-        })
+            unlocked: combos.len(),
+        }
     }
 
     /// The all-zero column: a slot reading it is unlocked, the heuristic's
@@ -379,7 +508,7 @@ mod tests {
         bind_obfuscation_aware, combinations, expected_application_errors, CoDesignProblem,
         LockingSpec,
     };
-    use lockbind_hls::schedule_list;
+    use lockbind_hls::{schedule_list, OpKind, Trace, ValueRef};
     use lockbind_mediabench::Kernel;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -415,6 +544,135 @@ mod tests {
             slots: (0..slots).collect(),
             table: Table::new(fus, vec![sub], columns.len()),
         }
+    }
+
+    /// The sweep of `fus` derived from one [`ClassTable`] per locked class,
+    /// each over `candidates`.
+    fn table_sweep(
+        dfg: &Dfg,
+        sched: &Schedule,
+        alloc: &Allocation,
+        profile: &OccurrenceProfile,
+        fus: &[FuId],
+        candidates: &[Minterm],
+        combos: &[Vec<usize>],
+    ) -> Result<ErrorSweep, CoreError> {
+        let tables = FuClass::ALL
+            .into_iter()
+            .filter(|&class| fus.iter().any(|fu| fu.class == class))
+            .map(|class| ClassTable::new(dfg, sched, alloc, profile, class, candidates))
+            .collect::<Result<Vec<_>, _>>()?;
+        let tables: Vec<&ClassTable> = tables.iter().collect();
+        Ok(ErrorSweep::derive(&tables, fus, combos))
+    }
+
+    /// The sweep built from scratch, as it was before class tables: per
+    /// live `(cycle, class)` subproblem of a locked class, each
+    /// combination's column summed from fresh profile lookups, then the
+    /// all-zero column and the envelope, then padded to 3 rows for a class
+    /// of at most 3 FUs. The reference the derived sweep must equal.
+    fn reference_sweep(
+        dfg: &Dfg,
+        schedule: &Schedule,
+        alloc: &Allocation,
+        profile: &OccurrenceProfile,
+        locked_fus: &[FuId],
+        candidates: &[Minterm],
+        combos: &[Vec<usize>],
+    ) -> Result<ErrorSweep, CoreError> {
+        let unlocked = combos.len();
+        let slots: Vec<Vec<usize>> = FuClass::ALL
+            .iter()
+            .map(|&class| {
+                (0..locked_fus.len())
+                    .filter(|&k| locked_fus[k].class == class)
+                    .collect()
+            })
+            .collect();
+        let mut subs: Vec<Vec<Sub>> = FuClass::ALL.iter().map(|_| Vec::new()).collect();
+        for t in 0..schedule.num_cycles() {
+            for (i, &class) in FuClass::ALL.iter().enumerate() {
+                let ops = schedule.class_ops_in_cycle(dfg, class, t);
+                let fus = alloc.count(class);
+                if ops.is_empty() {
+                    continue;
+                }
+                if fus == 0 {
+                    return Err(MatchingError::NoColumns.into());
+                }
+                if ops.len() > fus {
+                    return Err(MatchingError::MoreRowsThanCols {
+                        rows: ops.len(),
+                        cols: fus,
+                    }
+                    .into());
+                }
+                if slots[i].is_empty() {
+                    continue;
+                }
+                let counts: Vec<Vec<u64>> = ops
+                    .iter()
+                    .map(|&op| candidates.iter().map(|&c| profile.count(op, c)).collect())
+                    .filter(|row: &Vec<u64>| row.iter().any(|&ct| ct > 0))
+                    .collect();
+                if counts.is_empty() {
+                    continue;
+                }
+                let rows = counts.len();
+                let mut cols = Vec::with_capacity((unlocked + 2) * rows);
+                for combo in combos {
+                    cols.extend(
+                        counts
+                            .iter()
+                            .map(|row| combo.iter().map(|&i| row[i]).sum::<u64>()),
+                    );
+                }
+                cols.resize((unlocked + 1) * rows, 0);
+                let envelope: Vec<u64> = (0..rows)
+                    .map(|r| (0..unlocked).map(|c| cols[c * rows + r]).max().unwrap_or(0))
+                    .collect();
+                cols.extend(envelope);
+                subs[i].push(Sub { rows, cols });
+            }
+        }
+        let classes = FuClass::ALL
+            .into_iter()
+            .zip(slots)
+            .zip(subs)
+            .map(|((class, slots), subs)| ClassSubs {
+                slots,
+                table: Table::new(alloc.count(class), subs, unlocked + 2),
+            })
+            .collect();
+        Ok(ErrorSweep {
+            classes,
+            num_slots: locked_fus.len(),
+            unlocked,
+        })
+    }
+
+    /// A random DFG of `ops` adds, subtracts and multiplies over 4-bit
+    /// operands, each op reading two earlier values, and a random trace of
+    /// `frames` frames, both drawn from `seed`.
+    fn random_kernel(inputs: usize, ops: usize, frames: usize, seed: u64) -> (Dfg, Trace) {
+        let mut s = seed;
+        let mut next = move |n: usize| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize % n
+        };
+        let mut dfg = Dfg::new(4);
+        let mut values: Vec<ValueRef> = (0..inputs).map(|i| dfg.input(format!("x{i}"))).collect();
+        for _ in 0..ops {
+            let kind = [OpKind::Add, OpKind::Sub, OpKind::Mul][next(3)];
+            let (a, b) = (values[next(values.len())], values[next(values.len())]);
+            values.push(ValueRef::Op(dfg.op(kind, a, b)));
+        }
+        let trace: Trace = (0..frames)
+            .map(|_| (0..inputs).map(|_| next(16) as u64).collect())
+            .collect();
+        (dfg, trace)
     }
 
     /// The legacy score of one configuration: full obf-aware bind + Eqn. 2.
@@ -459,9 +717,10 @@ mod tests {
         let fus: Vec<FuId> = (0..locked)
             .map(|i| FuId::new(class, (first + i) % alloc.count(class)))
             .collect();
-        let combos = combinations(candidates.len(), per_fu);
-        let sweep = ErrorSweep::new(&dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
-            .expect("builds");
+        let problem =
+            CoDesignProblem::new(&dfg, &sched, &alloc, &profile, &fus, per_fu, &candidates)
+                .expect("builds");
+        let (combos, sweep) = (problem.combinations(), problem.sweep());
         let mut cols = vec![sweep.unlocked_column(); fus.len()];
         let mut assign: Vec<Option<usize>> = vec![None; fus.len()];
         for (step, &(slot, pick, op)) in steps.iter().enumerate() {
@@ -481,7 +740,7 @@ mod tests {
                 &alloc,
                 &profile,
                 &fus,
-                &combos,
+                combos,
                 &candidates,
                 &assign,
             );
@@ -527,6 +786,82 @@ mod tests {
             let class = if multiplier { FuClass::Multiplier } else { FuClass::Adder };
             let alloc = Allocation::new(5, 5);
             check_walk(Kernel::ALL[kernel], class, alloc, locked, first, per_fu, &steps)?;
+        }
+
+        /// The table-derived sweep against the from-scratch reference on
+        /// random DFGs and allocations (1–5 FUs per class, so classes of 4
+        /// or more FUs take the unpadded layout): the same feasibility
+        /// verdict, the same gains, and the same score on every
+        /// configuration of combination, unlocked and envelope columns
+        /// (a seeded sample past 4096), with adder and multiplier slots
+        /// locked together over one mixed candidate list.
+        #[test]
+        fn derived_sweep_equals_the_reference_build(
+            shape in (2usize..6, 3usize..24, 1usize..40),
+            seed in any::<u64>(),
+            scheduled in (1usize..=5, 1usize..=5),
+            tighter in (0usize..=1, 0usize..=1),
+            locked in (0usize..=4, 0usize..=4),
+            picks in (1usize..=6, 1usize..=2),
+        ) {
+            let (inputs, ops, frames) = shape;
+            let (top, per_fu) = picks;
+            let (dfg, trace) = random_kernel(inputs, ops, frames, seed);
+            let sched = schedule_list(&dfg, &Allocation::new(scheduled.0, scheduled.1))
+                .expect("one FU per class schedules anything");
+            // A sweep allocation at most one FU tighter per class than the
+            // schedule's can fail the feasibility checks.
+            let alloc = Allocation::new(
+                scheduled.0.saturating_sub(tighter.0).max(1),
+                scheduled.1.saturating_sub(tighter.1).max(1),
+            );
+            let profile = OccurrenceProfile::from_trace(&dfg, &trace).expect("arity");
+            let all: Vec<_> = FuClass::ALL.iter().flat_map(|&c| dfg.ops_of_class(c)).collect();
+            let candidates = profile.top_candidates_among(&all, top);
+            prop_assume!(candidates.len() >= per_fu);
+            let fus: Vec<FuId> = (0..locked.0.min(alloc.count(FuClass::Adder)))
+                .map(|i| FuId::new(FuClass::Adder, i))
+                .chain(
+                    (0..locked.1.min(alloc.count(FuClass::Multiplier)))
+                        .map(|i| FuId::new(FuClass::Multiplier, i)),
+                )
+                .collect();
+            prop_assume!(!fus.is_empty());
+            let combos = combinations(candidates.len(), per_fu);
+            let derived = table_sweep(&dfg, &sched, &alloc, &profile, &fus, &candidates, &combos);
+            let reference =
+                reference_sweep(&dfg, &sched, &alloc, &profile, &fus, &candidates, &combos);
+            let (derived, reference) = match (derived, reference) {
+                (Ok(d), Ok(r)) => (d, r),
+                (d, r) => {
+                    prop_assert_eq!(d.err(), r.err());
+                    return Ok(());
+                }
+            };
+            prop_assert_eq!(derived.unlocked_column(), reference.unlocked_column());
+            for slot in 0..fus.len() {
+                prop_assert_eq!(
+                    derived.combination_gains(slot),
+                    reference.combination_gains(slot),
+                    "slot {}", slot
+                );
+            }
+            let radix = combos.len() + 2;
+            let total = radix.checked_pow(fus.len() as u32).unwrap_or(usize::MAX);
+            let mut state = seed;
+            let configurations = total.min(4096);
+            for index in 0..configurations {
+                let cols: Vec<usize> = (0..fus.len())
+                    .map(|k| {
+                        if total <= 4096 {
+                            index / radix.pow(k as u32) % radix
+                        } else {
+                            lockbind_resil::splitmix64(&mut state) as usize % radix
+                        }
+                    })
+                    .collect();
+                prop_assert_eq!(derived.score(&cols), reference.score(&cols), "columns {:?}", cols);
+            }
         }
 
         /// The kernel against the cold Hungarian solver: on a random
@@ -667,9 +1002,8 @@ mod tests {
                 .chain((0..multipliers).map(|i| FuId::new(FuClass::Multiplier, i)))
                 .collect();
             let combos = combinations(candidates.len(), per_fu);
-            let sweep =
-                ErrorSweep::new(&b.dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
-                    .expect("builds");
+            let sweep = table_sweep(&b.dfg, &sched, &alloc, &profile, &fus, &candidates, &combos)
+                .expect("builds");
             Mixed {
                 dfg: b.dfg,
                 sched,
@@ -879,10 +1213,22 @@ mod tests {
         // one: cycles with 2+ concurrent adds cannot be bound.
         let wide = Allocation::new(3, 3);
         let sched = schedule_list(&dfg, &wide).expect("schedulable");
-        let combos = combinations(candidates.len(), 1);
         let fus = [FuId::new(FuClass::Adder, 0)];
+        // Locked or not, the multiplier table checks the adders' cycles.
         assert!(matches!(
-            ErrorSweep::new(&dfg, &sched, &tight, &profile, &fus, &candidates, &combos),
+            ClassTable::new(
+                &dfg,
+                &sched,
+                &tight,
+                &profile,
+                FuClass::Multiplier,
+                &candidates
+            ),
+            Err(CoreError::Matching(_))
+        ));
+        let combos = combinations(candidates.len(), 1);
+        assert!(matches!(
+            reference_sweep(&dfg, &sched, &tight, &profile, &fus, &candidates, &combos),
             Err(CoreError::Matching(_))
         ));
         assert!(matches!(

@@ -680,7 +680,7 @@ fn run_cell<J: Job>(
         );
         let outcome = {
             let _cell_scope = obs::CellScope::enter(index as u64, worker as u64);
-            let _span = obs::span!(job.stage(), cell = cell, worker = worker);
+            let _span = obs::span!(job.stage(), cell = cell);
             catch_unwind(AssertUnwindSafe(|| {
                 apply_fault(&mut ctx)?;
                 job.run(&mut ctx)

@@ -5,7 +5,8 @@
 //! counters), locked-simulation cells (the only obfuscation-aware binds:
 //! error cells score on the sweep) and SAT-attack cells, so the registry's
 //! histograms (`sat.glue`, `sat.conflicts_per_dip`) are rendered and
-//! compared too.
+//! compared too. Each run's chrome trace must also load under the strict
+//! JSON parser, which rejects duplicate keys.
 //!
 //! This test lives alone in its own test binary: it compares deltas of the
 //! process-global registry and drains the process-global span sink, and
@@ -14,7 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use lockbind_bench::{error_grid, ExperimentParams, HeadlineCell, ImpactCell, SatCell, SatScheme};
+use lockbind_bench::{
+    error_grid, ExperimentParams, HeadlineCell, ImpactCell, PreparedKernel, SatCell, SatScheme,
+};
 use lockbind_engine::{Engine, EngineConfig};
 use lockbind_mediabench::Kernel;
 use lockbind_obs as obs;
@@ -27,6 +30,17 @@ struct Run {
     spans: BTreeMap<&'static str, u64>,
 }
 
+/// The grid's kernels and its error cells' parameters.
+const KERNELS: [Kernel; 2] = [Kernel::Fir, Kernel::EcbEnc4];
+const PARAMS: ExperimentParams = ExperimentParams {
+    num_candidates: 4,
+    max_locked_fus: 2,
+    max_locked_inputs: 2,
+    max_assignments: 30,
+    optimal_budget: 50,
+    seed: 7,
+};
+
 fn run_grid(threads: usize) -> Run {
     let engine = Engine::new(EngineConfig {
         threads,
@@ -35,15 +49,7 @@ fn run_grid(threads: usize) -> Run {
         progress: false,
         ..EngineConfig::default()
     });
-    let params = ExperimentParams {
-        num_candidates: 4,
-        max_locked_fus: 2,
-        max_locked_inputs: 2,
-        max_assignments: 30,
-        optimal_budget: 50,
-        seed: 7,
-    };
-    let kernels = [Kernel::Fir, Kernel::EcbEnc4];
+    let (kernels, params) = (KERNELS, PARAMS);
     let mut cells: Vec<HeadlineCell> = error_grid(&kernels, 60, 3, &params)
         .into_iter()
         .map(HeadlineCell::Error)
@@ -64,8 +70,13 @@ fn run_grid(threads: usize) -> Run {
     let report = engine.run(&cells);
     obs::trace::set_sink(None);
     assert_eq!(report.metrics.cells_ok, cells.len(), "no cell may fail");
+    let records = collector.drain_sorted();
+    let trace = obs::chrome_trace(&records);
+    if let Err(e) = obs::json::parse(trace.as_bytes()) {
+        panic!("the {threads}-worker chrome trace does not parse: {e:?}");
+    }
     let mut spans = BTreeMap::new();
-    for span in collector.drain_sorted() {
+    for span in records {
         *spans.entry(span.name).or_insert(0) += 1;
     }
     Run {
@@ -105,8 +116,31 @@ fn metric_totals_are_identical_across_worker_counts() {
         );
     }
 
+    // Every (kernel, class) context with candidates builds its class table
+    // once, however many workers race for it, and each impact cell builds
+    // one for its own problem.
+    let contexts = KERNELS
+        .iter()
+        .map(|&kernel| {
+            let prepared = PreparedKernel::new(kernel, 60, 3);
+            let classes = prepared.classes();
+            classes
+                .into_iter()
+                .filter(|&class| !prepared.candidates(class, PARAMS.num_candidates).is_empty())
+                .count() as u64
+        })
+        .sum::<u64>();
+    assert_eq!(contexts, 3, "fir's two classes and ecb_enc4's adders");
+    let tables = contexts + KERNELS.len() as u64;
+    assert_eq!(serial.counters.get("sweep.tables"), Some(&tables));
+
     for threads in [4, 7] {
         let parallel = run_grid(threads);
+        assert_eq!(
+            parallel.counters.get("sweep.tables"),
+            Some(&tables),
+            "class tables built at {threads} workers"
+        );
         assert_eq!(
             serial.render, parallel.render,
             "deterministic metric totals diverged at {threads} workers"
