@@ -6,17 +6,17 @@
 //! engine's `--check` mode is on each cell lints one *final* artifact: the
 //! representative locked binding of an error cell, the co-designed lock of
 //! an impact cell, or the locked netlist of a SAT cell. Failures surface as
-//! cell errors carrying [`lockbind_check::CHECK_FAILURE_PREFIX`], which the
-//! engine classifies into `cells_check_failed` and per-`LBxxxx`-code counts
-//! in the run metrics.
+//! cell errors carrying [`lockbind_check::CHECK_FAILURE_PREFIX`]. Each one
+//! raises the `check.rejected` obs counter once; the pass suite itself
+//! counts every diagnostic under `check.code.LBxxxx`.
 //!
 //! The engine's `--audit` mode works the same way but runs the LB07xx
 //! structural-security audit ([`lockbind_check::audit_netlist`]) over the
 //! same final locked netlists. Audit *warnings* are a leakage scorecard,
-//! not a defect — they feed the `audit.*` obs counters (and the `audit`
-//! object of the run-metrics JSON) without touching the cell result, so
-//! enabling the audit leaves every grid byte-identical. Only error-severity
-//! findings (`LB0701`, an unobservable key bit) fail the cell.
+//! not a defect — they feed the `audit.*` obs counters without touching
+//! the cell result, so enabling the audit leaves every grid
+//! byte-identical. Only error-severity findings (`LB0701`, an unobservable
+//! key bit) fail the cell, and count as a rejection.
 
 use lockbind_check::{audit_passed, check_artifact, Artifact, Report};
 use lockbind_core::{bind_obfuscation_aware_certified, LockingSpec};
@@ -97,12 +97,21 @@ pub fn audit_locked_netlist(netlist: &Netlist) -> Result<(), String> {
     }
 }
 
+/// The one place a check or audit report fails a cell.
 fn finish(report: Report) -> Result<(), String> {
     match report.failure_message() {
-        Some(message) => Err(message),
+        Some(message) => {
+            lockbind_obs::counter!("check.rejected").inc();
+            Err(message)
+        }
         None => Ok(()),
     }
 }
+
+/// Serialises the unit tests that read `check.rejected` with those that
+/// raise it: the obs registry is global to the test process.
+#[cfg(test)]
+pub(crate) static REJECTIONS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -110,6 +119,11 @@ mod tests {
     use lockbind_hls::{FuClass, FuId};
     use lockbind_mediabench::Kernel;
     use lockbind_netlist::builders::adder_fu;
+    use std::sync::PoisonError;
+
+    fn counter(name: &str) -> u64 {
+        lockbind_obs::Registry::global().counter(name).get()
+    }
 
     #[test]
     fn certified_binding_lints_clean() {
@@ -125,6 +139,7 @@ mod tests {
 
     #[test]
     fn foreign_binding_is_rejected_with_lb0406() {
+        let _serial = REJECTIONS.lock().unwrap_or_else(PoisonError::into_inner);
         let p = PreparedKernel::new(Kernel::Fir, 40, 5);
         let candidates = p.candidates(FuClass::Adder, 4);
         let spec = LockingSpec::new(
@@ -153,8 +168,10 @@ mod tests {
         fu_of.swap(a.index(), b.index());
         let swapped = lockbind_hls::Binding::from_assignment(&p.dfg, &p.schedule, &p.alloc, fu_of)
             .expect("swap preserves legality");
+        let rejected = counter("check.rejected");
         let err = lint_locked_binding(&p, Some(&swapped), &spec, &candidates)
             .expect_err("swapped binding is not the certified optimum");
+        assert_eq!(counter("check.rejected") - rejected, 1, "one rejection");
         assert!(
             err.starts_with(lockbind_check::CHECK_FAILURE_PREFIX),
             "{err}"
@@ -168,7 +185,25 @@ mod tests {
     }
 
     #[test]
+    fn a_rejection_counts_once_and_every_code_it_carries() {
+        let _serial = REJECTIONS.lock().unwrap_or_else(PoisonError::into_inner);
+        let (rejected, inert) = (counter("check.rejected"), counter("check.code.LB0603"));
+        // Five inert key inputs are five LB0603 errors, more than the
+        // failure message lists.
+        let mut netlist = adder_fu(4);
+        for _ in 0..5 {
+            netlist.add_key();
+        }
+        let err = lint_netlist(&netlist).expect_err("inert keys are errors");
+        assert_eq!(err.matches("[LB0603]").count(), 3, "{err}");
+        assert!(err.ends_with("(+2 more)"), "{err}");
+        assert_eq!(counter("check.rejected") - rejected, 1, "one rejection");
+        assert_eq!(counter("check.code.LB0603") - inert, 5, "every code counts");
+    }
+
+    #[test]
     fn audit_accepts_warning_heavy_schemes_and_rejects_orphaned_keys() {
+        let _serial = REJECTIONS.lock().unwrap_or_else(PoisonError::into_inner);
         // Every real scheme carries audit warnings (that is the scorecard);
         // none of them should fail a cell.
         let base = adder_fu(4);
@@ -178,7 +213,9 @@ mod tests {
         // An orphaned key input is a genuine structural defect (LB0701).
         let mut broken = base.clone();
         broken.add_key();
+        let rejected = counter("check.rejected");
         let err = audit_locked_netlist(&broken).expect_err("orphaned key is an error");
+        assert_eq!(counter("check.rejected") - rejected, 1, "one rejection");
         assert!(
             err.starts_with(lockbind_check::CHECK_FAILURE_PREFIX),
             "{err}"

@@ -345,6 +345,9 @@ mod tests {
 
     #[test]
     fn error_grid_lints_clean_under_check_mode() {
+        let _serial = crate::check::REJECTIONS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let params = small_params();
         let engine = Engine::new(EngineConfig {
             threads: 2,
@@ -357,8 +360,9 @@ mod tests {
         let report = engine.run(&error_grid(&[Kernel::Fir], 40, 5, &params));
         let (_, failures) = collect_error_records(&report.results);
         assert!(failures.is_empty(), "failures: {failures:?}");
-        assert_eq!(report.metrics.cells_check_failed, 0);
-        assert!(report.metrics.check_codes.is_empty());
+        let counters = &report.metrics.obs.counters;
+        assert!(counters["check.artifacts"] > 0, "checks never ran");
+        assert_eq!(counters.get("check.rejected"), None);
     }
 
     #[test]

@@ -462,11 +462,11 @@ impl Report {
         .render()
     }
 
-    /// The engine-facing failure string, or `None` if the run is clean.
-    ///
-    /// The format is stable: the [`crate::CHECK_FAILURE_PREFIX`] prefix
-    /// followed by `[LBxxxx]`-tagged messages, which the engine parses to
-    /// produce per-code run metrics.
+    /// The failure string a rejected cell reports, or `None` if the run is
+    /// clean: the [`crate::CHECK_FAILURE_PREFIX`] prefix followed by the
+    /// first three `[LBxxxx]`-tagged error messages and a count of the
+    /// rest. Per-code totals are the obs counters the pass suites record,
+    /// not this text.
     pub fn failure_message(&self) -> Option<String> {
         if self.is_clean() {
             return None;

@@ -16,8 +16,8 @@
 //!   severities, and artifact [`Span`]s,
 //! * [`Report::render_human`] / [`Report::render_json`] — renderers for
 //!   terminals and tooling,
-//! * [`Report::failure_message`] — the compact engine-facing summary
-//!   (prefixed with [`CHECK_FAILURE_PREFIX`]) that run metrics parse.
+//! * [`Report::failure_message`] — the compact summary (prefixed with
+//!   [`CHECK_FAILURE_PREFIX`]) a rejected cell fails with.
 //!
 //! The flagship pass is **matching-optimality certification**: the
 //! obfuscation-aware binder exports the LP dual potentials of each per-cycle
@@ -60,9 +60,8 @@ pub use audit::{audit_netlist, audit_passed, AuditSummary, AUDIT_PASSES, SKEW_TH
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use passes::{check_artifact, Pass, PASSES};
 
-/// Prefix of every engine-facing check-failure message (see
-/// [`Report::failure_message`]). The engine classifies failed cells whose
-/// message starts with this prefix as check failures and extracts the
-/// `[LBxxxx]` codes for per-code run metrics — matching on the string keeps
-/// the engine decoupled from this crate.
+/// Prefix of every check-failure message (see
+/// [`Report::failure_message`]), so a rejected cell reads as one in a
+/// run's failure list. Nothing parses it: [`check_artifact`] counts each
+/// diagnostic code on the obs registry instead.
 pub const CHECK_FAILURE_PREFIX: &str = "check failed: ";

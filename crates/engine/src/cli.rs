@@ -74,8 +74,8 @@ pub struct EngineArgs {
     /// release builds.
     pub check: bool,
     /// Run the LB07xx structural-security audit over every cell's locked
-    /// netlists (`--audit` / `--no-audit`). Findings only feed `audit.*`
-    /// run metrics — they never fail cells — so the flag defaults to off.
+    /// netlists (`--audit` / `--no-audit`). Findings reach the run
+    /// metrics only through the obs registry; the flag defaults to off.
     pub audit: bool,
 }
 

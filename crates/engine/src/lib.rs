@@ -24,9 +24,10 @@
 //!
 //! * **Artifact checking** — the shared CLI's `--check` / `--no-check`
 //!   flags (on by default in debug builds) ask check-aware jobs to lint
-//!   their final artifacts with `lockbind-check`; rejected cells fail with
-//!   a [`CHECK_FAILURE_PREFIX`]-prefixed message and are broken out in the
-//!   run metrics (`cells_check_failed`, per-`LBxxxx`-code counts).
+//!   their final artifacts with `lockbind-check`; a rejected cell is an
+//!   ordinary failure carrying the job's message, and the checking crates
+//!   count their verdicts on the obs registry, which the run metrics
+//!   export as they stand.
 //! * **Resilience** — opt-in per-cell deadlines backed by cooperative
 //!   [`CancelToken`](lockbind_resil::CancelToken)s ([`JobCtx::cancel`]),
 //!   deterministic retry-with-backoff (attempt-indexed RNG streams), sweep
@@ -52,9 +53,5 @@ pub mod pool;
 pub use cache::{fnv1a, ArtifactCache, CacheKey, CacheStats};
 pub use checkpoint::{CheckpointEntry, CHECKPOINT_SCHEMA};
 pub use cli::{EngineArgs, ObsSession};
-pub use metrics::{
-    AuditAggregates, CellTiming, RunMetrics, ServeAggregates, StageMetrics, METRICS_SCHEMA_VERSION,
-};
-pub use pool::{
-    failure_list, CellResult, Engine, EngineConfig, Job, JobCtx, RunReport, CHECK_FAILURE_PREFIX,
-};
+pub use metrics::{CellTiming, RunMetrics, StageMetrics, METRICS_SCHEMA_VERSION};
+pub use pool::{failure_list, CellResult, Engine, EngineConfig, Job, JobCtx, RunReport};

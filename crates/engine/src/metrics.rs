@@ -10,20 +10,11 @@
 //! cancellations, split out of `cells_failed`), `cells_retried` (total
 //! retry attempts spent), and `cells_resumed` (cells spliced in from a
 //! checkpoint); all earlier fields are unchanged.
-//! Version 4 added the artifact-check fields `cells_check_failed` (failed
-//! cells whose message carries the `lockbind-check` failure prefix — a
-//! subset of `cells_failed`) and the `check_codes` object mapping each
-//! `LBxxxx` diagnostic code to its occurrence count across failure
-//! messages; all earlier fields are unchanged.
-//! Version 5 added the `serve` object ([`ServeAggregates`]): request
-//! aggregates derived from the `serve.*` counters the `lockbind-serve`
-//! daemon records on the obs registry — all zeros for batch (figure / CLI)
-//! runs; all earlier fields are unchanged.
-//! Version 6 added the `audit` object ([`AuditAggregates`]): LB07xx
-//! structural-security findings derived from the `audit.*` counters the
-//! `lockbind-check` audit passes record on the obs registry — all zeros
-//! unless the run enabled the audit (`--audit`); all earlier fields are
-//! unchanged.
+//! Version 4 added the artifact-check fields `cells_check_failed` and
+//! `check_codes`, parsed from check-failure messages; version 5 added the
+//! `serve` object of daemon request aggregates; version 6 added the
+//! `audit` object of structural-audit findings. Version 9 removed all
+//! three (see below).
 //! Version 7 moved the `obs.histograms` members to the shared log-linear
 //! bucket layout (`lockbind_obs::hist`): each histogram is an object of
 //! its non-empty buckets, `{"upper": count}`, replacing the old
@@ -31,6 +22,14 @@
 //! Version 8 dropped the `timers` member of the `obs` object: spans are
 //! the one way to time a scope, and they are exported by `--trace` /
 //! `--profile`, not in the metrics JSON; all other fields are unchanged.
+//! Version 9 dropped the members that restated counters other crates
+//! record on the obs registry: `serve`, `audit`, `cells_check_failed` and
+//! `check_codes`. Each of those counts now lives once, in `obs.counters`
+//! under the name of the crate that records it (the serve daemon, the
+//! audit passes, and the bench crate's check-rejection and the check
+//! crate's per-code counters). The engine also stopped mirroring its
+//! top-level `cells_*` fields as obs counters; all other fields are
+//! unchanged.
 
 use std::time::Duration;
 
@@ -40,179 +39,7 @@ use crate::cache::CacheStats;
 use lockbind_obs::Json;
 
 /// JSON schema version written by [`RunMetrics::to_json`].
-pub const METRICS_SCHEMA_VERSION: u64 = 8;
-
-/// Request aggregates recorded by the serve daemon on the obs registry,
-/// one counter per terminal response status plus the coalescing count.
-/// Derived from the run's obs delta by [`ServeAggregates::from_obs`], so a
-/// batch run (no daemon) reports all zeros.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServeAggregates {
-    /// Requests read off the wire (every kind, before validation).
-    pub requests: u64,
-    /// Requests answered `ok`.
-    pub ok: u64,
-    /// Requests answered `error` (validation or execution failure).
-    pub errors: u64,
-    /// Requests shed by admission control (queue/tenant bounds, drain).
-    pub shed: u64,
-    /// Requests whose deadline fired (queued or executing).
-    pub deadline_exceeded: u64,
-    /// Requests cancelled explicitly mid-flight.
-    pub interrupted: u64,
-    /// Work requests answered from another request's in-flight or cached
-    /// build (response-level single-flight).
-    pub coalesced: u64,
-    /// Live telemetry snapshot (the `lockbind-telemetry` hub's JSON
-    /// document), attached by the daemon via
-    /// [`with_telemetry`](Self::with_telemetry). `None` for batch runs —
-    /// and omitted from [`to_json`](Self::to_json) when `None`, so the
-    /// committed batch metrics goldens are unchanged by its existence.
-    pub telemetry: Option<Json>,
-}
-
-impl ServeAggregates {
-    /// Counter name: requests read off the wire.
-    pub const REQUESTS: &'static str = "serve.requests";
-    /// Counter name: `ok` responses.
-    pub const OK: &'static str = "serve.ok";
-    /// Counter name: `error` responses.
-    pub const ERRORS: &'static str = "serve.error";
-    /// Counter name: `shed` responses.
-    pub const SHED: &'static str = "serve.shed";
-    /// Counter name: `deadline_exceeded` responses.
-    pub const DEADLINE_EXCEEDED: &'static str = "serve.deadline_exceeded";
-    /// Counter name: `interrupted` responses.
-    pub const INTERRUPTED: &'static str = "serve.interrupted";
-    /// Counter name: coalesced work responses.
-    pub const COALESCED: &'static str = "serve.coalesced";
-
-    /// Pulls the `serve.*` aggregates out of an obs snapshot (typically a
-    /// per-run delta). Unknown `serve.*` counters are ignored; missing
-    /// ones read as zero.
-    pub fn from_obs(obs: &MetricsSnapshot) -> Self {
-        let get = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
-        ServeAggregates {
-            requests: get(Self::REQUESTS),
-            ok: get(Self::OK),
-            errors: get(Self::ERRORS),
-            shed: get(Self::SHED),
-            deadline_exceeded: get(Self::DEADLINE_EXCEEDED),
-            interrupted: get(Self::INTERRUPTED),
-            coalesced: get(Self::COALESCED),
-            telemetry: None,
-        }
-    }
-
-    /// Attaches a live telemetry snapshot document (the serve daemon's
-    /// `introspect` body) to the aggregates.
-    #[must_use]
-    pub fn with_telemetry(mut self, snapshot: Json) -> Self {
-        self.telemetry = Some(snapshot);
-        self
-    }
-
-    /// `true` when no serve activity was recorded (batch runs).
-    pub fn is_empty(&self) -> bool {
-        *self == ServeAggregates::default()
-    }
-
-    /// The aggregates as a JSON object (field order fixed; `telemetry`
-    /// appears only when attached).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("requests", Json::from(self.requests)),
-            ("ok", Json::from(self.ok)),
-            ("error", Json::from(self.errors)),
-            ("shed", Json::from(self.shed)),
-            ("deadline_exceeded", Json::from(self.deadline_exceeded)),
-            ("interrupted", Json::from(self.interrupted)),
-            ("coalesced", Json::from(self.coalesced)),
-        ];
-        if let Some(telemetry) = &self.telemetry {
-            fields.push(("telemetry", telemetry.clone()));
-        }
-        Json::obj(fields)
-    }
-}
-
-/// LB07xx structural-audit aggregates recorded by the `lockbind-check`
-/// audit passes on the obs registry. Derived from the run's obs delta by
-/// [`AuditAggregates::from_obs`], so a run without `--audit` reports all
-/// zeros.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AuditAggregates {
-    /// Locked netlists audited.
-    pub netlists: u64,
-    /// Findings emitted, at any severity.
-    pub findings: u64,
-    /// Error-severity findings (structural security defects).
-    pub errors: u64,
-    /// Warning-severity findings (leakage scorecard entries).
-    pub warnings: u64,
-    /// Per-code finding counts (`LBxxxx` → count), sorted by code. Pulled
-    /// from the `audit.code.*` counter namespace.
-    pub codes: Vec<(String, u64)>,
-}
-
-impl AuditAggregates {
-    /// Counter name: netlists audited.
-    pub const NETLISTS: &'static str = "audit.netlists";
-    /// Counter name: findings at any severity.
-    pub const FINDINGS: &'static str = "audit.findings";
-    /// Counter name: error-severity findings.
-    pub const ERRORS: &'static str = "audit.errors";
-    /// Counter name: warning-severity findings.
-    pub const WARNINGS: &'static str = "audit.warnings";
-    /// Prefix of the per-code counters (`audit.code.LB0704` etc.).
-    pub const CODE_PREFIX: &'static str = "audit.code.";
-
-    /// Pulls the `audit.*` aggregates out of an obs snapshot (typically a
-    /// per-run delta). Missing counters read as zero; every counter under
-    /// [`CODE_PREFIX`](Self::CODE_PREFIX) becomes a per-code entry.
-    pub fn from_obs(obs: &MetricsSnapshot) -> Self {
-        let get = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
-        let mut codes: Vec<(String, u64)> = obs
-            .counters
-            .iter()
-            .filter_map(|(name, count)| {
-                name.strip_prefix(Self::CODE_PREFIX)
-                    .map(|code| (code.to_string(), *count))
-            })
-            .collect();
-        codes.sort();
-        AuditAggregates {
-            netlists: get(Self::NETLISTS),
-            findings: get(Self::FINDINGS),
-            errors: get(Self::ERRORS),
-            warnings: get(Self::WARNINGS),
-            codes,
-        }
-    }
-
-    /// `true` when no audit activity was recorded (runs without `--audit`).
-    pub fn is_empty(&self) -> bool {
-        *self == AuditAggregates::default()
-    }
-
-    /// The aggregates as a JSON object (field order fixed).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("netlists", Json::from(self.netlists)),
-            ("findings", Json::from(self.findings)),
-            ("errors", Json::from(self.errors)),
-            ("warnings", Json::from(self.warnings)),
-            (
-                "codes",
-                Json::obj(
-                    self.codes
-                        .iter()
-                        .map(|(code, count)| (code.as_str(), Json::from(*count))),
-                ),
-            ),
-        ])
-    }
-}
+pub const METRICS_SCHEMA_VERSION: u64 = 9;
 
 impl CacheStats {
     /// The stats accumulated *since* `earlier` (the cache is shared across
@@ -270,13 +97,6 @@ pub struct RunMetrics {
     pub cells_retried: usize,
     /// Cells restored from a resume checkpoint instead of executed.
     pub cells_resumed: usize,
-    /// Failed cells rejected by the `lockbind-check` pass suite (their
-    /// message starts with the check-failure prefix) — a subset of
-    /// [`cells_failed`](Self::cells_failed).
-    pub cells_check_failed: usize,
-    /// `LBxxxx` diagnostic codes extracted from check-failure messages,
-    /// with occurrence counts, sorted by code.
-    pub check_codes: Vec<(String, usize)>,
     /// End-to-end wall time of the run.
     pub wall: Duration,
     /// Executed cells per wall-clock second.
@@ -290,12 +110,6 @@ pub struct RunMetrics {
     /// Observability-registry activity during this run (counters, gauges,
     /// histograms).
     pub obs: MetricsSnapshot,
-    /// Serve-daemon request aggregates from the run's `serve.*` counters
-    /// (all zeros for batch runs).
-    pub serve: ServeAggregates,
-    /// LB07xx structural-audit aggregates from the run's `audit.*`
-    /// counters (all zeros unless the run enabled the audit).
-    pub audit: AuditAggregates,
 }
 
 impl RunMetrics {
@@ -309,8 +123,6 @@ impl RunMetrics {
         cells_timed_out: usize,
         cells_retried: usize,
         cells_resumed: usize,
-        cells_check_failed: usize,
-        check_codes: Vec<(String, usize)>,
         wall: Duration,
         cache: CacheStats,
         stage_acc: Vec<(&'static str, usize, Duration)>,
@@ -323,8 +135,6 @@ impl RunMetrics {
         } else {
             0.0
         };
-        let serve = ServeAggregates::from_obs(&obs);
-        let audit = AuditAggregates::from_obs(&obs);
         RunMetrics {
             threads,
             root_seed,
@@ -335,8 +145,6 @@ impl RunMetrics {
             cells_timed_out,
             cells_retried,
             cells_resumed,
-            cells_check_failed,
-            check_codes,
             wall,
             cells_per_sec,
             cache,
@@ -350,8 +158,6 @@ impl RunMetrics {
                 .collect(),
             cells,
             obs,
-            serve,
-            audit,
         }
     }
 
@@ -372,13 +178,8 @@ impl RunMetrics {
         } else {
             String::new()
         };
-        let check_failed = if self.cells_check_failed > 0 {
-            format!(", {} check-failed", self.cells_check_failed)
-        } else {
-            String::new()
-        };
         format!(
-            "{} cells ({} ok, {} failed{check_failed}{skipped}{timed_out}{resumed}) in {:.2}s on {} threads | {:.1} cells/s | cache {}h/{}m ({:.0}% hit)",
+            "{} cells ({} ok, {} failed{skipped}{timed_out}{resumed}) in {:.2}s on {} threads | {:.1} cells/s | cache {}h/{}m ({:.0}% hit)",
             self.cells_total,
             self.cells_ok,
             self.cells_failed,
@@ -405,15 +206,6 @@ impl RunMetrics {
             ("cells_timed_out", Json::from(self.cells_timed_out)),
             ("cells_retried", Json::from(self.cells_retried)),
             ("cells_resumed", Json::from(self.cells_resumed)),
-            ("cells_check_failed", Json::from(self.cells_check_failed)),
-            (
-                "check_codes",
-                Json::obj(
-                    self.check_codes
-                        .iter()
-                        .map(|(code, count)| (code.as_str(), Json::from(*count))),
-                ),
-            ),
             ("wall_seconds", Json::from(self.wall.as_secs_f64())),
             ("cells_per_sec", Json::from(self.cells_per_sec)),
             (
@@ -445,8 +237,6 @@ impl RunMetrics {
                     ])
                 })),
             ),
-            ("serve", self.serve.to_json()),
-            ("audit", self.audit.to_json()),
             ("obs", self.obs.to_json()),
         ])
     }
@@ -482,8 +272,6 @@ mod tests {
             0,
             0,
             0,
-            1,
-            vec![("LB0304".to_string(), 2)],
             Duration::from_millis(500),
             CacheStats {
                 hits: 30,
@@ -505,110 +293,13 @@ mod tests {
         assert!(summary.contains("9 ok"), "{summary}");
         assert!(summary.contains("75% hit"), "{summary}");
         assert!(!summary.contains("skipped"), "{summary}");
-        assert!(summary.contains("1 check-failed"), "{summary}");
         let json = metrics.to_json().render();
-        assert!(json.contains("\"schema_version\":8"));
+        assert!(json.contains("\"schema_version\":9"));
         assert!(!json.contains("timers"), "v8 has no timer section: {json}");
-        assert!(json.contains("\"cells_check_failed\":1"));
-        assert!(json.contains("\"check_codes\":{\"LB0304\":2}"));
         assert!(json.contains("\"root_seed\":2021"));
         assert!(json.contains("\"hit_rate\":0.75"));
         assert!(json.contains("\"stage\":\"error-cell\""));
         assert!(json.contains("\"matching.solves\":123"));
-        assert!(
-            json.contains(
-                "\"serve\":{\"requests\":0,\"ok\":0,\"error\":0,\"shed\":0,\
-                 \"deadline_exceeded\":0,\"interrupted\":0,\"coalesced\":0}"
-            ),
-            "batch runs export all-zero serve aggregates: {json}"
-        );
-        assert!(
-            json.contains(
-                "\"audit\":{\"netlists\":0,\"findings\":0,\"errors\":0,\
-                 \"warnings\":0,\"codes\":{}}"
-            ),
-            "non-audit runs export all-zero audit aggregates: {json}"
-        );
-    }
-
-    #[test]
-    fn audit_aggregates_read_the_audit_namespace() {
-        let mut obs = MetricsSnapshot::default();
-        obs.counters
-            .insert(AuditAggregates::NETLISTS.to_string(), 5);
-        obs.counters
-            .insert(AuditAggregates::FINDINGS.to_string(), 9);
-        obs.counters
-            .insert(AuditAggregates::WARNINGS.to_string(), 9);
-        obs.counters.insert("audit.code.LB0721".to_string(), 3);
-        obs.counters.insert("audit.code.LB0704".to_string(), 6);
-        obs.counters.insert("audit.unrelated".to_string(), 99);
-        let agg = AuditAggregates::from_obs(&obs);
-        assert_eq!(agg.netlists, 5);
-        assert_eq!(agg.findings, 9);
-        assert_eq!(agg.errors, 0, "missing counters read as zero");
-        assert_eq!(agg.warnings, 9);
-        assert_eq!(
-            agg.codes,
-            vec![("LB0704".to_string(), 6), ("LB0721".to_string(), 3)],
-            "codes are sorted"
-        );
-        assert!(!agg.is_empty());
-        assert!(AuditAggregates::default().is_empty());
-        assert_eq!(
-            agg.to_json().render(),
-            "{\"netlists\":5,\"findings\":9,\"errors\":0,\"warnings\":9,\
-             \"codes\":{\"LB0704\":6,\"LB0721\":3}}"
-        );
-    }
-
-    #[test]
-    fn serve_aggregates_read_the_serve_namespace() {
-        let mut obs = MetricsSnapshot::default();
-        obs.counters
-            .insert(ServeAggregates::REQUESTS.to_string(), 40);
-        obs.counters.insert(ServeAggregates::OK.to_string(), 30);
-        obs.counters.insert(ServeAggregates::SHED.to_string(), 6);
-        obs.counters
-            .insert(ServeAggregates::DEADLINE_EXCEEDED.to_string(), 2);
-        obs.counters
-            .insert(ServeAggregates::INTERRUPTED.to_string(), 1);
-        obs.counters
-            .insert(ServeAggregates::COALESCED.to_string(), 12);
-        obs.counters.insert("serve.unrelated".to_string(), 99);
-        let agg = ServeAggregates::from_obs(&obs);
-        assert_eq!(agg.requests, 40);
-        assert_eq!(agg.ok, 30);
-        assert_eq!(agg.errors, 0, "missing counters read as zero");
-        assert_eq!(agg.shed, 6);
-        assert_eq!(agg.deadline_exceeded, 2);
-        assert_eq!(agg.interrupted, 1);
-        assert_eq!(agg.coalesced, 12);
-        assert!(!agg.is_empty());
-        assert!(ServeAggregates::default().is_empty());
-        assert_eq!(
-            agg.to_json().render(),
-            "{\"requests\":40,\"ok\":30,\"error\":0,\"shed\":6,\
-             \"deadline_exceeded\":2,\"interrupted\":1,\"coalesced\":12}"
-        );
-    }
-
-    #[test]
-    fn telemetry_attachment_is_optional_and_order_stable() {
-        let base = ServeAggregates::default();
-        assert!(
-            !base.to_json().render().contains("telemetry"),
-            "batch aggregates must not grow a telemetry key"
-        );
-        let with = base
-            .clone()
-            .with_telemetry(Json::obj([("uptime_us", Json::from(5u64))]));
-        assert!(!with.is_empty(), "an attached snapshot is serve activity");
-        assert_eq!(
-            with.to_json().render(),
-            "{\"requests\":0,\"ok\":0,\"error\":0,\"shed\":0,\"deadline_exceeded\":0,\
-             \"interrupted\":0,\"coalesced\":0,\"telemetry\":{\"uptime_us\":5}}"
-        );
     }
 
     #[test]
@@ -622,8 +313,6 @@ mod tests {
             0,
             0,
             0,
-            0,
-            Vec::new(),
             Duration::from_millis(100),
             CacheStats::default(),
             Vec::new(),

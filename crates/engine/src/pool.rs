@@ -12,9 +12,9 @@
 //! `Err` return becomes [`CellResult::Failed`] for that cell only. With
 //! [`EngineConfig::fail_fast`] the pool instead stops claiming new cells
 //! after the first failure and marks the unstarted remainder as skipped —
-//! skips are counted separately from failures (`cells_skipped`, plus the
-//! `cells.skipped` registry counter and an `engine.fail_fast_abort`
-//! instant event), so an aborted sweep is distinguishable from a short one.
+//! skips are counted separately from failures (`cells_skipped`, plus an
+//! `engine.fail_fast_abort` instant event), so an aborted sweep is
+//! distinguishable from a short one.
 //!
 //! Resilience knobs, all off by default:
 //!
@@ -66,14 +66,6 @@ use rand_chacha::ChaCha12Rng;
 use crate::cache::ArtifactCache;
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::metrics::{CellTiming, RunMetrics};
-
-/// Message prefix that marks a failed cell as an artifact-check failure.
-///
-/// Matches `lockbind_check::CHECK_FAILURE_PREFIX` (kept as a string literal
-/// so the engine does not depend on the check crate): cells that fail with
-/// this prefix are counted in [`RunMetrics::cells_check_failed`], and every
-/// `[LBxxxx]` code in the message feeds the per-code breakdown.
-pub const CHECK_FAILURE_PREFIX: &str = "check failed: ";
 
 /// One schedulable experiment cell.
 ///
@@ -142,15 +134,12 @@ pub struct JobCtx<'a> {
     pub fault: Option<FaultKind>,
     /// Whether the run asked for artifact checking
     /// ([`EngineConfig::check`]). Check-aware jobs lint their final
-    /// artifacts with `lockbind-check` and fail the cell with a
-    /// [`CHECK_FAILURE_PREFIX`]-prefixed message on diagnostics.
+    /// artifacts and fail the cell with an ordinary error on a rejection.
     pub check: bool,
-    /// Whether the run asked for the LB07xx structural-security audit
-    /// ([`EngineConfig::audit`]). Audit-aware jobs run
-    /// `lockbind-check`'s audit passes over their locked netlists; the
-    /// findings feed the `audit.*` obs counters (and thus
-    /// `RunMetrics.audit`) without ever failing a cell, so enabling the
-    /// audit cannot perturb cell outputs.
+    /// Whether the run asked for the structural-security audit
+    /// ([`EngineConfig::audit`]). Audit-aware jobs audit their locked
+    /// netlists; the findings are recorded on the obs registry by the
+    /// auditing crate, so they reach [`RunMetrics::obs`].
     pub audit: bool,
 }
 
@@ -263,13 +252,14 @@ pub struct EngineConfig {
     /// ignored with a warning (the run proceeds from scratch).
     pub resume: Option<PathBuf>,
     /// Ask check-aware jobs to lint their artifacts with `lockbind-check`
-    /// (surfaced as [`JobCtx::check`]). Check failures are ordinary cell
-    /// failures with a [`CHECK_FAILURE_PREFIX`]-prefixed message, counted
-    /// separately in [`RunMetrics::cells_check_failed`].
+    /// (surfaced as [`JobCtx::check`]). The engine gives the flag meaning
+    /// only through the jobs: a rejected artifact is an ordinary cell
+    /// failure, listed by [`failure_list`] with the job's message, and the
+    /// checking crates count their verdicts on the obs registry.
     pub check: bool,
     /// Ask audit-aware jobs to run the LB07xx structural-security audit
     /// over their locked netlists (surfaced as [`JobCtx::audit`]).
-    /// Findings only feed `audit.*` run metrics; they never fail cells.
+    /// Findings reach the run metrics only through the obs registry.
     pub audit: bool,
 }
 
@@ -437,9 +427,6 @@ impl Engine {
                 }
             }
         }
-        if cells_resumed > 0 {
-            obs::counter!("cells.resumed").add(cells_resumed as u64);
-        }
         let writer = self.cfg.checkpoint.as_ref().and_then(|path| {
             let resuming = self.cfg.resume.as_deref() == Some(path.as_path());
             match CheckpointWriter::open(path, grid_fp, self.cfg.root_seed, jobs.len(), resuming) {
@@ -512,7 +499,6 @@ impl Engine {
                         }
                         CellResult::TimedOut { .. } => {
                             timed_out.fetch_add(1, Ordering::Relaxed);
-                            obs::counter!("cells.timed_out").inc();
                             if cfg.fail_fast {
                                 abort.store(true, Ordering::Relaxed);
                             }
@@ -591,7 +577,6 @@ impl Engine {
             })
             .collect();
         if skipped > 0 {
-            obs::counter!("cells.skipped").add(skipped as u64);
             obs::trace::instant("engine.fail_fast_abort", || {
                 vec![("skipped", obs::ArgValue::from(skipped))]
             });
@@ -601,31 +586,6 @@ impl Engine {
             .iter()
             .filter(|r| matches!(r, CellResult::Ok { .. }))
             .count();
-        // Check-failure accounting: failed cells carrying the check prefix
-        // are lint rejections; their [LBxxxx] codes feed the per-code
-        // breakdown. Derived from the in-order results, so the counts are
-        // identical at any worker count.
-        let mut cells_check_failed = 0usize;
-        let mut check_codes: Vec<(String, usize)> = Vec::new();
-        for result in &results {
-            let CellResult::Failed { message, .. } = result else {
-                continue;
-            };
-            let Some(rest) = message.strip_prefix(CHECK_FAILURE_PREFIX) else {
-                continue;
-            };
-            cells_check_failed += 1;
-            for code in check_codes_in(rest) {
-                match check_codes.iter_mut().find(|(c, _)| c.as_str() == code) {
-                    Some((_, count)) => *count += 1,
-                    None => check_codes.push((code.to_string(), 1)),
-                }
-            }
-        }
-        check_codes.sort();
-        if cells_check_failed > 0 {
-            obs::counter!("cells.check_failed").add(cells_check_failed as u64);
-        }
         let metrics = RunMetrics::new(
             threads,
             self.cfg.root_seed,
@@ -635,8 +595,6 @@ impl Engine {
             timed_out.load(Ordering::Relaxed),
             retried.load(Ordering::Relaxed),
             cells_resumed,
-            cells_check_failed,
-            check_codes,
             wall,
             self.cache.stats().delta_from(cache_before),
             stage_acc,
@@ -715,7 +673,6 @@ fn run_cell<J: Job>(
             };
         }
         retried.fetch_add(1, Ordering::Relaxed);
-        obs::counter!("cells.retried").inc();
         std::thread::sleep(cfg.retry.backoff_for(attempt));
         attempt += 1;
     }
@@ -759,25 +716,6 @@ fn apply_fault(ctx: &mut JobCtx<'_>) -> Result<(), String> {
             std::thread::sleep(Duration::from_millis(1));
         },
     }
-}
-
-/// Extracts the `LBxxxx` diagnostic codes from a check-failure message
-/// (the `[LB0304] ...; [LB0202] ...` format of a check report's failure
-/// summary). Tolerant of arbitrary surrounding text; non-`LBnnnn` brackets
-/// are ignored.
-fn check_codes_in(message: &str) -> Vec<&str> {
-    let mut codes = Vec::new();
-    let mut rest = message;
-    while let Some(start) = rest.find("[LB") {
-        rest = &rest[start + 1..];
-        let Some(end) = rest.find(']') else { break };
-        let code = &rest[..end];
-        if code.len() == 6 && code[2..].bytes().all(|b| b.is_ascii_digit()) {
-            codes.push(code);
-        }
-        rest = &rest[end..];
-    }
-    codes
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1302,6 +1240,9 @@ mod tests {
         );
     }
 
+    const CHECKY_MESSAGE: &str = "check failed: [LB0304] cycle0/adder0: clash; \
+                                  [LB0202] op1->op2: backwards";
+
     /// Fails with a check-style message on selected cells when the run has
     /// checking enabled — the shape check-aware bench cells produce.
     struct CheckyJob {
@@ -1317,23 +1258,21 @@ mod tests {
 
         fn run(&self, ctx: &mut JobCtx<'_>) -> Result<usize, String> {
             if ctx.check && self.id % 3 == 0 {
-                return Err(format!(
-                    "{CHECK_FAILURE_PREFIX}[LB0304] cycle0/adder0: clash; \
-                     [LB0202] op1->op2: backwards"
-                ));
+                return Err(CHECKY_MESSAGE.to_string());
             }
             Ok(self.id)
         }
     }
 
     #[test]
-    fn check_failures_are_classified_and_counted_per_code() {
+    fn check_failures_are_plain_failures_and_no_count_is_restated() {
         let jobs: Vec<CheckyJob> = (0..7).map(|id| CheckyJob { id }).collect();
         let run = |check: bool| {
             Engine::new(EngineConfig {
                 threads: 2,
                 progress: false,
                 check,
+                retry: RetryPolicy::new(1, Duration::from_millis(1)),
                 ..EngineConfig::default()
             })
             .run(&jobs)
@@ -1343,33 +1282,40 @@ mod tests {
             unchecked.metrics.cells_ok, 7,
             "checks off: everything passes"
         );
-        assert_eq!(unchecked.metrics.cells_check_failed, 0);
 
         let checked = run(true);
         assert_eq!(checked.metrics.cells_ok, 4);
         assert_eq!(checked.metrics.cells_failed, 3, "cells 0, 3, 6 rejected");
-        assert_eq!(checked.metrics.cells_check_failed, 3);
-        assert_eq!(
-            checked.metrics.check_codes,
-            vec![("LB0202".to_string(), 3), ("LB0304".to_string(), 3)],
-            "per-code counts are sorted and aggregated across cells"
+        assert_eq!(checked.metrics.cells_retried, 3, "each retried once");
+        let failures = failure_list(&checked.results);
+        let cells: Vec<&str> = failures.iter().map(|(cell, _)| cell.as_str()).collect();
+        assert_eq!(cells, ["checky-0", "checky-3", "checky-6"]);
+        assert!(
+            failures
+                .iter()
+                .all(|(_, message)| message == CHECKY_MESSAGE),
+            "the exit-time list keeps each message whole: {failures:?}"
         );
         let summary = checked.metrics.summary();
-        assert!(summary.contains("3 check-failed"), "{summary}");
-    }
+        assert!(
+            summary.starts_with("7 cells (4 ok, 3 failed) in"),
+            "{summary}"
+        );
 
-    #[test]
-    fn check_code_extraction_is_tolerant() {
-        assert_eq!(
-            check_codes_in("[LB0304] x; [LB0304] y (+2 more)"),
-            vec!["LB0304", "LB0304"]
+        // Each count has one home: the top-level `cells_*` fields hold the
+        // engine's, and `obs.counters` holds every other crate's under its
+        // own name. Nothing restates either.
+        let json = lockbind_obs::json::parse(checked.metrics.to_json().render().as_bytes())
+            .expect("metrics JSON parses");
+        for member in ["serve", "audit", "check_codes", "cells_check_failed"] {
+            assert!(json.get(member).is_none(), "`{member}` is restated");
+        }
+        assert_eq!(json["cells_retried"].as_u64(), Some(3));
+        let counters = &checked.metrics.obs.counters;
+        assert!(
+            counters.keys().all(|name| !name.starts_with("cells.")),
+            "cell counts are mirrored into obs counters: {counters:?}"
         );
-        assert_eq!(
-            check_codes_in("prefix [not-a-code] [LB12] [LB0101] tail"),
-            vec!["LB0101"]
-        );
-        assert!(check_codes_in("no codes here").is_empty());
-        assert!(check_codes_in("[LB0101 unterminated").is_empty());
     }
 
     #[test]

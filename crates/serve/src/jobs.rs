@@ -15,8 +15,7 @@ use lockbind_bench::codec::{error_record_json, impact_record_json, sat_record_js
 use lockbind_bench::errors_experiment::{ClassContext, ExperimentParams};
 use lockbind_bench::grid::{cached_class_context, cached_prepared, ErrorCell};
 use lockbind_bench::headline_cells::{ImpactCell, SatCell};
-use lockbind_bench::prepared::PreparedKernel;
-use lockbind_core::{bind_obfuscation_aware, expected_application_errors};
+use lockbind_core::{bind_obfuscation_aware, expected_application_errors, CoreError};
 use lockbind_engine::{Job, JobCtx};
 use lockbind_hls::{FuClass, FuId};
 use lockbind_mediabench::Kernel;
@@ -54,15 +53,16 @@ impl Job for ServeJob {
                 num_candidates,
             } => {
                 let prepared = cached_prepared(ctx.cache, kernel, frames, seed);
-                let class_ctx = lookup_class_context(
-                    ctx,
+                let cached = cached_class_context(
+                    ctx.cache,
                     &prepared,
                     kernel,
                     frames,
                     seed,
                     class,
                     num_candidates,
-                )?;
+                );
+                let class_ctx = usable_class_context(&cached, kernel, class)?;
                 let spec = class_ctx.first_candidates_spec(&prepared, locked_fus, locked_inputs)?;
                 let obf = bind_obfuscation_aware(
                     &prepared.dfg,
@@ -170,7 +170,16 @@ impl Job for ServeJob {
                 // A class without candidates is an error here, where the
                 // grid's cell returns no records.
                 let prepared = cached_prepared(ctx.cache, kernel, frames, seed);
-                lookup_class_context(ctx, &prepared, kernel, frames, seed, class, num_candidates)?;
+                let cached = cached_class_context(
+                    ctx.cache,
+                    &prepared,
+                    kernel,
+                    frames,
+                    seed,
+                    class,
+                    num_candidates,
+                );
+                usable_class_context(&cached, kernel, class)?;
                 let cell = ErrorCell {
                     kernel,
                     frames,
@@ -231,28 +240,15 @@ impl Job for ServeJob {
     }
 }
 
-/// Fetches the cached class context, mapping "no candidates" and core
-/// errors to job failures with actionable messages.
-fn lookup_class_context(
-    ctx: &JobCtx<'_>,
-    prepared: &PreparedKernel,
+/// Reads a cached class context in place, mapping "no candidates" and
+/// core errors to job failures with actionable messages.
+fn usable_class_context(
+    cached: &Result<Option<ClassContext>, CoreError>,
     kernel: Kernel,
-    frames: usize,
-    seed: u64,
     class: FuClass,
-    num_candidates: usize,
-) -> Result<ClassContext, String> {
-    let cached = cached_class_context(
-        ctx.cache,
-        prepared,
-        kernel,
-        frames,
-        seed,
-        class,
-        num_candidates,
-    );
-    match cached.as_ref() {
-        Ok(Some(class_ctx)) => Ok(class_ctx.clone()),
+) -> Result<&ClassContext, String> {
+    match cached {
+        Ok(Some(class_ctx)) => Ok(class_ctx),
         Ok(None) => Err(format!(
             "kernel '{}' has no locked-input candidates for class {} \
              (e.g. ecb_enc4 has no multiplies)",
@@ -268,6 +264,34 @@ mod tests {
     use super::*;
     use lockbind_engine::{CellResult, Engine, EngineConfig};
     use lockbind_resil::CancelToken;
+    use std::sync::Arc;
+
+    #[test]
+    fn class_context_lookups_share_one_allocation() {
+        let engine = Engine::new(EngineConfig {
+            progress: false,
+            ..EngineConfig::default()
+        });
+        let prepared = cached_prepared(engine.cache(), Kernel::Fir, 40, 5);
+        let lookup = || {
+            cached_class_context(
+                engine.cache(),
+                &prepared,
+                Kernel::Fir,
+                40,
+                5,
+                FuClass::Adder,
+                8,
+            )
+        };
+        let (first, second) = (lookup(), lookup());
+        assert!(Arc::ptr_eq(&first, &second), "one key, one allocation");
+        let read = |cached: &Arc<_>| {
+            let class_ctx = usable_class_context(cached, Kernel::Fir, FuClass::Adder);
+            std::ptr::from_ref(class_ctx.expect("fir has adder candidates"))
+        };
+        assert_eq!(read(&first), read(&second), "read in place, not copied");
+    }
 
     #[test]
     fn error_rate_without_candidates_is_an_error_where_the_grid_returns_nothing() {

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lockbind_durable::{SegmentStore, StoreConfig};
-use lockbind_engine::{fnv1a, CellResult, Engine, EngineConfig, ServeAggregates};
+use lockbind_engine::{fnv1a, CellResult, Engine, EngineConfig};
 use lockbind_obs::Json;
 use lockbind_resil::{CancelReason, CancelToken};
 use lockbind_telemetry::recorder::{DumpTrigger, FlightKind};
@@ -146,10 +146,21 @@ impl Responder {
         }
     }
 
-    /// Renders and writes one frame; errors are swallowed (the client
-    /// may have gone away — its work still completes for drain
-    /// accounting).
-    fn send(&self, doc: &Json) {
+    /// Writes one response frame, counting it first under
+    /// `serve.<status>`: the wire statuses are the counter suffixes. Every
+    /// response the daemon sends passes through here, once.
+    fn send(&self, response: &Json) {
+        let status = crate::client::response_status(response);
+        lockbind_obs::Registry::global()
+            .counter(&format!("serve.{status}"))
+            .inc();
+        self.write(response);
+    }
+
+    /// Renders and writes one frame, uncounted (progress frames come here
+    /// directly); errors are swallowed (the client may have gone away —
+    /// its work still completes for drain accounting).
+    fn write(&self, doc: &Json) {
         let payload = doc.render();
         let mut stream = self.stream.lock().expect("responder poisoned");
         let _ = write_frame(&mut *stream, payload.as_bytes());
@@ -608,8 +619,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<std::thread:
 /// response frame on the fresh stream, then close. No reader thread is
 /// spawned, so a connection flood cannot exhaust threads.
 fn shed_connection(stream: TcpStream, shared: &Arc<Shared>, limit: usize) {
-    shared.counter(ServeAggregates::REQUESTS);
-    shared.counter(ServeAggregates::SHED);
+    shared.counter("serve.requests");
     shared.counter("serve.connection_limit");
     shared
         .telemetry
@@ -666,8 +676,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 return;
             }
             Ok(FrameRead::TooLarge { declared }) => {
-                shared.counter(ServeAggregates::REQUESTS);
-                shared.counter(ServeAggregates::ERRORS);
+                shared.counter("serve.requests");
                 responder.send(&response_error(
                     Json::Null,
                     "?",
@@ -685,7 +694,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         };
-        shared.counter(ServeAggregates::REQUESTS);
+        shared.counter("serve.requests");
         if !handle_frame(&frame, &responder, shared) {
             return;
         }
@@ -702,7 +711,6 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
             } else {
                 code::BAD_JSON
             };
-            shared.counter(ServeAggregates::ERRORS);
             responder.send(&response_error(
                 Json::Null,
                 "?",
@@ -716,7 +724,6 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
     let envelope = match decode_request(&doc, shared.cfg.debug_kinds) {
         Ok(envelope) => envelope,
         Err(e) => {
-            shared.counter(ServeAggregates::ERRORS);
             responder.send(&response_error(
                 extract_id(&doc),
                 "?",
@@ -730,7 +737,6 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
     let id = envelope.id;
     match envelope.kind {
         RequestKind::Ping => {
-            shared.counter(ServeAggregates::OK);
             responder.send(&response_ok(
                 Json::UInt(id),
                 "ping",
@@ -738,11 +744,9 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
             ));
         }
         RequestKind::Stats => {
-            shared.counter(ServeAggregates::OK);
             responder.send(&response_ok(Json::UInt(id), "stats", stats_body(shared)));
         }
         RequestKind::Introspect => {
-            shared.counter(ServeAggregates::OK);
             responder.send(&response_ok(
                 Json::UInt(id),
                 "introspect",
@@ -756,7 +760,6 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
                 tokens.into_iter().flatten().for_each(CancelToken::cancel);
                 tokens.is_some()
             };
-            shared.counter(ServeAggregates::OK);
             responder.send(&response_ok(
                 Json::UInt(id),
                 "cancel",
@@ -814,7 +817,6 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
                             "server is draining; no new work is admitted".to_string(),
                         ),
                     };
-                    shared.counter(ServeAggregates::SHED);
                     shared.telemetry.on_shed(id, &envelope.tenant, err_code);
                     responder.send(&response_error(
                         Json::UInt(id),
@@ -833,7 +835,6 @@ fn handle_frame(frame: &[u8], responder: &Arc<Responder>, shared: &Arc<Shared>) 
 fn stats_body(shared: &Shared) -> Json {
     let queue = shared.admission.stats();
     let cache = shared.engine.cache().stats();
-    let obs = lockbind_obs::Registry::global().snapshot();
     let tenants: Vec<(String, Json)> = shared
         .admission
         .tenant_stats()
@@ -872,13 +873,31 @@ fn stats_body(shared: &Shared) -> Json {
             ]),
         ),
         ("durable", durable_body(shared)),
-        (
-            "serve",
-            ServeAggregates::from_obs(&obs)
-                .with_telemetry(shared.telemetry.snapshot().to_json())
-                .to_json(),
-        ),
+        ("serve", serve_body(shared)),
     ])
+}
+
+/// The `serve` member of the `stats` body: the daemon's `serve.*` request
+/// counters (missing ones read as zero) and the live telemetry snapshot.
+fn serve_body(shared: &Shared) -> Json {
+    let obs = lockbind_obs::Registry::global().snapshot();
+    let mut fields: Vec<(&str, Json)> = [
+        "requests",
+        "ok",
+        "error",
+        "shed",
+        "deadline_exceeded",
+        "interrupted",
+        "coalesced",
+    ]
+    .into_iter()
+    .map(|name| {
+        let count = obs.counters.get(&format!("serve.{name}")).copied();
+        (name, Json::from(count.unwrap_or(0)))
+    })
+    .collect();
+    fields.push(("telemetry", shared.telemetry.snapshot().to_json()));
+    Json::obj(fields)
 }
 
 /// The `durable` member of the `stats` body: store counters plus the
@@ -924,7 +943,6 @@ fn worker_loop(shared: &Arc<Shared>, worker_id: u64) {
                 request.responder.send(&response);
             }
             Err(payload) => {
-                shared.counter(ServeAggregates::ERRORS);
                 shared
                     .telemetry
                     .on_response(request.id, &request.tenant, false, latency_us);
@@ -963,7 +981,7 @@ fn execute(shared: &Arc<Shared>, request: &QueuedRequest, worker_id: u64) -> Jso
         ProgressRouter::global().subscribe(
             request.seq,
             Box::new(move |ordinal, span| {
-                responder.send(&progress_event(id, ordinal, span.name));
+                responder.write(&progress_event(id, ordinal, span.name));
             }),
         )
     });
@@ -1008,7 +1026,7 @@ fn execute(shared: &Arc<Shared>, request: &QueuedRequest, worker_id: u64) -> Jso
     };
     let coalesced = !built.get();
     if coalesced {
-        shared.counter(ServeAggregates::COALESCED);
+        shared.counter("serve.coalesced");
     }
     shared.telemetry.event(
         if coalesced {
@@ -1047,25 +1065,19 @@ fn body_response(shared: &Shared, request: &QueuedRequest, body: &WorkBody) -> J
     }
     let kind = request.work.kind_name();
     match body {
-        WorkBody::Ok(result) => {
-            shared.counter(ServeAggregates::OK);
-            response_ok(Json::UInt(request.id), kind, result.clone())
-        }
-        WorkBody::Err(message) => {
-            shared.counter(ServeAggregates::ERRORS);
-            response_error(
-                Json::UInt(request.id),
-                kind,
-                status::ERROR,
-                code::EXEC_FAILED,
-                message,
-            )
-        }
+        WorkBody::Ok(result) => response_ok(Json::UInt(request.id), kind, result.clone()),
+        WorkBody::Err(message) => response_error(
+            Json::UInt(request.id),
+            kind,
+            status::ERROR,
+            code::EXEC_FAILED,
+            message,
+        ),
     }
 }
 
-/// The response for a request whose token fired. Status, code, counter
-/// and flight-event kind follow the token's reason, which never changes
+/// The response for a request whose token fired. Status, code and
+/// flight-event kind follow the token's reason, which never changes
 /// once fired — so a job the engine classified as timed out always
 /// answers `deadline_exceeded`. `detail` is the flight-event detail. The
 /// message is the job's own error when the job noticed the token
@@ -1077,23 +1089,20 @@ fn fired_response(
     detail: &str,
     job_message: Option<&str>,
 ) -> Json {
-    let (counter, flight, status, err_code, reason) = match request.cancel.reason() {
+    let (flight, status, err_code, reason) = match request.cancel.reason() {
         Some(CancelReason::DeadlineExceeded) => (
-            ServeAggregates::DEADLINE_EXCEEDED,
             FlightKind::Deadline,
             status::DEADLINE_EXCEEDED,
             code::DEADLINE_EXCEEDED,
             "deadline exceeded",
         ),
         _ => (
-            ServeAggregates::INTERRUPTED,
             FlightKind::Cancel,
             status::INTERRUPTED,
             code::INTERRUPTED,
             "cancelled",
         ),
     };
-    shared.counter(counter);
     shared
         .telemetry
         .event(flight, request.id, &request.tenant, detail);

@@ -28,7 +28,7 @@
 //! rotator thread calls [`Telemetry::rotate`] each epoch, and readers
 //! take a [`TelemetrySnapshot`] — the payload behind the `introspect`
 //! wire kind, the `--telemetry-addr` scrape endpoint, and the
-//! `telemetry` member of the engine's `ServeAggregates`.
+//! `serve.telemetry` member of the daemon's `stats` response.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -512,7 +512,8 @@ pub struct TenantSnapshot {
 }
 
 impl TenantSnapshot {
-    /// JSON object for introspect / `ServeAggregates.telemetry`.
+    /// JSON object for introspect / the `stats` response's
+    /// `serve.telemetry`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("tenant", Json::from(self.tenant.as_str())),
@@ -570,7 +571,7 @@ pub struct TelemetrySnapshot {
 
 impl TelemetrySnapshot {
     /// The JSON document served by the `introspect` wire kind and
-    /// embedded in the engine's `ServeAggregates.telemetry`.
+    /// embedded in the `stats` response as `serve.telemetry`.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("schema_version", Json::from(1u64)),
