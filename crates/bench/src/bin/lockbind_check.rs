@@ -2,20 +2,22 @@
 //!
 //! Runs the `lockbind-check` pass suite (structured `LBxxxx` diagnostics)
 //! outside any experiment, either over freshly-built suite artifacts or
-//! over a sweep checkpoint file:
+//! over a sweep checkpoint store:
 //!
 //! * `kernels [FRAMES] [SEED]` — lints every MediaBench kernel × FU class ×
 //!   binding algorithm under a standard locking configuration. Obf-aware
 //!   and co-design artifacts carry dual certificates, so their rows also
 //!   certify matching optimality (Thm. 2). Output is fully deterministic
 //!   (no wall times); `results/CHECK_baseline.txt` is the committed golden.
-//! * `checkpoint PATH` — validates a sweep checkpoint written by the
-//!   engine: header sanity, then every payload must decode as one of
-//!   the bench record encodings.
+//! * `checkpoint DIR` — validates a sweep checkpoint store written by the
+//!   engine, read with the store's own recovery scan (nothing is
+//!   repaired): the header's fingerprint and record count, then every
+//!   payload must decode as one of the bench record encodings.
 //!
 //! Exits 1 when any error-severity diagnostic (or malformed checkpoint
 //! record) is found, 2 on usage errors.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -25,6 +27,7 @@ use lockbind_check::{audit_netlist, check_artifact, Artifact, AuditSummary, Repo
 use lockbind_core::{
     bind_area_aware, bind_obfuscation_aware_certified, bind_power_aware, LockingSpec,
 };
+use lockbind_engine::checkpoint;
 use lockbind_hls::{binding::bind_naive, FuClass, FuId};
 use lockbind_locking::{
     lock_anti_sat, lock_critical_minterms, lock_permutation, lock_rll, lock_sfll_hd, LockError,
@@ -42,7 +45,7 @@ fn usage() -> &'static str {
      Usage:\n\
      \x20 lockbind-check kernels [FRAMES] [SEED]   lint every suite kernel x binding algorithm\n\
      \x20 lockbind-check audit [FRAMES] [SEED]     LB07xx structural audit, kernel x scheme family\n\
-     \x20 lockbind-check checkpoint PATH           validate a sweep checkpoint file\n\
+     \x20 lockbind-check checkpoint DIR            validate a sweep checkpoint store\n\
      \n\
      Defaults: FRAMES=60, SEED=5 (the committed goldens in results/CHECK_baseline.txt\n\
      and results/AUDIT_baseline.txt)."
@@ -78,8 +81,8 @@ fn main() -> ExitCode {
             audit_kernels(frames, seed)
         }
         Some("checkpoint") => match args.get(1) {
-            Some(path) => lint_checkpoint(Path::new(path)),
-            None => bad_usage("checkpoint mode needs a PATH"),
+            Some(dir) => lint_checkpoint(Path::new(dir)),
+            None => bad_usage("checkpoint mode needs a DIR"),
         },
         _ => bad_usage("missing or unknown mode"),
     }
@@ -343,53 +346,46 @@ fn audit_kernels(frames: usize, seed: u64) -> ExitCode {
     }
 }
 
-fn lint_checkpoint(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+fn lint_checkpoint(dir: &Path) -> ExitCode {
+    let segment = match checkpoint::Segment::read(dir) {
+        Ok(segment) => segment,
         Err(e) => {
-            eprintln!("lockbind-check: cannot read {}: {e}", path.display());
+            eprintln!(
+                "lockbind-check: cannot read checkpoint {}: {e}",
+                dir.display()
+            );
             return ExitCode::FAILURE;
         }
     };
-    let mut lines = text.lines();
-    let Some(header) = lines.next() else {
-        eprintln!("lockbind-check: {} is empty", path.display());
-        return ExitCode::FAILURE;
+    // Later records supersede earlier ones for the same cell, as on resume.
+    let mut entries: BTreeMap<Option<u64>, &[u8]> = BTreeMap::new();
+    for (key, value) in segment.records() {
+        entries.insert(key.try_into().ok().map(u64::from_le_bytes), value);
+    }
+    let torn = match segment.torn_bytes() {
+        0 => String::new(),
+        n => format!(", {n} torn byte(s) past the last verified record"),
     };
-    let header = lockbind_obs::json::parse(header.as_bytes()).unwrap_or(Json::Null);
-    let Some(fingerprint) = header["fingerprint"].as_u64() else {
-        eprintln!(
-            "lockbind-check: {} has no fingerprint header",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let cells = header["cells"].as_u64().unwrap_or(0);
-    let root_seed = header["root_seed"].as_u64().unwrap_or(0);
     println!(
-        "checkpoint {}: fingerprint {fingerprint:#018x}, root seed {root_seed}, {cells} cell(s) in grid",
-        path.display()
+        "checkpoint {}: fingerprint {:#018x}, {} record(s){torn}",
+        dir.display(),
+        segment.fingerprint,
+        entries.len()
     );
-
-    let entries = match lockbind_engine::checkpoint::load(path, fingerprint) {
-        Ok(entries) => entries,
-        Err(e) => {
-            eprintln!("lockbind-check: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let mut decoded = [0usize; 3]; // headline, error-record, overhead payloads
     let mut malformed = Vec::new();
-    for entry in &entries {
-        let payload = &entry.payload;
-        if codec::headline_output_from_json(payload).is_some() {
+    for (&cell, bytes) in &entries {
+        let payload = &lockbind_obs::json::parse(bytes).unwrap_or(Json::Null);
+        if cell.is_none() {
+            malformed.push(cell);
+        } else if codec::headline_output_from_json(payload).is_some() {
             decoded[0] += 1;
         } else if codec::records_from_json(payload, codec::error_record_from_json).is_some() {
             decoded[1] += 1;
         } else if codec::records_from_json(payload, codec::overhead_record_from_json).is_some() {
             decoded[2] += 1;
         } else {
-            malformed.push(entry.cell);
+            malformed.push(cell);
         }
     }
     println!(
@@ -402,7 +398,12 @@ fn lint_checkpoint(path: &Path) -> ExitCode {
     );
     if !malformed.is_empty() {
         for cell in &malformed {
-            eprintln!("  cell {cell}: payload does not decode under any bench codec");
+            match cell {
+                Some(cell) => {
+                    eprintln!("  cell {cell}: payload does not decode under any bench codec")
+                }
+                None => eprintln!("  a record key is not a cell index"),
+            }
         }
         return ExitCode::FAILURE;
     }

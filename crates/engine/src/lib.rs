@@ -14,11 +14,11 @@
 //! * **Panic isolation** — each cell runs under `catch_unwind`; a panicking
 //!   or erroring cell becomes [`CellResult::Failed`] without taking down the
 //!   run (opt out with fail-fast).
-//! * **Observability** — per-cell and per-stage wall time, cells/sec, cache
-//!   hit rate, and a live progress line; exportable as hand-rolled JSON
-//!   ([`RunMetrics::to_json`]). Each cell additionally runs inside a
-//!   `lockbind-obs` span/cell scope, and the shared CLI's `--trace` /
-//!   `--profile` flags ([`EngineArgs::obs_session`]) export a
+//! * **Observability** — cell counts, cells/sec, cache hit rate, and a
+//!   live progress line; exportable as hand-rolled JSON
+//!   ([`RunMetrics::to_json`]). Each cell runs inside a `lockbind-obs`
+//!   cell scope and stage span, the one timer of a cell: the shared CLI's
+//!   `--trace` / `--profile` flags ([`EngineArgs::obs_session`]) export a
 //!   chrome://tracing trace and a per-stage profile table for any figure
 //!   binary.
 //!
@@ -31,8 +31,8 @@
 //! * **Resilience** — opt-in per-cell deadlines backed by cooperative
 //!   [`CancelToken`](lockbind_resil::CancelToken)s ([`JobCtx::cancel`]),
 //!   deterministic retry-with-backoff (attempt-indexed RNG streams), sweep
-//!   checkpoint/resume (fingerprinted JSON-lines, [`checkpoint`]), and a
-//!   seed-driven fault-injection plan
+//!   checkpoint/resume (a fingerprinted `lockbind_durable` segment store,
+//!   [`checkpoint`]), and a seed-driven fault-injection plan
 //!   ([`FaultPlan`](lockbind_resil::FaultPlan)) to drill all of the above.
 //!   Every cell that did not complete, timed-out ones included, is in the
 //!   run's [`failure_list`], which [`ObsSession::end_run`] prints before
@@ -51,7 +51,7 @@ pub mod metrics;
 pub mod pool;
 
 pub use cache::{fnv1a, ArtifactCache, CacheKey, CacheStats};
-pub use checkpoint::{CheckpointEntry, CHECKPOINT_SCHEMA};
+pub use checkpoint::CHECKPOINT_SCHEMA;
 pub use cli::{EngineArgs, ObsSession};
-pub use metrics::{CellTiming, RunMetrics, StageMetrics, METRICS_SCHEMA_VERSION};
+pub use metrics::{RunMetrics, METRICS_SCHEMA_VERSION};
 pub use pool::{failure_list, CellResult, Engine, EngineConfig, Job, JobCtx, RunReport};

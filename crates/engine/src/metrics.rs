@@ -1,6 +1,7 @@
-//! Run metrics: wall time, throughput, per-stage/per-cell timing, cache
-//! effectiveness, and the observability-registry delta — plus a
-//! hand-rolled JSON export.
+//! Run metrics: cell counts, wall time, throughput, cache effectiveness,
+//! and the observability-registry delta — plus a hand-rolled JSON export.
+//! Per-cell and per-stage time is the engine's stage span, exported by
+//! `--trace` / `--profile`.
 //!
 //! The JSON schema is versioned (`schema_version`). Version 2 added
 //! `cells_skipped` (fail-fast skips, previously lumped into
@@ -30,6 +31,10 @@
 //! crate's per-code counters). The engine also stopped mirroring its
 //! top-level `cells_*` fields as obs counters; all other fields are
 //! unchanged.
+//! Version 10 dropped the `stages` and `cells` timing arrays: they timed
+//! the same scope as the engine's per-cell stage span, which `--trace` and
+//! `--profile` export. `cells_per_sec` still counts executed cells only;
+//! all other fields are unchanged.
 
 use std::time::Duration;
 
@@ -39,7 +44,7 @@ use crate::cache::CacheStats;
 use lockbind_obs::Json;
 
 /// JSON schema version written by [`RunMetrics::to_json`].
-pub const METRICS_SCHEMA_VERSION: u64 = 9;
+pub const METRICS_SCHEMA_VERSION: u64 = 10;
 
 impl CacheStats {
     /// The stats accumulated *since* `earlier` (the cache is shared across
@@ -51,28 +56,6 @@ impl CacheStats {
             entries: self.entries,
         }
     }
-}
-
-/// Wall time of one cell.
-#[derive(Debug, Clone)]
-pub struct CellTiming {
-    /// Cell label.
-    pub cell: String,
-    /// The cell's stage name.
-    pub stage: String,
-    /// Wall time of the cell body (including cache lookups/builds).
-    pub wall: Duration,
-}
-
-/// Aggregated wall time of one stage across all its cells.
-#[derive(Debug, Clone)]
-pub struct StageMetrics {
-    /// Stage name.
-    pub stage: String,
-    /// Cells executed in this stage.
-    pub cells: usize,
-    /// Summed cell wall time (CPU-side; overlaps across workers).
-    pub wall: Duration,
 }
 
 /// Everything measured during one [`crate::Engine::run`].
@@ -103,10 +86,6 @@ pub struct RunMetrics {
     pub cells_per_sec: f64,
     /// Artifact-cache activity during this run.
     pub cache: CacheStats,
-    /// Per-stage aggregation.
-    pub stages: Vec<StageMetrics>,
-    /// Per-cell timings, in cell order (executed cells only).
-    pub cells: Vec<CellTiming>,
     /// Observability-registry activity during this run (counters, gauges,
     /// histograms).
     pub obs: MetricsSnapshot,
@@ -125,11 +104,9 @@ impl RunMetrics {
         cells_resumed: usize,
         wall: Duration,
         cache: CacheStats,
-        stage_acc: Vec<(&'static str, usize, Duration)>,
-        cells: Vec<CellTiming>,
         obs: MetricsSnapshot,
     ) -> Self {
-        let executed = cells.len();
+        let executed = cells_total - cells_resumed - cells_skipped;
         let cells_per_sec = if wall.as_secs_f64() > 0.0 {
             executed as f64 / wall.as_secs_f64()
         } else {
@@ -148,15 +125,6 @@ impl RunMetrics {
             wall,
             cells_per_sec,
             cache,
-            stages: stage_acc
-                .into_iter()
-                .map(|(stage, cells, wall)| StageMetrics {
-                    stage: stage.to_string(),
-                    cells,
-                    wall,
-                })
-                .collect(),
-            cells,
             obs,
         }
     }
@@ -217,26 +185,6 @@ impl RunMetrics {
                     ("hit_rate", Json::from(self.cache.hit_rate())),
                 ]),
             ),
-            (
-                "stages",
-                Json::arr(self.stages.iter().map(|s| {
-                    Json::obj([
-                        ("stage", Json::from(s.stage.as_str())),
-                        ("cells", Json::from(s.cells)),
-                        ("wall_seconds", Json::from(s.wall.as_secs_f64())),
-                    ])
-                })),
-            ),
-            (
-                "cells",
-                Json::arr(self.cells.iter().map(|c| {
-                    Json::obj([
-                        ("cell", Json::from(c.cell.as_str())),
-                        ("stage", Json::from(c.stage.as_str())),
-                        ("wall_seconds", Json::from(c.wall.as_secs_f64())),
-                    ])
-                })),
-            ),
             ("obs", self.obs.to_json()),
         ])
     }
@@ -271,34 +219,34 @@ mod tests {
             0,
             0,
             0,
-            0,
+            2,
             Duration::from_millis(500),
             CacheStats {
                 hits: 30,
                 misses: 10,
                 entries: 10,
             },
-            vec![("error-cell", 10, Duration::from_millis(450))],
-            vec![CellTiming {
-                cell: "fir/add/1x1".to_string(),
-                stage: "error-cell".to_string(),
-                wall: Duration::from_millis(45),
-            }],
             obs,
         );
         assert_eq!(metrics.cells_failed, 1);
         assert_eq!(metrics.cells_skipped, 0);
-        assert!((metrics.cells_per_sec - 2.0).abs() < 1e-9);
+        // 8 executed cells (10 less 2 resumed) in half a second.
+        assert!((metrics.cells_per_sec - 16.0).abs() < 1e-9);
         let summary = metrics.summary();
         assert!(summary.contains("9 ok"), "{summary}");
         assert!(summary.contains("75% hit"), "{summary}");
         assert!(!summary.contains("skipped"), "{summary}");
         let json = metrics.to_json().render();
-        assert!(json.contains("\"schema_version\":9"));
+        assert!(json.contains("\"schema_version\":10"));
         assert!(!json.contains("timers"), "v8 has no timer section: {json}");
         assert!(json.contains("\"root_seed\":2021"));
         assert!(json.contains("\"hit_rate\":0.75"));
-        assert!(json.contains("\"stage\":\"error-cell\""));
+        for member in ["\"stages\"", "\"cells\""] {
+            assert!(
+                !json.contains(member),
+                "v10 has no {member} timings: {json}"
+            );
+        }
         assert!(json.contains("\"matching.solves\":123"));
     }
 
@@ -315,8 +263,6 @@ mod tests {
             0,
             Duration::from_millis(100),
             CacheStats::default(),
-            Vec::new(),
-            Vec::new(),
             MetricsSnapshot::default(),
         );
         assert_eq!(metrics.cells_failed, 1, "skips are not failures");
