@@ -193,7 +193,7 @@ mod tests {
     use lockbind_obs::json::parse;
     use proptest::prelude::*;
 
-    /// encode → render → parse: what a checkpoint line or a wire frame
+    /// encode → render → parse: what a checkpoint record or a wire frame
     /// hands back to the decoder.
     fn through_text(doc: &Json) -> Json {
         parse(doc.render().as_bytes()).expect("rendered records parse")

@@ -168,6 +168,11 @@ impl Job for ErrorCell {
         }
     }
 
+    /// Every field feeds the output; the label leaves out frames and seed.
+    fn checkpoint_identity(&self) -> String {
+        format!("{self:?}")
+    }
+
     fn encode_output(&self, output: &Self::Output) -> Option<Json> {
         Some(codec::records_json(output, codec::error_record_json))
     }
@@ -249,6 +254,11 @@ impl Job for OverheadCell {
     fn run(&self, ctx: &mut JobCtx<'_>) -> Result<Self::Output, String> {
         let prepared = cached_prepared(ctx.cache, self.kernel, self.frames, self.seed);
         measure_overhead(&prepared, self.num_candidates).map_err(|e| e.to_string())
+    }
+
+    /// Every field feeds the output; the label leaves out frames and seed.
+    fn checkpoint_identity(&self) -> String {
+        format!("{self:?}")
     }
 
     fn encode_output(&self, output: &Self::Output) -> Option<Json> {

@@ -281,6 +281,12 @@ impl Job for HeadlineCell {
         }
     }
 
+    /// Every field of every variant feeds the output; the labels leave out
+    /// frames, seeds and widths.
+    fn checkpoint_identity(&self) -> String {
+        format!("{self:?}")
+    }
+
     fn encode_output(&self, output: &Self::Output) -> Option<Json> {
         Some(crate::codec::headline_output_json(output))
     }
